@@ -103,14 +103,14 @@ func main() {
 		faultBuilds = flag.Int("faultbuilds", 100, "number of fault-injected builds in the soak")
 		faultSeed   = flag.Int64("faultseed", 1, "base seed for the injected fault sequence")
 
-		benchJSON   = flag.String("benchjson", "", "run the cleanup-scan micro-benchmark (row vs chunk vs sharded vs block-sharded on the Fig-4/F1 workload) and write measurements to this JSON file instead of a figure")
+		benchJSON   = flag.String("benchjson", "", "run the cleanup-scan micro-benchmark (row-at-a-time vs columnar chunk scan on the Fig-4/F1 workload) and write measurements to this JSON file instead of a figure")
 		benchTuples = flag.Int64("benchtuples", 200_000, "dataset size for -benchjson")
 		benchRounds = flag.Int("benchrounds", 3, "scan passes per mode for -benchjson")
 
 		predictJSON = flag.String("predictjson", "", "run the classification micro-benchmark (per-tuple pointer walk vs flat walk vs chunked kernel vs parallel predictor on the Fig-4/F1 workload, depth >= 8) and write measurements to this JSON file instead of a figure")
 
-		updateJSON   = flag.String("updatejson", "", "run the streaming-update micro-benchmark (row-at-a-time baseline vs columnar chunk router on the sliding-window dynamic-environment workload) and write measurements to this JSON file instead of a figure")
-		updateRounds = flag.Int("updaterounds", 30, "insert+delete rounds per mode for -updatejson")
+		updateJSON   = flag.String("updatejson", "", "run the streaming-update micro-benchmark (the columnar chunk router on the sliding-window dynamic-environment workload) and write measurements to this JSON file instead of a figure")
+		updateRounds = flag.Int("updaterounds", 30, "insert+delete rounds for -updatejson")
 
 		ioJSON      = flag.String("iojson", "", "run the file-backed scan I/O benchmark (row file vs columnar block file, synchronous vs pipelined, zone skipping on/off) and write measurements to this JSON file instead of a figure")
 		ioTuples    = flag.Int64("iotuples", 1_000_000, "dataset size for -iojson")
@@ -333,8 +333,8 @@ func run(mc mainConfig) int {
 		}
 		fmt.Printf("builds: %d | exact: %d | clean errors: %d\n", res.Builds, res.Exact, res.Failed)
 		fmt.Printf("faults injected: %d (%d transient)\n", res.InjectedFaults, res.Transient)
-		fmt.Printf("recoveries: spill-retries=%d scan-fallbacks=%d scan-retries=%d spill-rebuilds=%d\n",
-			res.SpillRetries, res.ScanFallbacks, res.ScanRetries, res.SpillRebuilds)
+		fmt.Printf("recoveries: spill-retries=%d scan-retries=%d spill-rebuilds=%d\n",
+			res.SpillRetries, res.ScanRetries, res.SpillRebuilds)
 		fmt.Println("every build produced the exact tree or a clean error; no temp files or budget leaked")
 		return 0
 	}
@@ -457,21 +457,18 @@ type scanBenchReport struct {
 	Rounds        int                    `json:"rounds"`
 	GOMAXPROCS    int                    `json:"gomaxprocs"`
 	Config        benchProvenance        `json:"config"`
-	Modes               []core.ScanMeasurement `json:"modes"`
-	IOStats             iostats.Snapshot       `json:"iostats"`
-	ChunkSpeedup        float64                `json:"chunk_speedup_vs_row"`
-	BlockShardedSpeedup float64                `json:"block_sharded_speedup_vs_row"`
-	AllocsRatio         float64                `json:"row_allocs_per_chunk_alloc"`
-	ChunkPerTuple       float64                `json:"chunk_allocs_per_tuple"`
+	Modes         []core.ScanMeasurement `json:"modes"`
+	IOStats       iostats.Snapshot       `json:"iostats"`
+	ChunkSpeedup  float64                `json:"chunk_speedup_vs_row"`
+	AllocsRatio   float64                `json:"row_allocs_per_chunk_alloc"`
+	ChunkPerTuple float64                `json:"chunk_allocs_per_tuple"`
 }
 
 // runScanBench times cleanup-scan passes per mode (row-at-a-time
-// baseline, sequential columnar, chunk-sharded columnar, block-sharded
-// columnar) over the Fig-4/F1 workload, prints a table with the iostats
-// accounting, and writes the measurements as JSON. The generator output
-// is materialized up front so the benchmark isolates the scan itself;
-// the block-sharded mode reads the same tuples from a columnar file, the
-// only source kind that can be split by block ranges.
+// baseline, columnar chunk scan) over the Fig-4/F1 workload, prints a
+// table with the iostats accounting, and writes the measurements as JSON.
+// The generator output is materialized up front so the benchmark isolates
+// the scan itself.
 func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "boatbench: benchjson: %v\n", err)
@@ -501,36 +498,14 @@ func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 			GitModified:   modified,
 		},
 	}
-	// The block-sharded mode needs a block-splittable source: the same
-	// tuple sequence materialized as a columnar file (the in-memory source
-	// serving the other modes has no blocks to split).
-	colDir, err := os.MkdirTemp(mc.dir, "boatbench-scan-")
-	if err != nil {
-		return fail(err)
-	}
-	defer os.RemoveAll(colDir)
-	colPath := filepath.Join(colDir, "scan.boatc")
-	if _, err := data.WriteColFile(colPath, src, 0); err != nil {
-		return fail(err)
-	}
-
 	var total iostats.Snapshot
 	byMode := map[core.ScanMode]core.ScanMeasurement{}
-	for _, mode := range []core.ScanMode{core.ScanModeRow, core.ScanModeChunk, core.ScanModeSharded, core.ScanModeBlockSharded} {
-		benchSrc := data.Source(src)
-		if mode == core.ScanModeBlockSharded {
-			colSrc, err := data.OpenColFile(colPath)
-			if err != nil {
-				return fail(err)
-			}
-			benchSrc = colSrc
-		}
+	for _, mode := range []core.ScanMode{core.ScanModeRow, core.ScanModeChunk} {
 		stats := &iostats.Stats{}
-		bench, err := core.NewScanBench(benchSrc, core.Config{
+		bench, err := core.NewScanBench(src, core.Config{
 			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
 			Seed: 7, TempDir: mc.dir, Parallelism: mc.para, Stats: stats,
-			BlockSharding: mode == core.ScanModeBlockSharded,
-			Metrics:       metrics, Logger: mc.logger,
+			Metrics: metrics, Logger: mc.logger,
 		})
 		if err != nil {
 			return fail(err)
@@ -553,7 +528,6 @@ func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	row, chunk := byMode[core.ScanModeRow], byMode[core.ScanModeChunk]
 	if row.TuplesPerSec > 0 {
 		rep.ChunkSpeedup = chunk.TuplesPerSec / row.TuplesPerSec
-		rep.BlockShardedSpeedup = byMode[core.ScanModeBlockSharded].TuplesPerSec / row.TuplesPerSec
 	}
 	if chunk.AllocsPerTuple > 0 {
 		rep.AllocsRatio = row.AllocsPerTuple / chunk.AllocsPerTuple
@@ -573,7 +547,7 @@ func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	return 0
 }
 
-// updateMeasurement is one mode's result in an -updatejson report.
+// updateMeasurement is the result of an -updatejson run.
 type updateMeasurement struct {
 	Mode            string  `json:"mode"`
 	Seconds         float64 `json:"seconds"`
@@ -585,31 +559,24 @@ type updateMeasurement struct {
 	MigratedTuples  int64   `json:"migrated_tuples"`
 }
 
-// updateBenchReport is the JSON document -updatejson writes: one
-// measurement per update mode on the identical sliding-window workload,
-// the chunked-vs-row headline ratio, and the run's provenance.
+// updateBenchReport is the JSON document -updatejson writes: the
+// measurement of the sliding-window workload and the run's provenance.
 type updateBenchReport struct {
-	Workload       string              `json:"workload"`
-	BaseTuples     int64               `json:"base_tuples"`
-	ChunkTuples    int64               `json:"chunk_tuples"`
-	Window         int                 `json:"window"`
-	Slots          int                 `json:"slots"`
-	Rounds         int                 `json:"rounds"`
-	GOMAXPROCS     int                 `json:"gomaxprocs"`
-	Config         benchProvenance     `json:"config"`
-	Modes          []updateMeasurement `json:"modes"`
-	ChunkedSpeedup float64             `json:"chunked_speedup_vs_row"`
+	Workload    string              `json:"workload"`
+	BaseTuples  int64               `json:"base_tuples"`
+	ChunkTuples int64               `json:"chunk_tuples"`
+	Window      int                 `json:"window"`
+	Slots       int                 `json:"slots"`
+	Rounds      int                 `json:"rounds"`
+	GOMAXPROCS  int                 `json:"gomaxprocs"`
+	Config      benchProvenance     `json:"config"`
+	Modes       []updateMeasurement `json:"modes"`
 }
 
 // runUpdateBench times sustained sliding-window maintenance — the
 // boatstream workload: every round inserts the newest chunk and deletes
-// the expired one, holding the tree's net size constant — once with the
-// row-at-a-time baseline (Config.RowUpdates) and once with the columnar
-// chunk router, and writes the measurements as JSON. Both modes replay
-// the identical pre-generated chunk sequence against identically built
-// trees; the maintained trees are guaranteed bit-identical either way
-// (TestUpdateChunkedMatchesRow), so the comparison isolates update-path
-// mechanics.
+// the expired one, holding the tree's net size constant — through the
+// columnar chunk router, and writes the measurement as JSON.
 func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "boatbench: updatejson: %v\n", err)
@@ -622,7 +589,7 @@ func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 		slots       = 2 * window
 	)
 	rounds := mc.updateRounds
-	fmt.Printf("=== streaming-update benchmark: sliding window %d x %d tuples over %d base, %d rounds/mode ===\n",
+	fmt.Printf("=== streaming-update benchmark: sliding window %d x %d tuples over %d base, %d rounds ===\n",
 		window, chunkTuples, baseTuples, rounds)
 	base := gen.MustSource(gen.Config{Function: 1}, baseTuples, mc.seed)
 	chunks := make([]data.Source, slots)
@@ -645,79 +612,64 @@ func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 			GitModified:   modified,
 		},
 	}
-	byMode := map[string]updateMeasurement{}
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"chunked", false}} {
-		bt, err := core.Build(base, core.Config{
-			Method: m, StopThreshold: 4000, StopAtThreshold: true,
-			SampleSize: 8000, BootstrapTrees: 5, Seed: mc.seed,
-			TempDir: mc.dir, Parallelism: mc.para, RowUpdates: mode.row,
-			Metrics: metrics, Logger: mc.logger,
-		})
+	bt, err := core.Build(base, core.Config{
+		Method: m, StopThreshold: 4000, StopAtThreshold: true,
+		SampleSize: 8000, BootstrapTrees: 5, Seed: mc.seed,
+		TempDir: mc.dir, Parallelism: mc.para,
+		Metrics: metrics, Logger: mc.logger,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	defer bt.Close()
+	var total core.UpdateStats
+	add := func(u core.UpdateStats) {
+		total.Chunks += u.Chunks
+		total.RebuiltSubtrees += u.RebuiltSubtrees
+		total.RefittedLeaves += u.RefittedLeaves
+		total.MigratedTuples += u.MigratedTuples
+	}
+	for i := 0; i < window; i++ {
+		if _, err := bt.Insert(chunks[i]); err != nil {
+			return fail(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		ins, err := bt.Insert(chunks[(window+r)%slots])
 		if err != nil {
 			return fail(err)
 		}
-		var total core.UpdateStats
-		add := func(u core.UpdateStats) {
-			total.Chunks += u.Chunks
-			total.RebuiltSubtrees += u.RebuiltSubtrees
-			total.RefittedLeaves += u.RefittedLeaves
-			total.MigratedTuples += u.MigratedTuples
+		del, err := bt.Delete(chunks[r%slots])
+		if err != nil {
+			return fail(err)
 		}
-		for i := 0; i < window; i++ {
-			if _, err := bt.Insert(chunks[i]); err != nil {
-				bt.Close()
-				return fail(err)
-			}
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			ins, err := bt.Insert(chunks[(window+r)%slots])
-			if err != nil {
-				bt.Close()
-				return fail(err)
-			}
-			del, err := bt.Delete(chunks[r%slots])
-			if err != nil {
-				bt.Close()
-				return fail(err)
-			}
-			add(ins)
-			add(del)
-		}
-		seconds := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		bt.Close()
-		streamed := float64(rounds) * 2 * chunkTuples
-		meas := updateMeasurement{
-			Mode: mode.name, Seconds: seconds,
-			Chunks:          total.Chunks,
-			RebuiltSubtrees: total.RebuiltSubtrees,
-			RefittedLeaves:  total.RefittedLeaves,
-			MigratedTuples:  total.MigratedTuples,
-		}
-		if seconds > 0 {
-			meas.TuplesPerSec = streamed / seconds
-		}
-		if streamed > 0 {
-			meas.AllocsPerTuple = float64(after.Mallocs-before.Mallocs) / streamed
-		}
-		rep.Modes = append(rep.Modes, meas)
-		byMode[mode.name] = meas
-		fmt.Printf("%-8s %12.0f tuples/sec  %10.3f allocs/tuple  rebuilt=%d refitted=%d\n",
-			meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple,
-			meas.RebuiltSubtrees, meas.RefittedLeaves)
+		add(ins)
+		add(del)
 	}
-	row, chunked := byMode["row"], byMode["chunked"]
-	if row.TuplesPerSec > 0 {
-		rep.ChunkedSpeedup = chunked.TuplesPerSec / row.TuplesPerSec
+	seconds := time.Since(start).Seconds()
+	runtime.ReadMemStats(&after)
+	streamed := float64(rounds) * 2 * chunkTuples
+	meas := updateMeasurement{
+		Mode: "chunked", Seconds: seconds,
+		Chunks:          total.Chunks,
+		RebuiltSubtrees: total.RebuiltSubtrees,
+		RefittedLeaves:  total.RefittedLeaves,
+		MigratedTuples:  total.MigratedTuples,
 	}
-	fmt.Printf("chunked vs row: %.2fx tuples/sec\n", rep.ChunkedSpeedup)
+	if seconds > 0 {
+		meas.TuplesPerSec = streamed / seconds
+	}
+	if streamed > 0 {
+		meas.AllocsPerTuple = float64(after.Mallocs-before.Mallocs) / streamed
+	}
+	rep.Modes = append(rep.Modes, meas)
+	fmt.Printf("%-8s %12.0f tuples/sec  %10.3f allocs/tuple  rebuilt=%d refitted=%d\n",
+		meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple,
+		meas.RebuiltSubtrees, meas.RefittedLeaves)
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -757,19 +709,17 @@ type ioBenchReport struct {
 	RowFileBytes          int64               `json:"row_file_bytes"`
 	ColFileBytes          int64               `json:"col_file_bytes"`
 	Compression           float64             `json:"row_bytes_per_col_byte"`
-	Modes                          []ioScanMeasurement `json:"modes"`
-	SyncSpeedupVsRow               float64             `json:"col_sync_speedup_vs_row"`
-	PipelinedSpeedupVsRow          float64             `json:"col_pipelined_speedup_vs_row"`
-	ZoneSkipSpeedup                float64             `json:"zone_skip_speedup"`
-	BlockShardedSpeedupVsRow       float64             `json:"col_block_sharded_speedup_vs_row"`
-	BlockShardedSpeedupVsPipelined float64             `json:"col_block_sharded_speedup_vs_pipelined"`
+	Modes                 []ioScanMeasurement `json:"modes"`
+	SyncSpeedupVsRow      float64             `json:"col_sync_speedup_vs_row"`
+	PipelinedSpeedupVsRow float64             `json:"col_pipelined_speedup_vs_row"`
+	ZoneSkipSpeedup       float64             `json:"zone_skip_speedup"`
 	TreeConfigsVerified   int                 `json:"tree_configs_verified"`
 	TreesIdentical        bool                `json:"trees_identical"`
 }
 
 // runIOBench measures the file-backed cleanup scan end to end: the same
 // F1 workload is materialized once as a row file and once as a columnar
-// block file, and the sharded scan is timed over each — the columnar file
+// block file, and the cleanup scan is timed over each — the columnar file
 // synchronously decoded, behind the prefetch/decode pipeline, and with
 // zone-map skipping disabled — isolating what the on-disk format, the
 // pipeline, and the zone maps each buy. With -ioverify (default) it then
@@ -854,13 +804,11 @@ func runIOBench(mc mainConfig, m split.Method) int {
 		path     string
 		depth    int
 		zoneSkip bool
-		scanMode core.ScanMode
 	}{
-		{"row", rowPath, 0, true, core.ScanModeSharded},
-		{"col-sync", colPath, -1, true, core.ScanModeSharded},
-		{"col-pipelined", colPath, 0, true, core.ScanModeSharded},
-		{"col-noskip", colPath, 0, false, core.ScanModeSharded},
-		{"col-block-sharded", colPath, 0, true, core.ScanModeBlockSharded},
+		{"row", rowPath, 0, true},
+		{"col-sync", colPath, -1, true},
+		{"col-pipelined", colPath, 0, true},
+		{"col-noskip", colPath, 0, false},
 	}
 	byMode := map[string]ioScanMeasurement{}
 	for _, mode := range modes {
@@ -874,13 +822,12 @@ func runIOBench(mc mainConfig, m split.Method) int {
 			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
 			Seed: 7, TempDir: dir, Parallelism: para, Stats: stats,
 			PipelineDepth: mode.depth, DisableZoneSkip: !mode.zoneSkip,
-			BlockSharding: mode.scanMode == core.ScanModeBlockSharded,
-			Metrics:       reg, Logger: mc.logger,
+			Metrics: reg, Logger: mc.logger,
 		})
 		if err != nil {
 			return fail(err)
 		}
-		meas, err := bench.Measure(mode.scanMode, rounds)
+		meas, err := bench.Measure(core.ScanModeChunk, rounds)
 		bench.Close()
 		if err != nil {
 			return fail(err)
@@ -900,20 +847,15 @@ func runIOBench(mc mainConfig, m split.Method) int {
 			im.BlocksSkipped)
 	}
 	row, sync, piped, noskip := byMode["row"], byMode["col-sync"], byMode["col-pipelined"], byMode["col-noskip"]
-	blockSharded := byMode["col-block-sharded"]
 	if row.TuplesPerSec > 0 {
 		rep.SyncSpeedupVsRow = sync.TuplesPerSec / row.TuplesPerSec
 		rep.PipelinedSpeedupVsRow = piped.TuplesPerSec / row.TuplesPerSec
-		rep.BlockShardedSpeedupVsRow = blockSharded.TuplesPerSec / row.TuplesPerSec
 	}
 	if noskip.TuplesPerSec > 0 {
 		rep.ZoneSkipSpeedup = piped.TuplesPerSec / noskip.TuplesPerSec
 	}
-	if piped.TuplesPerSec > 0 {
-		rep.BlockShardedSpeedupVsPipelined = blockSharded.TuplesPerSec / piped.TuplesPerSec
-	}
-	fmt.Printf("columnar pipelined vs row: %.2fx | sync vs row: %.2fx | zone skipping: %.2fx | block-sharded vs pipelined: %.2fx\n",
-		rep.PipelinedSpeedupVsRow, rep.SyncSpeedupVsRow, rep.ZoneSkipSpeedup, rep.BlockShardedSpeedupVsPipelined)
+	fmt.Printf("columnar pipelined vs row: %.2fx | sync vs row: %.2fx | zone skipping: %.2fx\n",
+		rep.PipelinedSpeedupVsRow, rep.SyncSpeedupVsRow, rep.ZoneSkipSpeedup)
 
 	if mc.ioVerify {
 		verified, err := verifyIOTrees(rowPath, colPath, m, n, dir, mc.logger)
@@ -936,13 +878,12 @@ func runIOBench(mc mainConfig, m split.Method) int {
 	return 0
 }
 
-// verifyIOTrees builds trees over the row file and the columnar file —
-// the latter chunk-sharded and block-sharded — across pipeline depths
-// {1, 4} and Parallelism {1, 8} and returns the number of configurations
-// checked, erroring unless every encoded tree is byte-identical to the
-// row-format Parallelism=1 baseline.
+// verifyIOTrees builds trees over the row file and the columnar file
+// across pipeline depths {1, 4} and Parallelism {1, 8} and returns the
+// number of configurations checked, erroring unless every encoded tree is
+// byte-identical to the row-format Parallelism=1 baseline.
 func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string, logger *slog.Logger) (int, error) {
-	build := func(path string, depth, para int, blockShard bool) ([]byte, error) {
+	build := func(path string, depth, para int) ([]byte, error) {
 		src, err := data.Open(path)
 		if err != nil {
 			return nil, err
@@ -951,7 +892,7 @@ func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string,
 			Method: m, MaxDepth: 8, MinSplit: 50, SampleSize: 2000,
 			StopThreshold: n / 10, StopAtThreshold: true,
 			Seed: 7, TempDir: dir, Parallelism: para,
-			PipelineDepth: depth, BlockSharding: blockShard, Logger: logger,
+			PipelineDepth: depth, Logger: logger,
 		})
 		if err != nil {
 			return nil, err
@@ -959,30 +900,27 @@ func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string,
 		defer bt.Close()
 		return tree.EncodeTree(bt.Tree())
 	}
-	want, err := build(rowPath, 0, 1, false)
+	want, err := build(rowPath, 0, 1)
 	if err != nil {
 		return 0, err
 	}
 	checked := 1
-	if got, err := build(rowPath, 0, 8, false); err != nil {
+	if got, err := build(rowPath, 0, 8); err != nil {
 		return checked, err
 	} else if !bytes.Equal(got, want) {
 		return checked, fmt.Errorf("row-format tree differs at Parallelism=8")
 	}
 	checked++
-	for _, blockShard := range []bool{false, true} {
-		for _, depth := range []int{1, 4} {
-			for _, para := range []int{1, 8} {
-				got, err := build(colPath, depth, para, blockShard)
-				if err != nil {
-					return checked, err
-				}
-				if !bytes.Equal(got, want) {
-					return checked, fmt.Errorf("columnar tree differs at depth=%d parallelism=%d blockShard=%v",
-						depth, para, blockShard)
-				}
-				checked++
+	for _, depth := range []int{1, 4} {
+		for _, para := range []int{1, 8} {
+			got, err := build(colPath, depth, para)
+			if err != nil {
+				return checked, err
 			}
+			if !bytes.Equal(got, want) {
+				return checked, fmt.Errorf("columnar tree differs at depth=%d parallelism=%d", depth, para)
+			}
+			checked++
 		}
 	}
 	return checked, nil

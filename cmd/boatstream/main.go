@@ -28,14 +28,13 @@
 //	boatstream -rounds 200 -paritycheck
 //	boatstream -serve -rounds 100 -metricsjson metrics.json
 //	boatstream -serve -listen :9090 -metricsjson metrics.json -metricsinterval 5s
-//	boatstream -rowupdates -rounds 50 -listen ""
+//	boatstream -rounds 50 -listen ""
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -60,8 +59,6 @@ func main() {
 		sample       = flag.Int("sample", 8000, "BOAT sample size (0 = auto)")
 		seed         = flag.Int64("seed", 1, "sampling and generator seed")
 		parallelism  = flag.Int("parallelism", 0, "worker goroutines (0 = GOMAXPROCS)")
-		rowUpdates   = flag.Bool("rowupdates", false, "force the row-at-a-time update baseline instead of the columnar chunk router")
-	blockShard   = flag.Bool("blockshard", false, "materialize the base dataset as a temporary columnar file and build it with block-range scan sharding")
 		serve        = flag.Bool("serve", false, "serve predictions concurrently with the updates via the epoch-swapped snapshot path")
 		parity       = flag.Bool("paritycheck", false, "after the soak, compare the maintained tree against a from-scratch build on the final window")
 		metricsOut   = flag.String("metricsjson", "", `write the update metrics registry as JSON to this file ("-" = stdout)`)
@@ -102,30 +99,14 @@ func main() {
 	cfg := core.Config{
 		Method: m, StopThreshold: *threshold, StopAtThreshold: *threshold > 0,
 		SampleSize: *sample, Seed: *seed, Parallelism: *parallelism,
-		RowUpdates: *rowUpdates, BlockSharding: *blockShard,
-		Stats:      &st, Metrics: metrics, Logger: logger,
-	}
-	// -blockshard: the generator source has no blocks to split, so the
-	// base dataset is spooled to a columnar file first — the same tuples,
-	// built through the block-parallel scan instead of the shared reader.
-	buildSrc := data.Source(base)
-	if *blockShard {
-		dir, err := os.MkdirTemp("", "boatstream-base-")
-		fatal(err)
-		defer os.RemoveAll(dir)
-		colPath := filepath.Join(dir, "base.boatc")
-		_, err = data.WriteColFile(colPath, base, 0)
-		fatal(err)
-		colSrc, err := data.OpenColFile(colPath)
-		fatal(err)
-		buildSrc = colSrc
+		Stats: &st, Metrics: metrics, Logger: logger,
 	}
 	start := time.Now()
-	bt, err := core.Build(buildSrc, cfg)
+	bt, err := core.Build(base, cfg)
 	fatal(err)
 	defer bt.Close()
 	logger.Info("base tree built", "seconds", time.Since(start).Seconds(),
-		"tuples", *tuples, "row_updates", *rowUpdates, "block_sharded", *blockShard)
+		"tuples", *tuples)
 
 	// Live telemetry: the sampler feeds runtime gauges and windowed
 	// tuples/sec rates into the registry; the diagnostics server exposes
@@ -237,11 +218,6 @@ func main() {
 	fatal(err)
 	fmt.Printf("=== boatstream: %d rounds, window %d x %d tuples, base %d ===\n",
 		*rounds, *window, *chunkSize, *tuples)
-	mode := "chunked"
-	if *rowUpdates {
-		mode = "row"
-	}
-	fmt.Printf("update mode:        %s\n", mode)
 	if elapsed > 0 {
 		fmt.Printf("sustained rate:     %.0f tuples/sec (%.2fs total)\n",
 			float64(*rounds)*2*float64(*chunkSize)/elapsed, elapsed)

@@ -52,7 +52,6 @@ func main() {
 		pipeDepth   = flag.Int("pipedepth", 0, "columnar input: blocks read ahead by the scan pipeline (0 = default, negative = synchronous)")
 		pipeWorkers = flag.Int("pipeworkers", 0, "columnar input: decode worker goroutines (0 = auto)")
 		noZoneSkip  = flag.Bool("nozoneskip", false, "disable zone-map block skipping in the scan and update routers")
-	blockShard  = flag.Bool("blockshard", false, "columnar input: shard the cleanup scan by contiguous block ranges, one private reader per worker (falls back to chunk sharding for row files)")
 		avcBuffer   = flag.Int64("avcbuffer", 3_000_000, "RainForest AVC buffer entries")
 		save        = flag.String("save", "", "write the encoded tree to this file")
 		saveModel   = flag.String("savemodel", "", "write the full BOAT model (tree + statistics) to this file atomically (boat only)")
@@ -129,7 +128,7 @@ func main() {
 			StopThreshold: *threshold, StopAtThreshold: *stop,
 			SampleSize: *sample, Seed: *seed, Parallelism: *parallelism,
 			PipelineDepth: *pipeDepth, PipelineWorkers: *pipeWorkers,
-			DisableZoneSkip: *noZoneSkip, BlockSharding: *blockShard,
+			DisableZoneSkip: *noZoneSkip,
 			Stats:           &st, Trace: tracer, Metrics: metrics, Logger: logger,
 		})
 		fatal(err)

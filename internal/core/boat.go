@@ -61,6 +61,10 @@ type Tree struct {
 	// updScratch is the chunk router's per-level partition scratch, reused
 	// across updates (guarded by updateMu).
 	updScratch *routeScratch
+	// rowUpdates routes Insert/Delete one tuple at a time through
+	// Tree.route instead of the chunk router. The trees are bit-identical
+	// either way; only tests set it, to cross-check the chunk router.
+	rowUpdates bool
 	// epoch counts completed updates; snap caches the published snapshot
 	// of the epoch it carries. Readers serve snap lock-free and detect
 	// staleness by comparing epochs (see Snapshot).
@@ -203,10 +207,9 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 	root := t.skeletonFromCoarse(coarse, sample, depth)
 	skelSpan.End()
 
-	// Cleanup scan (scan 2): stream every tuple down the coarse tree,
-	// sharded across workers when Parallelism > 1 (see scan.go). On any
-	// error the skeleton's buffers (and their temp files) are released
-	// before returning, so a failed build never leaks.
+	// Cleanup scan (scan 2): stream every tuple down the coarse tree (see
+	// scan.go). On any error the skeleton's buffers (and their temp files)
+	// are released before returning, so a failed build never leaks.
 	scanSpan := parent.Start("cleanup-scan")
 	seen, err := t.cleanupScan(src, root, scanSpan)
 	scanSpan.SetAttr("tuples", seen)

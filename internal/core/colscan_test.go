@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -49,7 +50,7 @@ func colTestConfig() Config {
 // the columnar path: the tree built from a columnar file — at every
 // pipeline depth (including the synchronous reader) and parallelism — is
 // bit-identical to the tree built from the row file holding the same
-// tuple sequence.
+// tuple sequence, and passes the consistency check.
 func TestColumnarFormatTreeIdentity(t *testing.T) {
 	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 1024)
 
@@ -85,6 +86,73 @@ func TestColumnarFormatTreeIdentity(t *testing.T) {
 				requireEqual(t, "columnar vs row", bt.Tree(), ref.Tree())
 				if err := bt.CheckConsistency(); err != nil {
 					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestBlockShardedTreeIdentity is the determinism contract of the
+// cleanup scan over a columnar file cut into many small blocks: the
+// single scan walks the blocks in file order whatever its parallelism,
+// so the tree is bit-identical to the sequential row build AND to the
+// Parallelism-8 columnar build, at every parallelism and pipeline depth,
+// with no reset-and-retry along the way.
+func TestBlockShardedTreeIdentity(t *testing.T) {
+	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 512)
+
+	rowSrc, err := data.Open(rowPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCfg := colTestConfig()
+	refCfg.Parallelism = 1
+	refCfg.TempDir = t.TempDir()
+	ref, err := Build(rowSrc, refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	chunkCfg := colTestConfig()
+	chunkCfg.Parallelism = 8
+	chunkCfg.TempDir = t.TempDir()
+	chunkSrc, err := data.Open(colPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := Build(chunkSrc, chunkCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chunked.Close()
+	requireEqual(t, "columnar P8 vs row", chunked.Tree(), ref.Tree())
+
+	for _, depth := range []int{-1, 4} {
+		for _, para := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("depth%d-P%d", depth, para), func(t *testing.T) {
+				colSrc, err := data.Open(colPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats := &iostats.Stats{}
+				cfg := colTestConfig()
+				cfg.Parallelism = para
+				cfg.PipelineDepth = depth
+				cfg.Stats = stats
+				cfg.TempDir = t.TempDir()
+				bt, err := Build(colSrc, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer bt.Close()
+				requireEqual(t, "columnar vs row", bt.Tree(), ref.Tree())
+				requireEqual(t, "columnar vs columnar P8", bt.Tree(), chunked.Tree())
+				if err := bt.CheckConsistency(); err != nil {
+					t.Fatal(err)
+				}
+				if r := stats.ScanRetries(); r != 0 {
+					t.Errorf("fault-free build retried its scan %d times", r)
 				}
 			})
 		}
@@ -189,71 +257,78 @@ func TestUpdateZoneSkipExactness(t *testing.T) {
 	requireEqual(t, "after delete", on.Tree(), off.Tree())
 }
 
-// TestBlockShardedTreeIdentity is the determinism contract of the
-// block-sharded cleanup scan: because every worker owns a contiguous
-// block range and the shadow trees merge in worker order, the scan
-// reproduces the exact sequential file order — so the tree is
-// bit-identical to the sequential build AND the chunk-sharded build, at
-// every parallelism and pipeline depth, with no silent fallback.
-func TestBlockShardedTreeIdentity(t *testing.T) {
-	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 512)
-
-	rowSrc, err := data.Open(rowPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCfg := colTestConfig()
-	refCfg.Parallelism = 1
-	refCfg.TempDir = t.TempDir()
-	ref, err := Build(rowSrc, refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	chunkCfg := colTestConfig()
-	chunkCfg.Parallelism = 8
-	chunkCfg.TempDir = t.TempDir()
-	chunkSrc, err := data.Open(colPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked, err := Build(chunkSrc, chunkCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chunked.Close()
-	requireEqual(t, "chunk-sharded vs row", chunked.Tree(), ref.Tree())
-
-	for _, depth := range []int{-1, 4} {
-		for _, para := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("depth%d-P%d", depth, para), func(t *testing.T) {
-				colSrc, err := data.Open(colPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats := &iostats.Stats{}
-				cfg := colTestConfig()
-				cfg.Parallelism = para
-				cfg.PipelineDepth = depth
-				cfg.BlockSharding = true
-				cfg.Stats = stats
-				cfg.TempDir = t.TempDir()
-				bt, err := Build(colSrc, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer bt.Close()
-				requireEqual(t, "block-sharded vs row", bt.Tree(), ref.Tree())
-				requireEqual(t, "block-sharded vs chunk-sharded", bt.Tree(), chunked.Tree())
-				if err := bt.CheckConsistency(); err != nil {
-					t.Fatal(err)
-				}
-				if f := stats.ScanFallbacks(); f != 0 {
-					t.Errorf("block-sharded build fell back %d times", f)
-				}
-			})
+// bufferSequences flattens, in preorder, the tuple sequence of every
+// stuck set and leaf family under n.
+func bufferSequences(t *testing.T, n *bnode) [][]data.Tuple {
+	t.Helper()
+	var out [][]data.Tuple
+	var walk func(*bnode)
+	walk = func(n *bnode) {
+		bag := n.family
+		if !n.isLeaf() {
+			bag = n.pending
 		}
+		if bag != nil {
+			var seq []data.Tuple
+			if err := bag.ForEach(func(tp data.Tuple) error {
+				seq = append(seq, tp.Clone())
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, seq)
+		}
+		if !n.isLeaf() {
+			walk(n.left)
+			walk(n.right)
+		}
+	}
+	walk(n)
+	return out
+}
+
+// TestScanBufferOrderIndependentOfParallelism: the cleanup scan fills
+// every stuck set and leaf family in stream order, so after the scan the
+// buffers hold the identical tuple sequences at Parallelism 1 and 2 — a
+// stronger guarantee than the equal trees BOAT's verification secures
+// regardless of buffer order. The input spans several chunks, so any
+// reordering of chunks between the settings would show.
+func TestScanBufferOrderIndependentOfParallelism(t *testing.T) {
+	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 4*1024+100, 19)
+	scan := func(para int) [][]data.Tuple {
+		cfg := colTestConfig()
+		cfg.Parallelism = para
+		cfg.ScanChunkRows = 1024
+		cfg.TempDir = t.TempDir()
+		b, err := NewScanBench(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if _, err := b.tree.cleanupScan(b.src, b.root, nil); err != nil {
+			t.Fatal(err)
+		}
+		return bufferSequences(t, b.root)
+	}
+	p1, p2 := scan(1), scan(2)
+	if len(p1) != len(p2) {
+		t.Fatalf("skeletons differ: %d buffers at P1, %d at P2", len(p1), len(p2))
+	}
+	var total int
+	for i := range p1 {
+		if len(p1[i]) != len(p2[i]) {
+			t.Fatalf("buffer %d: %d tuples at P1, %d at P2", i, len(p1[i]), len(p2[i]))
+		}
+		for j := range p1[i] {
+			a, b := p1[i][j], p2[i][j]
+			if a.Class != b.Class || !slices.Equal(a.Values, b.Values) {
+				t.Fatalf("buffer %d tuple %d: %v at P1, %v at P2", i, j, a, b)
+			}
+		}
+		total += len(p1[i])
+	}
+	if total != 4*1024+100 {
+		t.Fatalf("buffers hold %d tuples, want every scanned tuple", total)
 	}
 }
 

@@ -96,14 +96,14 @@ type Config struct {
 
 	// Trace, when non-nil, receives hierarchical build-lifecycle spans —
 	// sampling, bootstrap-tree growth, coarse-tree intersection, the
-	// cleanup scan and its shard workers, verification, subtree rebuilds,
+	// cleanup scan and its pipeline stages, verification, subtree rebuilds,
 	// leaf completion — with per-span wall-clock and (when Stats is also
 	// set and shared with the tracer) iostats deltas. nil disables tracing
 	// at zero cost: every span call is a nil-receiver no-op.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives build counters, gauges and
 	// histograms (CI hit/miss per verified node, verification-failure
-	// causes, stuck-set sizes, per-shard scan throughput, rebuild and
+	// causes, stuck-set sizes, scan throughput, rebuild and
 	// leaf-completion counts). nil disables metrics at zero cost.
 	Metrics *obs.Registry
 	// Logger, when non-nil, receives structured build progress records
@@ -134,20 +134,6 @@ type Config struct {
 	// PipelineWorkers is the number of decode goroutines behind a
 	// pipelined scan. 0 selects min(4, GOMAXPROCS).
 	PipelineWorkers int
-	// BlockSharding shards the cleanup scan by contiguous block ranges of
-	// the columnar file instead of dealing chunks from one shared reader:
-	// each of the Parallelism workers owns a byte range of the file with a
-	// private reader and prefetch/decode pipeline, removing the
-	// single-reader and ordered-ring delivery bottlenecks. It requires a
-	// block-splittable source (data.BlockSplitSource — a ColSource,
-	// possibly behind iostats tracking) with at least one block per
-	// worker; anything else falls back to chunk sharding, and storage
-	// faults fall back to the sequential scan exactly like chunk
-	// sharding's. The resulting tree is bit-identical to every other scan
-	// mode: contiguous ranges merged in worker order reproduce the file
-	// order.
-	BlockSharding bool
-
 	// DisableZoneSkip turns off zone-map block skipping in the cleanup
 	// scan and streaming-update routers. A block is skipped only when its
 	// per-column min/max (or category bitmap) proves every row routes down
@@ -156,22 +142,13 @@ type Config struct {
 	// baselines and the equivalence tests that pin that claim down.
 	DisableZoneSkip bool
 
-	// RowUpdates forces Insert and Delete onto the row-at-a-time baseline
-	// (one root-to-stick descent per tuple) instead of the default columnar
-	// chunk router. The resulting tree is bit-identical either way — the
-	// flag exists as the cross-check and benchmark baseline for the chunked
-	// path (see BenchmarkUpdate and TestUpdateChunkedMatchesRow).
-	RowUpdates bool
-
-	// Parallelism is the number of worker goroutines used by the three
-	// build phases: bootstrap-tree growth, the sharded cleanup scan, and
-	// the completion of independent leaves after top-down processing.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs every phase sequentially
-	// in-line. The resulting tree is identical at every setting: per-tree
-	// bootstrap RNGs are derived from Seed + treeIndex, shard statistics
-	// are exact mergeable counts combined in deterministic worker order,
-	// and BOAT's verification guarantees the exact reference tree
-	// regardless of scan order.
+	// Parallelism is the number of worker goroutines used by bootstrap-tree
+	// growth, the completion of independent leaves (and frontier rebuilds)
+	// after top-down processing, and the forked subtree descents of
+	// Insert/Delete. 0 selects runtime.GOMAXPROCS(0); 1 runs every phase
+	// sequentially in-line. The resulting tree is identical at every
+	// setting: per-tree bootstrap RNGs are derived from Seed + treeIndex,
+	// and the concurrent phases work on disjoint subtrees.
 	Parallelism int
 }
 

@@ -39,45 +39,58 @@ func requireNoTempsUnder(t *testing.T, dir string) {
 	}
 }
 
-// TestShardedScanFallsBackOnSpillFault: permanent create faults break the
-// sharded cleanup scan on its first spills; the build must degrade to the
-// sequential scan (resetting all partial statistics) and still produce the
-// exact reference tree, leaking nothing.
-func TestShardedScanFallsBackOnSpillFault(t *testing.T) {
+// TestScanRetriesOnSpillFault: a permanent create fault breaks the
+// cleanup scan on its first spill; the build must reset every partial
+// statistic, rerun the scan once, and still produce the exact fault-free
+// tree, leaking no goroutines, temp files or budget.
+func TestScanRetriesOnSpillFault(t *testing.T) {
 	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 12000, 77)
 	g := t.TempDir()
-	stats := &iostats.Stats{}
-	budget := data.NewMemBudget(64) // tiny: the scan must spill immediately
-	fs := faultfs.New(nil, faultfs.Config{Seed: 7, CreateProb: 1, MaxFaults: 2})
-	bt, err := Build(src, Config{
-		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
-		SampleSize: 1500, Seed: 11, Parallelism: 4,
-		Budget: budget, TempDir: g, FS: fs, SpillRetry: noSleep, Stats: stats,
-	})
-	if err != nil {
-		t.Fatalf("build did not recover from sharded-scan faults: %v", err)
-	}
-	if stats.ScanFallbacks() != 1 {
-		t.Errorf("scan fallbacks = %d, want 1", stats.ScanFallbacks())
-	}
-	// The degraded build must equal the fault-free build exactly.
-	ref, err := Build(src, Config{
+	cfg := Config{
 		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
 		SampleSize: 1500, Seed: 11, Parallelism: 4, TempDir: g,
-	})
+	}
+	ref, err := Build(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEqual(t, "fallback", bt.Tree(), ref.Tree())
+	defer ref.Close()
+
+	baseline := runtime.NumGoroutine()
+	stats := &iostats.Stats{}
+	budget := data.NewMemBudget(64) // tiny: the scan must spill immediately
+	cfg.Budget = budget
+	cfg.FS = faultfs.New(nil, faultfs.Config{Seed: 7, CreateProb: 1, MaxFaults: 1})
+	cfg.SpillRetry = noSleep
+	cfg.Stats = stats
+	bt, err := Build(src, cfg)
+	if err != nil {
+		t.Fatalf("build did not recover from the spill fault: %v", err)
+	}
+	requireScanRetried(t, stats)
+	requireEqual(t, "retry after spill fault", bt.Tree(), ref.Tree())
 	if err := bt.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 	bt.Close()
-	ref.Close()
 	if budget.Used() != 0 {
 		t.Errorf("budget used = %d after close, want 0", budget.Used())
 	}
 	requireNoTempsUnder(t, g)
+	waitGoroutines(t, baseline)
+}
+
+// requireScanRetried checks the I/O accounting of a build whose cleanup
+// scan failed once on a storage fault: one retry, and three scans of the
+// database (sampling, the failed attempt, the retry).
+func requireScanRetried(t *testing.T, stats *iostats.Stats) {
+	t.Helper()
+	if got := stats.ScanRetries(); got != 1 {
+		t.Errorf("scan retries = %d, want 1", got)
+	}
+	if got := stats.Scans(); got != 3 {
+		t.Errorf("scans = %d, want 3 (sampling, failed attempt, retry)", got)
+	}
 }
 
 // waitGoroutines polls until the goroutine count falls back to baseline,
@@ -106,7 +119,7 @@ type failOpenReadFS struct {
 	opens    atomic.Int64
 }
 
-var errShardDiskGone = errors.New("simulated permanent media failure in shard")
+var errDiskGone = errors.New("simulated permanent media failure")
 
 func (f *failOpenReadFS) CreateTemp(dir, pattern string) (data.File, error) {
 	return data.OsFS{}.CreateTemp(dir, pattern)
@@ -133,7 +146,7 @@ type failAfterReader struct {
 
 func (r *failAfterReader) Read(p []byte) (int, error) {
 	if r.left <= 0 {
-		return 0, errShardDiskGone
+		return 0, errDiskGone
 	}
 	r.left--
 	if len(p) > 1024 {
@@ -143,19 +156,18 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 }
 func (r *failAfterReader) Close() error { return r.rc.Close() }
 
-// blockShardBuildConfig is the shared configuration of the block-sharded
-// fault tests: enough blocks for 4 workers, pipelined reads.
-func blockShardBuildConfig(stats *iostats.Stats, dir string) Config {
+// colFaultConfig is the shared configuration of the columnar read-fault
+// tests: pipelined reads, more than one worker.
+func colFaultConfig(stats *iostats.Stats, dir string) Config {
 	return Config{
 		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
 		SampleSize: 1500, Seed: 11, Parallelism: 4,
-		BlockSharding: true, Stats: stats, TempDir: dir,
+		Stats: stats, TempDir: dir,
 	}
 }
 
-// writeBlockShardFile materializes a columnar file with enough blocks to
-// block-shard across 4 workers.
-func writeBlockShardFile(t *testing.T, n int64) string {
+// writeColFaultFile materializes a columnar file of many small blocks.
+func writeColFaultFile(t *testing.T, n int64) string {
 	t.Helper()
 	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, 77)
 	path := filepath.Join(t.TempDir(), "d.boatc")
@@ -165,50 +177,47 @@ func writeBlockShardFile(t *testing.T, n int64) string {
 	return path
 }
 
-// TestBlockShardedScanFallsBackOnReadFault: a permanent read failure
-// inside one worker's block range kills the block-sharded scan; the
-// build must reset every partial statistic, fall back to the sequential
-// scan, produce the exact fault-free tree, leak no goroutines, release
-// its budget, and count I/O passes without double-counting (sampling +
-// one block-sharded attempt + one sequential fallback = 3 scans, not one
-// per worker range).
-func TestBlockShardedScanFallsBackOnReadFault(t *testing.T) {
-	path := writeBlockShardFile(t, 12000)
-	ref, err := func() (*Tree, error) {
-		src, err := data.OpenColFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Build(src, blockShardBuildConfig(nil, t.TempDir()))
-	}()
+// buildColRef builds the fault-free reference tree over a columnar file.
+func buildColRef(t *testing.T, path string) *Tree {
+	t.Helper()
+	src, err := data.OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := Build(src, colFaultConfig(nil, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestScanRetriesOnReadFault: a permanent read failure midway through the
+// cleanup scan's pass over a columnar file kills the scan; the build must
+// reset every partial statistic, rerun the scan once, produce the exact
+// fault-free tree, leak no pipeline goroutines, and release its budget.
+func TestScanRetriesOnReadFault(t *testing.T) {
+	path := writeColFaultFile(t, 12000)
+	ref := buildColRef(t, path)
 	defer ref.Close()
 
 	baseline := runtime.NumGoroutine()
-	// Open #1 is the sampling pass; opens #2..#5 are the four workers'
-	// private readers. Fail the third open — one worker mid-range.
-	fs := &failOpenReadFS{failOpen: 3, okReads: 2}
+	// Open #1 is the sampling pass, open #2 the cleanup scan: fail that
+	// one mid-file. Open #3, the retry, reads cleanly.
+	fs := &failOpenReadFS{failOpen: 2, okReads: 2}
 	src, err := data.OpenColFile(path, data.ColOptions{FS: fs, Retry: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := &iostats.Stats{}
 	budget := data.NewMemBudget(1 << 20)
-	cfg := blockShardBuildConfig(stats, t.TempDir())
+	cfg := colFaultConfig(stats, t.TempDir())
 	cfg.Budget = budget
 	bt, err := Build(src, cfg)
 	if err != nil {
-		t.Fatalf("build did not recover from the shard read fault: %v", err)
+		t.Fatalf("build did not recover from the read fault: %v", err)
 	}
-	if got := stats.ScanFallbacks(); got != 1 {
-		t.Errorf("scan fallbacks = %d, want 1", got)
-	}
-	if got := stats.Scans(); got != 3 {
-		t.Errorf("scans = %d, want 3 (sampling, block-sharded attempt, sequential fallback)", got)
-	}
-	requireEqual(t, "fallback after shard read fault", bt.Tree(), ref.Tree())
+	requireScanRetried(t, stats)
+	requireEqual(t, "retry after read fault", bt.Tree(), ref.Tree())
 	if err := bt.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,24 +225,16 @@ func TestBlockShardedScanFallsBackOnReadFault(t *testing.T) {
 	if budget.Used() != 0 {
 		t.Errorf("budget used = %d after close, want 0", budget.Used())
 	}
+	requireNoTempsUnder(t, cfg.TempDir)
 	waitGoroutines(t, baseline)
 }
 
-// TestBlockShardedScanTransientReadRetried: transient read faults inside
-// worker ranges are absorbed by the blockReader's retry policy — no
-// fallback, no goroutine leaks, and the exact fault-free tree.
-func TestBlockShardedScanTransientReadRetried(t *testing.T) {
-	path := writeBlockShardFile(t, 12000)
-	ref, err := func() (*Tree, error) {
-		src, err := data.OpenColFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Build(src, blockShardBuildConfig(nil, t.TempDir()))
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestScanTransientReadRetried: transient read faults during the scan of
+// a columnar file are absorbed by the blockReader's retry policy — no
+// scan retry, no goroutine leaks, and the exact fault-free tree.
+func TestScanTransientReadRetried(t *testing.T) {
+	path := writeColFaultFile(t, 12000)
+	ref := buildColRef(t, path)
 	defer ref.Close()
 
 	baseline := runtime.NumGoroutine()
@@ -246,13 +247,13 @@ func TestBlockShardedScanTransientReadRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &iostats.Stats{}
-	bt, err := Build(src, blockShardBuildConfig(stats, t.TempDir()))
+	bt, err := Build(src, colFaultConfig(stats, t.TempDir()))
 	if err != nil {
 		t.Fatalf("build failed under transient read faults: %v", err)
 	}
 	defer bt.Close()
-	if got := stats.ScanFallbacks(); got != 0 {
-		t.Errorf("scan fallbacks = %d, want 0 (transient faults retry in place)", got)
+	if got := stats.ScanRetries(); got != 0 {
+		t.Errorf("scan retries = %d, want 0 (transient faults retry in place)", got)
 	}
 	if st := fs.Stats(); st.Faults == 0 {
 		t.Fatal("injection never fired; the test exercised nothing")

@@ -67,14 +67,14 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	start := time.Now()
 
 	// Route the chunk down the tree: columnar batches through the chunk
-	// router by default, one descent per tuple when the row baseline is
-	// forced. Both paths update the same statistics with the same signed
+	// router, or one descent per tuple when a test forces the row oracle.
+	// Both paths update the same statistics with the same signed
 	// weight and fill the same buffers in stream order, so the trees they
 	// leave behind are bit-identical.
 	tracked := iostats.Tracked(chunk, t.cfg.Stats)
 	routeSpan := updSpan.Start("route-chunk")
 	var err error
-	if t.cfg.RowUpdates {
+	if t.rowUpdates {
 		routeSpan.SetAttr("mode", "row")
 		err = data.ForEach(tracked, func(tp data.Tuple) error {
 			upd.TuplesSeen++

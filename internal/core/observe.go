@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"log/slog"
 
 	"github.com/boatml/boat/internal/data"
@@ -139,16 +138,11 @@ func (t *Tree) recordPipelineStats(csc data.ChunkScanner) {
 		return
 	}
 	pr, ok := csc.(data.PipelineReporter)
-	if !ok {
+	if !ok || !t.cfg.Metrics.Enabled() {
 		return
 	}
-	t.recordPipelineStatsValue(pr.PipelineStats())
-}
-
-// recordPipelineStatsValue accumulates an extracted — possibly summed
-// across the block-sharded scan's per-worker pipelines — stats value.
-func (t *Tree) recordPipelineStatsValue(ps data.PipelineStats) {
-	if !t.cfg.Metrics.Enabled() || !ps.Enabled {
+	ps := pr.PipelineStats()
+	if !ps.Enabled {
 		return
 	}
 	t.met.pipeTotalBlocks.Add(ps.Blocks)
@@ -158,17 +152,17 @@ func (t *Tree) recordPipelineStatsValue(ps data.PipelineStats) {
 	t.met.pipeTotalDeliverNS.Add(int64(ps.Deliver))
 }
 
-// recordShardThroughput publishes one cleanup-scan shard's tuple count
-// and throughput. The sequential scan reports as shard 0 of 1, so the
-// metric names exist at every Parallelism setting.
-func (t *Tree) recordShardThroughput(shard int, tuples int64, seconds float64) {
+// recordScanThroughput publishes a cleanup scan's tuple count and
+// throughput as the scan.shard.0.* series, the names dashboards and the
+// CI metrics smoke test read.
+func (t *Tree) recordScanThroughput(tuples int64, seconds float64) {
 	r := t.cfg.Metrics
 	if !r.Enabled() {
 		return
 	}
-	r.Counter(fmt.Sprintf("scan.shard.%d.tuples", shard)).Add(tuples)
+	r.Counter("scan.shard.0.tuples").Add(tuples)
 	if seconds > 0 {
-		r.Gauge(fmt.Sprintf("scan.shard.%d.tuples_per_sec", shard)).Set(float64(tuples) / seconds)
+		r.Gauge("scan.shard.0.tuples_per_sec").Set(float64(tuples) / seconds)
 	}
 }
 

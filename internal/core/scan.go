@@ -4,28 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/boatml/boat/internal/data"
-	"github.com/boatml/boat/internal/discretize"
 	"github.com/boatml/boat/internal/obs"
-	"github.com/boatml/boat/internal/split"
 )
 
 // The cleanup scan (scan 2 of the paper) is a pure aggregation: every
 // tuple updates class counts, AVC counts, histogram buckets and moment
 // statistics along its root-to-stick path, and lands in exactly one
-// buffer (a stuck set S_n or a leaf family). All of those statistics are
-// exact integer counts, so the scan is shard-parallel: the input stream
-// is partitioned into chunks routed by worker goroutines into private
-// per-worker shadow trees, which are then merged into the bnode fields in
-// worker order before top-down processing. Merging is commutative for the
-// counts and deterministic for the buffers (chunks are dealt round-robin,
-// shards merge in worker order), and BOAT's verification pass guarantees
-// the final tree is the exact reference tree regardless of the order
-// tuples entered the buffers.
+// buffer (a stuck set S_n or a leaf family). It runs in one goroutine, so
+// every buffer receives its tuples in stream order at every Parallelism
+// setting; on a columnar file the prefetch/decode pipeline overlaps reads
+// and decoding with the routing. (Sharding the scan across workers lost
+// to this single scan on every measured workload; see DESIGN.md §9.)
 //
 // The scan is level-synchronous over columnar chunks (data.Chunk): a node
 // receives a batch of row indices into the chunk, applies the batched
@@ -34,77 +26,32 @@ import (
 // pass, and recurses. Compared to descending the tree once per tuple,
 // this keeps each kernel's working set (one attribute column plus one
 // statistic) hot across thousands of rows and makes the steady state
-// allocation-free: chunks are pooled, index batches live in per-depth
+// allocation-free: chunks are reused, index batches live in per-depth
 // scratch buffers, and stuck/leaf rows are copied into the buffers' slab
 // arenas.
 
 // cleanupScan streams src down the subtree rooted at root, returning the
-// number of tuples seen. Parallelism <= 1 follows the exact sequential
-// code path; otherwise the scan is sharded across workers.
+// number of tuples seen, then derives the deferred routing counts.
 //
-// Storage faults degrade gracefully: a sharded scan that fails with a
-// SpillError has its statistics zeroed (resetScanState) and is rerun
-// sequentially, and a sequential scan that fails with a SpillError gets
-// one reset-and-retry before the error propagates. Both recoveries are
-// exact — the scan is the sole contributor to every statistic it touches,
-// so zero-and-rerun reproduces precisely the state a fault-free scan
-// would have built. Logical errors (bad data, schema mismatch) are never
-// retried.
+// Storage faults degrade gracefully: a scan that fails with a storage
+// error gets one reset-and-retry before the error propagates. The
+// recovery is exact — the scan is the sole contributor to every statistic
+// it touches, so zero-and-rerun (resetScanState) reproduces precisely the
+// state a fault-free scan would have built. Logical errors (bad data,
+// schema mismatch) are never retried.
 func (t *Tree) cleanupScan(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
-	seen, err := t.runCleanupScan(src, root, sp)
-	if err == nil {
-		deriveRoutingCounts(root)
-	}
-	return seen, err
-}
-
-// runCleanupScan executes the scan passes (sharded with sequential
-// fallback, or sequential with one retry) without the post-scan count
-// derivation, which cleanupScan applies exactly once on success.
-func (t *Tree) runCleanupScan(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
-	if w := t.cfg.workers(); w > 1 {
-		// Tiny known-size inputs skip sharding: the overhead cannot pay off.
-		if n, ok := src.Count(); !ok || n >= int64(2*t.cfg.chunkRows()) {
-			var seen int64
-			var err error
-			if bs, blocks, ok := blockSplittable(src, w); ok && t.cfg.BlockSharding {
-				sp.SetAttr("mode", "block-sharded")
-				sp.SetAttr("workers", w)
-				sp.SetAttr("blocks", blocks)
-				seen, err = t.blockShardedScan(bs, root, w, sp)
-			} else {
-				sp.SetAttr("mode", "sharded")
-				sp.SetAttr("workers", w)
-				seen, err = t.shardedScan(src, root, w, sp)
-			}
-			if err == nil || !recoverableScanError(err) {
-				return seen, err
-			}
-			// A storage fault broke the sharded scan. Scan-phase faults
-			// leave the real tree untouched (shadow trees are private),
-			// but a fault during merging may have partially mutated it,
-			// so both cases are handled uniformly: zero every scan
-			// statistic and fall back to the sequential path.
-			t.cfg.Stats.RecordScanFallback()
-			t.log.Warn("sharded cleanup scan hit a storage fault; falling back to sequential", "err", err)
-			sp.SetAttr("fallback", "sequential")
-			if rerr := resetScanState(root); rerr != nil {
-				return seen, fmt.Errorf("core: resetting after failed sharded scan: %w", rerr)
-			}
-		}
-	}
-	if w := t.cfg.workers(); w <= 1 {
-		sp.SetAttr("mode", "sequential")
-	}
-	seen, err := t.sequentialScan(src, root, sp)
+	seen, err := t.scanPass(src, root, sp)
 	if err != nil && recoverableScanError(err) {
 		t.cfg.Stats.RecordScanRetry()
-		t.log.Warn("sequential cleanup scan hit a storage fault; retrying once", "err", err)
+		t.log.Warn("cleanup scan hit a storage fault; retrying once", "err", err)
 		sp.SetAttr("retried", true)
 		if rerr := resetScanState(root); rerr != nil {
 			return seen, fmt.Errorf("core: resetting after failed cleanup scan: %w", rerr)
 		}
-		seen, err = t.sequentialScan(src, root, sp)
+		seen, err = t.scanPass(src, root, sp)
+	}
+	if err == nil {
+		deriveRoutingCounts(root)
 	}
 	return seen, err
 }
@@ -122,23 +69,6 @@ func recoverableScanError(err error) bool {
 	}
 	var be *data.BlockError
 	return errors.As(err, &be)
-}
-
-// blockSplittable reports whether src can drive a block-sharded scan
-// with w workers: it (or the source behind its iostats wrapper) serves
-// independent block-range scans and has at least one block per worker.
-// Fewer blocks than workers degrades to chunk sharding, which can still
-// split the large blocks row-wise.
-func blockSplittable(src data.Source, w int) (data.BlockSplitSource, int64, bool) {
-	bs, ok := src.(data.BlockSplitSource)
-	if !ok {
-		return nil, 0, false
-	}
-	blocks := bs.BlockSplits()
-	if blocks < int64(w) {
-		return nil, 0, false
-	}
-	return bs, blocks, true
 }
 
 // deriveRoutingCounts reconstructs the per-node class statistics the
@@ -176,12 +106,10 @@ func deriveRoutingCounts(n *bnode) {
 	}
 }
 
-// sequentialScan is the single-goroutine cleanup scan: chunked iteration
-// through an aliased shard view of the real tree, so the batch router is
-// shared with the sharded path and no merge step is needed. sp (nil ok)
-// receives the pipeline stage spans and zone-skip attribution.
-func (t *Tree) sequentialScan(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
-	direct := newDirectTree(root)
+// scanPass is one pass of the cleanup scan: chunked iteration
+// through the batch router, without the post-scan count derivation. sp
+// (nil ok) receives the pipeline stage spans and zone-skip attribution.
+func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
 	rows := t.cfg.chunkRows()
 	sc := newRouteScratch(rows)
 	sc.zoneSkip = !t.cfg.DisableZoneSkip
@@ -207,7 +135,7 @@ func (t *Tree) sequentialScan(src data.Source, root *bnode, sp *obs.Span) (int64
 			continue
 		}
 		seen += int64(ch.Len())
-		scanErr = direct.routeChunk(ch, nil, sc, 0)
+		scanErr = root.routeChunk(ch, nil, sc, 0)
 	}
 	if cerr := csc.Close(); scanErr == nil {
 		scanErr = cerr
@@ -215,9 +143,7 @@ func (t *Tree) sequentialScan(src data.Source, root *bnode, sp *obs.Span) (int64
 	attachPipelineSpans(sp, csc)
 	t.recordPipelineStats(csc)
 	if scanErr == nil {
-		// The sequential scan reports as shard 0 so the per-shard
-		// throughput metrics exist at every Parallelism setting.
-		t.recordShardThroughput(0, seen, time.Since(start).Seconds())
+		t.recordScanThroughput(seen, time.Since(start).Seconds())
 		t.recordZoneSkips(sp, sc.skips)
 	}
 	return seen, scanErr
@@ -235,19 +161,11 @@ func attachPipelineSpans(sp *obs.Span, csc data.ChunkScanner) {
 		return
 	}
 	pr, ok := csc.(data.PipelineReporter)
-	if !ok {
+	if !ok || sp == nil {
 		return
 	}
-	attachPipelineStats(sp, pr.PipelineStats())
-}
-
-// attachPipelineStats is attachPipelineSpans on an already-extracted
-// (possibly aggregated across per-worker pipelines) stats value. The
-// block-sharded scan sums its workers' reports and attaches them once,
-// so the span skeleton stays identical across scan modes and worker
-// counts.
-func attachPipelineStats(sp *obs.Span, ps data.PipelineStats) {
-	if sp == nil || !ps.Enabled {
+	ps := pr.PipelineStats()
+	if !ps.Enabled {
 		return
 	}
 	sp.SetAttr("pipeline_depth", ps.Depth)
@@ -270,7 +188,7 @@ func (t *Tree) recordZoneSkips(sp *obs.Span, skips int64) {
 }
 
 // rowScan is the row-at-a-time cleanup scan (one root-to-stick descent
-// per tuple via Tree.route). The chunked paths replaced it in the build;
+// per tuple via Tree.route). The chunked scan replaced it in the build;
 // it is retained as the baseline BenchmarkCleanupScan measures the
 // columnar path against, and as an oracle in equivalence tests. To stay
 // faithful to the path it stands in for — where every tuple was a
@@ -327,92 +245,6 @@ func resetScanState(n *bnode) error {
 		return err
 	}
 	return resetScanState(n.right)
-}
-
-// shardNode is one worker's private shadow of a bnode: the same
-// statistics fields, accumulated only from the tuples of that worker's
-// chunks. ref supplies the (read-only during the scan) coarse criterion
-// and tree structure. With direct set, the shadow is an alias instead:
-// its slices and buffers are the real bnode's, so the sequential scan
-// reuses the batch router with no merge step.
-type shardNode struct {
-	ref         *bnode
-	direct      bool
-	classCounts []int64
-
-	// Internal-node shadow statistics.
-	catCounts  []*split.CatAVC
-	hist       []*discretize.Histogram
-	moments    *split.Moments
-	lowCounts  []int64
-	highCounts []int64
-	eqLow      int64
-	pending    *data.TupleBag
-	left       *shardNode
-	right      *shardNode
-
-	// Leaf shadow family.
-	family *data.TupleBag
-}
-
-// newShardTree mirrors the subtree rooted at n. budget is the worker's
-// private MemBudget slice, so concurrent shard buffers spill
-// independently without exceeding the global budget.
-func (t *Tree) newShardTree(n *bnode, budget *data.MemBudget) *shardNode {
-	if n == nil {
-		return nil
-	}
-	s := &shardNode{ref: n, classCounts: make([]int64, t.schema.ClassCount)}
-	if n.isLeaf() {
-		s.family = data.NewTupleBagEnv(t.schema, t.spillEnv(budget))
-		return s
-	}
-	s.catCounts = make([]*split.CatAVC, len(t.schema.Attributes))
-	s.hist = make([]*discretize.Histogram, len(t.schema.Attributes))
-	for i := range t.schema.Attributes {
-		if n.catCounts[i] != nil {
-			s.catCounts[i] = split.NewCatAVC(t.schema.Attributes[i].Cardinality, t.schema.ClassCount)
-		}
-		if n.hist[i] != nil {
-			s.hist[i] = discretize.NewHistogram(n.hist[i].Boundaries, t.schema.ClassCount)
-		}
-	}
-	if n.moments != nil {
-		s.moments = split.NewMoments(t.schema)
-	}
-	if n.coarse.kind == data.Numeric {
-		s.lowCounts = make([]int64, t.schema.ClassCount)
-		s.highCounts = make([]int64, t.schema.ClassCount)
-		s.pending = data.NewTupleBagEnv(t.schema, t.spillEnv(budget))
-	}
-	s.left = t.newShardTree(n.left, budget)
-	s.right = t.newShardTree(n.right, budget)
-	return s
-}
-
-// newDirectTree builds an aliased shard view of the subtree: every slice
-// and buffer is the real bnode's own, and the scalar eqLow is flushed
-// through ref. Single-goroutine use only.
-func newDirectTree(n *bnode) *shardNode {
-	if n == nil {
-		return nil
-	}
-	s := &shardNode{ref: n, direct: true, classCounts: n.classCounts}
-	if n.isLeaf() {
-		s.family = n.family
-		return s
-	}
-	s.catCounts = n.catCounts
-	s.hist = n.hist
-	s.moments = n.moments
-	if n.coarse.kind == data.Numeric {
-		s.lowCounts = n.lowCounts
-		s.highCounts = n.highCounts
-		s.pending = n.pending
-	}
-	s.left = newDirectTree(n.left)
-	s.right = newDirectTree(n.right)
-	return s
 }
 
 // zoneRoute decides whether a chunk's zone summary proves that every row
@@ -492,36 +324,35 @@ func (sc *routeScratch) at(depth int) (left, right, stuck []int32) {
 // the coarse split — and recurses into the children with the partition's
 // index batches. depth is the recursion depth (an index into sc's
 // buffers, not the node's depth in the full tree).
-func (s *shardNode) routeChunk(ch *data.Chunk, idx []int32, sc *routeScratch, depth int) error {
+func (n *bnode) routeChunk(ch *data.Chunk, idx []int32, sc *routeScratch, depth int) error {
 	classes := ch.Classes()
-	n := s.ref
 	if n.isLeaf() {
 		if idx == nil {
 			for _, c := range classes {
-				s.classCounts[c]++
+				n.classCounts[c]++
 			}
 		} else {
 			for _, r := range idx {
-				s.classCounts[classes[r]]++
+				n.classCounts[classes[r]]++
 			}
 		}
-		if s.direct && (idx == nil || len(idx) > 0) {
+		if idx == nil || len(idx) > 0 {
 			n.dirty = true
 		}
-		return s.family.AddChunkRows(ch, idx)
+		return n.family.AddChunkRows(ch, idx)
 	}
-	for i, cc := range s.catCounts {
+	for i, cc := range n.catCounts {
 		if cc != nil {
 			cc.AddBatch(ch.Col(i), classes, idx)
 		}
 	}
-	for i, h := range s.hist {
+	for i, h := range n.hist {
 		if h != nil {
 			h.AddBatch(ch.Col(i), classes, idx)
 		}
 	}
-	if s.moments != nil {
-		s.moments.AddChunk(ch, idx)
+	if n.moments != nil {
+		n.moments.AddChunk(ch, idx)
 	}
 	// The partition reads only the split column: an internal node's class
 	// counting is deferred to deriveRoutingCounts, which reconstructs
@@ -543,9 +374,9 @@ func (s *shardNode) routeChunk(ch *data.Chunk, idx []int32, sc *routeScratch, de
 			if dir := zoneRoute(c, z); dir != 0 {
 				sc.skips++
 				if dir < 0 {
-					return s.left.routeChunk(ch, idx, sc, depth+1)
+					return n.left.routeChunk(ch, idx, sc, depth+1)
 				}
-				return s.right.routeChunk(ch, idx, sc, depth+1)
+				return n.right.routeChunk(ch, idx, sc, depth+1)
 			}
 		}
 	}
@@ -605,362 +436,24 @@ func (s *shardNode) routeChunk(ch *data.Chunk, idx []int32, sc *routeScratch, de
 			}
 		}
 		for _, r := range stuck {
-			s.classCounts[classes[r]]++
+			n.classCounts[classes[r]]++
 		}
-		if s.direct {
-			n.eqLow += eq
-		} else {
-			s.eqLow += eq
-		}
+		n.eqLow += eq
 		if len(stuck) > 0 {
 			// Inside the confidence interval: the rows stick at n, copied
 			// from the chunk into the bag's arena in stream order.
-			if err := s.pending.AddChunkRows(ch, stuck); err != nil {
+			if err := n.pending.AddChunkRows(ch, stuck); err != nil {
 				return err
 			}
 		}
 	}
 	if len(left) > 0 {
-		if err := s.left.routeChunk(ch, left, sc, depth+1); err != nil {
+		if err := n.left.routeChunk(ch, left, sc, depth+1); err != nil {
 			return err
 		}
 	}
 	if len(right) > 0 {
-		return s.right.routeChunk(ch, right, sc, depth+1)
+		return n.right.routeChunk(ch, right, sc, depth+1)
 	}
 	return nil
-}
-
-// merge folds the shard's statistics and buffers into the real tree and
-// releases the shard's resources. Called once per shard in worker order,
-// sequentially, after all workers have finished.
-func (s *shardNode) merge() error {
-	if s == nil {
-		return nil
-	}
-	n := s.ref
-	for i, v := range s.classCounts {
-		n.classCounts[i] += v
-	}
-	if n.isLeaf() {
-		if s.family.Len() > 0 {
-			n.dirty = true
-			if err := s.family.ForEach(n.family.Add); err != nil {
-				s.family.Close()
-				return err
-			}
-		}
-		return s.family.Close()
-	}
-	for i, cc := range n.catCounts {
-		if cc != nil {
-			cc.Merge(s.catCounts[i])
-		}
-	}
-	for i, h := range n.hist {
-		if h != nil {
-			h.Merge(s.hist[i])
-		}
-	}
-	if n.moments != nil {
-		n.moments.Merge(s.moments)
-	}
-	if n.coarse.kind == data.Numeric {
-		for i, v := range s.lowCounts {
-			n.lowCounts[i] += v
-		}
-		for i, v := range s.highCounts {
-			n.highCounts[i] += v
-		}
-		n.eqLow += s.eqLow
-		if s.pending.Len() > 0 {
-			if err := s.pending.ForEach(n.pending.Add); err != nil {
-				s.pending.Close()
-				return err
-			}
-		}
-		if err := s.pending.Close(); err != nil {
-			return err
-		}
-	}
-	if err := s.left.merge(); err != nil {
-		return err
-	}
-	return s.right.merge()
-}
-
-// closeShard releases a shard's buffers without merging (error paths).
-func (s *shardNode) close() {
-	if s == nil {
-		return
-	}
-	if s.family != nil {
-		s.family.Close()
-	}
-	if s.pending != nil {
-		s.pending.Close()
-	}
-	s.left.close()
-	s.right.close()
-}
-
-// shardedScan partitions the stream into pooled columnar chunks dealt
-// round-robin to w workers, each batch-routing into a private shadow
-// tree, then merges the shadow trees in worker order. The round-robin
-// deal plus ordered merge makes the merged buffers deterministic for a
-// given worker count.
-func (t *Tree) shardedScan(src data.Source, root *bnode, w int, sp *obs.Span) (int64, error) {
-	budgets := t.budget.Split(w)
-	shards := make([]*shardNode, w)
-	for i := range shards {
-		shards[i] = t.newShardTree(root, budgets[i])
-	}
-	rows := t.cfg.chunkRows()
-	pool := data.NewChunkPool(len(t.schema.Attributes), rows)
-	start := time.Now()
-
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		workErr error
-		failed  = make(chan struct{})
-		routed  = make([]int64, w) // per-shard tuple intake, for throughput metrics
-		skipped = make([]int64, w) // per-shard zone-skip counts
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			workErr = err
-			close(failed)
-		})
-	}
-	chans := make([]chan *data.Chunk, w)
-	for i := range chans {
-		chans[i] = make(chan *data.Chunk, 2)
-		wg.Add(1)
-		go func(shard *shardNode, in <-chan *data.Chunk, routed, skipped *int64) {
-			defer wg.Done()
-			sc := newRouteScratch(rows)
-			sc.zoneSkip = !t.cfg.DisableZoneSkip
-			ok := true
-			for chunk := range in {
-				if ok {
-					if err := shard.routeChunk(chunk, nil, sc, 0); err != nil {
-						fail(err)
-						ok = false // drain after failure so the dealer never blocks
-					}
-					*routed += int64(chunk.Len())
-				}
-				pool.Put(chunk)
-			}
-			*skipped = sc.skips
-		}(shards[i], chans[i], &routed[i], &skipped[i])
-	}
-
-	// Deal chunks round-robin. The dealer owns each chunk until the send;
-	// the worker returns it to the pool after routing.
-	var seen int64
-	var csc data.ChunkScanner
-	scanErr := func() error {
-		var err error
-		csc, err = data.ScanChunksPipelined(src, t.pipelineCfg())
-		if err != nil {
-			return err
-		}
-		defer csc.Close()
-		next := 0
-		for {
-			chunk := pool.Get()
-			err := csc.NextChunk(chunk)
-			if err == io.EOF {
-				pool.Put(chunk)
-				return csc.Close()
-			}
-			if err != nil {
-				pool.Put(chunk)
-				return err
-			}
-			if chunk.Len() == 0 {
-				pool.Put(chunk)
-				continue
-			}
-			seen += int64(chunk.Len())
-			select {
-			case chans[next%w] <- chunk:
-				next++
-			case <-failed:
-				pool.Put(chunk)
-				return workErr
-			}
-		}
-	}()
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	attachPipelineSpans(sp, csc)
-	t.recordPipelineStats(csc)
-	if scanErr == nil && workErr != nil {
-		scanErr = workErr
-	}
-	if scanErr != nil {
-		for _, s := range shards {
-			s.close()
-		}
-		return seen, scanErr
-	}
-
-	secs := time.Since(start).Seconds()
-	var skips int64
-	for i, n := range routed {
-		t.recordShardThroughput(i, n, secs)
-		skips += skipped[i]
-	}
-	t.recordZoneSkips(sp, skips)
-	for i, s := range shards {
-		if err := s.merge(); err != nil {
-			// Close the failed shard too: merge returns mid-walk with its
-			// un-merged buffers (and their temp files) still open. Close is
-			// idempotent, so re-closing already-merged buffers is safe.
-			for _, rest := range shards[i:] {
-				rest.close()
-			}
-			return seen, fmt.Errorf("core: merging scan shard %d: %w", i, err)
-		}
-	}
-	return seen, nil
-}
-
-// blockShardedScan drives w workers over disjoint contiguous block
-// ranges of a splittable columnar source. Unlike shardedScan there is no
-// shared reader and no dealer: each worker owns a byte range of the
-// file, runs its own prefetch/decode pipeline and zone-map pushdown, and
-// routes into its private shadow tree. The shadow trees merge in worker
-// order, and since worker i's range precedes worker i+1's in the file,
-// the merged buffers see rows in exact file order — bit-identical to the
-// sequential scan at every worker count, a stronger guarantee than chunk
-// sharding's per-worker-count determinism.
-//
-// A failed worker flips a shared flag that stops the other workers at
-// their next chunk boundary; everyone still closes its own scanner, so
-// no goroutine or reader outlives the call. The first failure by worker
-// order is returned (deterministic under concurrent faults).
-func (t *Tree) blockShardedScan(bs data.BlockSplitSource, root *bnode, w int, sp *obs.Span) (int64, error) {
-	blocks := bs.BlockSplits()
-	budgets := t.budget.Split(w)
-	shards := make([]*shardNode, w)
-	for i := range shards {
-		shards[i] = t.newShardTree(root, budgets[i])
-	}
-	rows := t.cfg.chunkRows()
-
-	type shardResult struct {
-		routed int64
-		skips  int64
-		secs   float64
-		ps     data.PipelineStats
-		err    error
-	}
-	results := make([]shardResult, w)
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-	)
-	for i := 0; i < w; i++ {
-		lo := int64(i) * blocks / int64(w)
-		hi := int64(i+1) * blocks / int64(w)
-		wg.Add(1)
-		go func(res *shardResult, shard *shardNode, lo, hi int64) {
-			defer wg.Done()
-			t0 := time.Now()
-			sc := newRouteScratch(rows)
-			sc.zoneSkip = !t.cfg.DisableZoneSkip
-			csc, err := bs.ScanChunkRange(lo, hi, t.pipelineCfg())
-			if err != nil {
-				res.err = err
-				failed.Store(true)
-				return
-			}
-			ch := data.NewChunk(len(t.schema.Attributes), rows)
-			for res.err == nil && !failed.Load() {
-				ch.Reset()
-				err := csc.NextChunk(ch)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					res.err = err
-					break
-				}
-				if ch.Len() == 0 {
-					continue
-				}
-				res.routed += int64(ch.Len())
-				res.err = shard.routeChunk(ch, nil, sc, 0)
-			}
-			if cerr := csc.Close(); res.err == nil && cerr != nil {
-				res.err = cerr
-			}
-			if pr, ok := csc.(data.PipelineReporter); ok {
-				res.ps = pr.PipelineStats()
-			}
-			res.skips = sc.skips
-			res.secs = time.Since(t0).Seconds()
-			if res.err != nil {
-				failed.Store(true)
-			}
-		}(&results[i], shards[i], lo, hi)
-	}
-	wg.Wait()
-
-	// Aggregate per-worker telemetry into the single per-scan report the
-	// chunk-sharded and sequential paths emit, so the span skeleton and
-	// metric families are identical across scan modes.
-	var (
-		seen, skips int64
-		agg         data.PipelineStats
-		scanErr     error
-	)
-	for i := range results {
-		r := &results[i]
-		seen += r.routed
-		skips += r.skips
-		if r.ps.Enabled {
-			if !agg.Enabled {
-				agg = r.ps
-			} else {
-				agg.Blocks += r.ps.Blocks
-				agg.PhysBytes += r.ps.PhysBytes
-				agg.Read += r.ps.Read
-				agg.Decode += r.ps.Decode
-				agg.Deliver += r.ps.Deliver
-				if r.ps.Start.Before(agg.Start) {
-					agg.Start = r.ps.Start
-				}
-			}
-		}
-		if scanErr == nil && r.err != nil {
-			scanErr = r.err
-		}
-	}
-	attachPipelineStats(sp, agg)
-	t.recordPipelineStatsValue(agg)
-	if scanErr != nil {
-		for _, s := range shards {
-			s.close()
-		}
-		return seen, scanErr
-	}
-	for i := range results {
-		t.recordShardThroughput(i, results[i].routed, results[i].secs)
-	}
-	t.recordZoneSkips(sp, skips)
-	for i, s := range shards {
-		if err := s.merge(); err != nil {
-			for _, rest := range shards[i:] {
-				rest.close()
-			}
-			return seen, fmt.Errorf("core: merging scan shard %d: %w", i, err)
-		}
-	}
-	return seen, nil
 }

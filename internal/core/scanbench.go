@@ -19,15 +19,8 @@ const (
 	// ScanModeRow is the row-at-a-time baseline: one root-to-stick
 	// descent per tuple.
 	ScanModeRow ScanMode = "row"
-	// ScanModeChunk is the level-synchronous columnar scan, sequential.
+	// ScanModeChunk is the level-synchronous columnar scan the build runs.
 	ScanModeChunk ScanMode = "chunk"
-	// ScanModeSharded is the level-synchronous columnar scan sharded
-	// across Parallelism workers fed chunks from one shared reader.
-	ScanModeSharded ScanMode = "sharded"
-	// ScanModeBlockSharded shards by contiguous block ranges of the file:
-	// every worker owns a byte range with a private reader and pipeline.
-	// Requires a block-splittable source (a columnar file).
-	ScanModeBlockSharded ScanMode = "block_sharded"
 )
 
 // ScanMeasurement is the result of timing cleanup-scan passes.
@@ -110,38 +103,14 @@ func (b *ScanBench) Reset() error { return resetScanState(b.root) }
 
 // RunOnce performs one cleanup scan in the given mode over a skeleton
 // that must be freshly built or Reset, returning the tuples seen. The
-// chunked modes include the post-scan count derivation, exactly as a
+// chunked mode includes the post-scan count derivation, exactly as a
 // Build-driven scan does.
 func (b *ScanBench) RunOnce(mode ScanMode) (int64, error) {
 	switch mode {
 	case ScanModeRow:
 		return b.tree.rowScan(b.src, b.root)
 	case ScanModeChunk:
-		seen, err := b.tree.sequentialScan(b.src, b.root, nil)
-		if err == nil {
-			deriveRoutingCounts(b.root)
-		}
-		return seen, err
-	case ScanModeSharded:
-		w := b.tree.cfg.workers()
-		if w < 2 {
-			w = 2
-		}
-		seen, err := b.tree.shardedScan(b.src, b.root, w, nil)
-		if err == nil {
-			deriveRoutingCounts(b.root)
-		}
-		return seen, err
-	case ScanModeBlockSharded:
-		w := b.tree.cfg.workers()
-		if w < 2 {
-			w = 2
-		}
-		bs, _, ok := blockSplittable(b.src, w)
-		if !ok {
-			return 0, fmt.Errorf("core: scan mode %q needs a block-splittable source with >= %d blocks", mode, w)
-		}
-		seen, err := b.tree.blockShardedScan(bs, b.root, w, nil)
+		seen, err := b.tree.scanPass(b.src, b.root, nil)
 		if err == nil {
 			deriveRoutingCounts(b.root)
 		}

@@ -9,12 +9,11 @@ import (
 )
 
 // BenchmarkCleanupScan times one cleanup-scan pass over the Fig-4/F1
-// workload for each scan implementation: the row-at-a-time baseline, the
-// level-synchronous columnar scan, and the sharded columnar scan. The
-// generator output is materialized up front so the benchmark measures the
-// scan, not synthetic data generation. The skeleton is built once per
-// mode; passes are separated by an exact statistic reset that runs
-// outside the timer.
+// workload for each scan implementation: the row-at-a-time baseline and
+// the level-synchronous columnar scan. The generator output is
+// materialized up front so the benchmark measures the scan, not synthetic
+// data generation. The skeleton is built once per mode; passes are
+// separated by an exact statistic reset that runs outside the timer.
 func BenchmarkCleanupScan(b *testing.B) {
 	const n = 200000
 	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, 42)
@@ -23,7 +22,7 @@ func BenchmarkCleanupScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := data.NewMemSource(gsrc.Schema(), tuples)
-	for _, mode := range []ScanMode{ScanModeRow, ScanModeChunk, ScanModeSharded} {
+	for _, mode := range []ScanMode{ScanModeRow, ScanModeChunk} {
 		b.Run(string(mode), func(b *testing.B) {
 			bench, err := NewScanBench(src, Config{
 				Method: split.NewGini(), MaxDepth: 6, MinSplit: 50,

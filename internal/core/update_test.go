@@ -82,13 +82,12 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer chTree.Close()
-			rowCfg := cfg
-			rowCfg.RowUpdates = true
-			rowTree, err := Build(data.NewMemSource(schema, data.CloneTuples(base)), rowCfg)
+			rowTree, err := Build(data.NewMemSource(schema, data.CloneTuples(base)), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rowTree.Close()
+			rowTree.rowUpdates = true
 
 			all := data.CloneTuples(base)
 			for i, ct := range chunks {
@@ -343,19 +342,14 @@ func TestConcurrentSnapshotDuringUpdate(t *testing.T) {
 		inmem.Build(base.Schema(), data.CloneTuples(all), g))
 }
 
-// BenchmarkUpdate compares the row-at-a-time update baseline against the
-// columnar chunk router. Stop-at-threshold keeps leaf families as stored
-// buffers without in-memory subtrees, so routing and statistics
-// maintenance dominate the measurement. Each iteration inserts and then
-// expires the same chunk, returning the tree to its initial state.
 // BenchmarkUpdate measures sustained sliding-window maintenance — the
 // paper's dynamic environment and the boatstream driver's workload: each
 // operation inserts the newest data chunk and deletes the expired one, so
 // the tree's net size stays constant while every update path (batch
 // statistics, stuck-set bookkeeping, pending-removal cancellation on
-// re-arriving data, misses on fresh data) stays exercised. The row
-// sub-benchmark forces the row-at-a-time baseline (Config.RowUpdates) on
-// the identical workload.
+// re-arriving data, misses on fresh data) stays exercised.
+// StopAtThreshold keeps leaf families as stored buffers without in-memory
+// subtrees, so routing and statistics maintenance dominate.
 func BenchmarkUpdate(b *testing.B) {
 	const (
 		chunkTuples = 10000
@@ -367,39 +361,32 @@ func BenchmarkUpdate(b *testing.B) {
 	for i := range chunks {
 		chunks[i] = gen.MustSource(gen.Config{Function: 1}, chunkTuples, int64(10+i))
 	}
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"chunked", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			bt, err := Build(base, Config{
-				Method: split.NewGini(), StopThreshold: 4000, StopAtThreshold: true,
-				SampleSize: 8000, BootstrapTrees: 5, Seed: 1, RowUpdates: mode.row,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bt.Close()
-			// Reach the steady state: the window holds `window` live chunks.
-			for i := 0; i < window; i++ {
-				if _, err := bt.Insert(chunks[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bt.Insert(chunks[(window+i)%slots]); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := bt.Delete(chunks[i%slots]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)*2*chunkTuples/elapsed, "tuples/sec")
-			}
-		})
+	bt, err := Build(base, Config{
+		Method: split.NewGini(), StopThreshold: 4000, StopAtThreshold: true,
+		SampleSize: 8000, BootstrapTrees: 5, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bt.Close()
+	// Reach the steady state: the window holds `window` live chunks.
+	for i := 0; i < window; i++ {
+		if _, err := bt.Insert(chunks[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bt.Insert(chunks[(window+i)%slots]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bt.Delete(chunks[i%slots]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	elapsed := b.Elapsed().Seconds()
+	if elapsed > 0 {
+		b.ReportMetric(float64(b.N)*2*chunkTuples/elapsed, "tuples/sec")
 	}
 }

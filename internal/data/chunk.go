@@ -360,8 +360,8 @@ func (c *Chunk) AbsorbZonesFrom(src *Chunk, prevLen int) {
 }
 
 // ChunkPool recycles chunks of one fixed geometry. It is safe for
-// concurrent use; the sharded cleanup scan's dealer gets chunks from the
-// pool and the routing workers put them back once merged.
+// concurrent use: a producer (the scan pipeline, the predictor's dealer)
+// gets chunks from the pool and consumers put them back when done.
 type ChunkPool struct {
 	width, rows int
 	pool        sync.Pool

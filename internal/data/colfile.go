@@ -38,10 +38,10 @@ import (
 //	  each | crc32c(index) u32
 //	rowCount u64 | blockCount u64 | indexLen u64 | "BOATCEND"
 //
-// The index is what makes a single file byte-range splittable: worker k
-// of a block-sharded scan seeks straight to offsets[lo] and reads blocks
-// [lo, hi) with a private reader, no shared state with the other
-// workers. Version 1 files (no index, 24-byte footer without indexLen)
+// The index is what makes a single file byte-range splittable: a range
+// view (OpenColRange, ColSource.Range) seeks straight to offsets[lo] and
+// reads blocks [lo, hi) with a private reader, no shared state with other
+// views. Version 1 files (no index, 24-byte footer without indexLen)
 // remain readable; their offsets are derived on demand by a one-pass
 // walk of the block length prefixes (see BlockOffsets).
 //
@@ -760,7 +760,7 @@ func OpenColFile(path string, opts ...ColOptions) (*ColSource, error) {
 }
 
 // OpenColRange opens a columnar dataset file restricted to the blocks
-// [blockLo, blockHi) — one shard of a block-parallel scan. The view
+// [blockLo, blockHi) — a contiguous slice of the file. The view
 // scans only its byte range of the file and reports the exact row count
 // of its blocks.
 func OpenColRange(path string, blockLo, blockHi int64, opts ...ColOptions) (*ColSource, error) {
@@ -945,28 +945,10 @@ func (s *ColSource) ScanChunksPipeline(cfg PipelineConfig) (ChunkScanner, error)
 	return newColPipeline(s, br, cfg), nil
 }
 
-// BlockSplitSource is implemented by sources whose chunked scan can be
-// partitioned into independent contiguous block ranges, each served by a
-// private reader with no shared state — the unit the block-sharded
-// cleanup scan parallelizes over. Wrappers (iostats tracking) forward
-// both methods so the capability survives wrapping.
-type BlockSplitSource interface {
-	ChunkedSource
-	// BlockSplits returns the number of independently scannable blocks;
-	// 0 means the source cannot be split.
-	BlockSplits() int64
-	// ScanChunkRange begins a chunked scan of blocks [lo, hi) under cfg.
-	// The union of the scans of any partition of [0, BlockSplits()) into
-	// contiguous ranges delivers exactly the full scan's rows, in file
-	// order within each range.
-	ScanChunkRange(lo, hi int64, cfg PipelineConfig) (ChunkScanner, error)
-}
-
-// BlockSplits implements BlockSplitSource.
-func (s *ColSource) BlockSplits() int64 { return s.hi - s.lo }
-
-// ScanChunkRange implements BlockSplitSource: a scan of blocks [lo, hi)
-// with a private reader and pipeline. Failures to set the range scan up
+// ScanChunkRange begins a chunked scan of blocks [lo, hi) under cfg, with
+// a private reader and pipeline. The scans of any partition of the file's
+// blocks into contiguous ranges together deliver exactly the full scan's
+// rows, in file order within each range. Failures to set the range scan up
 // (index load, open) are wrapped in a *BlockError locating the range's
 // first block, so every range-scan failure is typed block-level.
 func (s *ColSource) ScanChunkRange(lo, hi int64, cfg PipelineConfig) (ChunkScanner, error) {

@@ -31,8 +31,8 @@ func scanRowHashes(t *testing.T, label string, csc ChunkScanner, width, blockRow
 	}
 }
 
-// shardRanges partitions [0, blocks) into w contiguous ranges, exactly
-// as blockShardedScan does.
+// shardRanges partitions [0, blocks) into w contiguous, near-equal
+// ranges.
 func shardRanges(blocks int64, w int) [][2]int64 {
 	out := make([][2]int64, w)
 	for i := 0; i < w; i++ {

@@ -21,9 +21,8 @@ type SpillRecorder interface {
 // the same budget collectively hold at most Limit tuples in memory; beyond
 // that they overflow to temporary files. A nil *MemBudget means unlimited
 // memory; Limit == 0 also means unlimited; Limit < 0 means zero capacity
-// (every tuple spills — used by Split for the surplus slices of a budget
-// smaller than the worker count). All methods are safe for concurrent use,
-// so buffers owned by different worker goroutines may share one budget.
+// (every tuple spills). All methods are safe for concurrent use, so
+// buffers owned by different worker goroutines may share one budget.
 //
 // This models the paper's low run-time memory requirement: the sets S_n of
 // tuples inside the confidence intervals are kept in memory when possible
@@ -100,36 +99,6 @@ func (b *MemBudget) Used() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.used
-}
-
-// Split carves the budget into n independent per-worker slices whose
-// limits sum to exactly the parent limit, so n workers filling private
-// buffers concurrently can never exceed the global budget between them.
-// The remainder is distributed one tuple at a time to the first Limit%n
-// slices; when Limit < n the surplus slices get zero capacity (every
-// append spills) rather than oversubscribing the parent. An unlimited
-// (or nil) budget yields unlimited slices.
-func (b *MemBudget) Split(n int) []*MemBudget {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]*MemBudget, n)
-	if b == nil || b.Limit <= 0 {
-		return out // nil slices: unlimited
-	}
-	per := b.Limit / int64(n)
-	extra := b.Limit % int64(n)
-	for i := range out {
-		lim := per
-		if int64(i) < extra {
-			lim++
-		}
-		if lim == 0 {
-			lim = -1 // zero capacity, NOT unlimited
-		}
-		out[i] = NewMemBudget(lim)
-	}
-	return out
 }
 
 // SpillEnv bundles the resources a spill buffer writes through: the

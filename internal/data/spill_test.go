@@ -93,47 +93,6 @@ func TestSpillBufferOverflowAccounting(t *testing.T) {
 	}
 }
 
-func TestMemBudgetSplitSumsToLimit(t *testing.T) {
-	for _, tc := range []struct {
-		limit int64
-		n     int
-	}{
-		{10, 3}, {10, 4}, {7, 7}, {100, 6}, {1, 1},
-	} {
-		slices := NewMemBudget(tc.limit).Split(tc.n)
-		var sum int64
-		for _, s := range slices {
-			if s.Limit <= 0 {
-				t.Fatalf("Split(%d/%d): slice limit %d not positive", tc.limit, tc.n, s.Limit)
-			}
-			sum += s.Limit
-		}
-		if sum != tc.limit {
-			t.Errorf("Split(%d/%d): slice limits sum to %d", tc.limit, tc.n, sum)
-		}
-	}
-}
-
-func TestMemBudgetSplitSmallerThanWorkers(t *testing.T) {
-	// Limit < n: the surplus slices must have zero capacity, not limit 1
-	// (which would let n workers hold n > Limit tuples between them).
-	slices := NewMemBudget(2).Split(5)
-	var capacity int64
-	for _, s := range slices {
-		if s.Limit > 0 {
-			capacity += s.Limit
-		} else if !s.tryAcquire(1) {
-			// zero-capacity slice: every append spills — correct.
-			continue
-		} else {
-			t.Fatalf("surplus slice with limit %d admitted a tuple", s.Limit)
-		}
-	}
-	if capacity != 2 {
-		t.Errorf("total in-memory capacity %d, want 2", capacity)
-	}
-}
-
 func TestMemBudgetZeroCapacity(t *testing.T) {
 	b := NewMemBudget(-1)
 	if b.tryAcquire(1) {

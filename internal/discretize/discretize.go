@@ -679,18 +679,6 @@ func (h *Histogram) StampPoints() [][]int64 {
 	return stamps
 }
 
-// Merge adds o's cell counts into h. Both histograms must have been built
-// over the same boundaries (cells correspond by index); used to combine
-// per-worker shards of a partitioned cleanup scan.
-func (h *Histogram) Merge(o *Histogram) {
-	for c, row := range o.Counts {
-		dst := h.Counts[c]
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
-}
-
 // Reset zeroes all counts, keeping the boundaries.
 func (h *Histogram) Reset() {
 	for _, row := range h.Counts {

@@ -22,8 +22,7 @@ type FaultSoakResult struct {
 	InjectedFaults int64 // total faults injected across all builds
 	Transient      int64 // of which transient (retryable)
 
-	ScanFallbacks int64 // sharded scans degraded to sequential
-	ScanRetries   int64 // sequential scans retried after a spill fault
+	ScanRetries   int64 // cleanup scans retried after a storage fault
 	SpillRetries  int64 // individual spill operations retried
 	SpillRebuilds int64 // subtrees rebuilt after a push-phase spill fault
 }
@@ -109,7 +108,6 @@ func RunFaultSoak(c Config, builds int, faultSeed int64) (FaultSoakResult, error
 		fst := ffs.Stats()
 		res.InjectedFaults += fst.Faults
 		res.Transient += fst.Transient
-		res.ScanFallbacks += st.ScanFallbacks()
 		res.ScanRetries += st.ScanRetries()
 		res.SpillRetries += st.SpillRetries()
 		if err := os.RemoveAll(dir); err != nil {

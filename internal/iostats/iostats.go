@@ -27,10 +27,9 @@ type Stats struct {
 	spillBytes  atomic.Int64
 
 	// Failure/retry accounting for the hardened spill path.
-	spillRetries  atomic.Int64
-	spillErrors   atomic.Int64
-	scanFallbacks atomic.Int64
-	scanRetries   atomic.Int64
+	spillRetries atomic.Int64
+	spillErrors  atomic.Int64
+	scanRetries  atomic.Int64
 
 	// Heap-allocation accounting (runtime.MemStats deltas recorded by the
 	// benchmark harnesses around a measured region). Divided by TuplesRead
@@ -89,14 +88,6 @@ func (s *Stats) RecordSpillError() {
 	}
 }
 
-// RecordScanFallback notes a sharded cleanup scan that failed on a storage
-// fault and fell back to the sequential scan.
-func (s *Stats) RecordScanFallback() {
-	if s != nil {
-		s.scanFallbacks.Add(1)
-	}
-}
-
 // RecordScanRetry notes a cleanup scan restarted from scratch after a
 // storage fault.
 func (s *Stats) RecordScanRetry() {
@@ -140,9 +131,6 @@ func (s *Stats) SpillRetries() int64 { return s.spillRetries.Load() }
 // SpillErrors returns the spill-path operations that failed after retries.
 func (s *Stats) SpillErrors() int64 { return s.spillErrors.Load() }
 
-// ScanFallbacks returns the sharded scans that fell back to sequential.
-func (s *Stats) ScanFallbacks() int64 { return s.scanFallbacks.Load() }
-
 // ScanRetries returns the cleanup scans restarted after storage faults.
 func (s *Stats) ScanRetries() int64 { return s.scanRetries.Load() }
 
@@ -162,7 +150,6 @@ func (s *Stats) Reset() {
 	s.spillBytes.Store(0)
 	s.spillRetries.Store(0)
 	s.spillErrors.Store(0)
-	s.scanFallbacks.Store(0)
 	s.scanRetries.Store(0)
 	s.allocObjects.Store(0)
 	s.allocBytes.Store(0)
@@ -183,10 +170,9 @@ type Snapshot struct {
 	SpillTuples   int64
 	SpillBytes    int64
 
-	SpillRetries  int64
-	SpillErrors   int64
-	ScanFallbacks int64
-	ScanRetries   int64
+	SpillRetries int64
+	SpillErrors  int64
+	ScanRetries  int64
 
 	AllocObjects int64
 	AllocBytes   int64
@@ -233,7 +219,6 @@ func (s *Stats) Snapshot() Snapshot {
 		SpillBytes:    s.SpillBytes(),
 		SpillRetries:  s.SpillRetries(),
 		SpillErrors:   s.SpillErrors(),
-		ScanFallbacks: s.ScanFallbacks(),
 		ScanRetries:   s.ScanRetries(),
 		AllocObjects:  s.AllocObjects(),
 		AllocBytes:    s.AllocBytes(),
@@ -252,7 +237,6 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		SpillBytes:    a.SpillBytes + b.SpillBytes,
 		SpillRetries:  a.SpillRetries + b.SpillRetries,
 		SpillErrors:   a.SpillErrors + b.SpillErrors,
-		ScanFallbacks: a.ScanFallbacks + b.ScanFallbacks,
 		ScanRetries:   a.ScanRetries + b.ScanRetries,
 		AllocObjects:  a.AllocObjects + b.AllocObjects,
 		AllocBytes:    a.AllocBytes + b.AllocBytes,
@@ -270,7 +254,6 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		SpillBytes:    a.SpillBytes - b.SpillBytes,
 		SpillRetries:  a.SpillRetries - b.SpillRetries,
 		SpillErrors:   a.SpillErrors - b.SpillErrors,
-		ScanFallbacks: a.ScanFallbacks - b.ScanFallbacks,
 		ScanRetries:   a.ScanRetries - b.ScanRetries,
 		AllocObjects:  a.AllocObjects - b.AllocObjects,
 		AllocBytes:    a.AllocBytes - b.AllocBytes,
@@ -285,9 +268,9 @@ func (s Snapshot) String() string {
 	if s.PhysBytesRead != 0 && s.PhysBytesRead != s.BytesRead {
 		out += fmt.Sprintf(" physBytes=%d (%.2fx)", s.PhysBytesRead, s.CompressionRatio())
 	}
-	if s.SpillRetries != 0 || s.SpillErrors != 0 || s.ScanFallbacks != 0 || s.ScanRetries != 0 {
-		out += fmt.Sprintf(" spillRetries=%d spillErrors=%d scanFallbacks=%d scanRetries=%d",
-			s.SpillRetries, s.SpillErrors, s.ScanFallbacks, s.ScanRetries)
+	if s.SpillRetries != 0 || s.SpillErrors != 0 || s.ScanRetries != 0 {
+		out += fmt.Sprintf(" spillRetries=%d spillErrors=%d scanRetries=%d",
+			s.SpillRetries, s.SpillErrors, s.ScanRetries)
 	}
 	if s.AllocObjects != 0 || s.AllocBytes != 0 {
 		out += fmt.Sprintf(" allocs/tuple=%.3f allocBytes/tuple=%.1f",
@@ -352,39 +335,6 @@ func (t *trackedSource) ScanChunksPipeline(cfg data.PipelineConfig) (data.ChunkS
 		return nil, err
 	}
 	t.stats.RecordScan()
-	return t.wrapChunkScanner(sc), nil
-}
-
-// BlockSplits implements data.BlockSplitSource by forwarding to the
-// wrapped source: 0 (not splittable) when the inner source has no
-// block-range scan.
-func (t *trackedSource) BlockSplits() int64 {
-	if bs, ok := t.inner.(data.BlockSplitSource); ok {
-		return bs.BlockSplits()
-	}
-	return 0
-}
-
-// ScanChunkRange implements data.BlockSplitSource with the same
-// accounting as the whole-file scans, except that only the range
-// containing block 0 records a scan: the N ranges of one block-sharded
-// pass together constitute a single sequential scan over the database,
-// and counting each range would inflate the paper's primary cost metric
-// N-fold. Rows and physical bytes are recorded per range scanner, each
-// tracking its own reader's delta, so per-worker volumes sum to exactly
-// one pass with no double counting.
-func (t *trackedSource) ScanChunkRange(lo, hi int64, cfg data.PipelineConfig) (data.ChunkScanner, error) {
-	bs, ok := t.inner.(data.BlockSplitSource)
-	if !ok {
-		return nil, fmt.Errorf("iostats: source %T is not block-splittable", t.inner)
-	}
-	sc, err := bs.ScanChunkRange(lo, hi, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if lo == 0 {
-		t.stats.RecordScan()
-	}
 	return t.wrapChunkScanner(sc), nil
 }
 

@@ -367,17 +367,17 @@ func TestTrackedCountsRowsDeliveredWithError(t *testing.T) {
 func TestSnapshotAdd(t *testing.T) {
 	a := Snapshot{
 		Scans: 1, TuplesRead: 2, BytesRead: 3, SpillTuples: 4, SpillBytes: 5,
-		SpillRetries: 6, SpillErrors: 7, ScanFallbacks: 8, ScanRetries: 9,
+		SpillRetries: 6, SpillErrors: 7, ScanRetries: 9,
 		AllocObjects: 10, AllocBytes: 11,
 	}
 	b := Snapshot{
 		Scans: 100, TuplesRead: 200, BytesRead: 300, SpillTuples: 400, SpillBytes: 500,
-		SpillRetries: 600, SpillErrors: 700, ScanFallbacks: 800, ScanRetries: 900,
+		SpillRetries: 600, SpillErrors: 700, ScanRetries: 900,
 		AllocObjects: 1000, AllocBytes: 1100,
 	}
 	want := Snapshot{
 		Scans: 101, TuplesRead: 202, BytesRead: 303, SpillTuples: 404, SpillBytes: 505,
-		SpillRetries: 606, SpillErrors: 707, ScanFallbacks: 808, ScanRetries: 909,
+		SpillRetries: 606, SpillErrors: 707, ScanRetries: 909,
 		AllocObjects: 1010, AllocBytes: 1111,
 	}
 	if got := a.Add(b); got != want {
@@ -398,8 +398,8 @@ func TestSnapshotString(t *testing.T) {
 	if strings.Contains(clean, "spillRetries") || strings.Contains(clean, "allocs/tuple") {
 		t.Errorf("clean snapshot shows failure/alloc counters: %q", clean)
 	}
-	faulty := Snapshot{Scans: 1, SpillRetries: 3, ScanFallbacks: 1}.String()
-	if !strings.Contains(faulty, "spillRetries=3") || !strings.Contains(faulty, "scanFallbacks=1") {
+	faulty := Snapshot{Scans: 1, SpillRetries: 3, ScanRetries: 1}.String()
+	if !strings.Contains(faulty, "spillRetries=3") || !strings.Contains(faulty, "scanRetries=1") {
 		t.Errorf("faulty snapshot hides failure counters: %q", faulty)
 	}
 	allocs := Snapshot{TuplesRead: 10, AllocObjects: 5, AllocBytes: 160}.String()
@@ -421,7 +421,7 @@ func TestConcurrentRecordAllocs(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				st.RecordAllocs(3, 96)
 				st.RecordSpillRetry()
-				st.RecordScanFallback()
+				st.RecordScanRetry()
 			}
 		}()
 	}
@@ -430,7 +430,7 @@ func TestConcurrentRecordAllocs(t *testing.T) {
 	if snap.AllocObjects != 3*workers*perWorker || snap.AllocBytes != 96*workers*perWorker {
 		t.Fatalf("lost alloc updates: %+v", snap)
 	}
-	if snap.SpillRetries != workers*perWorker || snap.ScanFallbacks != workers*perWorker {
+	if snap.SpillRetries != workers*perWorker || snap.ScanRetries != workers*perWorker {
 		t.Fatalf("lost fault updates: %+v", snap)
 	}
 	// The nil receiver stays a no-op for the fault/alloc recorders too.
@@ -438,7 +438,6 @@ func TestConcurrentRecordAllocs(t *testing.T) {
 	nilStats.RecordAllocs(1, 1)
 	nilStats.RecordSpillRetry()
 	nilStats.RecordSpillError()
-	nilStats.RecordScanFallback()
 	nilStats.RecordScanRetry()
 }
 

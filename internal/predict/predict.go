@@ -1,9 +1,8 @@
 // Package predict is the serving side of the repository: a parallel batch
 // predictor that routes columnar chunk streams through the compiled flat
-// tree layout (tree.FlatTree). It is the read-path twin of the build
-// path's sharded cleanup scan — the same dealer/worker shape, the same
-// pooled chunks, the same zero-allocation steady state — applied to
-// classification instead of AVC aggregation.
+// tree layout (tree.FlatTree): a dealer hands pooled chunks to workers,
+// with the same zero-allocation steady state as the build path's cleanup
+// scan, applied to classification instead of AVC aggregation.
 //
 // Determinism: predictions are bit-identical across every Parallelism and
 // ChunkRows setting by construction. The dealer assigns each chunk an

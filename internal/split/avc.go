@@ -114,17 +114,6 @@ func (a *CatAVC) AddBatchW(col []float64, classes []int32, idx []int32, w int64)
 	}
 }
 
-// Merge adds o's counts into a. The two AVC-sets must cover the same
-// domain; used to combine per-worker shards of a partitioned scan.
-func (a *CatAVC) Merge(o *CatAVC) {
-	for c, row := range o.Counts {
-		dst := a.Counts[c]
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
-}
-
 // Reset zeroes all counts (used when a failed cleanup scan is restarted).
 func (a *CatAVC) Reset() {
 	for _, row := range a.Counts {

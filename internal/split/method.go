@@ -28,7 +28,7 @@ type ImpurityBased interface {
 // exact function of constant-size sufficient statistics (per-class value
 // moments for numeric attributes and contingency tables for categorical
 // ones). BOAT verifies these methods by exact recomputation: the moments
-// are fully mergeable and are gathered during the cleanup scan.
+// are exact integer sums gathered during the cleanup scan.
 type MomentBased interface {
 	Method
 	BestSplitFromMoments(m *Moments) Split

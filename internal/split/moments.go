@@ -117,19 +117,6 @@ func (m *NumMoments) add1(v float64, class int) {
 	m.SqHi[class], _ = bits.Add64(m.SqHi[class], hi, carry)
 }
 
-// Merge adds o's statistics into m. Because all sums are exact integers
-// (128-bit for the squares), merging per-worker shards in any order yields
-// bit-identical statistics to a single sequential scan.
-func (m *NumMoments) Merge(o *NumMoments) {
-	for c := range m.Count {
-		m.Count[c] += o.Count[c]
-		m.Sum[c] += o.Sum[c]
-		var carry uint64
-		m.SqLo[c], carry = bits.Add64(m.SqLo[c], o.SqLo[c], 0)
-		m.SqHi[c], _ = bits.Add64(m.SqHi[c], o.SqHi[c], carry)
-	}
-}
-
 // sq returns the per-class sum of squares as float64 (deterministic
 // function of the exact 128-bit integer).
 func (m *NumMoments) sq(class int) float64 {
@@ -227,21 +214,6 @@ func (m *Moments) AddChunkW(ch *data.Chunk, idx []int32, w int64) {
 			m.Num[i].AddBatchW(col, classes, idx, w)
 		} else {
 			m.Cat[i].AddBatchW(col, classes, idx, w)
-		}
-	}
-}
-
-// Merge adds o's statistics into m; both must be over the same schema.
-// Used to combine the per-worker shards of a partitioned cleanup scan.
-func (m *Moments) Merge(o *Moments) {
-	for c, v := range o.ClassTotals {
-		m.ClassTotals[c] += v
-	}
-	for i := range m.Schema.Attributes {
-		if m.Num[i] != nil {
-			m.Num[i].Merge(o.Num[i])
-		} else {
-			m.Cat[i].Merge(o.Cat[i])
 		}
 	}
 }

@@ -107,8 +107,9 @@ func OpenFile(path string) (*data.FileSource, error) { return data.OpenFile(path
 
 // Open opens a dataset file in either on-disk format — the row formats
 // written by WriteFile or the block-compressed columnar format written by
-// WriteColumnarFile — sniffing the magic to pick the reader. Columnar
-// sources honor Options.PipelineDepth / PipelineWorkers during a Grow.
+// WriteColumnarFile — sniffing the magic to pick the reader. Every scan
+// of a columnar source reads the whole file behind a prefetch/decode
+// pipeline; no option selects another reader.
 func Open(path string) (Source, error) { return data.Open(path) }
 
 // WriteColumnarFile materializes a Source into a block-compressed columnar

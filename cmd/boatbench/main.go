@@ -112,10 +112,10 @@ func main() {
 		updateJSON   = flag.String("updatejson", "", "run the streaming-update micro-benchmark (the columnar chunk router on the sliding-window dynamic-environment workload) and write measurements to this JSON file instead of a figure")
 		updateRounds = flag.Int("updaterounds", 30, "insert+delete rounds for -updatejson")
 
-		ioJSON      = flag.String("iojson", "", "run the file-backed scan I/O benchmark (row file vs columnar block file, synchronous vs pipelined, zone skipping on/off) and write measurements to this JSON file instead of a figure")
+		ioJSON      = flag.String("iojson", "", "run the file-backed scan I/O benchmark (row file vs columnar block file, zone skipping on/off) and write measurements to this JSON file instead of a figure")
 		ioTuples    = flag.Int64("iotuples", 1_000_000, "dataset size for -iojson")
 		ioBlockRows = flag.Int("ioblockrows", 0, "columnar block rows for -iojson (0 = default)")
-		ioVerify    = flag.Bool("ioverify", true, "-iojson: also verify trees bit-identical across formats, pipeline depths {1,4} and Parallelism {1,8}")
+		ioVerify    = flag.Bool("ioverify", true, "-iojson: also verify trees bit-identical across formats and Parallelism {1,8}")
 
 		metricsJSON = flag.String("metricsjson", "", `write the accumulated BOAT metrics registry as JSON to this file ("-" = stdout)`)
 		listen      = flag.String("listen", "", `diagnostics HTTP server address for /metrics and /debug/pprof during the run ("" disables)`)
@@ -696,8 +696,8 @@ type ioScanMeasurement struct {
 
 // ioBenchReport is the JSON document -iojson writes: the file-backed
 // cleanup-scan throughput of the row format vs the columnar block format
-// (synchronous and pipelined, zone skipping on and off), file sizes, and
-// the cross-format tree-identity verification.
+// (zone skipping on and off), file sizes, and the cross-format
+// tree-identity verification.
 type ioBenchReport struct {
 	Workload              string              `json:"workload"`
 	Tuples                int64               `json:"tuples"`
@@ -710,7 +710,6 @@ type ioBenchReport struct {
 	ColFileBytes          int64               `json:"col_file_bytes"`
 	Compression           float64             `json:"row_bytes_per_col_byte"`
 	Modes                 []ioScanMeasurement `json:"modes"`
-	SyncSpeedupVsRow      float64             `json:"col_sync_speedup_vs_row"`
 	PipelinedSpeedupVsRow float64             `json:"col_pipelined_speedup_vs_row"`
 	ZoneSkipSpeedup       float64             `json:"zone_skip_speedup"`
 	TreeConfigsVerified   int                 `json:"tree_configs_verified"`
@@ -720,11 +719,10 @@ type ioBenchReport struct {
 // runIOBench measures the file-backed cleanup scan end to end: the same
 // F1 workload is materialized once as a row file and once as a columnar
 // block file, and the cleanup scan is timed over each — the columnar file
-// synchronously decoded, behind the prefetch/decode pipeline, and with
-// zone-map skipping disabled — isolating what the on-disk format, the
-// pipeline, and the zone maps each buy. With -ioverify (default) it then
-// builds trees from both files across pipeline depths {1, 4} and
-// Parallelism {1, 8} and asserts every encoded tree is bit-identical.
+// with zone-map skipping on and off — isolating what the on-disk format
+// and the zone maps each buy. With -ioverify (default) it then builds
+// trees from both files at Parallelism {1, 8} and asserts every encoded
+// tree is bit-identical.
 func runIOBench(mc mainConfig, m split.Method) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "boatbench: iojson: %v\n", err)
@@ -802,13 +800,11 @@ func runIOBench(mc mainConfig, m split.Method) int {
 	modes := []struct {
 		name     string
 		path     string
-		depth    int
 		zoneSkip bool
 	}{
-		{"row", rowPath, 0, true},
-		{"col-sync", colPath, -1, true},
-		{"col-pipelined", colPath, 0, true},
-		{"col-noskip", colPath, 0, false},
+		{"row", rowPath, true},
+		{"col-pipelined", colPath, true},
+		{"col-noskip", colPath, false},
 	}
 	byMode := map[string]ioScanMeasurement{}
 	for _, mode := range modes {
@@ -821,8 +817,7 @@ func runIOBench(mc mainConfig, m split.Method) int {
 		bench, err := core.NewScanBench(src, core.Config{
 			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
 			Seed: 7, TempDir: dir, Parallelism: para, Stats: stats,
-			PipelineDepth: mode.depth, DisableZoneSkip: !mode.zoneSkip,
-			Metrics: reg, Logger: mc.logger,
+			DisableZoneSkip: !mode.zoneSkip, Metrics: reg, Logger: mc.logger,
 		})
 		if err != nil {
 			return fail(err)
@@ -846,16 +841,15 @@ func runIOBench(mc mainConfig, m split.Method) int {
 			mode.name, im.TuplesPerSec, float64(im.PhysicalBytes)/float64(max64(im.LogicalBytes, 1)),
 			im.BlocksSkipped)
 	}
-	row, sync, piped, noskip := byMode["row"], byMode["col-sync"], byMode["col-pipelined"], byMode["col-noskip"]
+	row, piped, noskip := byMode["row"], byMode["col-pipelined"], byMode["col-noskip"]
 	if row.TuplesPerSec > 0 {
-		rep.SyncSpeedupVsRow = sync.TuplesPerSec / row.TuplesPerSec
 		rep.PipelinedSpeedupVsRow = piped.TuplesPerSec / row.TuplesPerSec
 	}
 	if noskip.TuplesPerSec > 0 {
 		rep.ZoneSkipSpeedup = piped.TuplesPerSec / noskip.TuplesPerSec
 	}
-	fmt.Printf("columnar pipelined vs row: %.2fx | sync vs row: %.2fx | zone skipping: %.2fx\n",
-		rep.PipelinedSpeedupVsRow, rep.SyncSpeedupVsRow, rep.ZoneSkipSpeedup)
+	fmt.Printf("columnar vs row: %.2fx | zone skipping: %.2fx\n",
+		rep.PipelinedSpeedupVsRow, rep.ZoneSkipSpeedup)
 
 	if mc.ioVerify {
 		verified, err := verifyIOTrees(rowPath, colPath, m, n, dir, mc.logger)
@@ -864,7 +858,7 @@ func runIOBench(mc mainConfig, m split.Method) int {
 		}
 		rep.TreeConfigsVerified = verified
 		rep.TreesIdentical = true
-		fmt.Printf("tree identity: %d format/depth/parallelism configurations bit-identical\n", verified)
+		fmt.Printf("tree identity: %d format/parallelism configurations bit-identical\n", verified)
 	}
 
 	out, err := json.MarshalIndent(rep, "", "  ")
@@ -878,12 +872,12 @@ func runIOBench(mc mainConfig, m split.Method) int {
 	return 0
 }
 
-// verifyIOTrees builds trees over the row file and the columnar file
-// across pipeline depths {1, 4} and Parallelism {1, 8} and returns the
-// number of configurations checked, erroring unless every encoded tree is
-// byte-identical to the row-format Parallelism=1 baseline.
+// verifyIOTrees builds trees over the row file and the columnar file at
+// Parallelism {1, 8} and returns the number of configurations checked,
+// erroring unless every encoded tree is byte-identical to the row-format
+// Parallelism=1 baseline.
 func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string, logger *slog.Logger) (int, error) {
-	build := func(path string, depth, para int) ([]byte, error) {
+	build := func(path string, para int) ([]byte, error) {
 		src, err := data.Open(path)
 		if err != nil {
 			return nil, err
@@ -891,8 +885,7 @@ func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string,
 		bt, err := core.Build(src, core.Config{
 			Method: m, MaxDepth: 8, MinSplit: 50, SampleSize: 2000,
 			StopThreshold: n / 10, StopAtThreshold: true,
-			Seed: 7, TempDir: dir, Parallelism: para,
-			PipelineDepth: depth, Logger: logger,
+			Seed: 7, TempDir: dir, Parallelism: para, Logger: logger,
 		})
 		if err != nil {
 			return nil, err
@@ -900,28 +893,23 @@ func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string,
 		defer bt.Close()
 		return tree.EncodeTree(bt.Tree())
 	}
-	want, err := build(rowPath, 0, 1)
+	want, err := build(rowPath, 1)
 	if err != nil {
 		return 0, err
 	}
 	checked := 1
-	if got, err := build(rowPath, 0, 8); err != nil {
-		return checked, err
-	} else if !bytes.Equal(got, want) {
-		return checked, fmt.Errorf("row-format tree differs at Parallelism=8")
-	}
-	checked++
-	for _, depth := range []int{1, 4} {
-		for _, para := range []int{1, 8} {
-			got, err := build(colPath, depth, para)
-			if err != nil {
-				return checked, err
-			}
-			if !bytes.Equal(got, want) {
-				return checked, fmt.Errorf("columnar tree differs at depth=%d parallelism=%d", depth, para)
-			}
-			checked++
+	for _, c := range []struct {
+		path string
+		para int
+	}{{rowPath, 8}, {colPath, 1}, {colPath, 8}} {
+		got, err := build(c.path, c.para)
+		if err != nil {
+			return checked, err
 		}
+		if !bytes.Equal(got, want) {
+			return checked, fmt.Errorf("tree from %s differs at Parallelism=%d", filepath.Base(c.path), c.para)
+		}
+		checked++
 	}
 	return checked, nil
 }

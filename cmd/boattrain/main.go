@@ -49,8 +49,6 @@ func main() {
 		sample      = flag.Int("sample", 0, "BOAT sample size (0 = auto)")
 		seed        = flag.Int64("seed", 1, "sampling seed")
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for the parallel build phases (0 = GOMAXPROCS)")
-		pipeDepth   = flag.Int("pipedepth", 0, "columnar input: blocks read ahead by the scan pipeline (0 = default, negative = synchronous)")
-		pipeWorkers = flag.Int("pipeworkers", 0, "columnar input: decode worker goroutines (0 = auto)")
 		noZoneSkip  = flag.Bool("nozoneskip", false, "disable zone-map block skipping in the scan and update routers")
 		avcBuffer   = flag.Int64("avcbuffer", 3_000_000, "RainForest AVC buffer entries")
 		save        = flag.String("save", "", "write the encoded tree to this file")
@@ -127,7 +125,6 @@ func main() {
 			Method: m, MaxDepth: *maxDepth, MinSplit: *minSplit,
 			StopThreshold: *threshold, StopAtThreshold: *stop,
 			SampleSize: *sample, Seed: *seed, Parallelism: *parallelism,
-			PipelineDepth: *pipeDepth, PipelineWorkers: *pipeWorkers,
 			DisableZoneSkip: *noZoneSkip,
 			Stats:           &st, Trace: tracer, Metrics: metrics, Logger: logger,
 		})

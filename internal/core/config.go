@@ -123,17 +123,6 @@ type Config struct {
 	// stream is cut into chunks.
 	ScanChunkRows int
 
-	// PipelineDepth shapes the asynchronous block pipeline used when the
-	// training database is a columnar block file (data.ColSource): the
-	// number of blocks read ahead of the consuming scan. 0 selects
-	// data.DefaultPipelineDepth; negative disables the pipeline, decoding
-	// blocks synchronously in the scanning goroutine. Sources without a
-	// pipelined scan ignore it. The resulting tree is identical at every
-	// setting: the pipeline delivers chunks strictly in file order.
-	PipelineDepth int
-	// PipelineWorkers is the number of decode goroutines behind a
-	// pipelined scan. 0 selects min(4, GOMAXPROCS).
-	PipelineWorkers int
 	// DisableZoneSkip turns off zone-map block skipping in the cleanup
 	// scan and streaming-update routers. A block is skipped only when its
 	// per-column min/max (or category bitmap) proves every row routes down
@@ -202,11 +191,6 @@ func (c Config) workers() int {
 		return 1
 	}
 	return c.Parallelism
-}
-
-// pipelineCfg derives the data-layer scan pipeline configuration.
-func (c Config) pipelineCfg() data.PipelineConfig {
-	return data.PipelineConfig{Depth: c.PipelineDepth, Workers: c.PipelineWorkers}
 }
 
 // chunkRows returns the effective scan chunk row capacity.

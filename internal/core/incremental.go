@@ -92,7 +92,7 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 		// span and the pipeline.* registry counters — the update router's
 		// reads are as observable as the build's.
 		var csc data.ChunkScanner
-		csc, err = data.ScanChunksPipelined(tracked, t.pipelineCfg())
+		csc, err = data.ScanChunksPipelined(tracked, t.pipelineObserver())
 		if err == nil {
 			ch := data.NewChunk(len(t.schema.Attributes), rows)
 			for err == nil {

@@ -119,14 +119,13 @@ func (m *metricSet) ObservePipeline(l data.PipelineLive) {
 	m.pipeDeliverNS.Set(float64(l.Deliver))
 }
 
-// pipelineCfg derives the data-layer pipeline configuration, attaching
-// the live-gauge observer when metrics are enabled.
-func (t *Tree) pipelineCfg() data.PipelineConfig {
-	cfg := t.cfg.pipelineCfg()
+// pipelineObserver returns the live-gauge observer for a scan's
+// pipeline: the metric set when metrics are enabled, nil otherwise.
+func (t *Tree) pipelineObserver() data.PipelineObserver {
 	if t.cfg.Metrics.Enabled() {
-		cfg.Observer = &t.met
+		return &t.met
 	}
-	return cfg
+	return nil
 }
 
 // recordPipelineStats accumulates a finished pipelined scanner's stage

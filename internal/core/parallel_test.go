@@ -102,10 +102,15 @@ func TestParallelIncremental(t *testing.T) {
 			if _, err := bt.Insert(chunk); err != nil {
 				t.Fatal(err)
 			}
-			union, err := data.NewConcatSource(base, chunk)
+			baseTuples, err := data.ReadAll(base)
 			if err != nil {
 				t.Fatal(err)
 			}
+			chunkTuples, err := data.ReadAll(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			union := data.NewMemSource(base.Schema(), append(baseTuples, chunkTuples...))
 			ref := buildRef(t, union, inmem.Config{
 				Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
 			})

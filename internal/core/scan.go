@@ -114,7 +114,7 @@ func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span) (int64, erro
 	sc := newRouteScratch(rows)
 	sc.zoneSkip = !t.cfg.DisableZoneSkip
 	start := time.Now()
-	csc, err := data.ScanChunksPipelined(src, t.pipelineCfg())
+	csc, err := data.ScanChunksPipelined(src, t.pipelineObserver())
 	if err != nil {
 		return 0, err
 	}
@@ -154,8 +154,8 @@ func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span) (int64, erro
 // workers), deliver (consumer wait on the ordered ring) — as completed
 // child spans of the scan span, plus block/byte volume attributes. Must
 // run after the scanner is closed: the stage counters quiesce at Close.
-// A non-pipelined scanner (row files, in-memory sources, Depth < 0)
-// attaches nothing.
+// A non-pipelined scanner (row files, in-memory sources) attaches
+// nothing.
 func attachPipelineSpans(sp *obs.Span, csc data.ChunkScanner) {
 	if csc == nil {
 		return

@@ -107,17 +107,6 @@ func (b *TupleBag) Add(t Tuple) error {
 	return b.add.Append(t)
 }
 
-// AddChunkRow adds row r of ch without materializing a Tuple: the row is
-// copied straight from the chunk columns into the spill buffer. Removal
-// cancellation still applies in the (rare on the scan path) case that
-// deletions are pending, gathering the row to match it.
-func (b *TupleBag) AddChunkRow(ch *Chunk, r int) error {
-	if b.removed > 0 {
-		return b.Add(ch.TupleCopy(r))
-	}
-	return b.add.AppendChunkRow(ch, r)
-}
-
 // AddChunkRows adds the chunk rows named by idx (all rows when idx is
 // nil). With no pending removals — the steady state of the cleanup scan —
 // the rows are copied column-wise in one batch. With removals pending (the

@@ -93,17 +93,6 @@ func (c *Chunk) AppendTuple(t Tuple) {
 	c.n++
 }
 
-// AppendRow transposes one row of raw values into the columns. The chunk
-// must not be full; len(vals) must equal Width.
-func (c *Chunk) AppendRow(vals []float64, class int) {
-	r := c.n
-	for a, v := range vals {
-		c.vals[a*c.stride+r] = v
-	}
-	c.class[r] = int32(class)
-	c.n++
-}
-
 // Gather copies row r's values into dst (which must have length Width).
 func (c *Chunk) Gather(r int, dst []float64) {
 	for a := range dst {
@@ -140,16 +129,6 @@ func (c *Chunk) AppendGather(src *Chunk, idx []int32) {
 		cls[i] = src.class[r]
 	}
 	c.n += n
-}
-
-// AppendRowOf appends row r of src (same width; the chunk must not be
-// full).
-func (c *Chunk) AppendRowOf(src *Chunk, r int) {
-	for a := 0; a < c.width; a++ {
-		c.vals[a*c.stride+c.n] = src.vals[a*src.stride+r]
-	}
-	c.class[c.n] = src.class[r]
-	c.n++
 }
 
 // TupleCopy returns a freshly allocated row-major copy of row r.

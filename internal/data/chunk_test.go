@@ -47,7 +47,7 @@ func TestChunkColumnLayout(t *testing.T) {
 			t.Errorf("TupleCopy(%d) = %v", r, tp)
 		}
 	}
-	c.AppendRow([]float64{3, 13}, 1)
+	c.AppendTuple(Tuple{Values: []float64{3, 13}, Class: 1})
 	if !c.Full() {
 		t.Fatal("chunk should be full after 4 rows")
 	}
@@ -146,7 +146,7 @@ func (r rowOnlySource) Count() (int64, bool)   { return r.inner.Count() }
 func TestChunkPoolRecycles(t *testing.T) {
 	p := NewChunkPool(2, 8)
 	c := p.Get()
-	c.AppendRow([]float64{1, 2}, 1)
+	c.AppendTuple(Tuple{Values: []float64{1, 2}, Class: 1})
 	p.Put(c)
 	got := p.Get()
 	if got.Len() != 0 {

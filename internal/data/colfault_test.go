@@ -16,7 +16,7 @@ import (
 	"github.com/boatml/boat/internal/faultfs"
 )
 
-func writeFaultFile(t *testing.T, n, blockRows int) (string, *data.Schema) {
+func writeFaultFile(t *testing.T, n, blockRows int) (string, []data.Tuple) {
 	t.Helper()
 	schema := data.MustSchema([]data.Attribute{
 		{Name: "a", Kind: data.Numeric},
@@ -30,34 +30,46 @@ func writeFaultFile(t *testing.T, n, blockRows int) (string, *data.Schema) {
 	if _, err := data.WriteColFile(path, data.NewMemSource(schema, tuples), blockRows); err != nil {
 		t.Fatal(err)
 	}
-	return path, schema
+	return path, tuples
 }
 
 // noSleep is the retry policy used under injection: generous attempts, no
 // wall-clock waits.
 var noSleep = data.RetryPolicy{Attempts: 6, Sleep: func(time.Duration) {}}
 
-func drainCol(t *testing.T, src *data.ColSource, chunkRows int) (int, error) {
-	t.Helper()
-	sc, err := src.ScanChunks()
+// drainCol opens a scan with open and drains it in chunks of chunkRows,
+// returning the delivered tuples in order and the scan's terminal error
+// (nil at EOF).
+func drainCol(open func() (data.ChunkScanner, error), chunkRows int) ([]data.Tuple, error) {
+	sc, err := open()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer sc.Close()
 	ch := data.NewChunk(2, chunkRows)
-	rows := 0
+	var out []data.Tuple
 	for {
 		ch.Reset()
 		err := sc.NextChunk(ch)
-		rows += ch.Len()
-		if err == io.EOF {
-			return rows, nil
+		out = append(out, ch.GatherRows(nil)...)
+		if err == io.EOF || err == nil && ch.Len() == 0 {
+			return out, nil
 		}
 		if err != nil {
-			return rows, err
+			return out, err
 		}
-		if ch.Len() == 0 {
-			return rows, nil
+	}
+}
+
+// requirePrefix fails unless got is the first len(got) tuples of want.
+func requirePrefix(t *testing.T, got, want []data.Tuple) {
+	t.Helper()
+	if len(got) > len(want) {
+		t.Fatalf("%d tuples delivered, only %d written", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("tuple %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -65,7 +77,7 @@ func drainCol(t *testing.T, src *data.ColSource, chunkRows int) (int, error) {
 // TestColFaultTransientOpenRetried: transient faults on the scan's open are
 // absorbed by the retry policy; the scan then delivers everything.
 func TestColFaultTransientOpenRetried(t *testing.T) {
-	path, _ := writeFaultFile(t, 500, 64)
+	path, tuples := writeFaultFile(t, 500, 64)
 	fs := faultfs.New(nil, faultfs.Config{
 		Seed: 1, OpenProb: 1, TransientFraction: 1, MaxFaults: 2,
 	})
@@ -73,20 +85,21 @@ func TestColFaultTransientOpenRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := drainCol(t, src, 64)
-	if err != nil || rows != 500 {
-		t.Fatalf("scan = (%d rows, %v), want (500, nil)", rows, err)
+	got, err := drainCol(src.ScanChunks, 64)
+	if err != nil || len(got) != len(tuples) {
+		t.Fatalf("scan = (%d rows, %v), want (%d, nil)", len(got), err, len(tuples))
 	}
+	requirePrefix(t, got, tuples)
 	if st := fs.Stats(); st.Faults != 2 || st.Transient != 2 {
 		t.Fatalf("injected %+v, want 2 transient faults consumed by retries", st)
 	}
 }
 
 // TestColFaultTransientReadRetried: transient mid-scan read faults retry in
-// place without corrupting the delivered stream, on both scan paths.
+// place without corrupting the delivered stream, at every pipeline depth.
 func TestColFaultTransientReadRetried(t *testing.T) {
-	path, _ := writeFaultFile(t, 2000, 64)
-	for _, depth := range []int{-1, 4} {
+	path, tuples := writeFaultFile(t, 2000, 64)
+	for _, depth := range []int{1, 4} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			// Every read faults until the cap: bufio coalesces the small
 			// file into very few underlying reads, so probabilistic
@@ -94,17 +107,17 @@ func TestColFaultTransientReadRetried(t *testing.T) {
 			fs := faultfs.New(nil, faultfs.Config{
 				Seed: 7, ReadProb: 1, TransientFraction: 1, MaxFaults: 4,
 			})
-			src, err := data.OpenColFile(path, data.ColOptions{
-				FS: fs, Retry: noSleep,
-				Pipeline: data.PipelineConfig{Depth: depth, Workers: 2},
-			})
+			src, err := data.OpenColFile(path, data.ColOptions{FS: fs, Retry: noSleep})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := drainCol(t, src, 100)
-			if err != nil || rows != 2000 {
-				t.Fatalf("scan = (%d rows, %v), want (2000, nil)", rows, err)
+			got, err := drainCol(func() (data.ChunkScanner, error) {
+				return src.ScanPipelineForTest(depth, 2)
+			}, 100)
+			if err != nil || len(got) != len(tuples) {
+				t.Fatalf("scan = (%d rows, %v), want (%d, nil)", len(got), err, len(tuples))
 			}
+			requirePrefix(t, got, tuples)
 			if st := fs.Stats(); st.Faults == 0 {
 				t.Fatal("injection never fired; the test exercised nothing")
 			}
@@ -186,20 +199,19 @@ func (r *failNthReader) Close() error { return r.rc.Close() }
 // surfaces from the pipelined scan after the preceding blocks were
 // delivered, and Close reclaims every pipeline goroutine.
 func TestColFaultPermanentReadMidScan(t *testing.T) {
-	path, _ := writeFaultFile(t, 2000, 64)
+	path, tuples := writeFaultFile(t, 2000, 64)
 	baseline := runtime.NumGoroutine()
 	fs := &failNthReadFS{n: 8} // 8 KiB in, then the disk "dies"
-	src, err := data.OpenColFile(path, data.ColOptions{
-		FS: fs, Retry: noSleep,
-		Pipeline: data.PipelineConfig{Depth: 4, Workers: 2},
-	})
+	src, err := data.OpenColFile(path, data.ColOptions{FS: fs, Retry: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := drainCol(t, src, 64)
+	got, err := drainCol(src.ScanChunks, 64)
 	if !errors.Is(err, errDiskGone) {
 		t.Fatalf("scan error %v, want the injected permanent failure", err)
 	}
+	requirePrefix(t, got, tuples)
+	rows := len(got)
 	if rows <= 0 || rows >= 2000 {
 		t.Fatalf("%d rows delivered, want a mid-stream prefix", rows)
 	}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 	"sync/atomic"
 )
 
@@ -38,12 +37,11 @@ import (
 //	  each | crc32c(index) u32
 //	rowCount u64 | blockCount u64 | indexLen u64 | "BOATCEND"
 //
-// The index is what makes a single file byte-range splittable: a range
-// view (OpenColRange, ColSource.Range) seeks straight to offsets[lo] and
-// reads blocks [lo, hi) with a private reader, no shared state with other
-// views. Version 1 files (no index, 24-byte footer without indexLen)
-// remain readable; their offsets are derived on demand by a one-pass
-// walk of the block length prefixes (see BlockOffsets).
+// Every scan reads the whole block region sequentially, so the reader
+// never reads the offset index; it only checks the index length against
+// the footer. The writer still emits the index so that its output stays
+// byte-identical to every version-2 file already written. Version-1
+// files (no index, a 24-byte footer) fail to open.
 //
 // Decoding a block touches each column once sequentially — the shape the
 // prefetch pipeline (pipeline.go) parallelizes across decode workers.
@@ -52,7 +50,6 @@ const (
 	colMagic    = "BOATCOLF"
 	colEndMagic = "BOATCEND"
 	colVersion  = 2
-	colVersion1 = 1
 
 	// DefaultBlockRows is the block row capacity used when the writer's
 	// caller does not choose one. Large enough to amortize per-block
@@ -60,8 +57,7 @@ const (
 	// of float64) stays cache-friendly.
 	DefaultBlockRows = 8192
 
-	colFooterV1Len = 24
-	colFooterLen   = 32
+	colFooterLen = 32
 
 	// maxColBlockBody bounds a declared block body length; anything larger
 	// is corruption, not data.
@@ -95,7 +91,8 @@ var (
 	// CRC32-C does not match their payload.
 	ErrColChecksum = errors.New("data: columnar block checksum mismatch")
 	// ErrColTruncated is wrapped by errors on torn columnar files: a
-	// missing footer, or a block cut short by the end of the file.
+	// missing footer, a block cut short by the end of the file, or a
+	// block region whose rows or bytes disagree with the footer.
 	ErrColTruncated = errors.New("data: torn columnar file")
 )
 
@@ -423,7 +420,6 @@ type ColFileWriter struct {
 	f         *os.File
 	w         *bufio.Writer
 	schema    *Schema
-	version   byte
 	blockRows int
 	stage     *Chunk
 	body      []byte
@@ -437,13 +433,6 @@ type ColFileWriter struct {
 // CreateColFile creates (truncating) a columnar dataset file at path.
 // blockRows <= 0 selects DefaultBlockRows.
 func CreateColFile(path string, schema *Schema, blockRows int) (*ColFileWriter, error) {
-	return createColFile(path, schema, blockRows, colVersion)
-}
-
-// createColFile is CreateColFile with an explicit format version; tests
-// use it to materialize version-1 files (no offset index) and exercise
-// the backward-compatible header walk.
-func createColFile(path string, schema *Schema, blockRows int, version byte) (*ColFileWriter, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -455,7 +444,7 @@ func createColFile(path string, schema *Schema, blockRows int, version byte) (*C
 		return nil, err
 	}
 	w := bufio.NewWriterSize(f, 1<<18)
-	hdr := append([]byte(colMagic), version, 0)
+	hdr := append([]byte(colMagic), colVersion, 0)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(blockRows))
 	hdr = appendSchema(hdr, schema)
 	if _, err := w.Write(hdr); err != nil {
@@ -467,7 +456,6 @@ func createColFile(path string, schema *Schema, blockRows int, version byte) (*C
 		f:         f,
 		w:         w,
 		schema:    schema,
-		version:   version,
 		blockRows: blockRows,
 		stage:     NewChunk(len(schema.Attributes), blockRows),
 		off:       int64(len(hdr)),
@@ -552,34 +540,19 @@ func (cw *ColFileWriter) Close() error {
 		cw.f.Close()
 		return err
 	}
-	if cw.version == colVersion1 {
-		var foot [colFooterV1Len]byte
-		binary.LittleEndian.PutUint64(foot[0:], uint64(cw.rows))
-		binary.LittleEndian.PutUint64(foot[8:], uint64(cw.blocks))
-		copy(foot[16:], colEndMagic)
-		if _, err := cw.w.Write(foot[:]); err != nil {
-			cw.f.Close()
-			return err
-		}
-	} else {
-		idx := make([]byte, 0, 8*len(cw.offsets)+4)
-		for _, off := range cw.offsets {
-			idx = binary.LittleEndian.AppendUint64(idx, uint64(off))
-		}
-		idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx, castagnoli))
-		if _, err := cw.w.Write(idx); err != nil {
-			cw.f.Close()
-			return err
-		}
-		var foot [colFooterLen]byte
-		binary.LittleEndian.PutUint64(foot[0:], uint64(cw.rows))
-		binary.LittleEndian.PutUint64(foot[8:], uint64(cw.blocks))
-		binary.LittleEndian.PutUint64(foot[16:], uint64(len(idx)))
-		copy(foot[24:], colEndMagic)
-		if _, err := cw.w.Write(foot[:]); err != nil {
-			cw.f.Close()
-			return err
-		}
+	idx := make([]byte, 0, 8*len(cw.offsets)+4)
+	for _, off := range cw.offsets {
+		idx = binary.LittleEndian.AppendUint64(idx, uint64(off))
+	}
+	idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx, castagnoli))
+	var foot [colFooterLen]byte
+	binary.LittleEndian.PutUint64(foot[0:], uint64(cw.rows))
+	binary.LittleEndian.PutUint64(foot[8:], uint64(cw.blocks))
+	binary.LittleEndian.PutUint64(foot[16:], uint64(len(idx)))
+	copy(foot[24:], colEndMagic)
+	if _, err := cw.w.Write(append(idx, foot[:]...)); err != nil {
+		cw.f.Close()
+		return err
 	}
 	if err := cw.w.Flush(); err != nil {
 		cw.f.Close()
@@ -623,42 +596,23 @@ type ColOptions struct {
 	Retry RetryPolicy
 	// Recorder, when non-nil, receives retry accounting.
 	Recorder FaultRecorder
-	// Pipeline configures the asynchronous prefetch/decode pipeline used
-	// by ScanChunks. The zero value selects the defaults (see
-	// PipelineConfig); Depth < 0 decodes synchronously in the caller.
-	Pipeline PipelineConfig
-}
-
-// colIndex lazily holds the per-block offset table of one file, shared
-// by the full-file source and every Range view derived from it so the
-// load (footer-region read for version 2, header walk for version 1)
-// happens at most once per OpenColFile.
-type colIndex struct {
-	once    sync.Once
-	offsets []int64 // len blocks+1; [i] = offset of block i's length prefix, [blocks] = end of block region
-	err     error
 }
 
 // ColSource is a Source backed by a columnar block file created by
-// ColFileWriter. Every scan opens a fresh sequential pass over the file
-// — or, for a Range view, over its contiguous run of blocks.
+// ColFileWriter. Every scan opens a fresh sequential pass over the whole
+// file behind the prefetch/decode pipeline.
 type ColSource struct {
 	path      string
 	schema    *Schema
-	version   byte
 	blockRows int
 	headerLen int64
-	dataLen   int64 // bytes of the block region (between header and index/footer)
-	indexLen  int64 // bytes of the offset index (0 for version-1 files)
-	count     int64 // rows in [lo, hi)
-	blocks    int64 // blocks in the whole file
-	lo, hi    int64 // the view's block range (full file: [0, blocks))
-	idx       *colIndex
+	dataLen   int64 // bytes of the block region (between header and index)
+	count     int64
+	blocks    int64
 
 	fsys  FS
 	retry RetryPolicy
 	rec   FaultRecorder
-	pipe  PipelineConfig
 }
 
 // OpenColFile opens a columnar dataset file, validating its header and
@@ -686,8 +640,7 @@ func OpenColFile(path string, opts ...ColOptions) (*ColSource, error) {
 	if _, err := io.ReadFull(br, fixed[:]); err != nil {
 		return nil, fmt.Errorf("data: %s: reading header: %w", path, err)
 	}
-	version := fixed[0]
-	if version != colVersion && version != colVersion1 {
+	if version := fixed[0]; version != colVersion {
 		return nil, fmt.Errorf("data: %s: unsupported columnar version %d", path, version)
 	}
 	blockRows := int(binary.LittleEndian.Uint32(fixed[2:]))
@@ -711,30 +664,23 @@ func OpenColFile(path string, opts ...ColOptions) (*ColSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	footerLen := int64(colFooterLen)
-	if version == colVersion1 {
-		footerLen = colFooterV1Len
-	}
-	if st.Size() < headerLen+footerLen {
+	if st.Size() < headerLen+colFooterLen {
 		return nil, fmt.Errorf("%w: %s: no footer", ErrColTruncated, path)
 	}
-	foot := make([]byte, footerLen)
-	if _, err := f.ReadAt(foot, st.Size()-footerLen); err != nil {
+	var foot [colFooterLen]byte
+	if _, err := f.ReadAt(foot[:], st.Size()-colFooterLen); err != nil {
 		return nil, fmt.Errorf("data: %s: reading footer: %w", path, err)
 	}
-	if string(foot[footerLen-8:]) != colEndMagic {
+	if string(foot[colFooterLen-8:]) != colEndMagic {
 		return nil, fmt.Errorf("%w: %s: footer magic missing (partial write?)", ErrColTruncated, path)
 	}
 	count := int64(binary.LittleEndian.Uint64(foot[0:]))
 	blocks := int64(binary.LittleEndian.Uint64(foot[8:]))
-	var indexLen int64
-	if version != colVersion1 {
-		indexLen = int64(binary.LittleEndian.Uint64(foot[16:]))
-		if indexLen != 8*blocks+4 || st.Size() < headerLen+indexLen+footerLen {
-			return nil, fmt.Errorf("%w: %s: offset index inconsistent with footer", ErrColTruncated, path)
-		}
+	indexLen := int64(binary.LittleEndian.Uint64(foot[16:]))
+	if indexLen != 8*blocks+4 || st.Size() < headerLen+indexLen+colFooterLen {
+		return nil, fmt.Errorf("%w: %s: offset index inconsistent with footer", ErrColTruncated, path)
 	}
-	dataLen := st.Size() - headerLen - indexLen - footerLen
+	dataLen := st.Size() - headerLen - indexLen - colFooterLen
 	if count < 0 || blocks < 0 || (blocks == 0) != (dataLen == 0) ||
 		(blocks > 0 && count > blocks*int64(blockRows)) {
 		return nil, fmt.Errorf("%w: %s: footer inconsistent with file size", ErrColTruncated, path)
@@ -742,140 +688,15 @@ func OpenColFile(path string, opts ...ColOptions) (*ColSource, error) {
 	return &ColSource{
 		path:      path,
 		schema:    schema,
-		version:   version,
 		blockRows: blockRows,
 		headerLen: headerLen,
 		dataLen:   dataLen,
-		indexLen:  indexLen,
 		count:     count,
 		blocks:    blocks,
-		lo:        0,
-		hi:        blocks,
-		idx:       &colIndex{},
 		fsys:      fsOrDefault(o.FS),
 		retry:     o.Retry,
 		rec:       o.Recorder,
-		pipe:      o.Pipeline,
 	}, nil
-}
-
-// OpenColRange opens a columnar dataset file restricted to the blocks
-// [blockLo, blockHi) — a contiguous slice of the file. The view
-// scans only its byte range of the file and reports the exact row count
-// of its blocks.
-func OpenColRange(path string, blockLo, blockHi int64, opts ...ColOptions) (*ColSource, error) {
-	s, err := OpenColFile(path, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Range(blockLo, blockHi)
-}
-
-// Range returns a view of the source restricted to blocks [lo, hi) of
-// the file (absolute block indexes). Views share the parent's lazily
-// loaded offset index; deriving a range of a range is not supported.
-func (s *ColSource) Range(lo, hi int64) (*ColSource, error) {
-	if s.lo != 0 || s.hi != s.blocks {
-		return nil, fmt.Errorf("data: %s: range of a range view", s.path)
-	}
-	if lo < 0 || hi > s.blocks || lo > hi {
-		return nil, fmt.Errorf("data: %s: block range [%d,%d) outside [0,%d)", s.path, lo, hi, s.blocks)
-	}
-	r := *s
-	r.lo, r.hi = lo, hi
-	r.count = s.rowsInBlocks(lo, hi)
-	return &r, nil
-}
-
-// rowsInBlocks computes the exact row count of blocks [lo, hi): the
-// writer only flushes full blocks mid-stream, so every block except the
-// file's last holds exactly blockRows rows.
-func (s *ColSource) rowsInBlocks(lo, hi int64) int64 {
-	if lo >= hi {
-		return 0
-	}
-	n := (hi - lo) * int64(s.blockRows)
-	if hi == s.blocks {
-		n += s.count - s.blocks*int64(s.blockRows) // last block's shortfall (<= 0)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// BlockOffsets returns the file-absolute offset of every block's length
-// prefix plus a final sentinel (the end of the block region) — blocks+1
-// entries. Version-2 files read the footer-region index (CRC-checked);
-// version-1 files derive it by a one-pass walk of the block length
-// prefixes. The result is computed once and shared with every Range
-// view. Like the header and footer, the index is metadata and is read
-// directly, not through the injected FS.
-func (s *ColSource) BlockOffsets() ([]int64, error) {
-	s.idx.once.Do(func() {
-		s.idx.offsets, s.idx.err = s.loadBlockOffsets()
-	})
-	return s.idx.offsets, s.idx.err
-}
-
-func (s *ColSource) loadBlockOffsets() ([]int64, error) {
-	end := s.headerLen + s.dataLen
-	offsets := make([]int64, 0, s.blocks+1)
-	if s.version != colVersion1 {
-		f, err := os.Open(s.path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		idx := make([]byte, s.indexLen)
-		if _, err := f.ReadAt(idx, end); err != nil {
-			return nil, fmt.Errorf("%w: %s: reading offset index: %v", ErrColTruncated, s.path, err)
-		}
-		body, tail := idx[:len(idx)-4], idx[len(idx)-4:]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-			return nil, fmt.Errorf("%w: %s: offset index", ErrColChecksum, s.path)
-		}
-		prev := int64(0)
-		for i := int64(0); i < s.blocks; i++ {
-			off := int64(binary.LittleEndian.Uint64(body[8*i:]))
-			if off < s.headerLen || off <= prev && i > 0 || off+8 > end {
-				return nil, fmt.Errorf("%w: %s: offset index entry %d out of order", ErrColTruncated, s.path, i)
-			}
-			if i == 0 && off != s.headerLen {
-				return nil, fmt.Errorf("%w: %s: offset index does not start at the first block", ErrColTruncated, s.path)
-			}
-			offsets = append(offsets, off)
-			prev = off
-		}
-		return append(offsets, end), nil
-	}
-	// Version 1: walk the length prefixes. 4 bytes per block via ReadAt —
-	// a metadata pass, not a data scan.
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var pre [4]byte
-	off := s.headerLen
-	for i := int64(0); i < s.blocks; i++ {
-		if off+8 > end {
-			return nil, fmt.Errorf("%w: %s: block %d past end of block region", ErrColTruncated, s.path, i)
-		}
-		if _, err := f.ReadAt(pre[:], off); err != nil {
-			return nil, fmt.Errorf("%w: %s: walking block %d: %v", ErrColTruncated, s.path, i, err)
-		}
-		bodyLen := int64(binary.LittleEndian.Uint32(pre[:]))
-		if bodyLen == 0 || bodyLen > maxColBlockBody || off+4+bodyLen+4 > end {
-			return nil, fmt.Errorf("%w: %s: walking block %d: implausible length %d", ErrColTruncated, s.path, i, bodyLen)
-		}
-		offsets = append(offsets, off)
-		off += 4 + bodyLen + 4
-	}
-	if off != end {
-		return nil, fmt.Errorf("%w: %s: %d bytes of slack after the last block", ErrColTruncated, s.path, end-off)
-	}
-	return append(offsets, end), nil
 }
 
 // Path returns the backing file path.
@@ -884,16 +705,11 @@ func (s *ColSource) Path() string { return s.path }
 // BlockRows returns the file's block row capacity.
 func (s *ColSource) BlockRows() int { return s.blockRows }
 
-// Blocks returns the number of blocks the view scans (the whole file
-// for a source returned by OpenColFile, the range for a Range view).
-func (s *ColSource) Blocks() int64 { return s.hi - s.lo }
-
-// BlockRange returns the view's block range [lo, hi) in absolute file
-// block indexes.
-func (s *ColSource) BlockRange() (lo, hi int64) { return s.lo, s.hi }
+// Blocks returns the number of blocks in the file.
+func (s *ColSource) Blocks() int64 { return s.blocks }
 
 // SizeBytes returns the encoded size of the block region (physical
-// payload bytes, excluding header and footer).
+// payload bytes, excluding header, index and footer).
 func (s *ColSource) SizeBytes() int64 { return s.dataLen }
 
 // Schema implements Source.
@@ -918,66 +734,34 @@ func (s *ColSource) Scan() (Scanner, error) {
 	return sc, nil
 }
 
-// ScanChunks implements ChunkedSource using the source's configured
-// pipeline (asynchronous prefetch + parallel decode by default).
+// ScanChunks implements ChunkedSource: a whole-file scan behind the
+// prefetch/decode pipeline.
 func (s *ColSource) ScanChunks() (ChunkScanner, error) {
-	return s.ScanChunksPipeline(s.pipe)
+	return s.ScanChunksPipeline(nil)
 }
 
-// ScanChunksPipeline begins a chunked scan with an explicit pipeline
-// configuration, overriding the source's own. cfg.Depth < 0 selects the
-// synchronous reader.
-func (s *ColSource) ScanChunksPipeline(cfg PipelineConfig) (ChunkScanner, error) {
-	cfg = cfg.normalized()
+// ScanChunksPipeline implements PipelinedChunkSource: ScanChunks with obs
+// (nil ok) receiving the pipeline's live readings.
+func (s *ColSource) ScanChunksPipeline(obs PipelineObserver) (ChunkScanner, error) {
+	return s.scanPipeline(pipelineDepth, decodeWorkers(), obs)
+}
+
+// scanPipeline is ScanChunksPipeline at an explicit depth and decode
+// worker count, which tests sweep; the tuple stream is the same at every
+// setting.
+func (s *ColSource) scanPipeline(depth, workers int, obs PipelineObserver) (ChunkScanner, error) {
 	br, err := s.openBlockReader()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Depth <= 0 {
-		return &colChunkScanner{
-			src:   s,
-			br:    br,
-			dec:   NewChunk(len(s.schema.Attributes), s.blockRows),
-			zones: make([]ColZone, len(s.schema.Attributes)),
-			block: s.lo,
-		}, nil
-	}
-	return newColPipeline(s, br, cfg), nil
+	return newColPipeline(s, br, depth, workers, obs), nil
 }
 
-// ScanChunkRange begins a chunked scan of blocks [lo, hi) under cfg, with
-// a private reader and pipeline. The scans of any partition of the file's
-// blocks into contiguous ranges together deliver exactly the full scan's
-// rows, in file order within each range. Failures to set the range scan up
-// (index load, open) are wrapped in a *BlockError locating the range's
-// first block, so every range-scan failure is typed block-level.
-func (s *ColSource) ScanChunkRange(lo, hi int64, cfg PipelineConfig) (ChunkScanner, error) {
-	r, err := s.Range(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := r.ScanChunksPipeline(cfg)
-	if err != nil {
-		return nil, &BlockError{Path: s.path, Block: lo, Err: err}
-	}
-	return sc, nil
-}
-
-// openBlockReader opens a fresh pass positioned at the view's first
-// block, retrying transient open faults. Full-file views start right
-// after the header; Range views resolve their start offset through the
-// block index and seek to it when the filesystem supports seeking,
-// falling back to read-and-discard otherwise (injected test filesystems
-// are plain readers).
+// openBlockReader opens a fresh pass positioned at the first block,
+// retrying transient open faults. It seeks past the header when the
+// filesystem supports seeking and reads and discards it otherwise
+// (injected test filesystems are plain readers).
 func (s *ColSource) openBlockReader() (*blockReader, error) {
-	start, length := s.headerLen, s.dataLen
-	if s.lo != 0 || s.hi != s.blocks {
-		offs, err := s.BlockOffsets()
-		if err != nil {
-			return nil, err
-		}
-		start, length = offs[s.lo], offs[s.hi]-offs[s.lo]
-	}
 	var rc io.ReadCloser
 	err := s.retry.Do(s.rec, func() error {
 		var err error
@@ -992,20 +776,16 @@ func (s *ColSource) openBlockReader() (*blockReader, error) {
 		path:      s.path,
 		retry:     s.retry.withDefaults(),
 		rec:       s.rec,
-		remBlocks: s.hi - s.lo,
-		remBytes:  length,
-		block:     s.lo,
+		remBlocks: s.blocks,
+		remBytes:  s.dataLen,
+		r:         bufio.NewReaderSize(rc, 1<<20),
 	}
 	if sk, ok := rc.(io.Seeker); ok {
-		if _, err := sk.Seek(start, io.SeekStart); err != nil {
-			rc.Close()
-			return nil, err
-		}
-		br.r = bufio.NewReaderSize(rc, 1<<20)
-		return br, nil
+		_, err = sk.Seek(s.headerLen, io.SeekStart)
+	} else {
+		err = br.discard(s.headerLen)
 	}
-	br.r = bufio.NewReaderSize(rc, 1<<20)
-	if err := br.discard(start); err != nil {
+	if err != nil {
 		br.Close()
 		return nil, err
 	}
@@ -1088,9 +868,15 @@ func (b *blockReader) discard(n int64) error {
 }
 
 // readRawBlock reads the next block's body+CRC into buf (grown as
-// needed), returning io.EOF after the last block.
+// needed), returning io.EOF after the footer's last block — or, when the
+// blocks do not fill the block region exactly, a *BlockError wrapping
+// ErrColTruncated.
 func (b *blockReader) readRawBlock(buf []byte) ([]byte, error) {
 	if b.remBlocks <= 0 {
+		if b.remBytes != 0 {
+			return nil, &BlockError{Path: b.path, Block: b.block,
+				Err: fmt.Errorf("%w: %d bytes after the footer's last block", ErrColTruncated, b.remBytes)}
+		}
 		return nil, io.EOF
 	}
 	var pre [4]byte
@@ -1127,75 +913,6 @@ func (b *blockReader) Close() error {
 	b.rc = nil
 	return err
 }
-
-// ---------------------------------------------------------------------------
-// Synchronous scanner
-
-// colChunkScanner decodes blocks inline with the consumer — the Depth < 0
-// baseline the pipeline is benchmarked against, and the path used when
-// the pipeline is explicitly disabled.
-type colChunkScanner struct {
-	src   *ColSource
-	br    *blockReader
-	raw   []byte
-	dec   *Chunk
-	zones []ColZone
-	pos   int
-	block int64
-	done  bool
-	err   error
-}
-
-func (s *colChunkScanner) NextChunk(dst *Chunk) error {
-	appended := false
-	for !dst.Full() {
-		if s.pos >= s.dec.Len() {
-			if s.done || s.err != nil {
-				break
-			}
-			raw, err := s.br.readRawBlock(s.raw)
-			if err == io.EOF {
-				s.done = true
-				break
-			}
-			if err != nil {
-				s.err = err
-				break
-			}
-			s.raw = raw
-			s.dec.Reset()
-			if err := s.src.decodeBlock(raw, s.block, s.dec, s.zones); err != nil {
-				s.err = err
-				break
-			}
-			s.block++
-			s.pos = 0
-		}
-		n := dst.Cap() - dst.Len()
-		if rem := s.dec.Len() - s.pos; n > rem {
-			n = rem
-		}
-		prev := dst.Len()
-		dst.AppendFrom(s.dec, s.pos, n)
-		dst.AbsorbZonesFrom(s.dec, prev)
-		s.pos += n
-		appended = true
-	}
-	if !appended {
-		if s.err != nil {
-			return s.err
-		}
-		if s.done {
-			return io.EOF
-		}
-	}
-	return nil
-}
-
-// PhysicalBytesRead implements PhysicalReader.
-func (s *colChunkScanner) PhysicalBytesRead() int64 { return s.br.PhysicalBytesRead() }
-
-func (s *colChunkScanner) Close() error { return s.br.Close() }
 
 // ---------------------------------------------------------------------------
 // Row adapter and format sniffing

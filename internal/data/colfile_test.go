@@ -1,9 +1,12 @@
 package data
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +49,13 @@ func requireSourceTuples(t *testing.T, label string, src Source, want []Tuple) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	requireTuples(t, label, got, want)
+}
+
+// requireTuples fails unless got is want, tuple for tuple (NaN equals
+// NaN).
+func requireTuples(t *testing.T, label string, got, want []Tuple) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d tuples, want %d", label, len(got), len(want))
 	}
@@ -63,8 +73,7 @@ func requireSourceTuples(t *testing.T, label string, src Source, want []Tuple) {
 }
 
 // TestColFileRoundTrip: every tuple written comes back bit-identical, on
-// the row adapter, the synchronous chunked scan and the pipelined scan,
-// including a short final block.
+// the row adapter and the chunked scan, including a short final block.
 func TestColFileRoundTrip(t *testing.T) {
 	tuples := colTestTuples(1000)
 	path := writeColTestFile(t, tuples, 128) // 7 full blocks + 104-row tail
@@ -81,11 +90,15 @@ func TestColFileRoundTrip(t *testing.T) {
 	}
 	requireSourceTuples(t, "row adapter", s, tuples)
 
-	sync, err := OpenColFile(path, ColOptions{Pipeline: PipelineConfig{Depth: -1}})
+	sc, err := s.ScanChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSourceTuples(t, "sync chunked", sync, tuples)
+	got, err := drainChunks(sc, 3, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTuples(t, "chunked", got, tuples)
 }
 
 // TestColFileNaN: NaN values survive the round trip (they force the raw
@@ -171,16 +184,16 @@ func TestColumnEncodings(t *testing.T) {
 	}
 }
 
-// TestColFileZones: chunks delivered by the chunked scans carry zone
-// summaries that exactly bound their rows, merging across blocks when a
-// destination chunk spans more than one.
+// TestColFileZones: chunks delivered by the chunked scan hold the written
+// rows and carry zone summaries that exactly bound them, merging across
+// blocks when a destination chunk spans more than one.
 func TestColFileZones(t *testing.T) {
 	tuples := make([]Tuple, 96) // sorted ages, 3 blocks of 32
 	for i := range tuples {
 		tuples[i] = Tuple{Values: []float64{float64(i), float64(i % 4), 0.5}, Class: 0}
 	}
 	path := writeColTestFile(t, tuples, 32)
-	s, err := OpenColFile(path, ColOptions{Pipeline: PipelineConfig{Depth: -1}})
+	s, err := OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +210,7 @@ func TestColFileZones(t *testing.T) {
 		if err := sc.NextChunk(ch); err != nil {
 			t.Fatal(err)
 		}
+		requireTuples(t, fmt.Sprintf("block %d", b), ch.GatherRows(nil), tuples[32*b:32*b+32])
 		z, ok := ch.Zone(0)
 		if !ok || !z.Valid {
 			t.Fatalf("block %d: no valid zone", b)
@@ -245,8 +259,8 @@ func TestColFileTornFile(t *testing.T) {
 }
 
 // TestColFileChecksumMismatch: a flipped payload byte surfaces as a typed
-// block-located checksum error on both scan paths, after the blocks before
-// it were delivered intact.
+// block-located checksum error at every pipeline depth, after the blocks
+// before it were delivered intact.
 func TestColFileChecksumMismatch(t *testing.T) {
 	tuples := colTestTuples(300)
 	path := writeColTestFile(t, tuples, 128)
@@ -270,29 +284,12 @@ func TestColFileChecksumMismatch(t *testing.T) {
 	}
 	f.Close()
 
-	for _, depth := range []int{-1, 4} {
-		src, err := OpenColFile(path, ColOptions{Pipeline: PipelineConfig{Depth: depth}})
+	for _, depth := range []int{1, pipelineDepth} {
+		sc, err := s.scanPipeline(depth, decodeWorkers(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := src.ScanChunks()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch := NewChunk(3, 128)
-		var rows int
-		var scanErr error
-		for {
-			ch.Reset()
-			if scanErr = sc.NextChunk(ch); scanErr != nil {
-				break
-			}
-			if ch.Len() == 0 {
-				break
-			}
-			rows += ch.Len()
-		}
-		sc.Close()
+		got, scanErr := drainChunks(sc, 3, 128)
 		if !errors.Is(scanErr, ErrColChecksum) {
 			t.Fatalf("depth %d: scan error %v, want ErrColChecksum", depth, scanErr)
 		}
@@ -300,9 +297,104 @@ func TestColFileChecksumMismatch(t *testing.T) {
 		if !errors.As(scanErr, &be) || be.Block != 1 {
 			t.Fatalf("depth %d: error %v, want BlockError at block 1", depth, scanErr)
 		}
-		if rows != 128 {
-			t.Fatalf("depth %d: %d rows before the error, want 128 (block 0 intact)", depth, rows)
+		requireTuples(t, fmt.Sprintf("depth %d: block 0", depth), got, tuples[:128])
+	}
+}
+
+// rewriteFooter overwrites the footer's row count, block count and index
+// length in place, leaving the blocks and the end magic untouched.
+func rewriteFooter(t *testing.T, path string, rows, blocks, indexLen uint64) {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foot [24]byte
+	binary.LittleEndian.PutUint64(foot[0:], rows)
+	binary.LittleEndian.PutUint64(foot[8:], blocks)
+	binary.LittleEndian.PutUint64(foot[16:], indexLen)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(foot[:], st.Size()-colFooterLen); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireFooterMismatch fails unless every scan of path ends in a
+// *BlockError at block wantBlock wrapping ErrColTruncated.
+func requireFooterMismatch(t *testing.T, path string, wantBlock int64) {
+	t.Helper()
+	s, err := OpenColFile(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	var be *BlockError
+	if _, err := ReadAll(s); !errors.Is(err, ErrColTruncated) || !errors.As(err, &be) || be.Block != wantBlock {
+		t.Fatalf("ReadAll error %v, want ErrColTruncated in a BlockError at block %d", err, wantBlock)
+	}
+	sc, err := s.ScanChunks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	ch := NewChunk(len(s.Schema().Attributes), 64)
+	for {
+		ch.Reset()
+		err := sc.NextChunk(ch)
+		if err == nil && ch.Len() > 0 {
+			continue
 		}
+		if !errors.Is(err, ErrColTruncated) || !errors.As(err, &be) || be.Block != wantBlock {
+			t.Fatalf("chunked scan ended with %v, want ErrColTruncated in a BlockError at block %d", err, wantBlock)
+		}
+		return
+	}
+}
+
+// TestColFileFooterRowCountMismatch: a footer that declares fewer rows
+// than its blocks hold still opens (the count fits the block geometry),
+// but every scan fails after the last block instead of delivering rows
+// Count() never promised.
+func TestColFileFooterRowCountMismatch(t *testing.T) {
+	path := writeColTestFile(t, colTestTuples(300), 64) // 5 blocks
+	rewriteFooter(t, path, 290, 5, 8*5+4)
+	s, err := OpenColFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.Count(); n != 290 {
+		t.Fatalf("Count = %d, want the footer's 290", n)
+	}
+	requireFooterMismatch(t, path, 5)
+}
+
+// TestColFileFooterDropsBlock: a footer that declares one block (and its
+// rows) fewer than the file holds, with a matching index length, opens
+// cleanly; every scan must then fail on the unread fifth block instead of
+// silently dropping it.
+func TestColFileFooterDropsBlock(t *testing.T) {
+	path := writeColTestFile(t, colTestTuples(300), 64) // 5 blocks
+	rewriteFooter(t, path, 256, 4, 8*4+4)
+	requireFooterMismatch(t, path, 4)
+}
+
+// TestColFileRejectsVersion1: a file in the retired version-1 layout
+// fails to open with an error naming its version.
+func TestColFileRejectsVersion1(t *testing.T) {
+	path := writeColTestFile(t, colTestTuples(300), 64)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, version1Layout(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenColFile(path)
+	if err == nil || !strings.Contains(err.Error(), "unsupported columnar version 1") {
+		t.Fatalf("open of a version-1 file = %v, want an unsupported-version error", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,25 +11,17 @@ import (
 	"testing"
 )
 
-// colFuzzSeeds builds the seed corpus for FuzzColFileOpen: well-formed
-// version-1 and version-2 files plus torn and bit-flipped variants, so
-// the mutator starts from inputs that reach deep into the decoder
-// instead of dying at the magic check.
+// colFuzzSeeds builds the seed corpus for FuzzColFileOpen: a well-formed
+// file, the same file in the retired version-1 layout (which must fail to
+// open), and torn and bit-flipped variants, so the mutator starts from
+// inputs that reach deep into the decoder instead of dying at the magic
+// check.
 func colFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	write := func(name string, version byte, n, blockRows int) []byte {
+	write := func(name string, n, blockRows int) []byte {
 		path := filepath.Join(dir, name)
-		cw, err := createColFile(path, colTestSchema(), blockRows, version)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, tu := range colTestTuples(n) {
-			if err := cw.Append(tu); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		if err := cw.Close(); err != nil {
+		if _, err := WriteColFile(path, NewMemSource(colTestSchema(), colTestTuples(n)), blockRows); err != nil {
 			tb.Fatal(err)
 		}
 		raw, err := os.ReadFile(path)
@@ -37,9 +30,8 @@ func colFuzzSeeds(tb testing.TB) [][]byte {
 		}
 		return raw
 	}
-	v2 := write("v2.boatc", colVersion, 300, 64)
-	v1 := write("v1.boatc", colVersion1, 300, 64)
-	seeds := [][]byte{v2, v1, write("tiny.boatc", colVersion, 1, 8)}
+	v2 := write("v2.boatc", 300, 64)
+	seeds := [][]byte{v2, version1Layout(v2), write("tiny.boatc", 1, 8)}
 	// Torn variants: cut mid-header, mid-block, mid-index, mid-footer.
 	for _, cut := range []int{4, 40, len(v2) / 2, len(v2) - 40, len(v2) - 9, len(v2) - 1} {
 		if cut > 0 && cut < len(v2) {
@@ -56,6 +48,18 @@ func colFuzzSeeds(tb testing.TB) [][]byte {
 	}
 	seeds = append(seeds, []byte(colMagic), []byte("BOATCOLFxxxxxx"), nil)
 	return seeds
+}
+
+// version1Layout rewrites a well-formed version-2 file into the retired
+// version-1 layout: version byte 1, the same header and blocks, no offset
+// index, and a 24-byte footer of row count, block count and end magic.
+func version1Layout(v2 []byte) []byte {
+	foot := v2[len(v2)-colFooterLen:]
+	indexLen := int(binary.LittleEndian.Uint64(foot[16:]))
+	v1 := append([]byte(nil), v2[:len(v2)-colFooterLen-indexLen]...)
+	v1[len(colMagic)] = 1
+	v1 = append(v1, foot[:16]...)
+	return append(v1, colEndMagic...)
 }
 
 // fuzzScanAll drains one chunked scan, enforcing the post-open error
@@ -88,12 +92,11 @@ func fuzzScanAll(t *testing.T, label string, csc ChunkScanner, width, blockRows 
 	}
 }
 
-// FuzzColFileOpen feeds arbitrary bytes through OpenColFile and every
-// scan path (synchronous, pipelined, and a two-way block-range split).
-// Opening may fail with any descriptive error; once open succeeds, the
-// invariants are: scans terminate, post-open failures are typed
-// *BlockError values, and every scan path that completes sees the same
-// number of rows.
+// FuzzColFileOpen feeds arbitrary bytes through OpenColFile and one
+// whole-file scan. Opening may fail with any descriptive error; once open
+// succeeds, the invariants are: the scan terminates, post-open failures
+// are typed *BlockError values, and a scan that completes delivers
+// exactly Count() rows.
 func FuzzColFileOpen(f *testing.F) {
 	for _, s := range colFuzzSeeds(f) {
 		f.Add(s)
@@ -113,40 +116,13 @@ func FuzzColFileOpen(f *testing.F) {
 		if s.Blocks() < 0 || s.BlockRows() <= 0 {
 			t.Fatalf("open accepted impossible geometry: %d blocks x %d rows", s.Blocks(), s.BlockRows())
 		}
-		width := len(s.Schema().Attributes)
-
-		sync, err := s.ScanChunksPipeline(PipelineConfig{Depth: -1})
-		var syncRows int64
-		syncOK := false
-		if err == nil {
-			syncRows, syncOK = fuzzScanAll(t, "sync", sync, width, s.BlockRows())
+		sc, err := s.ScanChunks()
+		if err != nil {
+			return
 		}
-		piped, err := s.ScanChunksPipeline(PipelineConfig{Depth: 2, Workers: 2})
-		if err == nil {
-			if rows, ok := fuzzScanAll(t, "pipelined", piped, width, s.BlockRows()); ok && syncOK && rows != syncRows {
-				t.Fatalf("pipelined scan saw %d rows, sync saw %d", rows, syncRows)
-			}
-		}
-		// Two-way contiguous split: the union must equal the full scan.
-		mid := s.Blocks() / 2
-		var unionRows int64
-		unionOK := true
-		for _, r := range [][2]int64{{0, mid}, {mid, s.Blocks()}} {
-			csc, err := s.ScanChunkRange(r[0], r[1], PipelineConfig{Depth: -1})
-			if err != nil {
-				var be *BlockError
-				if !errors.As(err, &be) && !errors.Is(err, ErrColTruncated) && !errors.Is(err, ErrColChecksum) {
-					t.Fatalf("range [%d,%d) setup error is untyped: %v", r[0], r[1], err)
-				}
-				unionOK = false
-				continue
-			}
-			rows, ok := fuzzScanAll(t, "range", csc, width, s.BlockRows())
-			unionRows += rows
-			unionOK = unionOK && ok
-		}
-		if syncOK && unionOK && unionRows != syncRows {
-			t.Fatalf("union of block ranges saw %d rows, full scan saw %d", unionRows, syncRows)
+		rows, ok := fuzzScanAll(t, "scan", sc, len(s.Schema().Attributes), s.BlockRows())
+		if count, _ := s.Count(); ok && rows != count {
+			t.Fatalf("completed scan delivered %d rows, Count() = %d", rows, count)
 		}
 	})
 }

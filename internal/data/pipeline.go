@@ -2,6 +2,7 @@ package data
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -9,49 +10,42 @@ import (
 	"time"
 )
 
-// The prefetch pipeline overlaps the three stages the synchronous reader
-// serializes: a reader goroutine issues sequential raw-block reads ahead
-// of the consumer, a pool of decode workers verifies checksums and
-// expands blocks into pooled chunks in parallel, and a bounded ordered
+// The prefetch pipeline is the one reader of a columnar file. It
+// overlaps three stages: a reader goroutine issues sequential raw-block
+// reads ahead of the consumer, a pool of decode workers verifies checksums
+// and expands blocks into pooled chunks in parallel, and a bounded ordered
 // ring delivers the decoded chunks strictly in file order — so the tuple
-// stream (and therefore the tree every scan builds) is bit-identical to
-// the synchronous path at every depth and worker count.
+// stream (and therefore the tree every scan builds) is the file's tuple
+// sequence at every depth and worker count.
 //
-// Backpressure and order both hang off one invariant: at most Depth
+// Backpressure and order both hang off one invariant: at most depth
 // blocks are in flight (reader holds a token per block; the consumer
 // releases it only after the block is fully consumed), so block seq and
-// seq+Depth never coexist and slot seq%Depth is unambiguous. Each slot is
+// seq+depth never coexist and slot seq%depth is unambiguous. Each slot is
 // a 1-buffered channel: workers deposit out of order, the consumer
 // receives in order. Errors and EOF travel the same ordered path as
 // data, so a failure surfaces only after every block before it was
 // delivered. Close tears everything down without leaking goroutines:
 // the reader and workers select on quit at every blocking point.
 
-// DefaultPipelineDepth is the read-ahead (blocks in flight) used when a
-// PipelineConfig leaves Depth zero.
-const DefaultPipelineDepth = 4
+const (
+	// pipelineDepth is the number of blocks in flight (read ahead of the
+	// consumer).
+	pipelineDepth = 4
+	// maxDecodeWorkers caps the decode goroutines at min(4, GOMAXPROCS).
+	maxDecodeWorkers = 4
+)
 
-// PipelineConfig shapes the asynchronous block pipeline of a ColSource
-// scan. The zero value is a valid default configuration.
-type PipelineConfig struct {
-	// Depth is the number of blocks in flight (read ahead of the
-	// consumer). 0 selects DefaultPipelineDepth; negative disables the
-	// pipeline entirely (blocks decode synchronously in the caller).
-	Depth int
-	// Workers is the number of decode goroutines. 0 selects
-	// min(4, GOMAXPROCS).
-	Workers int
-	// Observer, when non-nil, receives a PipelineLive reading each time
-	// the consumer takes a block off the ordered ring — continuous
-	// backpressure telemetry while the scan runs, not just the post-scan
-	// PipelineStats. Called from the consuming goroutine, once per block
-	// (never per row), so implementations stay off the row-hot path.
-	Observer PipelineObserver
+// decodeWorkers returns the decode worker count of every scan.
+func decodeWorkers() int {
+	return min(maxDecodeWorkers, runtime.GOMAXPROCS(0))
 }
 
-// PipelineObserver consumes live pipeline readings (see
-// PipelineConfig.Observer). Implementations must be safe for use from
-// the scan's consuming goroutine and should be cheap — a handful of
+// PipelineObserver receives a PipelineLive reading each time the consumer
+// takes a block off the ordered ring — continuous backpressure telemetry
+// while the scan runs, not just the post-scan PipelineStats. It is called
+// from the consuming goroutine, once per block (never per row), so
+// implementations must be safe there and should be cheap — a handful of
 // atomic stores.
 type PipelineObserver interface {
 	ObservePipeline(PipelineLive)
@@ -63,7 +57,7 @@ type PipelineLive struct {
 	// InFlight is the number of blocks currently admitted by the token
 	// bucket (being read, decoded, parked, or consumed); Ring is how many
 	// decoded blocks sit finished in the ordered ring awaiting the
-	// consumer. InFlight pinned at Depth with an empty Ring means the
+	// consumer. InFlight pinned at the depth with an empty Ring means the
 	// consumer is starved by read/decode; a full Ring means the consumer
 	// is the bottleneck.
 	InFlight int
@@ -73,28 +67,6 @@ type PipelineLive struct {
 	// Read, Decode and Deliver are the cumulative stage times so far
 	// (same meaning as PipelineStats, read mid-flight).
 	Read, Decode, Deliver time.Duration
-}
-
-// normalized resolves defaults and clamps to sane bounds.
-func (c PipelineConfig) normalized() PipelineConfig {
-	switch {
-	case c.Depth < 0:
-		c.Depth = -1
-	case c.Depth == 0:
-		c.Depth = DefaultPipelineDepth
-	case c.Depth > 64:
-		c.Depth = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 4 {
-			c.Workers = 4
-		}
-	}
-	if c.Workers > 32 {
-		c.Workers = 32
-	}
-	return c
 }
 
 // PipelineStats reports what a pipelined scan did: per-stage accumulated
@@ -125,20 +97,20 @@ type PhysicalReader interface {
 	PhysicalBytesRead() int64
 }
 
-// PipelinedChunkSource is implemented by sources whose chunked scan can
-// run behind an explicit pipeline configuration.
+// PipelinedChunkSource is implemented by sources whose chunked scan runs
+// behind the prefetch/decode pipeline and can report live readings.
 type PipelinedChunkSource interface {
 	ChunkedSource
-	ScanChunksPipeline(cfg PipelineConfig) (ChunkScanner, error)
+	ScanChunksPipeline(obs PipelineObserver) (ChunkScanner, error)
 }
 
-// ScanChunksPipelined begins a chunked scan over src under cfg when the
-// source supports pipelining, falling back to the plain chunked scan
-// otherwise. It is the entry point the scan phases of internal/core use,
-// so one Config knob reaches every pipelined source uniformly.
-func ScanChunksPipelined(src Source, cfg PipelineConfig) (ChunkScanner, error) {
+// ScanChunksPipelined begins a chunked scan over src whose pipeline, if
+// the source has one, reports live readings to obs (nil ok); other
+// sources fall back to the plain chunked scan. It is the entry point the
+// scan phases of internal/core use.
+func ScanChunksPipelined(src Source, obs PipelineObserver) (ChunkScanner, error) {
 	if ps, ok := src.(PipelinedChunkSource); ok {
-		return ps.ScanChunksPipeline(cfg)
+		return ps.ScanChunksPipeline(obs)
 	}
 	return ScanChunks(src)
 }
@@ -159,10 +131,11 @@ type pipeItem struct {
 
 // colPipeline is the ChunkScanner backed by the asynchronous pipeline.
 type colPipeline struct {
-	src  *ColSource
-	br   *blockReader
-	cfg  PipelineConfig
-	base int64 // first block of the scanned range (0 for full-file scans)
+	src     *ColSource
+	br      *blockReader
+	depth   int
+	workers int
+	obs     PipelineObserver
 
 	pool    *ChunkPool
 	rawFree chan []byte
@@ -174,6 +147,7 @@ type colPipeline struct {
 
 	// consumer state (single-goroutine)
 	next   int64
+	rows   int64 // rows of the blocks delivered so far
 	cur    *Chunk
 	pos    int
 	done   bool
@@ -192,26 +166,27 @@ type colPipeline struct {
 	decodeNS int64 // accumulated across workers
 }
 
-func newColPipeline(src *ColSource, br *blockReader, cfg PipelineConfig) *colPipeline {
+func newColPipeline(src *ColSource, br *blockReader, depth, workers int, obs PipelineObserver) *colPipeline {
 	p := &colPipeline{
 		src:     src,
 		br:      br,
-		cfg:     cfg,
-		base:    src.lo,
+		depth:   depth,
+		workers: workers,
+		obs:     obs,
 		pool:    NewChunkPool(len(src.schema.Attributes), src.blockRows),
-		rawFree: make(chan []byte, cfg.Depth+cfg.Workers),
-		tokens:  make(chan struct{}, cfg.Depth),
-		jobs:    make(chan pipeJob, cfg.Depth),
-		slots:   make([]chan pipeItem, cfg.Depth),
+		rawFree: make(chan []byte, depth+workers),
+		tokens:  make(chan struct{}, depth),
+		jobs:    make(chan pipeJob, depth),
+		slots:   make([]chan pipeItem, depth),
 		quit:    make(chan struct{}),
 		start:   time.Now(),
 	}
 	for i := range p.slots {
 		p.slots[i] = make(chan pipeItem, 1)
 	}
-	p.wg.Add(1 + cfg.Workers)
+	p.wg.Add(1 + workers)
 	go p.reader()
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
 	return p
@@ -259,7 +234,7 @@ func (p *colPipeline) worker() {
 		if job.err == nil {
 			ch := p.pool.Get()
 			t0 := time.Now()
-			if err := p.src.decodeBlock(job.raw, p.base+job.seq, ch, zones); err != nil {
+			if err := p.src.decodeBlock(job.raw, job.seq, ch, zones); err != nil {
 				p.pool.Put(ch)
 				item.err = err
 			} else {
@@ -274,7 +249,7 @@ func (p *colPipeline) worker() {
 			}
 		}
 		select {
-		case p.slots[job.seq%int64(p.cfg.Depth)] <- item:
+		case p.slots[job.seq%int64(p.depth)] <- item:
 		case <-p.quit:
 			if item.ch != nil {
 				p.pool.Put(item.ch)
@@ -302,20 +277,25 @@ func (p *colPipeline) NextChunk(dst *Chunk) error {
 				break
 			}
 			t0 := time.Now()
-			item := <-p.slots[p.next%int64(p.cfg.Depth)]
+			item := <-p.slots[p.next%int64(p.depth)]
 			p.deliverNS += int64(time.Since(t0))
 			p.next++
 			if item.err != nil {
 				<-p.tokens // the terminal job's token
-				if item.err == io.EOF {
-					p.done = true
-				} else {
+				switch {
+				case item.err != io.EOF:
 					p.err = item.err
+				case p.rows != p.src.count:
+					p.err = &BlockError{Path: p.src.path, Block: p.blocks,
+						Err: fmt.Errorf("%w: blocks hold %d rows, footer declares %d", ErrColTruncated, p.rows, p.src.count)}
+				default:
+					p.done = true
 				}
 				break
 			}
 			p.cur, p.pos = item.ch, 0
 			p.blocks++
+			p.rows += int64(p.cur.Len())
 			p.observe()
 		}
 		n := dst.Cap() - dst.Len()
@@ -342,7 +322,7 @@ func (p *colPipeline) NextChunk(dst *Chunk) error {
 // observe pushes one live backpressure reading to the configured
 // observer. Runs on the consuming goroutine, once per delivered block.
 func (p *colPipeline) observe() {
-	if p.cfg.Observer == nil {
+	if p.obs == nil {
 		return
 	}
 	ring := 0
@@ -352,7 +332,7 @@ func (p *colPipeline) observe() {
 	p.mu.Lock()
 	decode := p.decodeNS
 	p.mu.Unlock()
-	p.cfg.Observer.ObservePipeline(PipelineLive{
+	p.obs.ObservePipeline(PipelineLive{
 		InFlight: len(p.tokens),
 		Ring:     ring,
 		Blocks:   p.blocks,
@@ -390,8 +370,8 @@ func (p *colPipeline) PipelineStats() PipelineStats {
 	p.mu.Unlock()
 	return PipelineStats{
 		Enabled:   true,
-		Depth:     p.cfg.Depth,
-		Workers:   p.cfg.Workers,
+		Depth:     p.depth,
+		Workers:   p.workers,
 		Blocks:    p.blocks,
 		PhysBytes: p.br.PhysicalBytesRead(),
 		Start:     p.start,

@@ -11,8 +11,8 @@ import (
 )
 
 // writePipelineFile materializes n two-attribute tuples into a columnar
-// file with the given block size and returns its path.
-func writePipelineFile(t *testing.T, n, blockRows int) string {
+// file with the given block size and returns its path and the tuples.
+func writePipelineFile(t *testing.T, n, blockRows int) (string, []Tuple) {
 	t.Helper()
 	schema := MustSchema([]Attribute{
 		{Name: "a", Kind: Numeric},
@@ -26,77 +26,74 @@ func writePipelineFile(t *testing.T, n, blockRows int) string {
 	if _, err := WriteColFile(path, NewMemSource(schema, tuples), blockRows); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, tuples
 }
 
-// drainPipeline reads the whole file under cfg and returns the first
-// column's values in delivery order.
-func drainPipeline(t *testing.T, path string, cfg PipelineConfig, chunkRows int) []float64 {
+// pipeShape is one depth x decode-worker setting of the pipeline.
+type pipeShape struct{ depth, workers int }
+
+// pipeShapes is the sweep the determinism and error-ordering tests run,
+// ending with the setting every scan uses.
+var pipeShapes = []pipeShape{
+	{1, 1}, {4, 1}, {4, 4}, {8, 2}, {pipelineDepth, decodeWorkers()},
+}
+
+// drainChunks reads sc to the end in chunks of chunkRows and returns the
+// delivered tuples in order, with the scan's terminal error (nil at EOF).
+func drainChunks(sc ChunkScanner, width, chunkRows int) ([]Tuple, error) {
+	defer sc.Close()
+	ch := NewChunk(width, chunkRows)
+	var out []Tuple
+	for {
+		ch.Reset()
+		err := sc.NextChunk(ch)
+		out = append(out, ch.GatherRows(nil)...)
+		if err == io.EOF || err == nil && ch.Len() == 0 {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+	}
+}
+
+// drainPipeline reads the whole file through a pipeline of the given
+// shape and returns the delivered tuples in order.
+func drainPipeline(t *testing.T, path string, sh pipeShape, obs PipelineObserver, chunkRows int) []Tuple {
 	t.Helper()
 	s, err := OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := s.ScanChunksPipeline(cfg)
+	sc, err := s.scanPipeline(sh.depth, sh.workers, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	ch := NewChunk(2, chunkRows)
-	var out []float64
-	for {
-		ch.Reset()
-		err := sc.NextChunk(ch)
-		out = append(out, ch.Col(0)...)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ch.Len() == 0 {
-			return out
-		}
+	got, err := drainChunks(sc, 2, chunkRows)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return got
 }
 
 // TestPipelineDeterminism is the pipeline's core contract: the delivered
-// tuple stream is bit-identical to the synchronous reader at every depth,
-// worker count and consumer chunk size.
+// tuple stream is the written tuple sequence at every depth, worker count
+// and consumer chunk size.
 func TestPipelineDeterminism(t *testing.T) {
-	const n = 1300
-	path := writePipelineFile(t, n, 64) // 21 blocks, short tail
-	ref := drainPipeline(t, path, PipelineConfig{Depth: -1}, 64)
-	if len(ref) != n {
-		t.Fatalf("reference scan saw %d rows, want %d", len(ref), n)
-	}
-	configs := []PipelineConfig{
-		{Depth: 1, Workers: 1},
-		{Depth: 4, Workers: 1},
-		{Depth: 4, Workers: 4},
-		{Depth: 8, Workers: 2},
-		{}, // defaults
-	}
-	for _, cfg := range configs {
+	path, tuples := writePipelineFile(t, 1300, 64) // 21 blocks, short tail
+	for _, sh := range pipeShapes {
 		for _, chunkRows := range []int{64, 100, 512} {
-			name := fmt.Sprintf("d%d-w%d-c%d", cfg.Depth, cfg.Workers, chunkRows)
-			got := drainPipeline(t, path, cfg, chunkRows)
-			if len(got) != n {
-				t.Fatalf("%s: %d rows, want %d", name, len(got), n)
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("%s: row %d = %v, want %v (delivery out of file order)", name, i, got[i], ref[i])
-				}
-			}
+			name := fmt.Sprintf("d%d-w%d-c%d", sh.depth, sh.workers, chunkRows)
+			requireTuples(t, name, drainPipeline(t, path, sh, nil, chunkRows), tuples)
 		}
 	}
 }
 
 // TestPipelineErrorOrdering: an error in block k surfaces only after every
-// block before k was delivered, on the same ordered path as the data.
+// block before k was delivered, on the same ordered path as the data, at
+// every depth, worker count and consumer chunk size.
 func TestPipelineErrorOrdering(t *testing.T) {
-	path := writePipelineFile(t, 1300, 64)
+	path, tuples := writePipelineFile(t, 1300, 64)
 	s, err := OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -121,37 +118,24 @@ func TestPipelineErrorOrdering(t *testing.T) {
 	}
 	f.Close()
 
-	src, err := OpenColFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := src.ScanChunksPipeline(PipelineConfig{Depth: 4, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	ch := NewChunk(2, 64)
-	rows := 0
-	var scanErr error
-	for {
-		ch.Reset()
-		if scanErr = sc.NextChunk(ch); scanErr != nil {
-			break
+	for _, sh := range pipeShapes {
+		for _, chunkRows := range []int{64, 100, 512} {
+			name := fmt.Sprintf("d%d-w%d-c%d", sh.depth, sh.workers, chunkRows)
+			sc, err := s.scanPipeline(sh.depth, sh.workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, scanErr := drainChunks(sc, 2, chunkRows)
+			if !errors.Is(scanErr, ErrColChecksum) {
+				t.Fatalf("%s: scan error %v, want ErrColChecksum", name, scanErr)
+			}
+			var be *BlockError
+			if !errors.As(scanErr, &be) || be.Block != 5 {
+				t.Fatalf("%s: error %v, want BlockError at block 5", name, scanErr)
+			}
+			// Blocks 0-4 arrive intact and in order before the error.
+			requireTuples(t, name, got, tuples[:5*64])
 		}
-		if ch.Len() == 0 {
-			break
-		}
-		rows += ch.Len()
-	}
-	if !errors.Is(scanErr, ErrColChecksum) {
-		t.Fatalf("scan error %v, want ErrColChecksum", scanErr)
-	}
-	var be *BlockError
-	if !errors.As(scanErr, &be) || be.Block != 5 {
-		t.Fatalf("error %v, want BlockError at block 5", scanErr)
-	}
-	if rows != 5*64 {
-		t.Fatalf("%d rows delivered before the error, want %d (blocks 0-4 intact, in order)", rows, 5*64)
 	}
 }
 
@@ -177,14 +161,14 @@ func requireGoroutinesSettle(t *testing.T, baseline int) {
 // TestPipelineEarlyClose: abandoning a scan mid-stream reclaims the reader
 // and every decode worker, whether or not any chunk was consumed.
 func TestPipelineEarlyClose(t *testing.T) {
-	path := writePipelineFile(t, 2000, 64)
+	path, _ := writePipelineFile(t, 2000, 64)
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		s, err := OpenColFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := s.ScanChunksPipeline(PipelineConfig{Depth: 4, Workers: 4})
+		sc, err := s.scanPipeline(4, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,12 +191,12 @@ func TestPipelineEarlyClose(t *testing.T) {
 // TestPipelineNextAfterClose: a closed pipeline refuses further reads
 // instead of deadlocking on its torn-down ring.
 func TestPipelineNextAfterClose(t *testing.T) {
-	path := writePipelineFile(t, 200, 64)
+	path, _ := writePipelineFile(t, 200, 64)
 	s, err := OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := s.ScanChunksPipeline(PipelineConfig{Depth: 2, Workers: 1})
+	sc, err := s.scanPipeline(2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,16 +208,15 @@ func TestPipelineNextAfterClose(t *testing.T) {
 	}
 }
 
-// TestPipelineStats: a completed pipelined scan reports its configuration
-// and volumes; the synchronous path reports nothing.
+// TestPipelineStats: a completed pipelined scan reports its shape and
+// volumes.
 func TestPipelineStats(t *testing.T) {
-	const n = 1300
-	path := writePipelineFile(t, n, 64)
+	path, _ := writePipelineFile(t, 1300, 64)
 	s, err := OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := s.ScanChunksPipeline(PipelineConfig{Depth: 4, Workers: 2})
+	sc, err := s.scanPipeline(4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +256,29 @@ func TestPipelineStats(t *testing.T) {
 	}
 }
 
+// TestScanChunksDefaultPipeline: every scan of a columnar file runs the
+// pipeline at depth 4 with min(4, GOMAXPROCS) decode workers.
+func TestScanChunksDefaultPipeline(t *testing.T) {
+	path, tuples := writePipelineFile(t, 300, 64)
+	s, err := OpenColFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := s.ScanChunks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drainChunks(sc, 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTuples(t, "default scan", got, tuples)
+	ps := sc.(PipelineReporter).PipelineStats()
+	if want := min(4, runtime.GOMAXPROCS(0)); ps.Depth != 4 || ps.Workers != want {
+		t.Fatalf("default scan ran depth %d with %d workers, want depth 4 with %d", ps.Depth, ps.Workers, want)
+	}
+}
+
 // TestScanChunksPipelinedFallback: sources without a pipeline still scan
 // through the uniform entry point.
 func TestScanChunksPipelinedFallback(t *testing.T) {
@@ -281,7 +287,7 @@ func TestScanChunksPipelinedFallback(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = Tuple{Values: []float64{float64(i)}, Class: i % 2}
 	}
-	sc, err := ScanChunksPipelined(NewMemSource(schema, tuples), PipelineConfig{Depth: 8})
+	sc, err := ScanChunksPipelined(NewMemSource(schema, tuples), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,21 +313,6 @@ func TestScanChunksPipelinedFallback(t *testing.T) {
 	}
 }
 
-// TestPipelineConfigNormalized pins the knob semantics Config documents:
-// zero depth selects the default, negatives mean synchronous, and both
-// axes are clamped.
-func TestPipelineConfigNormalized(t *testing.T) {
-	if got := (PipelineConfig{}).normalized(); got.Depth != DefaultPipelineDepth || got.Workers < 1 {
-		t.Fatalf("zero config normalized to %+v", got)
-	}
-	if got := (PipelineConfig{Depth: -7}).normalized(); got.Depth != -1 {
-		t.Fatalf("negative depth normalized to %d, want -1", got.Depth)
-	}
-	if got := (PipelineConfig{Depth: 1000, Workers: 1000}).normalized(); got.Depth != 64 || got.Workers != 32 {
-		t.Fatalf("oversized config normalized to %+v", got)
-	}
-}
-
 // recordingObserver captures every live backpressure reading the pipeline
 // emits. Readings arrive on the consumer's goroutine (one per delivered
 // block), so no locking is needed here.
@@ -335,22 +326,11 @@ func (r *recordingObserver) ObservePipeline(l PipelineLive) {
 
 // TestPipelineObserver: the observer sees exactly one reading per
 // delivered block, with monotonically increasing block counts and sane
-// gauge values, while the delivered data stays bit-identical.
+// gauge values, while the delivered data stays the written tuples.
 func TestPipelineObserver(t *testing.T) {
-	const n = 1300
-	path := writePipelineFile(t, n, 64) // 21 blocks
-	ref := drainPipeline(t, path, PipelineConfig{Depth: -1}, 64)
-
+	path, tuples := writePipelineFile(t, 1300, 64) // 21 blocks
 	obs := &recordingObserver{}
-	got := drainPipeline(t, path, PipelineConfig{Depth: 4, Workers: 2, Observer: obs}, 64)
-	if len(got) != n {
-		t.Fatalf("observed scan saw %d rows, want %d", len(got), n)
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("observer changed delivery: row %d = %v, want %v", i, got[i], ref[i])
-		}
-	}
+	requireTuples(t, "observed scan", drainPipeline(t, path, pipeShape{4, 2}, obs, 64), tuples)
 	if len(obs.readings) != 21 {
 		t.Fatalf("observer saw %d readings, want one per block (21)", len(obs.readings))
 	}
@@ -380,7 +360,7 @@ func TestPipelineObserverFallback(t *testing.T) {
 		tuples[i] = Tuple{Values: []float64{float64(i)}, Class: 0}
 	}
 	obs := &recordingObserver{}
-	sc, err := ScanChunksPipelined(NewMemSource(schema, tuples), PipelineConfig{Observer: obs})
+	sc, err := ScanChunksPipelined(NewMemSource(schema, tuples), obs)
 	if err != nil {
 		t.Fatal(err)
 	}

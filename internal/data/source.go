@@ -189,88 +189,3 @@ func CountTuples(src Source) (int64, error) {
 // ErrSchemaMismatch is returned when a tuple stream does not match the
 // expected schema.
 var ErrSchemaMismatch = errors.New("data: schema mismatch")
-
-// ConcatSource presents several sources with identical schemas as one
-// logical dataset, scanned back to back. It is used to model a training
-// database combined with newly arrived chunks without materializing the
-// union.
-type ConcatSource struct {
-	schema *Schema
-	parts  []Source
-}
-
-// NewConcatSource validates that all parts share a schema and returns the
-// concatenation. At least one part is required.
-func NewConcatSource(parts ...Source) (*ConcatSource, error) {
-	if len(parts) == 0 {
-		return nil, errors.New("data: concat of zero sources")
-	}
-	s := parts[0].Schema()
-	for _, p := range parts[1:] {
-		if !s.Equal(p.Schema()) {
-			return nil, ErrSchemaMismatch
-		}
-	}
-	return &ConcatSource{schema: s, parts: parts}, nil
-}
-
-// Schema implements Source.
-func (c *ConcatSource) Schema() *Schema { return c.schema }
-
-// Count implements Source.
-func (c *ConcatSource) Count() (int64, bool) {
-	var total int64
-	for _, p := range c.parts {
-		n, ok := p.Count()
-		if !ok {
-			return 0, false
-		}
-		total += n
-	}
-	return total, true
-}
-
-// Scan implements Source.
-func (c *ConcatSource) Scan() (Scanner, error) {
-	return &concatScanner{parts: c.parts}, nil
-}
-
-type concatScanner struct {
-	parts []Source
-	idx   int
-	cur   Scanner
-}
-
-func (s *concatScanner) Next() ([]Tuple, error) {
-	for {
-		if s.cur == nil {
-			if s.idx >= len(s.parts) {
-				return nil, io.EOF
-			}
-			cur, err := s.parts[s.idx].Scan()
-			if err != nil {
-				return nil, err
-			}
-			s.cur = cur
-			s.idx++
-		}
-		batch, err := s.cur.Next()
-		if err == io.EOF {
-			if cerr := s.cur.Close(); cerr != nil {
-				return nil, cerr
-			}
-			s.cur = nil
-			continue
-		}
-		return batch, err
-	}
-}
-
-func (s *concatScanner) Close() error {
-	if s.cur != nil {
-		err := s.cur.Close()
-		s.cur = nil
-		return err
-	}
-	return nil
-}

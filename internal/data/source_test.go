@@ -82,38 +82,6 @@ func TestReadAllDeepCopies(t *testing.T) {
 	}
 }
 
-func TestConcatSource(t *testing.T) {
-	s := twoAttrSchema(t)
-	a := NewMemSource(s, makeTuples(10))
-	b := NewMemSource(s, makeTuples(5))
-	c, err := NewConcatSource(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, ok := c.Count(); !ok || n != 15 {
-		t.Fatalf("Count = %d,%v", n, ok)
-	}
-	var seen int
-	if err := ForEach(c, func(Tuple) error { seen++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 15 {
-		t.Errorf("saw %d, want 15", seen)
-	}
-}
-
-func TestConcatSourceSchemaMismatch(t *testing.T) {
-	a := NewMemSource(twoAttrSchema(t), nil)
-	other := MustSchema([]Attribute{{Name: "z", Kind: Numeric}}, 2)
-	b := NewMemSource(other, nil)
-	if _, err := NewConcatSource(a, b); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("err = %v, want schema mismatch", err)
-	}
-	if _, err := NewConcatSource(); err == nil {
-		t.Error("empty concat should error")
-	}
-}
-
 func TestCountTuplesScansWhenUnknown(t *testing.T) {
 	src := &unknownCountSource{inner: NewMemSource(twoAttrSchema(t), makeTuples(42))}
 	n, err := CountTuples(src)

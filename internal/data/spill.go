@@ -314,28 +314,6 @@ func (sb *SpillBuffer) Append(t Tuple) error {
 	return sb.spill(t)
 }
 
-// AppendChunkRow copies row r of ch into the buffer straight from the
-// chunk columns, without materializing an intermediate Tuple.
-func (sb *SpillBuffer) AppendChunkRow(ch *Chunk, r int) error {
-	if sb.closed {
-		return errors.New("data: append to closed spill buffer")
-	}
-	if ch.Width() != len(sb.schema.Attributes) {
-		return ErrSchemaMismatch
-	}
-	if sb.file == nil && sb.env.Budget.tryAcquire(1) {
-		sb.tail().AppendRowOf(ch, r)
-		sb.memN++
-		return nil
-	}
-	if err := sb.spillCheck(); err != nil {
-		return err
-	}
-	sb.encBuf = encodeChunkRow(sb.encBuf[:0], FormatWide, ch, r)
-	sb.spillEncoded()
-	return nil
-}
-
 // AppendChunkRows copies the chunk rows named by idx (all rows when idx is
 // nil) into the buffer. The in-memory portion is copied column-wise in
 // bulk; whatever the memory budget refuses spills row by row, split at

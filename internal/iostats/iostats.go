@@ -326,11 +326,11 @@ func (t *trackedSource) ScanChunks() (data.ChunkScanner, error) {
 	return t.wrapChunkScanner(sc), nil
 }
 
-// ScanChunksPipeline implements data.PipelinedChunkSource: the pipeline
-// configuration reaches the wrapped source, and the scan is tracked the
-// same way as ScanChunks.
-func (t *trackedSource) ScanChunksPipeline(cfg data.PipelineConfig) (data.ChunkScanner, error) {
-	sc, err := data.ScanChunksPipelined(t.inner, cfg)
+// ScanChunksPipeline implements data.PipelinedChunkSource: the observer
+// reaches the wrapped source's pipeline, and the scan is tracked the same
+// way as ScanChunks.
+func (t *trackedSource) ScanChunksPipeline(obs data.PipelineObserver) (data.ChunkScanner, error) {
+	sc, err := data.ScanChunksPipelined(t.inner, obs)
 	if err != nil {
 		return nil, err
 	}

@@ -100,7 +100,7 @@ func TestCompileSingleLeaf(t *testing.T) {
 	out := make([]int, 3)
 	ch := data.NewChunk(2, 3)
 	for i := 0; i < 3; i++ {
-		ch.AppendRow([]float64{float64(i), 0}, 0)
+		ch.AppendTuple(data.Tuple{Values: []float64{float64(i), 0}})
 	}
 	f.ClassifyChunk(ch, out)
 	for i, l := range out {
@@ -266,7 +266,7 @@ func TestClassifyChunkScratchAllocs(t *testing.T) {
 	ch := data.NewChunk(2, 256)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 256; i++ {
-		ch.AppendRow([]float64{rng.Float64() * 80, float64(rng.Intn(4))}, 0)
+		ch.AppendTuple(data.Tuple{Values: []float64{rng.Float64() * 80, float64(rng.Intn(4))}})
 	}
 	out := make([]int, 256)
 	sc := NewClassifyScratch()

@@ -147,15 +147,14 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 		"parallelism", cfg.workers(), "method", cfg.Method.Name())
 
 	tracked := iostats.Tracked(src, cfg.Stats)
-	rng := cfg.newRNG()
 
 	// Sampling phase (scan 1): sample D', bootstrap, coarse criteria.
 	sampleSpan := buildSpan.Start("sampling")
-	sample, err := data.ReservoirSample(tracked, cfg.SampleSize, rng)
+	sample, err := t.drawSample(tracked)
 	sampleSpan.SetAttr("sample_size", len(sample))
 	sampleSpan.End()
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling phase: %w", err)
+		return nil, err
 	}
 	t.buildStats.SampleSize = len(sample)
 	root, err := t.buildFromSample(tracked, sample, n, 0, 0, buildSpan)
@@ -170,6 +169,22 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 		"failed_nodes", bs.FailedNodes, "stuck_tuples", bs.StuckTuples,
 		"frontier_rebuilds", bs.FrontierRebuilds)
 	return t, nil
+}
+
+// drawSample is scan 1: a reservoir sample of src. Bootstrap indexes its
+// count tables with the sampled codes and classes, so every sampled tuple
+// must pass the domain rule of the chunk router (checkTuple) first.
+func (t *Tree) drawSample(src data.Source) ([]data.Tuple, error) {
+	sample, err := data.ReservoirSample(src, t.cfg.SampleSize, t.cfg.newRNG())
+	if err != nil {
+		return nil, fmt.Errorf("core: sampling phase: %w", err)
+	}
+	for _, tp := range sample {
+		if err := t.checkTuple(tp); err != nil {
+			return nil, fmt.Errorf("core: sampling phase: %w", err)
+		}
+	}
+	return sample, nil
 }
 
 // buildFromSample runs the sampling phase (given the already-drawn

@@ -133,11 +133,13 @@ type Config struct {
 
 	// Parallelism is the number of worker goroutines used by bootstrap-tree
 	// growth, the completion of independent leaves (and frontier rebuilds)
-	// after top-down processing, and the forked subtree descents of
-	// Insert/Delete. 0 selects runtime.GOMAXPROCS(0); 1 runs every phase
-	// sequentially in-line. The resulting tree is identical at every
-	// setting: per-tree bootstrap RNGs are derived from Seed + treeIndex,
-	// and the concurrent phases work on disjoint subtrees.
+	// after top-down processing, and the forked subtree descents of the
+	// chunk router that runs the cleanup scan and Insert/Delete. 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs every phase sequentially in-line. The
+	// resulting tree is identical at every setting: per-tree bootstrap RNGs
+	// are derived from Seed + treeIndex, the concurrent phases work on
+	// disjoint subtrees, and every buffer receives its tuples in stream
+	// order.
 	Parallelism int
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/boatml/boat/internal/data"
@@ -82,42 +81,13 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 		})
 	} else {
 		routeSpan.SetAttr("mode", "chunked")
-		rows := t.cfg.chunkRows()
 		if t.updScratch == nil {
-			t.updScratch = newRouteScratch(rows)
+			t.updScratch = newRouteScratch(t.cfg.chunkRows())
 		}
-		// The chunk stream runs behind the same prefetch/decode pipeline as
-		// the cleanup scan (falling back to the plain chunked scan for
-		// non-columnar sources), and its stage report lands in the route
-		// span and the pipeline.* registry counters — the update router's
-		// reads are as observable as the build's.
-		var csc data.ChunkScanner
-		csc, err = data.ScanChunksPipelined(tracked, t.pipelineObserver())
-		if err == nil {
-			ch := data.NewChunk(len(t.schema.Attributes), rows)
-			for err == nil {
-				ch.Reset()
-				nerr := csc.NextChunk(ch)
-				if nerr == io.EOF {
-					break
-				}
-				if nerr != nil {
-					err = nerr
-					break
-				}
-				if ch.Len() == 0 {
-					continue
-				}
-				upd.TuplesSeen += int64(ch.Len())
-				upd.Chunks++
-				err = t.runUpdateChunk(ch, t.updScratch, w)
-			}
-			if cerr := csc.Close(); err == nil {
-				err = cerr
-			}
-			attachPipelineSpans(routeSpan, csc)
-			t.recordPipelineStats(csc)
-		}
+		r := t.newChunkRouter(w)
+		err = t.stream(r, tracked, t.root, t.updScratch, routeSpan)
+		upd.TuplesSeen, upd.Chunks = r.tuples, r.chunks
+		t.met.updBlocksSkipped.Add(r.skips.Load())
 	}
 	routeSpan.SetAttr("tuples", upd.TuplesSeen)
 	routeSpan.SetAttr("chunks", upd.Chunks)

@@ -17,9 +17,10 @@ type metricSet struct {
 	ciHit, ciMiss                                                  *obs.Counter
 	failNoCandidate, failBetterCat, failBound, failTie, failMoment *obs.Counter
 
-	// Cleanup scan. blocksSkipped counts whole chunks the scan router
-	// descended by zone map alone (partition kernel bypassed);
-	// updBlocksSkipped is its streaming-update twin.
+	// Cleanup scan. blocksSkipped counts the nodes at which the chunk
+	// router descended a whole batch by zone map alone (partition kernel
+	// bypassed) during cleanup scans; updBlocksSkipped counts them during
+	// Insert/Delete.
 	scanTuples       *obs.Counter
 	stuckTuples      *obs.Counter
 	stuckPerNode     *obs.Histogram

@@ -19,7 +19,8 @@ const (
 	// ScanModeRow is the row-at-a-time baseline: one root-to-stick
 	// descent per tuple.
 	ScanModeRow ScanMode = "row"
-	// ScanModeChunk is the level-synchronous columnar scan the build runs.
+	// ScanModeChunk is the columnar scan the build runs: the chunk router
+	// of Insert/Delete at weight +1.
 	ScanModeChunk ScanMode = "chunk"
 )
 
@@ -77,9 +78,9 @@ func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 		return nil, fmt.Errorf("core: unsupported method %q", cfg.Method.Name())
 	}
 	tracked := iostats.Tracked(src, cfg.Stats)
-	sample, err := data.ReservoirSample(tracked, cfg.SampleSize, cfg.newRNG())
+	sample, err := t.drawSample(tracked)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling phase: %w", err)
+		return nil, err
 	}
 	bcfg := bootstrap.Config{
 		Trees:         cfg.BootstrapTrees,
@@ -102,19 +103,13 @@ func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 func (b *ScanBench) Reset() error { return resetScanState(b.root) }
 
 // RunOnce performs one cleanup scan in the given mode over a skeleton
-// that must be freshly built or Reset, returning the tuples seen. The
-// chunked mode includes the post-scan count derivation, exactly as a
-// Build-driven scan does.
+// that must be freshly built or Reset, returning the tuples seen.
 func (b *ScanBench) RunOnce(mode ScanMode) (int64, error) {
 	switch mode {
 	case ScanModeRow:
 		return b.tree.rowScan(b.src, b.root)
 	case ScanModeChunk:
-		seen, err := b.tree.scanPass(b.src, b.root, nil)
-		if err == nil {
-			deriveRoutingCounts(b.root)
-		}
-		return seen, err
+		return b.tree.scanPass(b.src, b.root, nil)
 	}
 	return 0, fmt.Errorf("core: unknown scan mode %q", mode)
 }

@@ -1,65 +1,82 @@
 package core
 
 import (
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
 	"github.com/boatml/boat/internal/data"
+	"github.com/boatml/boat/internal/obs"
 )
 
-// The streaming-update router is the incremental-maintenance twin of the
-// cleanup scan's chunk router (scan.go): Insert and Delete stream their
-// chunk down the tree level-synchronously over columnar batches instead of
-// one root-to-stick descent per tuple. Each node applies the signed batch
-// kernels (CatAVC.AddBatchW, Histogram.AddBatchW, Moments.AddChunkW with
-// weight +1 for inserts, -1 for deletes), partitions the batch three ways
-// by its coarse criterion, and recurses with the partition's index sets.
+// The chunk router streams columnar batches down the tree with a signed
+// weight w: +1 for the cleanup scan (scan.go) and Insert, -1 for Delete.
+// The paper streams an inserted or deleted chunk "exactly as in the
+// cleanup phase", so one router serves all three. It descends
+// level-synchronously instead of once per tuple: each node applies the
+// signed batch kernels (CatAVC.AddBatch, Histogram.AddBatch,
+// Moments.AddChunk), partitions the batch three ways by its coarse
+// criterion, and recurses with the partition's index sets. Each kernel's
+// working set (one attribute column plus one statistic) stays hot across
+// thousands of rows, and the steady state is allocation-free: chunks are
+// reused, index batches live in per-depth scratch buffers, and stuck and
+// leaf rows are copied into the buffers' slab arenas.
 //
-// Unlike the build-time router, which defers internal-node class counting
-// to deriveRoutingCounts (valid only once, after a full scan against a
-// fresh skeleton), the update router counts eagerly: updates are deltas on
-// top of live statistics, so every counter a tuple's root-to-stick path
-// touches in Tree.route is applied here, weighted, from the batch. The two
-// paths are exactly equivalent — all statistics are signed integer counts,
-// and the buffers receive their rows per node in stream order either way —
-// which TestUpdateChunkedMatchesRow pins down.
+// Every counter a tuple's root-to-stick path touches in Tree.route is
+// applied here, weighted, from the batch. All statistics are signed
+// integer counts and the buffers receive their rows per node in stream
+// order, so the router and the per-tuple oracle leave identical state,
+// which TestUpdateChunkedMatchesRow and TestScanModesAgree pin down.
 //
 // Concurrency: disjoint subtrees share no mutable state (each node's
 // counters, statistics, and buffers are touched only while routing through
 // that node), so once a batch is partitioned the two children can be
-// updated concurrently. updateRun forks the larger descents onto worker
+// routed concurrently. The router forks the larger descents onto worker
 // goroutines up to Config.Parallelism, each with its own partition
 // scratch; the shared substrate (the memory budget, iostats, the metrics
-// registry) is internally synchronized. The resulting tree is identical
+// registry) is internally synchronized. The resulting state is identical
 // at every Parallelism setting: every per-node mutation is performed by
 // the single worker that owns that subtree for the batch, in the same
 // order as the sequential descent. A barrier at the end of each batch
-// (wait in run) keeps cross-batch ordering intact.
+// (route) keeps cross-batch ordering intact, so every buffer receives its
+// rows in stream order.
 
 // forkMinRows is the smallest index set worth a goroutine handoff: below
 // this, partition fan-out and scratch handling cost more than they save.
 const forkMinRows = 1024
 
-// updateRun carries one batch's descent: the signed weight, the worker
+// chunkRouter carries one stream's descent: the signed weight, the worker
 // token bucket (nil when sequential), the scratch pool for forked
-// descents, and first-error collection.
-type updateRun struct {
-	w       int64
-	sem     chan struct{}
-	scratch sync.Pool
-	wg      sync.WaitGroup
-
-	// zoneSkip enables zone-map batch skipping; skips counts the nodes at
-	// which a whole batch was routed by zone alone (atomic: forked
-	// descents skip concurrently).
+// descents, first-error collection, and what the stream routed.
+type chunkRouter struct {
+	w        int64
 	zoneSkip bool
-	skips    atomic.Int64
+	sem      chan struct{}
+	scratch  sync.Pool
+	wg       sync.WaitGroup
+
+	// tuples and chunks count what the stream routed; skips counts the
+	// nodes at which a whole batch was routed by zone map alone (atomic:
+	// forked descents skip concurrently).
+	tuples, chunks int64
+	skips          atomic.Int64
 
 	mu  sync.Mutex
 	err error
 }
 
-func (r *updateRun) fail(err error) {
+func (t *Tree) newChunkRouter(w int64) *chunkRouter {
+	r := &chunkRouter{w: w, zoneSkip: !t.cfg.DisableZoneSkip}
+	if workers := t.cfg.workers(); workers > 1 {
+		r.sem = make(chan struct{}, workers-1)
+	}
+	rows := t.cfg.chunkRows()
+	r.scratch.New = func() any { return newRouteScratch(rows) }
+	return r
+}
+
+func (r *chunkRouter) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil {
 		r.err = err
@@ -67,19 +84,106 @@ func (r *updateRun) fail(err error) {
 	r.mu.Unlock()
 }
 
-// runUpdateChunk streams one columnar batch down the tree with weight w
-// (+1 insert, -1 delete), forking subtree descents across up to
-// Config.Parallelism workers, and returns after every descent completes.
-func (t *Tree) runUpdateChunk(ch *data.Chunk, sc *routeScratch, w int64) error {
-	r := &updateRun{w: w, zoneSkip: !t.cfg.DisableZoneSkip}
-	if workers := t.cfg.workers(); workers > 1 {
-		r.sem = make(chan struct{}, workers-1)
+// stream routes every chunk of src down the subtree rooted at root with
+// r's weight, checking each chunk's domain before the router changes any
+// statistic. sc is the calling goroutine's partition scratch. The chunks
+// come through the prefetch/decode pipeline on a columnar file (the plain
+// chunked scan otherwise), and its stage report lands in sp (nil ok) and
+// the pipeline.* registry counters.
+func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScratch, sp *obs.Span) error {
+	csc, err := data.ScanChunksPipelined(src, t.pipelineObserver())
+	if err != nil {
+		return err
 	}
-	rows := t.cfg.chunkRows()
-	r.scratch.New = func() any { return newRouteScratch(rows) }
-	err := r.update(t.root, ch, nil, sc, 0)
+	ch := data.NewChunk(len(t.schema.Attributes), t.cfg.chunkRows())
+	for err == nil {
+		ch.Reset()
+		if err = csc.NextChunk(ch); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			break
+		}
+		if ch.Len() == 0 {
+			continue
+		}
+		if err = t.checkChunk(ch); err != nil {
+			break
+		}
+		r.tuples += int64(ch.Len())
+		r.chunks++
+		err = r.route(root, ch, sc)
+	}
+	if cerr := csc.Close(); err == nil {
+		err = cerr
+	}
+	attachPipelineSpans(sp, csc)
+	t.recordPipelineStats(csc)
+	return err
+}
+
+// checkChunk applies the domain rule to every row of ch: categorical codes
+// are whole numbers in [0, Cardinality) and the class is in
+// [0, ClassCount). The count kernels index their tables with both, so a
+// row outside the domain would panic or be counted under another code.
+// Numeric values stay unchecked: NaN takes the pinned right edge.
+func (t *Tree) checkChunk(ch *data.Chunk) error {
+	for i, a := range t.schema.Attributes {
+		if a.Kind != data.Categorical {
+			continue
+		}
+		for _, v := range ch.Col(i) {
+			if !validCode(v, a.Cardinality) {
+				return codeError(a, v)
+			}
+		}
+	}
+	for _, c := range ch.Classes() {
+		if !validClass(int(c), t.schema.ClassCount) {
+			return classError(int(c), t.schema.ClassCount)
+		}
+	}
+	return nil
+}
+
+// checkTuple applies checkChunk's domain rule to one tuple.
+func (t *Tree) checkTuple(tp data.Tuple) error {
+	for i, a := range t.schema.Attributes {
+		if a.Kind == data.Categorical && !validCode(tp.Values[i], a.Cardinality) {
+			return codeError(a, tp.Values[i])
+		}
+	}
+	if !validClass(tp.Class, t.schema.ClassCount) {
+		return classError(tp.Class, t.schema.ClassCount)
+	}
+	return nil
+}
+
+// validCode and validClass are the domain rule. A valid code converts to
+// an int in range and back to itself; NaN never compares equal, and an
+// out-of-range conversion, whatever the platform makes of it, fails one
+// of the two tests.
+func validCode(v float64, card int) bool {
+	c := int(v)
+	return uint(c) < uint(card) && float64(c) == v
+}
+
+func validClass(c, classes int) bool { return c >= 0 && c < classes }
+
+func codeError(a data.Attribute, v float64) error {
+	return fmt.Errorf("core: attribute %q: categorical code %v outside [0,%d): %w",
+		a.Name, v, a.Cardinality, data.ErrSchemaMismatch)
+}
+
+func classError(c, classes int) error {
+	return fmt.Errorf("core: class label %d outside [0,%d): %w", c, classes, data.ErrSchemaMismatch)
+}
+
+// route streams one chunk down the subtree rooted at root and returns
+// after every descent, forked ones included, completes.
+func (r *chunkRouter) route(root *bnode, ch *data.Chunk, sc *routeScratch) error {
+	err := r.descend(root, ch, nil, sc, 0)
 	r.wg.Wait()
-	t.met.updBlocksSkipped.Add(r.skips.Load())
 	if err == nil {
 		r.mu.Lock()
 		err = r.err
@@ -88,11 +192,11 @@ func (t *Tree) runUpdateChunk(ch *data.Chunk, sc *routeScratch, w int64) error {
 	return err
 }
 
-// update applies the chunk rows named by idx (all rows when idx is nil)
+// descend applies the chunk rows named by idx (all rows when idx is nil)
 // to the subtree rooted at n. depth indexes sc's per-level scratch
 // buffers, not the node's depth in the full tree (forked descents restart
 // at 0 with their own scratch).
-func (r *updateRun) update(n *bnode, ch *data.Chunk, idx []int32, sc *routeScratch, depth int) error {
+func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeScratch, depth int) error {
 	w := r.w
 	classes := ch.Classes()
 	if idx == nil {
@@ -116,26 +220,28 @@ func (r *updateRun) update(n *bnode, ch *data.Chunk, idx []int32, sc *routeScrat
 	}
 	for i, cc := range n.catCounts {
 		if cc != nil {
-			cc.AddBatchW(ch.Col(i), classes, idx, w)
+			cc.AddBatch(ch.Col(i), classes, idx, w)
 		}
 	}
 	for i, h := range n.hist {
 		if h != nil {
-			h.AddBatchW(ch.Col(i), classes, idx, w)
+			h.AddBatch(ch.Col(i), classes, idx, w)
 		}
 	}
 	if n.moments != nil {
-		n.moments.AddChunkW(ch, idx, w)
+		n.moments.AddChunk(ch, idx, w)
 	}
 	c := n.coarse
 	if r.zoneSkip {
-		// Zone-map pushdown, mirroring the cleanup-scan router — with one
-		// extra obligation: the update router counts eagerly, so a skipped
-		// numeric batch must still feed the interval counters exactly as
-		// the per-row pass would. A left skip implies every value is
-		// strictly below c.lo (lowCounts, never eqLow); a right skip
-		// implies every value is above c.hi or NaN (highCounts). Neither
-		// direction can strand stuck rows, so the bag paths stay untouched.
+		// Zone-map pushdown: when the chunk's column summary proves every
+		// row routes down one side, descend the whole batch directly and
+		// skip the partition kernel. The statistics kernels above already
+		// ran (they need every row at this node). A skipped numeric batch
+		// must still feed the interval counters exactly as the per-row pass
+		// would: a left skip implies every value is strictly below c.lo
+		// (lowCounts, never eqLow); a right skip implies every value is
+		// above c.hi or NaN (highCounts). Neither direction can strand
+		// stuck rows, so the bag paths stay untouched.
 		if z, ok := ch.Zone(c.attr); ok {
 			if dir := zoneRoute(c, z); dir != 0 {
 				r.skips.Add(1)
@@ -156,7 +262,7 @@ func (r *updateRun) update(n *bnode, ch *data.Chunk, idx []int32, sc *routeScrat
 						}
 					}
 				}
-				return r.update(child, ch, idx, sc, depth+1)
+				return r.descend(child, ch, idx, sc, depth+1)
 			}
 		}
 	}
@@ -267,25 +373,91 @@ func (r *updateRun) update(n *bnode, ch *data.Chunk, idx []int32, sc *routeScrat
 				defer r.wg.Done()
 				defer func() { <-r.sem }()
 				csc := r.scratch.Get().(*routeScratch)
-				if err := r.update(child, ch, spawn, csc, 0); err != nil {
+				if err := r.descend(child, ch, spawn, csc, 0); err != nil {
 					r.fail(err)
 				}
 				r.scratch.Put(csc)
 			}()
 			if len(right) > 0 {
-				return r.update(n.right, ch, right, sc, depth+1)
+				return r.descend(n.right, ch, right, sc, depth+1)
 			}
 			return nil
 		default:
 		}
 	}
 	if len(left) > 0 {
-		if err := r.update(n.left, ch, left, sc, depth+1); err != nil {
+		if err := r.descend(n.left, ch, left, sc, depth+1); err != nil {
 			return err
 		}
 	}
 	if len(right) > 0 {
-		return r.update(n.right, ch, right, sc, depth+1)
+		return r.descend(n.right, ch, right, sc, depth+1)
 	}
 	return nil
+}
+
+// zoneRoute decides whether a chunk's zone summary proves that every row
+// of the chunk routes down one side of the coarse criterion: -1 all-left,
+// +1 all-right, 0 undecided. The decisions are exactness-preserving —
+// they reproduce the per-row partition bit for bit:
+//
+//   - numeric all-right needs z.Min > c.hi: every bounded value takes the
+//     v > hi branch, and any NaN rows (excluded from Min/Max) take the
+//     same pinned right edge, so HasNaN does not block the skip;
+//   - numeric all-left needs z.Max < c.lo *strictly* and no NaN: no row
+//     can be stuck, and no row equals c.lo, so eqLow stays untouched;
+//   - categorical skips need the exact code bitmap (CodesValid): codes
+//     covered by the subset all go left, codes disjoint from it (or >= 64,
+//     which never set a bitmap bit and never match the subset) all go
+//     right.
+//
+// The zone summarizes the whole chunk, so the decision holds for every
+// subset of its rows — an idx batch deep in the descent included.
+func zoneRoute(c *coarseCrit, z data.ColZone) int {
+	if c.kind == data.Categorical {
+		if !z.CodesValid {
+			return 0
+		}
+		if z.Codes&^c.subset == 0 && z.Codes != 0 {
+			return -1
+		}
+		if z.Codes&c.subset == 0 {
+			return +1
+		}
+		return 0
+	}
+	if !z.Valid {
+		return 0
+	}
+	if z.Min > c.hi {
+		return +1
+	}
+	if !z.HasNaN && z.Max < c.lo {
+		return -1
+	}
+	return 0
+}
+
+// routeScratch holds the per-depth index buffers of one goroutine's
+// level-synchronous descent: the partition written at depth d stays live
+// while the children recurse with the buffers of depth d+1 and below.
+// Buffers are allocated once per depth and reused for every chunk.
+type routeScratch struct {
+	rows   int
+	levels [][3][]int32 // per depth: left, right, stuck
+}
+
+func newRouteScratch(rows int) *routeScratch { return &routeScratch{rows: rows} }
+
+// at returns empty left/right/stuck index buffers for a recursion depth.
+func (sc *routeScratch) at(depth int) (left, right, stuck []int32) {
+	for len(sc.levels) <= depth {
+		sc.levels = append(sc.levels, [3][]int32{
+			make([]int32, 0, sc.rows),
+			make([]int32, 0, sc.rows),
+			make([]int32, 0, sc.rows),
+		})
+	}
+	l := &sc.levels[depth]
+	return l[0][:0], l[1][:0], l[2][:0]
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -192,6 +194,74 @@ func TestRouteNaNTakesPinnedEdge(t *testing.T) {
 	walk(bt.root)
 	if stuckNaN > 0 {
 		t.Errorf("%d NaN tuples stuck in confidence intervals", stuckNaN)
+	}
+}
+
+// TestOutOfDomainTuplesRejected: a categorical code outside [0,
+// Cardinality), a class outside [0, ClassCount) and a NaN code index the
+// count kernels' tables out of range. Build (through the sample check or
+// the cleanup scan's chunk check), Insert and Delete must each return an
+// error wrapping data.ErrSchemaMismatch that names the attribute, and an
+// update whose only chunk fails must leave the tree and its epoch alone.
+func TestOutOfDomainTuplesRejected(t *testing.T) {
+	schema := advSchema()
+	base := advTuples(5000, 3, false)
+	bad := []struct {
+		name string
+		tp   data.Tuple
+		want string
+	}{
+		{"code 70", data.Tuple{Values: []float64{1, 2, 70}, Class: 0}, `"c"`},
+		{"class 5", data.Tuple{Values: []float64{1, 2, 3}, Class: 5}, "class"},
+		{"NaN code", data.Tuple{Values: []float64{1, 2, math.NaN()}, Class: 1}, `"c"`},
+	}
+	cfg := Config{Method: split.NewGini(), MaxDepth: 4, MinSplit: 50, SampleSize: 1000, Seed: 5}
+	requireDomainErr := func(t *testing.T, op string, err error, want string) {
+		t.Helper()
+		if !errors.Is(err, data.ErrSchemaMismatch) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got %v, want a schema mismatch naming %s", op, err, want)
+		}
+	}
+	bt, err := Build(data.NewMemSource(schema, data.CloneTuples(base)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	before := bt.Tree()
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			// Sampled: every tuple is in the sample, bootstrap never runs.
+			all := append(data.CloneTuples(base), tc.tp)
+			whole := cfg
+			whole.SampleSize = len(all)
+			_, err := Build(data.NewMemSource(schema, all), whole)
+			requireDomainErr(t, "build, sampled", err, tc.want)
+
+			// Unsampled: a clean skeleton, then the bad tuple in the scan.
+			sb, err := NewScanBench(data.NewMemSource(schema, data.CloneTuples(base)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sb.tree.cleanupScan(data.NewMemSource(schema, all), sb.root, nil)
+			sb.Close()
+			requireDomainErr(t, "cleanup scan", err, tc.want)
+
+			for _, op := range []struct {
+				name string
+				fn   func(data.Source) (UpdateStats, error)
+			}{{"insert", bt.Insert}, {"delete", bt.Delete}} {
+				epoch := bt.epoch.Load()
+				_, err := op.fn(data.NewMemSource(schema, []data.Tuple{tc.tp}))
+				requireDomainErr(t, op.name, err, tc.want)
+				if got := bt.epoch.Load(); got != epoch {
+					t.Fatalf("%s: failed update moved the epoch from %d to %d", op.name, epoch, got)
+				}
+				requireEqual(t, op.name+" left the tree unchanged", bt.Tree(), before)
+				if err := bt.CheckConsistency(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

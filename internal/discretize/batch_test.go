@@ -2,18 +2,25 @@ package discretize
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
+// specialValues stress the batch kernels' cell rule: NaN and everything
+// beyond the last boundary belong in the top cell, and a bucket position
+// computed from ±Inf or ±1e300 does not fit an int.
+var specialValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300}
+
 // TestHistogramAddBatchEquivalence: AddBatch must equal a loop of Add on
 // random boundary sets and value streams. Values deliberately include
-// exact boundary hits (atom cells), near misses, and sorted runs (the
-// seeded-cell fast path), plus the empty-boundary histogram.
+// exact boundary hits (atom cells), near misses, sorted runs (the
+// seeded-cell fast path), and NaN, ±Inf and ±1e300, plus the
+// empty-boundary histogram and a boundary set whose span overflows.
 func TestHistogramAddBatchEquivalence(t *testing.T) {
 	const classes = 3
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 64; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		// Boundary counts straddle bucketIndexMinBoundaries so both the
 		// indexed and the fallback search run; the tight cluster near 100
@@ -30,6 +37,11 @@ func TestHistogramAddBatchEquivalence(t *testing.T) {
 		boundaries := make([]float64, 0, nb)
 		for v := range bset {
 			boundaries = append(boundaries, v)
+		}
+		if trial >= 60 {
+			// max-min overflows: no bucket index, seeded search only.
+			boundaries = append(boundaries, -math.MaxFloat64, math.MaxFloat64)
+			nb += 2
 		}
 		sort.Float64s(boundaries)
 
@@ -51,6 +63,9 @@ func TestHistogramAddBatchEquivalence(t *testing.T) {
 			default:
 				col[i] = float64(rng.Intn(60)) - 10
 			}
+			if rng.Intn(8) == 0 {
+				col[i] = specialValues[rng.Intn(len(specialValues))]
+			}
 			cls[i] = int32(rng.Intn(classes))
 		}
 		if trial%3 == 0 {
@@ -67,7 +82,7 @@ func TestHistogramAddBatchEquivalence(t *testing.T) {
 
 		batch := NewHistogram(boundaries, classes)
 		loop := NewHistogram(boundaries, classes)
-		batch.AddBatch(col, cls, nil)
+		batch.AddBatch(col, cls, nil, 1)
 		for r, v := range col {
 			loop.Add(v, int(cls[r]), 1)
 		}
@@ -75,7 +90,7 @@ func TestHistogramAddBatchEquivalence(t *testing.T) {
 
 		batch = NewHistogram(boundaries, classes)
 		loop = NewHistogram(boundaries, classes)
-		batch.AddBatch(col, cls, idx)
+		batch.AddBatch(col, cls, idx, 1)
 		for _, r := range idx {
 			loop.Add(col[r], int(cls[r]), 1)
 		}
@@ -95,7 +110,8 @@ func requireSameHistogram(t *testing.T, label string, a, b *Histogram) {
 }
 
 // TestCellOfMatchesManualSearch pins the inlined binary search to the
-// sort.SearchFloat64s-based CellOf across boundary hits and misses.
+// sort.SearchFloat64s-based CellOf across boundary hits and misses, NaN
+// and the infinities.
 func TestCellOfMatchesManualSearch(t *testing.T) {
 	h := NewHistogram([]float64{1, 3, 7, 7.5}, 2)
 	for v := -2.0; v <= 10; v += 0.25 {
@@ -103,9 +119,57 @@ func TestCellOfMatchesManualSearch(t *testing.T) {
 			t.Fatalf("cellOf(%v) = %d, CellOf = %d", v, got, want)
 		}
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, want := cellOf(h.Boundaries, v), h.CellOf(v); got != want {
+			t.Fatalf("cellOf(%v) = %d, CellOf = %d", v, got, want)
+		}
+	}
 	empty := NewHistogram(nil, 2)
 	if got := cellOf(empty.Boundaries, 5); got != empty.CellOf(5) {
 		t.Fatalf("empty boundaries: cellOf = %d, CellOf = %d", got, empty.CellOf(5))
+	}
+}
+
+// TestHistogramSignedRoundTrip: adding a batch at weight +1 and removing
+// it at -1 must leave every count at zero, on every kernel path (no,
+// one, indexed, crowded and overflowing boundary sets) and with NaN and
+// out-of-range values among the rows.
+func TestHistogramSignedRoundTrip(t *testing.T) {
+	sets := [][]float64{
+		nil,
+		{1},
+		{1, 2, 3, 4, 5, 6, 7, 8},
+		{1, 1.001, 1.002, 50},
+		{-math.MaxFloat64, 0, math.MaxFloat64},
+	}
+	rng := rand.New(rand.NewSource(5))
+	col := make([]float64, 300)
+	cls := make([]int32, len(col))
+	var idx []int32
+	for i := range col {
+		col[i] = float64(rng.Intn(120))/10 - 1
+		if i%7 == 0 {
+			col[i] = specialValues[(i/7)%len(specialValues)]
+		}
+		cls[i] = int32(rng.Intn(2))
+		if i%3 == 0 {
+			idx = append(idx, int32(i))
+		}
+	}
+	for _, b := range sets {
+		for _, rows := range [][]int32{nil, idx} {
+			h := NewHistogram(b, 2)
+			h.AddBatch(col, cls, rows, 1)
+			h.AddBatch(col, cls, rows, -1)
+			for c, row := range h.Counts {
+				for j, v := range row {
+					if v != 0 {
+						t.Fatalf("boundaries %v, subset %v: cell %d class %d = %d after +1/-1",
+							b, rows != nil, c, j, v)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -135,7 +199,7 @@ func BenchmarkHistogramBatch(b *testing.B) {
 		h := NewHistogram(boundaries, classes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h.AddBatch(col, cls, nil)
+			h.AddBatch(col, cls, nil, 1)
 		}
 	})
 
@@ -151,7 +215,7 @@ func BenchmarkHistogramBatch(b *testing.B) {
 		h := NewHistogram(fb, classes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h.AddBatch(fcol, cls, nil)
+			h.AddBatch(fcol, cls, nil, 1)
 		}
 	})
 }

@@ -61,13 +61,20 @@ const (
 // Boundaries computes the discretization boundaries for one numeric
 // attribute from the node's sample family AVC-set. estMin is the node's
 // estimated minimum impurity over all attributes (the sample tree's best
-// split quality); budget <= 0 selects DefaultBudget.
+// split quality); budget <= 0 selects DefaultBudget. The AVC's NaN entry
+// (last in the canonical order) is never a boundary: NaN is no split
+// point, and the histogram counts NaN in its top cell, above every
+// boundary, the side every router sends it to.
 func Boundaries(crit split.Criterion, avc *split.NumericAVC, classTotals []int64,
 	estMin float64, budget int) []float64 {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
 	nv := len(avc.Values)
+	if nv > 0 && math.IsNaN(avc.Values[nv-1]) {
+		nv--
+		avc = &split.NumericAVC{Values: avc.Values[:nv], Counts: avc.Counts[:nv]}
+	}
 	if nv == 0 {
 		return nil
 	}
@@ -231,12 +238,15 @@ type Histogram struct {
 // continuous and any per-row branch on them is a coin flip the branch
 // predictor loses. base[k] is the cell of a value below every boundary
 // in bucket k (2 × the count of boundaries in earlier buckets); the two
-// comparisons add the >=-boundary and >-boundary steps. Empty buckets
-// carry bval = +Inf (both comparisons false); the rare bucket holding
-// two or more boundaries carries bval = NaN and base = -1, which the
-// kernel detects (cell < 0) and resolves with the binary search. Nil
-// slices mean the boundary set is degenerate and everything falls back
-// to the seeded binary search.
+// comparisons add the >=-boundary and >-boundary steps. The first bucket
+// holds the minimum boundary and the last the maximum, so -Inf, +Inf and
+// NaN, which bucketOf clamps to the ends, never meet an empty bucket.
+// Empty buckets carry bval = +Inf (both comparisons false for finite
+// values); the rare bucket holding two or more boundaries carries
+// bval = NaN and base = -3, which the kernel detects (cell < 0) and
+// resolves with the binary search. Nil slices mean the boundary set is
+// degenerate — too few, too close, or so far apart that max-min
+// overflows — and everything falls back to the seeded binary search.
 type bucketIndex struct {
 	min, scale float64
 	bval       []float64
@@ -250,26 +260,27 @@ func buildBucketIndex(b []float64) *bucketIndex {
 	min, max := b[0], b[len(b)-1]
 	nb := 8 * len(b)
 	scale := float64(nb) / (max - min)
-	if max <= min || math.IsInf(scale, 0) || math.IsNaN(scale) {
+	if !(scale > 0 && scale < math.Inf(1)) {
 		return &bucketIndex{}
 	}
 	// Boundaries are bucketed with the same float arithmetic the lookups
 	// use, so the per-bucket resolution is exact by the monotonicity of
 	// bucketOf even under rounding.
+	last := float64(nb - 1)
 	bval := make([]float64, nb)
 	base := make([]int32, nb)
 	i := 0
 	for k := 0; k < nb; k++ {
-		for i < len(b) && bucketOf(b[i], min, scale, nb) < k {
+		for i < len(b) && bucketOf(b[i], min, scale, last) < k {
 			i++
 		}
 		base[k] = int32(2 * i)
 		switch {
-		case i >= len(b) || bucketOf(b[i], min, scale, nb) > k:
+		case i >= len(b) || bucketOf(b[i], min, scale, last) > k:
 			bval[k] = math.Inf(1) // empty bucket
-		case i+1 < len(b) && bucketOf(b[i+1], min, scale, nb) == k:
+		case i+1 < len(b) && bucketOf(b[i+1], min, scale, last) == k:
 			bval[k] = math.NaN() // crowded bucket
-			base[k] = -1
+			base[k] = -3
 		default:
 			bval[k] = b[i]
 		}
@@ -277,17 +288,21 @@ func buildBucketIndex(b []float64) *bucketIndex {
 	return &bucketIndex{min: min, scale: scale, bval: bval, base: base}
 }
 
-// bucketOf maps v to its bucket in [0, nb). It is monotone non-decreasing
-// in v, which is all the index's correctness relies on.
-func bucketOf(v, min, scale float64, nb int) int {
-	k := int((v - min) * scale)
-	if k < 0 {
-		return 0
+// bucketOf maps v to its bucket in [0, last]. It is monotone
+// non-decreasing in v, which is all the index's correctness relies on.
+// The position is clamped while it is still a float: Go leaves the
+// conversion of out-of-range floats to int to the platform, and on amd64
+// +Inf or 1e300 would convert to a negative bucket. NaN clamps to the
+// last bucket, the side every router sends it to.
+func bucketOf(v, min, scale, last float64) int {
+	f := (v - min) * scale
+	if f < 0 {
+		f = 0
 	}
-	if k >= nb {
-		return nb - 1
+	if !(f <= last) {
+		f = last
 	}
-	return k
+	return int(f)
 }
 
 // NewHistogram allocates a zeroed histogram over the boundaries
@@ -345,258 +360,93 @@ func (h *Histogram) Add(v float64, class int, w int64) {
 	h.Counts[h.CellOf(v)][class] += w
 }
 
-// AddBatch registers one occurrence of (col[r], classes[r]) for every row
-// r in idx, or for every row of col when idx is nil. It is exactly
-// equivalent to calling Add(col[r], int(classes[r]), 1) per row; the
-// batched form replaces the per-row binary search with a bucket-index
-// lookup built once per histogram, addresses the contiguous count backing
-// directly, and special-cases the zero- and one-boundary histograms of
-// deep nodes. Degenerate boundary sets the index cannot cover fall back
-// to a binary search seeded with the previous row's cell.
-func (h *Histogram) AddBatch(col []float64, classes []int32, idx []int32) {
-	b := h.Boundaries
-	if flat, nc := h.flat, h.classes; flat != nil {
-		switch len(b) {
-		case 0: // single cell: every row lands in cell 0
-			if idx == nil {
-				for r := range col {
-					flat[classes[r]]++
-				}
-				return
-			}
-			for _, r := range idx {
-				flat[classes[r]]++
-			}
-			return
-		case 1: // three cells: two compares beat any search
-			b0 := b[0]
-			if idx == nil {
-				for r, v := range col {
-					cell := 0
-					if v == b0 {
-						cell = 1
-					} else if v > b0 {
-						cell = 2
-					}
-					flat[cell*nc+int(classes[r])]++
-				}
-				return
-			}
-			for _, r := range idx {
-				v := col[r]
-				cell := 0
-				if v == b0 {
-					cell = 1
-				} else if v > b0 {
-					cell = 2
-				}
-				flat[cell*nc+int(classes[r])]++
-			}
-			return
-		}
-		if h.bidx == nil {
-			h.bidx = buildBucketIndex(b)
-		}
-		if bval := h.bidx.bval; len(bval) > 0 {
-			// The branch-free row kernel: clamps compile to conditional
-			// moves, the two boundary comparisons to flag materializations.
-			// The only data-dependent branch left is the crowded-bucket
-			// fallback, which almost never fires.
-			min, scale := h.bidx.min, h.bidx.scale
-			base := h.bidx.base[:len(bval)]
-			last := len(bval) - 1
-			if idx == nil {
-				classes := classes[:len(col)]
-				for r, v := range col {
-					k := int((v - min) * scale)
-					if k < 0 {
-						k = 0
-					}
-					if k > last {
-						k = last
-					}
-					bv := bval[k]
-					cell := int(base[k])
-					if v >= bv {
-						cell++
-					}
-					if v > bv {
-						cell++
-					}
-					if cell < 0 { // crowded bucket: NaN bval, base -1
-						cell = cellOf(b, v)
-					}
-					flat[cell*nc+int(classes[r])]++
-				}
-				return
-			}
-			for _, r := range idx {
-				v := col[r]
-				k := int((v - min) * scale)
-				if k < 0 {
-					k = 0
-				}
-				if k > last {
-					k = last
-				}
-				bv := bval[k]
-				cell := int(base[k])
-				if v >= bv {
-					cell++
-				}
-				if v > bv {
-					cell++
-				}
-				if cell < 0 {
-					cell = cellOf(b, v)
-				}
-				flat[cell*nc+int(classes[r])]++
-			}
-			return
-		}
-	}
-	counts := h.Counts
-	cell := -1
-	if idx == nil {
-		for r, v := range col {
-			if cell < 0 || !cellContains(b, cell, v) {
-				cell = cellOf(b, v)
-			}
-			counts[cell][classes[r]]++
-		}
-		return
-	}
-	for _, r := range idx {
-		v := col[r]
-		if cell < 0 || !cellContains(b, cell, v) {
-			cell = cellOf(b, v)
-		}
-		counts[cell][classes[r]]++
-	}
-}
-
-// AddBatchW registers w occurrences (w may be negative: deletions in the
+// AddBatch registers w occurrences (w may be negative: deletions in the
 // dynamic environment) of (col[r], classes[r]) for every row r in idx, or
-// for every row of col when idx is nil. Cell resolution is identical to
-// AddBatch — the same bucket index, the same pinned top cell for NaN — so
-// AddBatchW(..., -1) after AddBatch(...) restores every count exactly.
-func (h *Histogram) AddBatchW(col []float64, classes []int32, idx []int32, w int64) {
-	if w == 1 {
-		h.AddBatch(col, classes, idx)
-		return
-	}
-	b := h.Boundaries
-	if flat, nc := h.flat, h.classes; flat != nil {
-		switch len(b) {
-		case 0:
-			if idx == nil {
-				for r := range col {
-					flat[classes[r]] += w
-				}
-				return
-			}
-			for _, r := range idx {
+// for every row of col when idx is nil. It is exactly equivalent to
+// calling Add(col[r], int(classes[r]), w) per row, so a batch added at +1
+// and removed at -1 leaves every count at zero. The batched form replaces
+// the per-row binary search with a bucket-index lookup built once per
+// histogram, addresses the contiguous count backing directly, and
+// special-cases the zero- and one-boundary histograms of deep nodes.
+// Degenerate boundary sets the index cannot cover fall back to a binary
+// search seeded with the previous row's cell. On every path NaN, +Inf
+// and every value above the last boundary land in the top cell, as in
+// CellOf.
+func (h *Histogram) AddBatch(col []float64, classes []int32, idx []int32, w int64) {
+	b, flat, nc := h.Boundaries, h.flat, h.classes
+	switch len(b) {
+	case 0: // single cell: every row lands in cell 0
+		if idx == nil {
+			for r := range col {
 				flat[classes[r]] += w
 			}
 			return
-		case 1:
-			b0 := b[0]
-			if idx == nil {
-				for r, v := range col {
-					cell := 0
-					if v == b0 {
-						cell = 1
-					} else if v > b0 || v != v {
-						cell = 2
-					}
-					flat[cell*nc+int(classes[r])] += w
-				}
-				return
-			}
-			for _, r := range idx {
-				v := col[r]
-				cell := 0
-				if v == b0 {
-					cell = 1
-				} else if v > b0 || v != v {
-					cell = 2
-				}
+		}
+		for _, r := range idx {
+			flat[classes[r]] += w
+		}
+		return
+	case 1: // three cells: two compares beat any search (NaN lands in 2)
+		b0 := b[0]
+		if idx == nil {
+			for r, v := range col {
+				cell := b2i(!(v < b0)) + b2i(!(v <= b0))
 				flat[cell*nc+int(classes[r])] += w
 			}
 			return
 		}
-		if h.bidx == nil {
-			h.bidx = buildBucketIndex(b)
+		for _, r := range idx {
+			v := col[r]
+			cell := b2i(!(v < b0)) + b2i(!(v <= b0))
+			flat[cell*nc+int(classes[r])] += w
 		}
-		if bval := h.bidx.bval; len(bval) > 0 {
-			min, scale := h.bidx.min, h.bidx.scale
-			base := h.bidx.base[:len(bval)]
-			last := len(bval) - 1
-			nanCell := 2 * len(b)
-			if idx == nil {
-				classes := classes[:len(col)]
-				for r, v := range col {
-					k := int((v - min) * scale)
-					if k < 0 {
-						k = 0
-					}
-					if k > last {
-						k = last
-					}
-					bv := bval[k]
-					cell := int(base[k])
-					if v >= bv {
-						cell++
-					}
-					if v > bv {
-						cell++
-					}
-					if v != v {
-						cell = nanCell
-					}
-					if cell < 0 {
-						cell = cellOf(b, v)
-					}
-					flat[cell*nc+int(classes[r])] += w
-				}
-				return
-			}
-			for _, r := range idx {
-				v := col[r]
-				k := int((v - min) * scale)
-				if k < 0 {
-					k = 0
-				}
-				if k > last {
-					k = last
-				}
+		return
+	}
+	if h.bidx == nil {
+		h.bidx = buildBucketIndex(b)
+	}
+	if bval := h.bidx.bval; len(bval) > 0 {
+		// The row kernel: a clamp, two table loads and two boundary
+		// comparisons per row, with no search loop. The comparisons become
+		// flag materializations through b2i rather than branches, which on
+		// continuous values the predictor loses. They are negated so that
+		// NaN, which bucketOf sends to the last bucket, counts as above that
+		// bucket's boundary — the maximum — and lands in the top cell. The
+		// crowded-bucket fallback almost never fires.
+		min, scale, last := h.bidx.min, h.bidx.scale, float64(len(bval)-1)
+		base := h.bidx.base[:len(bval)]
+		if idx == nil {
+			classes := classes[:len(col)]
+			for r, v := range col {
+				k := bucketOf(v, min, scale, last)
 				bv := bval[k]
-				cell := int(base[k])
-				if v >= bv {
-					cell++
-				}
-				if v > bv {
-					cell++
-				}
-				if v != v {
-					cell = nanCell
-				}
-				if cell < 0 {
+				cell := int(base[k]) + b2i(!(v < bv)) + b2i(!(v <= bv))
+				if cell < 0 { // crowded bucket: NaN bval, negative base
 					cell = cellOf(b, v)
 				}
 				flat[cell*nc+int(classes[r])] += w
 			}
 			return
 		}
+		for _, r := range idx {
+			v := col[r]
+			k := bucketOf(v, min, scale, last)
+			bv := bval[k]
+			cell := int(base[k]) + b2i(!(v < bv)) + b2i(!(v <= bv))
+			if cell < 0 {
+				cell = cellOf(b, v)
+			}
+			flat[cell*nc+int(classes[r])] += w
+		}
+		return
 	}
-	counts := h.Counts
 	cell := -1
 	if idx == nil {
 		for r, v := range col {
 			if cell < 0 || !cellContains(b, cell, v) {
 				cell = cellOf(b, v)
 			}
-			counts[cell][classes[r]] += w
+			flat[cell*nc+int(classes[r])] += w
 		}
 		return
 	}
@@ -605,8 +455,17 @@ func (h *Histogram) AddBatchW(col []float64, classes []int32, idx []int32, w int
 		if cell < 0 || !cellContains(b, cell, v) {
 			cell = cellOf(b, v)
 		}
-		counts[cell][classes[r]] += w
+		flat[cell*nc+int(classes[r])] += w
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a SETcc,
+// so a comparison feeding it costs no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // cellContains reports whether v falls in cell over boundaries b — the
@@ -623,14 +482,15 @@ func cellContains(b []float64, cell int, v float64) bool {
 	return i >= len(b) || v < b[i]
 }
 
-// cellOf computes CellOf with the binary search inlined; the search is
-// identical to sort.SearchFloat64s (smallest i with b[i] >= v), so the
-// result matches CellOf bit for bit.
+// cellOf computes CellOf with the binary search inlined; the search uses
+// the predicate of sort.SearchFloat64s (smallest i with b[i] >= v), so the
+// result matches CellOf bit for bit — NaN included, which no boundary is
+// >= and which therefore lands in the top cell.
 func cellOf(b []float64, v float64) int {
 	lo, hi := 0, len(b)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b[mid] < v {
+		if !(b[mid] >= v) {
 			lo = mid + 1
 		} else {
 			hi = mid

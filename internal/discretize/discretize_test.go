@@ -91,6 +91,42 @@ func TestBoundariesDegenerate(t *testing.T) {
 	}
 }
 
+// TestBoundariesSkipNaN: the AVC's NaN entry (missing values, last in the
+// canonical order) is no split point and must never become a boundary; as
+// the closing boundary it left the list unsorted, so the binary searches
+// and the batch kernels disagreed on every cell above it.
+func TestBoundariesSkipNaN(t *testing.T) {
+	avc, totals := rampAVC(200, 100)
+	estMin := bestQuality(avc, totals)
+	avc.Values = append(avc.Values, math.NaN())
+	avc.Counts = append(avc.Counts, []int64{4, 4})
+	totals[0] += 4
+	totals[1] += 4
+	// With no impurity estimate every value qualifies, and budget 1 thins
+	// the 200 candidates through the fallback selection.
+	for _, tc := range []struct {
+		estMin float64
+		budget int
+	}{{estMin, 8}, {math.Inf(1), 1}} {
+		got := Boundaries(split.Gini, avc, totals, tc.estMin, tc.budget)
+		if len(got) == 0 || got[len(got)-1] != 199 || !sort.Float64sAreSorted(got) {
+			t.Errorf("budget %d: boundaries %v, want sorted and closed by 199", tc.budget, got)
+		}
+		if len(got) > tc.budget*HardCapFactor {
+			t.Errorf("budget %d: %d boundaries, the fallback did not run", tc.budget, len(got))
+		}
+		for _, b := range got {
+			if math.IsNaN(b) {
+				t.Fatalf("budget %d: NaN boundary in %v", tc.budget, got)
+			}
+		}
+	}
+	nanOnly := &split.NumericAVC{Values: []float64{math.NaN()}, Counts: [][]int64{{2, 1}}}
+	if got := Boundaries(split.Gini, nanOnly, []int64{2, 1}, 0.1, 8); got != nil {
+		t.Errorf("all-NaN AVC boundaries = %v, want none", got)
+	}
+}
+
 func TestBoundariesGuaranteeVerifiableBuckets(t *testing.T) {
 	// Core soundness property the BOAT verification relies on: with the
 	// produced boundaries, every non-empty interior cell's corner lower

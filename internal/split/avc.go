@@ -50,67 +50,23 @@ func NewCatAVC(cardinality, classCount int) *CatAVC {
 // deletions in the dynamic environment.
 func (a *CatAVC) Add(code, class int, w int64) { a.Counts[code][class] += w }
 
-// AddBatch registers one occurrence of (col[r], classes[r]) for every row
-// r in idx, or for every row of col when idx is nil. It is exactly
-// equivalent to calling Add(int(col[r]), int(classes[r]), 1) per row; the
-// batched form keeps the count matrix hot across a whole columnar chunk.
-func (a *CatAVC) AddBatch(col []float64, classes []int32, idx []int32) {
-	if flat, nc := a.flat, a.classes; flat != nil {
-		if idx == nil {
-			cls := classes[:len(col)]
-			for r, v := range col {
-				flat[int(v)*nc+int(cls[r])]++
-			}
-			return
-		}
-		for _, r := range idx {
-			flat[int(col[r])*nc+int(classes[r])]++
-		}
-		return
-	}
-	counts := a.Counts
-	if idx == nil {
-		for r, v := range col {
-			counts[int(v)][classes[r]]++
-		}
-		return
-	}
-	for _, r := range idx {
-		counts[int(col[r])][classes[r]]++
-	}
-}
-
-// AddBatchW registers w occurrences (w may be negative: deletions in the
+// AddBatch registers w occurrences (w may be negative: deletions in the
 // dynamic environment) of (col[r], classes[r]) for every row r in idx, or
-// for every row of col when idx is nil. Equivalent to Add per row; the
-// streaming-update router uses it to apply one signed chunk in a single
-// pass over the count matrix.
-func (a *CatAVC) AddBatchW(col []float64, classes []int32, idx []int32, w int64) {
-	if w == 1 {
-		a.AddBatch(col, classes, idx)
-		return
-	}
-	if flat, nc := a.flat, a.classes; flat != nil {
-		if idx == nil {
-			cls := classes[:len(col)]
-			for r, v := range col {
-				flat[int(v)*nc+int(cls[r])] += w
-			}
-			return
-		}
-		for _, r := range idx {
-			flat[int(col[r])*nc+int(classes[r])] += w
-		}
-		return
-	}
+// for every row of col when idx is nil. It is exactly equivalent to
+// calling Add(int(col[r]), int(classes[r]), w) per row; the batched form
+// keeps the count matrix hot across a whole columnar chunk. Codes must be
+// whole numbers in [0, cardinality), which the routers check per chunk.
+func (a *CatAVC) AddBatch(col []float64, classes []int32, idx []int32, w int64) {
+	flat, nc := a.flat, a.classes
 	if idx == nil {
+		cls := classes[:len(col)]
 		for r, v := range col {
-			a.Counts[int(v)][classes[r]] += w
+			flat[int(v)*nc+int(cls[r])] += w
 		}
 		return
 	}
 	for _, r := range idx {
-		a.Counts[int(col[r])][classes[r]] += w
+		flat[int(col[r])*nc+int(classes[r])] += w
 	}
 }
 

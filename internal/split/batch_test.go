@@ -2,6 +2,7 @@ package split
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestCatAVCAddBatchEquivalence(t *testing.T) {
 
 		batch := NewCatAVC(card, classes)
 		loop := NewCatAVC(card, classes)
-		batch.AddBatch(col, cls, nil)
+		batch.AddBatch(col, cls, nil, 1)
 		for r, v := range col {
 			loop.Add(int(v), int(cls[r]), 1)
 		}
@@ -60,7 +61,7 @@ func TestCatAVCAddBatchEquivalence(t *testing.T) {
 
 		batch = NewCatAVC(card, classes)
 		loop = NewCatAVC(card, classes)
-		batch.AddBatch(col, cls, idx)
+		batch.AddBatch(col, cls, idx, 1)
 		for _, r := range idx {
 			loop.Add(int(col[r]), int(cls[r]), 1)
 		}
@@ -90,7 +91,7 @@ func TestNumMomentsAddBatchEquivalence(t *testing.T) {
 
 		batch := NewNumMoments(classes)
 		loop := NewNumMoments(classes)
-		batch.AddBatch(col, cls, nil)
+		batch.AddBatch(col, cls, nil, 1)
 		for r, v := range col {
 			loop.Add(v, int(cls[r]), 1)
 		}
@@ -98,7 +99,7 @@ func TestNumMomentsAddBatchEquivalence(t *testing.T) {
 
 		batch = NewNumMoments(classes)
 		loop = NewNumMoments(classes)
-		batch.AddBatch(col, cls, idx)
+		batch.AddBatch(col, cls, idx, 1)
 		for _, r := range idx {
 			loop.Add(col[r], int(cls[r]), 1)
 		}
@@ -149,7 +150,7 @@ func TestMomentsAddChunkEquivalence(t *testing.T) {
 
 		batch := NewMoments(schema)
 		loop := NewMoments(schema)
-		batch.AddChunk(ch, nil)
+		batch.AddChunk(ch, nil, 1)
 		for _, tp := range tuples {
 			loop.Add(tp, 1)
 		}
@@ -157,7 +158,7 @@ func TestMomentsAddChunkEquivalence(t *testing.T) {
 
 		batch = NewMoments(schema)
 		loop = NewMoments(schema)
-		batch.AddChunk(ch, idx)
+		batch.AddChunk(ch, idx, 1)
 		for _, r := range idx {
 			loop.Add(tuples[r], 1)
 		}
@@ -178,6 +179,44 @@ func requireSameMomentsGroup(t *testing.T, label string, a, b *Moments) {
 		} else {
 			requireSameCatAVC(t, fmt.Sprintf("%s attr %d", label, i), a.Cat[i], b.Cat[i])
 		}
+	}
+}
+
+// TestSignedBatchRoundTrip: a batch added at weight +1 and removed at -1
+// must leave every count of CatAVC, NumMoments and Moments at zero, for
+// all rows and for an index subset, with NaN among the numeric values.
+func TestSignedBatchRoundTrip(t *testing.T) {
+	const classes = 3
+	rng := rand.New(rand.NewSource(9))
+	catCol, cls, idx := randomBatch(rng, 400, 7, classes, false)
+	numCol, _, _ := randomBatch(rng, 400, 0, classes, true)
+	for i := 0; i < len(numCol); i += 9 {
+		numCol[i] = math.NaN()
+	}
+	schema := data.MustSchema([]data.Attribute{
+		{Name: "x", Kind: data.Numeric},
+		{Name: "c", Kind: data.Categorical, Cardinality: 7},
+	}, classes)
+	ch := data.NewChunk(2, len(numCol))
+	for r := range numCol {
+		ch.AppendTuple(data.Tuple{Values: []float64{numCol[r], catCol[r]}, Class: int(cls[r])})
+	}
+	for _, rows := range [][]int32{nil, idx} {
+		label := fmt.Sprintf("subset=%v", rows != nil)
+		avc := NewCatAVC(7, classes)
+		avc.AddBatch(catCol, cls, rows, 1)
+		avc.AddBatch(catCol, cls, rows, -1)
+		requireSameCatAVC(t, label, avc, NewCatAVC(7, classes))
+
+		nm := NewNumMoments(classes)
+		nm.AddBatch(numCol, cls, rows, 1)
+		nm.AddBatch(numCol, cls, rows, -1)
+		requireSameMoments(t, label, nm, NewNumMoments(classes))
+
+		m := NewMoments(schema)
+		m.AddChunk(ch, rows, 1)
+		m.AddChunk(ch, rows, -1)
+		requireSameMomentsGroup(t, label, m, NewMoments(schema))
 	}
 }
 
@@ -202,7 +241,7 @@ func BenchmarkAVCBatch(b *testing.B) {
 		avc := NewCatAVC(card, classes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			avc.AddBatch(catCol, cls, nil)
+			avc.AddBatch(catCol, cls, nil, 1)
 		}
 	})
 	b.Run("NumMoments/loop", func(b *testing.B) {
@@ -218,7 +257,7 @@ func BenchmarkAVCBatch(b *testing.B) {
 		m := NewNumMoments(classes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.AddBatch(numCol, cls, nil)
+			m.AddBatch(numCol, cls, nil, 1)
 		}
 	})
 }

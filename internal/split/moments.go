@@ -65,30 +65,23 @@ func (m *NumMoments) Add(v float64, class int, w int64) {
 	}
 }
 
-// AddBatch registers one occurrence of col[r] with class classes[r] for
-// every row r in idx, or for every row of col when idx is nil. It is
-// exactly equivalent to calling Add(col[r], int(classes[r]), 1) per row:
-// with w = +1 the general 128-bit accumulation in Add reduces to a single
-// add of the 128-bit square, which add1 inlines.
-func (m *NumMoments) AddBatch(col []float64, classes []int32, idx []int32) {
-	if idx == nil {
-		for r, v := range col {
-			m.add1(v, int(classes[r]))
-		}
-		return
-	}
-	for _, r := range idx {
-		m.add1(col[r], int(classes[r]))
-	}
-}
-
-// AddBatchW registers w occurrences (w may be negative) of col[r] with
+// AddBatch registers w occurrences (w may be negative) of col[r] with
 // class classes[r] for every row r in idx, or for every row of col when
-// idx is nil. Equivalent to Add(col[r], int(classes[r]), w) per row; the
-// w = +1 case takes the inlined add1 fast path of AddBatch.
-func (m *NumMoments) AddBatchW(col []float64, classes []int32, idx []int32, w int64) {
+// idx is nil. It is exactly equivalent to calling Add(col[r],
+// int(classes[r]), w) per row. With w = +1, the weight of every scan row,
+// the general 128-bit accumulation in Add reduces to a single add of the
+// 128-bit square, which add1 inlines.
+func (m *NumMoments) AddBatch(col []float64, classes []int32, idx []int32, w int64) {
 	if w == 1 {
-		m.AddBatch(col, classes, idx)
+		if idx == nil {
+			for r, v := range col {
+				m.add1(v, int(classes[r]))
+			}
+			return
+		}
+		for _, r := range idx {
+			m.add1(col[r], int(classes[r]))
+		}
 		return
 	}
 	if idx == nil {
@@ -164,40 +157,11 @@ func (m *Moments) Add(t data.Tuple, w int64) {
 	}
 }
 
-// AddChunk registers one occurrence of every chunk row named by idx (all
-// rows when idx is nil). Equivalent to Add(row, 1) per row, but applied
-// column by column so each attribute's statistic stays hot across the
-// whole batch.
-func (m *Moments) AddChunk(ch *data.Chunk, idx []int32) {
-	classes := ch.Classes()
-	if idx == nil {
-		for _, c := range classes {
-			m.ClassTotals[c]++
-		}
-	} else {
-		for _, r := range idx {
-			m.ClassTotals[classes[r]]++
-		}
-	}
-	for i, a := range m.Schema.Attributes {
-		col := ch.Col(i)
-		if a.Kind == data.Numeric {
-			m.Num[i].AddBatch(col, classes, idx)
-		} else {
-			m.Cat[i].AddBatch(col, classes, idx)
-		}
-	}
-}
-
-// AddChunkW registers w occurrences (w = -1 implements deletion) of every
+// AddChunk registers w occurrences (w = -1 implements deletion) of every
 // chunk row named by idx (all rows when idx is nil). Equivalent to
-// Add(row, w) per row, applied column by column like AddChunk; the
-// streaming-update router uses it to absorb one signed chunk per node.
-func (m *Moments) AddChunkW(ch *data.Chunk, idx []int32, w int64) {
-	if w == 1 {
-		m.AddChunk(ch, idx)
-		return
-	}
+// Add(row, w) per row, but applied column by column so each attribute's
+// statistic stays hot across the whole batch.
+func (m *Moments) AddChunk(ch *data.Chunk, idx []int32, w int64) {
 	classes := ch.Classes()
 	if idx == nil {
 		for _, c := range classes {
@@ -211,9 +175,9 @@ func (m *Moments) AddChunkW(ch *data.Chunk, idx []int32, w int64) {
 	for i, a := range m.Schema.Attributes {
 		col := ch.Col(i)
 		if a.Kind == data.Numeric {
-			m.Num[i].AddBatchW(col, classes, idx, w)
+			m.Num[i].AddBatch(col, classes, idx, w)
 		} else {
-			m.Cat[i].AddBatchW(col, classes, idx, w)
+			m.Cat[i].AddBatch(col, classes, idx, w)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // structs, and ClassifyChunk routes a whole columnar chunk node by node —
 // each node partitions its batch of row indices in one pass over a single
 // contiguous attribute column with the split constants hoisted out of the
-// loop (the cleanup scan's routeChunk discipline, DESIGN.md §11, applied
-// to the read path).
+// loop (the level-synchronous descent of the chunk router that builds and
+// maintains the tree, DESIGN.md §11, applied to the read path).
 //
 // Layout: node ids are assigned in breadth-first order, the root is id 0,
 // and an internal node's children are allocated as an adjacent pair
@@ -240,8 +240,8 @@ func (f *FlatTree) ClassifyChunkScratch(ch *data.Chunk, out []int, sc *ClassifyS
 // batches. Rows leave the active set the moment they reach a leaf, so the
 // total work tracks the sum of actual root-to-leaf path lengths rather
 // than Depth()·rows, and each node's column slice stays hot across the
-// whole batch (the cleanup scan's routeChunk discipline, DESIGN.md §11,
-// applied to the read path). Batches that shrink below descendCutoff
+// whole batch (the chunk router's level-synchronous descent, DESIGN.md
+// §11, applied to the read path). Batches that shrink below descendCutoff
 // switch to a per-row descent: deep in a large tree most nodes see only a
 // handful of rows, where the per-node partition setup costs more than
 // simply walking those rows to their leaves.

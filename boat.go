@@ -258,7 +258,9 @@ func LoadModel(r io.Reader, schema *Schema, opt Options) (*Model, error) {
 
 // GrowInMemory runs the classical greedy top-down algorithm (Figure 1 of
 // the paper) on an in-memory family — the reference BOAT is guaranteed to
-// agree with. The tuple slice is reordered in place.
+// agree with. The tuple slice is left as it is. Every tuple must lie in
+// the schema's domain (Schema.CheckDomain): categorical codes are whole
+// numbers in [0, Cardinality) and classes lie in [0, ClassCount).
 func GrowInMemory(schema *Schema, tuples []Tuple, opt InMemoryOptions) *DecisionTree {
 	return inmem.Build(schema, tuples, opt)
 }

@@ -171,6 +171,9 @@ func main() {
 	case "inmem":
 		tuples, err := data.ReadAll(iostats.Tracked(src, &st))
 		fatal(err)
+		for _, tp := range tuples {
+			fatal(src.Schema().CheckDomain(tp))
+		}
 		tr = inmem.Build(src.Schema(), tuples, grow)
 		logger.Info("in-memory build finished", "seconds", time.Since(start).Seconds())
 	default:

@@ -173,14 +173,15 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 
 // drawSample is scan 1: a reservoir sample of src. Bootstrap indexes its
 // count tables with the sampled codes and classes, so every sampled tuple
-// must pass the domain rule of the chunk router (checkTuple) first.
+// must pass the domain rule of the chunk router (data.Schema.CheckDomain)
+// first.
 func (t *Tree) drawSample(src data.Source) ([]data.Tuple, error) {
 	sample, err := data.ReservoirSample(src, t.cfg.SampleSize, t.cfg.newRNG())
 	if err != nil {
 		return nil, fmt.Errorf("core: sampling phase: %w", err)
 	}
 	for _, tp := range sample {
-		if err := t.checkTuple(tp); err != nil {
+		if err := t.schema.CheckDomain(tp); err != nil {
 			return nil, fmt.Errorf("core: sampling phase: %w", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -107,7 +106,7 @@ func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScr
 		if ch.Len() == 0 {
 			continue
 		}
-		if err = t.checkChunk(ch); err != nil {
+		if err = t.schema.CheckChunkDomain(ch); err != nil {
 			break
 		}
 		r.tuples += int64(ch.Len())
@@ -120,63 +119,6 @@ func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScr
 	attachPipelineSpans(sp, csc)
 	t.recordPipelineStats(csc)
 	return err
-}
-
-// checkChunk applies the domain rule to every row of ch: categorical codes
-// are whole numbers in [0, Cardinality) and the class is in
-// [0, ClassCount). The count kernels index their tables with both, so a
-// row outside the domain would panic or be counted under another code.
-// Numeric values stay unchecked: NaN takes the pinned right edge.
-func (t *Tree) checkChunk(ch *data.Chunk) error {
-	for i, a := range t.schema.Attributes {
-		if a.Kind != data.Categorical {
-			continue
-		}
-		for _, v := range ch.Col(i) {
-			if !validCode(v, a.Cardinality) {
-				return codeError(a, v)
-			}
-		}
-	}
-	for _, c := range ch.Classes() {
-		if !validClass(int(c), t.schema.ClassCount) {
-			return classError(int(c), t.schema.ClassCount)
-		}
-	}
-	return nil
-}
-
-// checkTuple applies checkChunk's domain rule to one tuple.
-func (t *Tree) checkTuple(tp data.Tuple) error {
-	for i, a := range t.schema.Attributes {
-		if a.Kind == data.Categorical && !validCode(tp.Values[i], a.Cardinality) {
-			return codeError(a, tp.Values[i])
-		}
-	}
-	if !validClass(tp.Class, t.schema.ClassCount) {
-		return classError(tp.Class, t.schema.ClassCount)
-	}
-	return nil
-}
-
-// validCode and validClass are the domain rule. A valid code converts to
-// an int in range and back to itself; NaN never compares equal, and an
-// out-of-range conversion, whatever the platform makes of it, fails one
-// of the two tests.
-func validCode(v float64, card int) bool {
-	c := int(v)
-	return uint(c) < uint(card) && float64(c) == v
-}
-
-func validClass(c, classes int) bool { return c >= 0 && c < classes }
-
-func codeError(a data.Attribute, v float64) error {
-	return fmt.Errorf("core: attribute %q: categorical code %v outside [0,%d): %w",
-		a.Name, v, a.Cardinality, data.ErrSchemaMismatch)
-}
-
-func classError(c, classes int) error {
-	return fmt.Errorf("core: class label %d outside [0,%d): %w", c, classes, data.ErrSchemaMismatch)
 }
 
 // route streams one chunk down the subtree rooted at root and returns

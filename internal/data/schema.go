@@ -167,29 +167,81 @@ func (s *Schema) Equal(o *Schema) bool {
 }
 
 // CheckTuple verifies that a tuple conforms to the schema: correct arity,
-// class label in range, and categorical codes within their domains.
+// the domain rule of CheckDomain, and finite numeric values.
 func (s *Schema) CheckTuple(t Tuple) error {
 	if len(t.Values) != len(s.Attributes) {
 		return fmt.Errorf("data: tuple has %d values, schema has %d attributes",
 			len(t.Values), len(s.Attributes))
 	}
-	if t.Class < 0 || t.Class >= s.ClassCount {
-		return fmt.Errorf("data: class label %d out of range [0,%d)", t.Class, s.ClassCount)
+	if err := s.CheckDomain(t); err != nil {
+		return err
 	}
 	for i, a := range s.Attributes {
-		if a.Kind != Categorical {
-			// Non-finite values break the ordering invariants every
-			// algorithm relies on (splits, sorted AVC-sets, histograms).
-			if math.IsNaN(t.Values[i]) || math.IsInf(t.Values[i], 0) {
-				return fmt.Errorf("data: attribute %q: non-finite value %v", a.Name, t.Values[i])
-			}
-			continue
-		}
-		c := int(t.Values[i])
-		if float64(c) != t.Values[i] || c < 0 || c >= a.Cardinality {
-			return fmt.Errorf("data: attribute %q: categorical code %v out of range [0,%d)",
-				a.Name, t.Values[i], a.Cardinality)
+		// Non-finite values break the ordering invariants every
+		// algorithm relies on (splits, sorted AVC-sets, histograms).
+		if a.Kind == Numeric && (math.IsNaN(t.Values[i]) || math.IsInf(t.Values[i], 0)) {
+			return fmt.Errorf("data: attribute %q: non-finite value %v", a.Name, t.Values[i])
 		}
 	}
 	return nil
+}
+
+// CheckDomain applies the domain rule of every builder and router that
+// indexes count tables by category code and class: each categorical code
+// is a whole number in [0, Cardinality) and the class is in [0,
+// ClassCount). A tuple outside the domain would panic in those tables or
+// be counted under another code. Numeric values stay unchecked: NaN is a
+// missing value and takes the pinned right edge. The error names the
+// attribute and wraps ErrSchemaMismatch.
+func (s *Schema) CheckDomain(t Tuple) error {
+	for i, a := range s.Attributes {
+		if a.Kind == Categorical && !validCode(t.Values[i], a.Cardinality) {
+			return codeError(a, t.Values[i])
+		}
+	}
+	if !validClass(t.Class, s.ClassCount) {
+		return classError(t.Class, s.ClassCount)
+	}
+	return nil
+}
+
+// CheckChunkDomain applies CheckDomain's rule to every row of ch, column
+// by column.
+func (s *Schema) CheckChunkDomain(ch *Chunk) error {
+	for i, a := range s.Attributes {
+		if a.Kind != Categorical {
+			continue
+		}
+		for _, v := range ch.Col(i) {
+			if !validCode(v, a.Cardinality) {
+				return codeError(a, v)
+			}
+		}
+	}
+	for _, c := range ch.Classes() {
+		if !validClass(int(c), s.ClassCount) {
+			return classError(int(c), s.ClassCount)
+		}
+	}
+	return nil
+}
+
+// validCode and validClass are the domain rule. A valid code converts to
+// an int in range and back to itself; NaN never compares equal, and an
+// out-of-range conversion, whatever the platform makes of it, fails one
+// of the two tests.
+func validCode(v float64, card int) bool {
+	c := int(v)
+	return uint(c) < uint(card) && float64(c) == v
+}
+
+func validClass(c, classes int) bool { return c >= 0 && c < classes }
+
+func codeError(a Attribute, v float64) error {
+	return fmt.Errorf("data: attribute %q: categorical code %v outside [0,%d): %w",
+		a.Name, v, a.Cardinality, ErrSchemaMismatch)
+}
+
+func classError(c, classes int) error {
+	return fmt.Errorf("data: class label %d outside [0,%d): %w", c, classes, ErrSchemaMismatch)
 }

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -117,6 +119,53 @@ func TestCheckTuple(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := s.CheckTuple(tc.tp); err == nil {
 				t.Error("expected error")
+			}
+		})
+	}
+}
+
+// TestCheckDomain: the builders' domain rule rejects a categorical code
+// outside [0, Cardinality), a fractional or NaN code and a class outside
+// [0, ClassCount) with an error wrapping ErrSchemaMismatch that names the
+// attribute or the class, on a tuple and on a chunk alike; numeric values,
+// NaN and infinities included, are not its business.
+func TestCheckDomain(t *testing.T) {
+	s := twoAttrSchema(t)
+	for _, good := range []Tuple{
+		{Values: []float64{1.5, 0}, Class: 0},
+		{Values: []float64{math.NaN(), 3}, Class: 1},
+		{Values: []float64{math.Inf(-1), 2}, Class: 1},
+	} {
+		if err := s.CheckDomain(good); err != nil {
+			t.Errorf("%v rejected: %v", good, err)
+		}
+	}
+	cases := []struct {
+		name string
+		tp   Tuple
+		want string
+	}{
+		{"code 70", Tuple{Values: []float64{1, 70}, Class: 0}, `"c"`},
+		{"code 4", Tuple{Values: []float64{1, 4}, Class: 0}, `"c"`},
+		{"negative code", Tuple{Values: []float64{1, -1}, Class: 0}, `"c"`},
+		{"fractional code", Tuple{Values: []float64{1, 1.5}, Class: 0}, `"c"`},
+		{"NaN code", Tuple{Values: []float64{1, math.NaN()}, Class: 0}, `"c"`},
+		{"huge code", Tuple{Values: []float64{1, 1e300}, Class: 0}, `"c"`},
+		{"class 2", Tuple{Values: []float64{1, 2}, Class: 2}, "class"},
+		{"negative class", Tuple{Values: []float64{1, 2}, Class: -1}, "class"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ch := NewChunk(2, 4)
+			ch.AppendTuple(Tuple{Values: []float64{0, 1}, Class: 1})
+			ch.AppendTuple(tc.tp)
+			for op, err := range map[string]error{
+				"tuple": s.CheckDomain(tc.tp),
+				"chunk": s.CheckChunkDomain(ch),
+			} {
+				if !errors.Is(err, ErrSchemaMismatch) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: got %v, want a schema mismatch naming %s", op, err, tc.want)
+				}
 			}
 		})
 	}

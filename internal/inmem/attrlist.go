@@ -1,7 +1,7 @@
 package inmem
 
 import (
-	"slices"
+	"math"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/split"
@@ -11,219 +11,289 @@ import (
 // Attribute-list tree construction in the style of SPRINT (Shafer,
 // Agrawal, Mehta, VLDB 1996): each numeric attribute is sorted once at
 // the root into an "attribute list" of (value, class, row) entries; when
-// a node splits, every list is partitioned into the children with a
-// stable linear pass, so sorted order is preserved and no sorting happens
-// below the root. AVC-sets are built by linear run aggregation over the
-// sorted lists.
+// a node splits, every list is partitioned stably between the children,
+// so sorted order is preserved and no sorting happens below the root.
+// AVC-sets are built by linear run aggregation over the sorted lists.
+//
+// One build allocates its working memory once. A node owns the range
+// [lo, hi) of every attribute list and of the row array, and a split
+// partitions that range in place; the AVC-group handed to the split
+// selection method is scratch reused at every node.
 //
 // The selected splits are identical to the naive per-node re-sorting
 // builder (both feed the same integer counts to the same split-selection
-// code); BuildNaive is retained and the test suite cross-checks the two
-// on randomized inputs.
+// code); the test suite keeps that builder as the oracle and cross-checks
+// the two on randomized inputs.
 
-// attrList is one numeric attribute's sorted projection over a family:
-// parallel arrays of value, class label, and row id into the fixed tuple
-// backing array.
-type attrList struct {
-	vals    []float64
-	classes []int32
-	rows    []int32
+// entry is one attribute-list entry: a numeric value, the class label of
+// its tuple, and the tuple's row id into the fixed tuple backing array.
+type entry struct {
+	v     float64
+	class int32
+	row   int32
 }
 
 type listBuilder struct {
 	schema *data.Schema
 	cfg    Config
 	tuples []data.Tuple // fixed backing array; never reordered
-	side   []bool       // side[row]: routing decision of the node currently splitting
+
+	lists      [][]entry   // per attribute, sorted by value; nil for categorical attributes
+	cols       [][]float64 // per attribute, codes by row id; nil for numeric attributes
+	classes    []int32     // class labels by row id
+	rows       []int32     // row ids, ascending within every node's range
+	side       []uint8     // side[row]: 1 if the row goes left at the node currently splitting
+	scratch    []entry     // right-hand entries during a partition; radix buffer at the root
+	rowScratch []int32     // right-hand row ids during a partition
+
+	stats  split.NodeStats // the AVC-group of the node being split, reused at every node
+	counts [][][]int64     // per numeric attribute: count rows for its root distinct values
 }
 
 // Build constructs the decision tree for the family using attribute
-// lists. The tuple slice itself is not reordered.
+// lists. The tuple slice itself is not reordered. Every tuple must lie in
+// the schema's domain (data.Schema.CheckDomain): categorical codes are
+// whole numbers in [0, Cardinality) and classes lie in [0, ClassCount).
 func Build(schema *data.Schema, tuples []data.Tuple, cfg Config) *tree.Tree {
-	b := &listBuilder{
-		schema: schema,
-		cfg:    cfg,
-		tuples: tuples,
-		side:   make([]bool, len(tuples)),
-	}
-	rows := make([]int32, len(tuples))
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	root := b.buildNode(rows, b.rootLists(), 0)
+	b := newListBuilder(schema, tuples, cfg)
+	root := b.buildNode(0, len(tuples), 0)
 	return &tree.Tree{Schema: schema, Root: root}
 }
 
-// rootLists sorts each numeric attribute once (stably, so equal values
-// keep row order — irrelevant for the result, deterministic regardless).
-func (b *listBuilder) rootLists() []*attrList {
-	lists := make([]*attrList, len(b.schema.Attributes))
-	n := len(b.tuples)
-	for a, attr := range b.schema.Attributes {
-		if attr.Kind != data.Numeric {
+// newListBuilder allocates every buffer of the build and sorts the root
+// attribute lists.
+func newListBuilder(schema *data.Schema, tuples []data.Tuple, cfg Config) *listBuilder {
+	n := len(tuples)
+	attrs := schema.Attributes
+	b := &listBuilder{
+		schema:     schema,
+		cfg:        cfg,
+		tuples:     tuples,
+		lists:      make([][]entry, len(attrs)),
+		cols:       make([][]float64, len(attrs)),
+		classes:    make([]int32, n),
+		rows:       make([]int32, n),
+		side:       make([]uint8, n),
+		scratch:    make([]entry, n),
+		rowScratch: make([]int32, n),
+		stats: split.NodeStats{
+			Schema: schema,
+			Num:    make([]*split.NumericAVC, len(attrs)),
+			Cat:    make([]*split.CatAVC, len(attrs)),
+		},
+		counts: make([][][]int64, len(attrs)),
+	}
+	numeric := 0
+	for _, a := range attrs {
+		if a.Kind == data.Numeric {
+			numeric++
+		}
+	}
+	arena := make([]entry, numeric*n)
+	colArena := make([]float64, (len(attrs)-numeric)*n)
+	k := schema.ClassCount
+	for a, attr := range attrs {
+		if attr.Kind == data.Numeric {
+			b.lists[a], arena = arena[:n:n], arena[n:]
+		} else {
+			b.cols[a], colArena = colArena[:n:n], colArena[n:]
+			b.stats.Cat[a] = split.NewCatAVC(attr.Cardinality, k)
+		}
+	}
+	// One pass over the tuples fills every list and column, so each
+	// tuple's values are read once.
+	for i := range tuples {
+		t := &tuples[i]
+		b.rows[i] = int32(i)
+		b.classes[i] = int32(t.Class)
+		for a, v := range t.Values[:len(attrs)] {
+			if attrs[a].Kind == data.Numeric {
+				b.lists[a][i] = entry{v: v, class: int32(t.Class), row: int32(i)}
+			} else {
+				b.cols[a][i] = v
+			}
+		}
+	}
+	for a, l := range b.lists {
+		if attrs[a].Kind != data.Numeric {
 			continue
 		}
-		vals := make([]float64, n)
-		for i, t := range b.tuples {
-			vals[i] = t.Values[a]
-		}
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		// Ascending, NaN (missing values) last as one run — the canonical
-		// AVC order (split.SameValue) — stabilized by row id.
-		slices.SortFunc(idx, func(x, y int32) int {
-			a, b := vals[x], vals[y]
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			case a == b || a != a && b != b:
-				return int(x - y) // same entry: stabilize
-			case a == a:
-				return -1 // b is NaN: a sorts first
-			default:
-				return 1 // a is NaN: b sorts first
+		sortEntries(l, b.scratch)
+		// The root holds every value, so its distinct count bounds the
+		// AVC-set of every node below it.
+		distinct := 0
+		for i := range l {
+			if i == 0 || !split.SameValue(l[i].v, l[i-1].v) {
+				distinct++
 			}
-		})
-		l := &attrList{
-			vals:    make([]float64, n),
-			classes: make([]int32, n),
-			rows:    make([]int32, n),
 		}
-		for i, row := range idx {
-			l.vals[i] = vals[row]
-			l.classes[i] = int32(b.tuples[row].Class)
-			l.rows[i] = row
+		backing := make([]int64, distinct*k)
+		counts := make([][]int64, distinct)
+		for d := range counts {
+			counts[d] = backing[d*k : (d+1)*k : (d+1)*k]
 		}
-		lists[a] = l
+		b.counts[a] = counts
+		b.stats.Num[a] = &split.NumericAVC{Values: make([]float64, 0, distinct)}
 	}
-	return lists
+	return b
 }
 
-func (b *listBuilder) buildNode(rows []int32, lists []*attrList, depth int) *tree.Node {
-	k := b.schema.ClassCount
-	classTotals := make([]int64, k)
-	for _, row := range rows {
-		classTotals[b.tuples[row].Class]++
+// sortKey maps a value to an unsigned key whose order is the canonical
+// AVC order (split.SameValue runs, ascending, NaN last): every NaN maps to
+// the one largest key, -0 maps to +0, negative values flip all bits and
+// the rest set the top bit.
+func sortKey(v float64) uint64 {
+	if v != v {
+		return math.MaxUint64
+	}
+	if v == 0 {
+		return 1 << 63
+	}
+	bits := math.Float64bits(v)
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
+}
+
+// sortEntries sorts es by sortKey with a stable least-significant-digit
+// radix sort on 8-bit digits, using buf (at least len(es) long) as the
+// second buffer. The root lists are filled in row order, so the result is
+// ascending, NaN last as one run, ties by row id. A digit every key shares
+// is skipped; integer-valued columns share their low mantissa bytes.
+func sortEntries(es, buf []entry) {
+	if len(es) < 2 {
+		return
+	}
+	var hist [8][256]int
+	for _, e := range es {
+		k := sortKey(e.v)
+		for d := range hist {
+			hist[d][byte(k>>(8*d))]++
+		}
+	}
+	first := sortKey(es[0].v)
+	src, dst := es, buf[:len(es)]
+	for d := range hist {
+		h := &hist[d]
+		shift := 8 * d
+		if h[byte(first>>shift)] == len(es) {
+			continue
+		}
+		sum := 0
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+		}
+		for _, e := range src {
+			digit := byte(sortKey(e.v) >> shift)
+			dst[h[digit]] = e
+			h[digit]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &es[0] {
+		copy(es, src)
+	}
+}
+
+func (b *listBuilder) buildNode(lo, hi, depth int) *tree.Node {
+	classTotals := make([]int64, b.schema.ClassCount)
+	for _, row := range b.rows[lo:hi] {
+		classTotals[b.classes[row]]++
 	}
 	n := &tree.Node{ClassCounts: classTotals, Label: tree.MajorityLabel(classTotals)}
-	if b.cfg.StopBeforeSplit(int64(len(rows)), depth, classTotals) {
+	if b.cfg.StopBeforeSplit(int64(hi-lo), depth, classTotals) {
 		return n
 	}
-	stats := b.statsFromLists(rows, lists, classTotals)
-	best := b.cfg.Method.BestSplit(stats)
+	b.fillStats(lo, hi, classTotals)
+	best := b.cfg.Method.BestSplit(&b.stats)
 	if !best.Found {
 		return n
 	}
 	n.Crit = best
-
-	// Record every row's side once, then partition the row set and each
-	// attribute list with stable linear passes.
-	var leftN int
-	for _, row := range rows {
-		goLeft := best.Left(b.tuples[row])
-		b.side[row] = goLeft
-		if goLeft {
-			leftN++
-		}
-	}
-	leftRows := make([]int32, 0, leftN)
-	rightRows := make([]int32, 0, len(rows)-leftN)
-	for _, row := range rows {
-		if b.side[row] {
-			leftRows = append(leftRows, row)
-		} else {
-			rightRows = append(rightRows, row)
-		}
-	}
-	leftLists := make([]*attrList, len(lists))
-	rightLists := make([]*attrList, len(lists))
-	for a, l := range lists {
-		if l == nil {
-			continue
-		}
-		leftLists[a], rightLists[a] = b.partitionList(l, leftN)
-	}
-	n.Left = b.buildNode(leftRows, leftLists, depth+1)
-	n.Right = b.buildNode(rightRows, rightLists, depth+1)
+	mid := b.partition(lo, hi, best)
+	n.Left = b.buildNode(lo, mid, depth+1)
+	n.Right = b.buildNode(mid, hi, depth+1)
 	return n
 }
 
-// partitionList splits a sorted list by the recorded sides, preserving
-// order within each side.
-func (b *listBuilder) partitionList(l *attrList, leftN int) (*attrList, *attrList) {
-	n := l.len()
-	left := &attrList{
-		vals:    make([]float64, 0, leftN),
-		classes: make([]int32, 0, leftN),
-		rows:    make([]int32, 0, leftN),
-	}
-	right := &attrList{
-		vals:    make([]float64, 0, n-leftN),
-		classes: make([]int32, 0, n-leftN),
-		rows:    make([]int32, 0, n-leftN),
-	}
-	for i := 0; i < n; i++ {
-		row := l.rows[i]
-		dst := right
-		if b.side[row] {
-			dst = left
-		}
-		dst.vals = append(dst.vals, l.vals[i])
-		dst.classes = append(dst.classes, l.classes[i])
-		dst.rows = append(dst.rows, row)
-	}
-	return left, right
-}
-
-func (l *attrList) len() int { return len(l.vals) }
-
-// statsFromLists assembles the node's AVC-group: numeric attributes by
-// linear run aggregation over their sorted lists, categorical attributes
-// by a counting pass over the row set.
-func (b *listBuilder) statsFromLists(rows []int32, lists []*attrList, classTotals []int64) *split.NodeStats {
-	k := b.schema.ClassCount
-	stats := &split.NodeStats{
-		Schema:      b.schema,
-		ClassTotals: classTotals,
-		Num:         make([]*split.NumericAVC, len(b.schema.Attributes)),
-		Cat:         make([]*split.CatAVC, len(b.schema.Attributes)),
-	}
-	for a, attr := range b.schema.Attributes {
-		if attr.Kind == data.Categorical {
-			avc := split.NewCatAVC(attr.Cardinality, k)
-			for _, row := range rows {
-				t := &b.tuples[row]
-				avc.Counts[int(t.Values[a])][t.Class]++
+// partition records every row's side of crit, then partitions [lo, hi)
+// of the row array and of each attribute list stably in place, and
+// returns the boundary between the children.
+func (b *listBuilder) partition(lo, hi int, crit split.Split) int {
+	mid := lo
+	if crit.Kind == data.Numeric {
+		// The left side of a numeric split is a prefix of its own sorted
+		// list, which therefore needs no partitioning.
+		for _, e := range b.lists[crit.Attr][lo:hi] {
+			b.side[e.row] = 0
+			if e.v <= crit.Threshold {
+				b.side[e.row] = 1
+				mid++
 			}
-			stats.Cat[a] = avc
+		}
+	} else {
+		for _, row := range b.rows[lo:hi] {
+			b.side[row] = 0
+			if crit.Left(b.tuples[row]) {
+				b.side[row] = 1
+				mid++
+			}
+		}
+	}
+	// Every element is written to both destinations and only the cursor
+	// of its side advances: a branch on the side would mispredict on
+	// about every other element of a balanced split.
+	rows, w, r := b.rows[lo:hi], 0, 0
+	for _, row := range rows {
+		s := int(b.side[row])
+		rows[w] = row
+		b.rowScratch[r] = row
+		w += s
+		r += 1 - s
+	}
+	copy(rows[w:], b.rowScratch[:r])
+	for a, attr := range b.schema.Attributes {
+		if attr.Kind != data.Numeric || crit.Kind == data.Numeric && a == crit.Attr {
 			continue
 		}
-		l := lists[a]
-		distinct := 0
-		for i := range l.vals {
-			if i == 0 || !split.SameValue(l.vals[i], l.vals[i-1]) {
-				distinct++
-			}
+		es, w, r := b.lists[a][lo:hi], 0, 0
+		for _, e := range es {
+			s := int(b.side[e.row])
+			es[w] = e
+			b.scratch[r] = e
+			w += s
+			r += 1 - s
 		}
-		avc := &split.NumericAVC{
-			Values: make([]float64, 0, distinct),
-			Counts: make([][]int64, 0, distinct),
-		}
-		backing := make([]int64, distinct*k)
-		var row []int64
-		for i := range l.vals {
-			if i == 0 || !split.SameValue(l.vals[i], l.vals[i-1]) {
-				row = backing[len(avc.Values)*k : (len(avc.Values)+1)*k]
-				avc.Values = append(avc.Values, l.vals[i])
-				avc.Counts = append(avc.Counts, row)
-			}
-			row[l.classes[i]]++
-		}
-		stats.Num[a] = avc
+		copy(es[w:], b.scratch[:r])
 	}
-	return stats
+	return mid
+}
+
+// fillStats assembles the AVC-group of the node owning [lo, hi) in the
+// reused scratch: numeric attributes by linear run aggregation over their
+// sorted lists, categorical attributes by a counting pass over the rows.
+func (b *listBuilder) fillStats(lo, hi int, classTotals []int64) {
+	b.stats.ClassTotals = classTotals
+	for a, attr := range b.schema.Attributes {
+		if attr.Kind == data.Categorical {
+			avc := b.stats.Cat[a]
+			avc.Reset()
+			avc.AddBatch(b.cols[a], b.classes, b.rows[lo:hi], 1)
+			continue
+		}
+		avc := b.stats.Num[a]
+		counts := b.counts[a]
+		vals := avc.Values[:0]
+		var row []int64
+		es := b.lists[a][lo:hi]
+		for i, e := range es {
+			if i == 0 || !split.SameValue(e.v, es[i-1].v) {
+				row = counts[len(vals)]
+				clear(row)
+				vals = append(vals, e.v)
+			}
+			row[e.class]++
+		}
+		avc.Values = vals
+		avc.Counts = counts[:len(vals)]
+	}
 }

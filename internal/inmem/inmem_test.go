@@ -148,30 +148,6 @@ func TestBuildClassCountsConsistent(t *testing.T) {
 	walk(tr.Root)
 }
 
-func TestPartition(t *testing.T) {
-	tuples := []data.Tuple{
-		{Values: []float64{1, 0}, Class: 0},
-		{Values: []float64{9, 0}, Class: 1},
-		{Values: []float64{2, 0}, Class: 0},
-		{Values: []float64{8, 0}, Class: 1},
-	}
-	crit := split.Split{Found: true, Attr: 0, Kind: data.Numeric, Threshold: 5}
-	n := Partition(tuples, crit)
-	if n != 2 {
-		t.Fatalf("left count = %d, want 2", n)
-	}
-	for _, tp := range tuples[:n] {
-		if tp.Values[0] > 5 {
-			t.Errorf("left partition has %v", tp)
-		}
-	}
-	for _, tp := range tuples[n:] {
-		if tp.Values[0] <= 5 {
-			t.Errorf("right partition has %v", tp)
-		}
-	}
-}
-
 func TestStopBeforeSplitRules(t *testing.T) {
 	cases := []struct {
 		name   string

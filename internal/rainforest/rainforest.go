@@ -16,6 +16,7 @@ package rainforest
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/inmem"
@@ -351,9 +352,14 @@ func (b *builder) finishCollected(n *rfNode) error {
 
 // forEachRouted scans the database once, routing every tuple down the
 // partial tree and invoking fn when it reaches a node in the target set.
+// Every tuple must pass the domain rule first: the AVC-sets and the
+// in-memory builder index their count tables with its codes and class.
 func (b *builder) forEachRouted(target map[*tree.Node]*rfNode, fn func(*rfNode, data.Tuple) error) error {
 	b.stats.Scans++
 	return data.ForEach(b.src, func(tp data.Tuple) error {
+		if err := b.schema.CheckDomain(tp); err != nil {
+			return fmt.Errorf("rainforest: %w", err)
+		}
 		node := b.t.Root
 		for {
 			if rf, ok := target[node]; ok {

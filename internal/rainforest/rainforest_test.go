@@ -1,7 +1,11 @@
 package rainforest
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/boatml/boat/internal/data"
@@ -209,6 +213,54 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 		}
 		if got.Root == nil {
 			t.Fatalf("n=%d: nil root", n)
+		}
+	}
+}
+
+// TestOutOfDomainTuplesRejected: a categorical code outside [0,
+// Cardinality), a NaN code and a class outside [0, ClassCount) index the
+// AVC-sets and the in-memory builder's count tables out of range. RF-Hybrid,
+// RF-Vertical's oversized-node scans and a switch-over family must each
+// fail with an error wrapping data.ErrSchemaMismatch instead of panicking.
+func TestOutOfDomainTuplesRejected(t *testing.T) {
+	src := gen.MustSource(gen.Config{Function: 1}, 2000, 3)
+	base, err := data.ReadAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := src.Schema()
+	elevel := slices.IndexFunc(schema.Attributes, func(a data.Attribute) bool { return a.Name == "elevel" })
+	bad := []struct {
+		name  string
+		value float64
+		class int
+		want  string
+	}{
+		{"code 70", 70, 0, `"elevel"`},
+		{"NaN code", math.NaN(), 0, `"elevel"`},
+		{"class 5", 1, 5, "class"},
+	}
+	gini := inmem.Config{Method: split.NewGini(), MaxDepth: 4}
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"hybrid", Config{Grow: gini}},
+		{"vertical", Config{Grow: gini, AVCBufferEntries: 100, Vertical: true}},
+		{"switch-over", Config{Grow: inmem.Config{Method: split.NewGini(), StopThreshold: 1 << 20}}},
+	}
+	for _, tc := range bad {
+		tp := base[0].Clone()
+		tp.Values[elevel] = tc.value
+		tp.Class = tc.class
+		all := append(data.CloneTuples(base), tp)
+		for _, c := range configs {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				_, _, err := Build(data.NewMemSource(schema, all), c.cfg)
+				if !errors.Is(err, data.ErrSchemaMismatch) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("got %v, want a schema mismatch naming %s", err, tc.want)
+				}
+			})
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 // Method is a split selection method CL in the paper's sense: given the
 // complete statistics of a node's family it either produces the splitting
 // criterion or declares the node a leaf. Implementations must be
-// deterministic pure functions of the statistics.
+// deterministic pure functions of the statistics, and must not keep stats
+// or anything reachable from it after BestSplit returns: callers reuse it
+// as scratch for the next node.
 type Method interface {
 	Name() string
 	BestSplit(stats *NodeStats) Split

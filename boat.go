@@ -74,8 +74,12 @@ type (
 	Tuple = data.Tuple
 	// Source is a scannable training database; scans may be repeated.
 	Source = data.Source
-	// Scanner is one sequential pass over a Source.
+	// Scanner is one sequential pass over a Source in row batches.
 	Scanner = data.Scanner
+	// Chunk is a columnar batch of tuples: the unit every Source scans in.
+	Chunk = data.Chunk
+	// ChunkScanner is one sequential pass over a Source in chunks.
+	ChunkScanner = data.ChunkScanner
 	// Format selects the on-disk tuple encoding.
 	Format = data.Format
 )
@@ -95,6 +99,11 @@ const (
 func NewSchema(attrs []Attribute, classCount int) (*Schema, error) {
 	return data.NewSchema(attrs, classCount)
 }
+
+// ScanRows begins a row scan of src over its chunked scan. A Source
+// implemented outside this module can implement Scan with it, as every
+// built-in source does.
+func ScanRows(src Source) (Scanner, error) { return data.ScanRows(src) }
 
 // NewMemSource wraps an in-memory tuple slice as a Source.
 func NewMemSource(schema *Schema, tuples []Tuple) Source {

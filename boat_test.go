@@ -2,6 +2,7 @@ package boat_test
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -134,7 +135,48 @@ func TestPublicAPICustomSchema(t *testing.T) {
 	if got := tr.Classify(boat.Tuple{Values: []float64{35, 1}}); got != 1 {
 		t.Errorf("hot day classified as %d", got)
 	}
+
+	// A Source written against the public API alone grows the same tree.
+	custom, err := boat.Grow(sliceSource{schema, tuples}, boat.Options{
+		Method: boat.Entropy(), Seed: 1, SampleSize: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer custom.Close()
+	if !custom.Tree().Equal(tr) {
+		t.Errorf("custom source grew a different tree:\n%s\nwant\n%s", custom.Tree(), tr)
+	}
 }
+
+// sliceSource is a Source implemented with the public API only: its one
+// native scan appends the tuples to each chunk, and Scan adapts it.
+type sliceSource struct {
+	schema *boat.Schema
+	tuples []boat.Tuple
+}
+
+func (s sliceSource) Schema() *boat.Schema        { return s.schema }
+func (s sliceSource) Count() (int64, bool)        { return int64(len(s.tuples)), true }
+func (s sliceSource) Scan() (boat.Scanner, error) { return boat.ScanRows(s) }
+func (s sliceSource) ScanChunks() (boat.ChunkScanner, error) {
+	return &sliceScanner{rest: s.tuples}, nil
+}
+
+type sliceScanner struct{ rest []boat.Tuple }
+
+func (s *sliceScanner) NextChunk(dst *boat.Chunk) error {
+	if len(s.rest) == 0 {
+		return io.EOF
+	}
+	for len(s.rest) > 0 && !dst.Full() {
+		dst.AppendTuple(s.rest[0])
+		s.rest = s.rest[1:]
+	}
+	return nil
+}
+
+func (s *sliceScanner) Close() error { return nil }
 
 func TestPublicAPIQuestMethod(t *testing.T) {
 	src, err := boat.Synthetic(boat.SyntheticConfig{Function: 7}, 5000, 9)

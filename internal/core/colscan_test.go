@@ -56,14 +56,38 @@ func (s chunkOnlySource) Count() (int64, bool)                   { return s.src.
 func (s chunkOnlySource) Scan() (data.Scanner, error)            { return s.src.Scan() }
 func (s chunkOnlySource) ScanChunks() (data.ChunkScanner, error) { return s.src.ScanChunks() }
 
-// rowOnlySource hides every chunked scan of its source, so a build reads
-// it as row batches through Source.Scan and packs its own chunks, with no
-// zone maps.
-type rowOnlySource struct{ src data.Source }
+// zonelessSource hides its source's pipeline and zone maps: its chunks
+// are column copies of the source's, carrying no zone summaries, so the
+// routers partition every row the way they do for a row file.
+type zonelessSource struct{ src data.Source }
 
-func (s rowOnlySource) Schema() *data.Schema        { return s.src.Schema() }
-func (s rowOnlySource) Count() (int64, bool)        { return s.src.Count() }
-func (s rowOnlySource) Scan() (data.Scanner, error) { return s.src.Scan() }
+func (s zonelessSource) Schema() *data.Schema        { return s.src.Schema() }
+func (s zonelessSource) Count() (int64, bool)        { return s.src.Count() }
+func (s zonelessSource) Scan() (data.Scanner, error) { return data.ScanRows(s) }
+func (s zonelessSource) ScanChunks() (data.ChunkScanner, error) {
+	sc, err := s.src.ScanChunks()
+	if err != nil {
+		return nil, err
+	}
+	return &zonelessScanner{inner: sc}, nil
+}
+
+type zonelessScanner struct {
+	inner data.ChunkScanner
+	buf   *data.Chunk
+}
+
+func (s *zonelessScanner) NextChunk(dst *data.Chunk) error {
+	if s.buf == nil || s.buf.Cap() != dst.Cap()-dst.Len() {
+		s.buf = data.NewChunk(dst.Width(), dst.Cap()-dst.Len())
+	}
+	s.buf.Reset()
+	err := s.inner.NextChunk(s.buf)
+	dst.AppendFrom(s.buf, 0, s.buf.Len())
+	return err
+}
+
+func (s *zonelessScanner) Close() error { return s.inner.Close() }
 
 // colReadPath opens colPath for one cell of the tree-identity grids
 // below. The cell names keep the pipeline depths the grids swept while
@@ -73,8 +97,8 @@ func (s rowOnlySource) Scan() (data.Scanner, error) { return s.src.Scan() }
 //   - depth4: the ColSource itself — the pipelined scan, with the live
 //     observer attached;
 //   - depth1: the plain chunk scan (chunkOnlySource);
-//   - depth-1: row batches (rowOnlySource), where the synchronous reader
-//     once decoded blocks in the scanning goroutine.
+//   - depth-1: the chunks without their zone maps (zonelessSource), so
+//     the routers partition every row.
 func colReadPath(t *testing.T, colPath string, depth int) data.Source {
 	t.Helper()
 	colSrc, err := data.OpenColFile(colPath)
@@ -87,7 +111,7 @@ func colReadPath(t *testing.T, colPath string, depth int) data.Source {
 	case 1:
 		return chunkOnlySource{colSrc}
 	case -1:
-		return rowOnlySource{colSrc}
+		return zonelessSource{colSrc}
 	}
 	t.Fatalf("no read path for depth %d", depth)
 	return nil

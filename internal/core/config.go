@@ -42,7 +42,8 @@ type Config struct {
 	SubsampleSize int
 	// WidenFraction widens each confidence interval by this fraction of
 	// its width on both ends; larger values trade bigger stuck sets S_n
-	// for fewer interval escapes. 0.05 is the default used here.
+	// for fewer interval escapes. 0, the default, keeps the raw bootstrap
+	// min/max (see bootstrap.Config).
 	WidenFraction float64
 
 	// MinSplit and MaxDepth are the growth stopping rules, shared with

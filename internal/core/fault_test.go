@@ -156,6 +156,121 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 }
 func (r *failAfterReader) Close() error { return r.rc.Close() }
 
+// failNthWriteFS delegates to the real filesystem but fails exactly one
+// spill-file Write — the failWrite-th across the FS's lifetime (0 never)
+// — permanently and without consuming a byte. writes counts every Write.
+type failNthWriteFS struct {
+	failWrite int64
+	writes    atomic.Int64
+}
+
+func (f *failNthWriteFS) CreateTemp(dir, pattern string) (data.File, error) {
+	file, err := data.OsFS{}.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &failNthWriteFile{File: file, fs: f}, nil
+}
+func (f *failNthWriteFS) Open(name string) (io.ReadCloser, error) { return data.OsFS{}.Open(name) }
+func (f *failNthWriteFS) Remove(name string) error                { return data.OsFS{}.Remove(name) }
+func (f *failNthWriteFS) Rename(oldpath, newpath string) error {
+	return data.OsFS{}.Rename(oldpath, newpath)
+}
+
+type failNthWriteFile struct {
+	data.File
+	fs *failNthWriteFS
+}
+
+func (w *failNthWriteFile) Write(p []byte) (int, error) {
+	if w.fs.writes.Add(1) == w.fs.failWrite {
+		return 0, errDiskGone
+	}
+	return w.File.Write(p)
+}
+
+// TestPushSpillFaultSweep: a spill write can fail while a node pushes its
+// stuck set into its children. The recovery rebuild must then gather every
+// stuck tuple exactly once — the ones already routed into a child from the
+// child, the rest from the stuck set. The test fails each write of one
+// sequential build in turn; every run must either return a spill error or
+// build the fault-free tree over exactly |D| tuples, consistent, with no
+// temp file left and the budget drained.
+func TestPushSpillFaultSweep(t *testing.T) {
+	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 12000, 77)
+	base := Config{
+		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
+		SampleSize: 1500, Seed: 11, Parallelism: 1, SpillRetry: noSleep,
+	}
+	ref, err := Build(src, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want := ref.Tree()
+
+	run := func(failWrite int64) (writes int64, bt *Tree, budget *data.MemBudget, dir string, err error) {
+		fs := &failNthWriteFS{failWrite: failWrite}
+		budget = data.NewMemBudget(32)
+		dir = t.TempDir()
+		cfg := base
+		cfg.Budget, cfg.FS, cfg.TempDir = budget, fs, dir
+		bt, err = Build(src, cfg)
+		return fs.writes.Load(), bt, budget, dir, err
+	}
+	total, bt, _, _, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt.Close()
+	if total < 10 {
+		t.Fatalf("fault-free build issued %d spill writes; the sweep needs a spilling build", total)
+	}
+
+	var exact, failed, recovered int
+	for n := int64(1); n <= total; n++ {
+		_, bt, budget, dir, err := run(n)
+		if err != nil {
+			if !data.IsSpillError(err) {
+				t.Fatalf("write %d: non-storage error %v", n, err)
+			}
+			failed++
+		} else {
+			got := bt.Tree()
+			var rootTotal int64
+			for _, c := range got.Root.ClassCounts {
+				rootTotal += c
+			}
+			bs := bt.BuildStats()
+			if rootTotal != bs.TuplesSeen {
+				t.Errorf("write %d: root holds %d tuples, the scan saw %d (spill rebuilds %d)",
+					n, rootTotal, bs.TuplesSeen, bs.SpillRebuilds)
+			}
+			if cerr := bt.CheckConsistency(); cerr != nil {
+				t.Errorf("write %d: %v", n, cerr)
+			}
+			if !got.Equal(want) {
+				t.Errorf("write %d: tree differs from the fault-free build (spill rebuilds %d): %s",
+					n, bs.SpillRebuilds, got.Diff(want))
+			}
+			if bs.SpillRebuilds > 0 {
+				recovered++
+			}
+			bt.Close()
+			exact++
+		}
+		if budget.Used() != 0 {
+			t.Errorf("write %d: budget used = %d after build", n, budget.Used())
+		}
+		requireNoTempsUnder(t, dir)
+	}
+	t.Logf("%d writes swept: %d builds returned a tree (%d via a spill rebuild), %d clean errors",
+		total, exact, recovered, failed)
+	if recovered == 0 {
+		t.Error("no swept fault reached the stuck-set push recovery")
+	}
+}
+
 // colFaultConfig is the shared configuration of the columnar read-fault
 // tests: pipelined reads, more than one worker.
 func colFaultConfig(stats *iostats.Stats, dir string) Config {

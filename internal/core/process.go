@@ -72,7 +72,7 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 			}
 		}
 		if n.pending.Len() > 0 {
-			var dups []data.Tuple
+			var routed int64
 			err := n.pending.ForEach(func(tp data.Tuple) error {
 				child := n.right
 				if tp.Values[n.coarse.attr] <= chosen.Threshold {
@@ -81,23 +81,16 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 				if err := t.route(child, tp, +1); err != nil {
 					return err
 				}
-				if err := n.pushed.Add(tp); err != nil {
-					// The tuple reached a deeper buffer AND remains in the
-					// not-yet-reset pending set, so the gathered family of a
-					// recovery rebuild would see it twice; remember it so
-					// the duplicate can be cancelled.
-					dups = append(dups, tp.Clone())
-					return err
-				}
-				return nil
+				routed++
+				return n.pushed.Add(tp)
 			})
 			if err != nil {
 				if data.IsSpillError(err) {
-					// A storage fault interrupted the push. Every tuple is
-					// still present in exactly one gatherable buffer (after
-					// cancelling dups), so rebuilding the subtree from the
-					// gathered family recovers exactly.
-					return t.rebuildAfterSpillFault(n, dups, rdepth, sp)
+					// A storage fault interrupted the push. The first routed
+					// stuck tuples live in the subtree's buffers, the rest
+					// only in the pending set, so rebuilding the subtree
+					// from the gathered family recovers exactly.
+					return t.rebuildAfterSpillFault(n, routed, rdepth, sp)
 				}
 				return fmt.Errorf("core: pushing stuck tuples: %w", err)
 			}

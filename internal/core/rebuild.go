@@ -19,34 +19,32 @@ import (
 // rdepth is the BOAT-in-BOAT recursion depth of the enclosing pass, and
 // sp the enclosing trace span.
 func (t *Tree) rebuildFromSubtree(n *bnode, rdepth int, sp *obs.Span) error {
-	return t.rebuildWithDups(n, nil, rdepth, sp)
+	return t.rebuild(n, 0, rdepth, sp)
 }
 
 // rebuildAfterSpillFault rebuilds the subtree at n after a storage fault
 // interrupted the push of its stuck set. The buffers below n remain fully
-// scannable even when poisoned, so the family can still be gathered; dups
-// lists tuples the fault left present twice (routed into a deeper buffer
-// but still in the pending set), and one occurrence of each is cancelled.
-func (t *Tree) rebuildAfterSpillFault(n *bnode, dups []data.Tuple, rdepth int, sp *obs.Span) error {
+// scannable even when poisoned, so the family can still be gathered.
+// The first routed tuples of the stuck set already reached a buffer below
+// n before the fault (a failed route adds its tuple nowhere), so the
+// gathered family takes them from there and leaves them out of the stuck
+// set: every tuple is gathered exactly once.
+func (t *Tree) rebuildAfterSpillFault(n *bnode, routed int64, rdepth int, sp *obs.Span) error {
 	t.met.spillRebuilds.Inc()
 	t.log.Warn("storage fault on spill path; rebuilding subtree", "depth", n.depth, "rdepth", rdepth)
 	t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.SpillRebuilds++ })
-	return t.rebuildWithDups(n, dups, rdepth, sp)
+	return t.rebuild(n, routed, rdepth, sp)
 }
 
-func (t *Tree) rebuildWithDups(n *bnode, dups []data.Tuple, rdepth int, sp *obs.Span) error {
+// rebuild gathers F_n — leaving out the first skip tuples of n's own stuck
+// set — and installs the subtree finishNodeFromFamily grows from it.
+func (t *Tree) rebuild(n *bnode, skip int64, rdepth int, sp *obs.Span) error {
 	rbSpan := sp.Start("rebuild")
 	defer rbSpan.End()
 	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-	if err := gatherFamily(n, fam); err != nil {
+	if err := gatherFamily(n, fam, skip); err != nil {
 		fam.Close()
 		return fmt.Errorf("core: gathering family for rebuild: %w", err)
-	}
-	for _, tp := range dups {
-		if err := fam.Remove(tp); err != nil {
-			fam.Close()
-			return err
-		}
 	}
 	rbSpan.SetAttr("tuples", fam.Len())
 	t.met.rebuildSubtrees.Inc()
@@ -65,7 +63,7 @@ func (t *Tree) rebuildWithDups(n *bnode, dups []data.Tuple, rdepth int, sp *obs.
 // for completion alongside the other leaves of the pass.
 func (t *Tree) demoteToLeaf(n *bnode) error {
 	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-	if err := gatherFamily(n, fam); err != nil {
+	if err := gatherFamily(n, fam, 0); err != nil {
 		fam.Close()
 		return fmt.Errorf("core: gathering family for demotion: %w", err)
 	}
@@ -80,24 +78,42 @@ func (t *Tree) demoteToLeaf(n *bnode) error {
 }
 
 // gatherFamily streams F_n into fam: the stored families of the leaves of
-// the subtree plus any stuck tuples not yet pushed down. Pushed stuck sets
-// are skipped — their tuples already live in buffers further down.
-func gatherFamily(n *bnode, fam *data.TupleBag) error {
+// the subtree plus any stuck tuples not yet pushed down, leaving out the
+// first skip tuples of n's own stuck set. Pushed stuck sets are skipped —
+// their tuples already live in buffers further down. Rows move chunk by
+// chunk, net of each buffer's pending removals.
+func gatherFamily(n *bnode, fam *data.TupleBag, skip int64) error {
 	if n == nil {
 		return nil
 	}
 	if n.isLeaf() {
-		return n.family.ForEach(fam.Add)
+		return n.family.ForEachChunk(fam.AddChunkRows)
 	}
 	if n.pending != nil && n.pending.Len() > 0 {
-		if err := n.pending.ForEach(fam.Add); err != nil {
+		err := n.pending.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+			if skip > 0 {
+				if idx == nil {
+					idx = make([]int32, ch.Len())
+					for r := range idx {
+						idx[r] = int32(r)
+					}
+				}
+				k := min(skip, int64(len(idx)))
+				idx, skip = idx[k:], skip-k
+				if len(idx) == 0 {
+					return nil
+				}
+			}
+			return fam.AddChunkRows(ch, idx)
+		})
+		if err != nil {
 			return err
 		}
 	}
-	if err := gatherFamily(n.left, fam); err != nil {
+	if err := gatherFamily(n.left, fam, 0); err != nil {
 		return err
 	}
-	return gatherFamily(n.right, fam)
+	return gatherFamily(n.right, fam, 0)
 }
 
 // releaseNodeState closes every buffer in the subtree rooted at n and
@@ -163,8 +179,16 @@ func (t *Tree) finishNodeFromFamily(n *bnode, fam *data.TupleBag, rdepth int, sp
 	// the main-memory algorithm, whose stopping rules include the stop
 	// threshold, so the result still matches the reference exactly.
 	counts := make([]int64, t.schema.ClassCount)
-	if err := fam.ForEach(func(tp data.Tuple) error {
-		counts[tp.Class]++
+	if err := fam.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+		if idx == nil {
+			for _, c := range ch.Classes() {
+				counts[c]++
+			}
+			return nil
+		}
+		for _, r := range idx {
+			counts[ch.Class(int(r))]++
+		}
 		return nil
 	}); err != nil {
 		fam.Close()

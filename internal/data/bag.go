@@ -108,72 +108,62 @@ func (b *TupleBag) Add(t Tuple) error {
 }
 
 // AddChunkRows adds the chunk rows named by idx (all rows when idx is
-// nil). With no pending removals — the steady state of the cleanup scan —
-// the rows are copied column-wise in one batch. With removals pending (the
-// streaming-update path after deletes), the batch is hashed column-wise
-// once, each row whose hash bucket is non-empty is gathered through one
-// reused buffer to test for cancellation, and the surviving rows are
-// appended in one columnar batch — a row whose bucket is empty (the common
-// case when inserts and expired deletes carry disjoint data) never pays
-// the gather or the equality walk, only the map probe.
+// nil), exactly as a loop of Add over them would. With no pending
+// removals — the steady state of the cleanup scan — the rows are copied
+// column-wise in one batch. With removals pending (the streaming-update
+// path after deletes), cancelRows cancels rows against them and the
+// survivors are appended in one columnar batch.
 func (b *TupleBag) AddChunkRows(ch *Chunk, idx []int32) error {
 	if b.removed == 0 {
 		return b.add.AppendChunkRows(ch, idx)
 	}
-	n := ch.Len()
-	if idx != nil {
-		n = len(idx)
-	}
-	if n == 0 {
+	if ch.selected(idx) == 0 {
 		return nil
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
-	hashes := ch.HashRows(sc.hashes, idx)
-	sc.hashes = hashes
-	if cap(sc.row) < ch.Width() {
-		sc.row = make([]float64, ch.Width())
-	}
-	buf := sc.row[:ch.Width()]
-	t := Tuple{Values: buf}
-	if cap(sc.surv) < n {
-		sc.surv = make([]int32, 0, n)
-	}
-	surv := sc.surv[:0]
-	cancels := func(j, r int) bool {
-		if b.removed <= 0 {
-			return false
-		}
-		h := hashes[j]
-		if len(b.removals[h]) == 0 {
-			return false
-		}
-		ch.Gather(r, buf)
-		t.Class = ch.Class(r)
-		if consumeRemovalH(b.removals, h, t) {
-			b.removed--
-			return true
-		}
-		return false
-	}
-	if idx == nil {
-		for r := 0; r < n; r++ {
-			if !cancels(r, r) {
-				surv = append(surv, int32(r))
-			}
-		}
-	} else {
-		for j, r := range idx {
-			if !cancels(j, int(r)) {
-				surv = append(surv, r)
-			}
-		}
-	}
-	sc.surv = surv
+	surv := sc.cancelRows(b.removals, &b.removed, ch, idx)
 	if len(surv) == 0 {
 		return nil
 	}
 	return b.add.AppendChunkRows(ch, surv)
+}
+
+// cancelRows matches the chunk rows named by idx (all rows when idx is
+// nil), in order, against the removals in pending: each row that matches
+// consumes one removal and decrements *left. It returns the indices of
+// the rows that survive, in sc's reused storage. The rows are hashed
+// column-wise once (Chunk.HashRows, the bucket key Remove and
+// RemoveChunkRows store); only a row whose bucket is non-empty pays the
+// gather and the equality walk — the common case, when inserts and
+// expired deletes carry disjoint data, costs one map probe per row.
+func (sc *batchScratch) cancelRows(pending map[uint64][]removalEntry, left *int64, ch *Chunk, idx []int32) []int32 {
+	sc.hashes = ch.HashRows(sc.hashes, idx)
+	if cap(sc.row) < ch.Width() {
+		sc.row = make([]float64, ch.Width())
+	}
+	t := Tuple{Values: sc.row[:ch.Width()]}
+	if cap(sc.surv) < len(sc.hashes) {
+		sc.surv = make([]int32, 0, len(sc.hashes))
+	}
+	surv := sc.surv[:0] // never nil: an empty result means every row cancelled
+	for j, h := range sc.hashes {
+		r := int32(j)
+		if idx != nil {
+			r = idx[j]
+		}
+		if *left > 0 && len(pending[h]) > 0 {
+			ch.Gather(int(r), t.Values)
+			t.Class = ch.Class(int(r))
+			if consumeRemovalH(pending, h, t) {
+				*left--
+				continue
+			}
+		}
+		surv = append(surv, r)
+	}
+	sc.surv = surv
+	return surv
 }
 
 // Remove queues the deletion of one occurrence of t. The occurrence must
@@ -205,11 +195,7 @@ func (b *TupleBag) Remove(t Tuple) error {
 // snapshot of the batch — two allocations for the whole call where the
 // row path pays one clone per distinct tuple.
 func (b *TupleBag) RemoveChunkRows(ch *Chunk, idx []int32) error {
-	n := ch.Len()
-	if idx != nil {
-		n = len(idx)
-	}
-	if n == 0 {
+	if ch.selected(idx) == 0 {
 		return nil
 	}
 	if b.removals == nil {
@@ -240,65 +226,148 @@ func (b *TupleBag) RemoveChunkRows(ch *Chunk, idx []int32) error {
 	return nil
 }
 
-// ForEach iterates the net content of the bag (additions minus removals).
-// Tuples passed to fn are only valid during the call.
-func (b *TupleBag) ForEach(fn func(Tuple) error) error {
-	var pending map[uint64][]removalEntry
-	left := b.removed
-	if left > 0 {
-		// Deep-copy the buckets (entries share tuple storage with the
-		// originals) because consumeRemoval mutates counts.
-		pending = make(map[uint64][]removalEntry, len(b.removals))
+// bagScan is the bag's one chunk iterator. It streams the addition
+// buffer in order and reports, for each chunk read, the rows that survive
+// the pending removals: a removal cancels the first matching occurrence in
+// scan order. It consumes a private copy of the removal buckets, so
+// scanning never changes the bag. ForEachChunk and the bag's Source view
+// are built on it.
+type bagScan struct {
+	sc      ChunkScanner
+	pending map[uint64][]removalEntry
+	left    int64
+	scratch batchScratch
+	span    []int32
+}
+
+func (b *TupleBag) scan() (*bagScan, error) {
+	sc, err := b.add.ScanChunks()
+	if err != nil {
+		return nil, err
+	}
+	s := &bagScan{sc: sc, left: b.removed}
+	if s.left > 0 {
+		// Copy the bucket slices (entries share tuple storage with the
+		// originals) because consuming a removal mutates counts.
+		s.pending = make(map[uint64][]removalEntry, len(b.removals))
 		for h, bucket := range b.removals {
-			pending[h] = append([]removalEntry(nil), bucket...)
+			s.pending[h] = append([]removalEntry(nil), bucket...)
 		}
 	}
-	sc, err := b.add.Scan()
-	if err != nil {
-		return err
+	return s, nil
+}
+
+// next appends the buffer's next rows to dst and returns the indices of
+// the appended rows that survive the removals, or nil when all of them
+// do. At the end of the buffer it returns io.EOF — or an error, if a
+// removal matched no row.
+func (s *bagScan) next(dst *Chunk) ([]int32, error) {
+	from := dst.Len()
+	if err := s.sc.NextChunk(dst); err == io.EOF {
+		if s.left > 0 {
+			return nil, fmt.Errorf("data: %d removal(s) did not match any tuple in the bag", s.left)
+		}
+		return nil, io.EOF
+	} else if err != nil {
+		return nil, err
 	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
+	n := dst.Len()
+	if s.left == 0 || from >= n {
+		return nil, nil
+	}
+	var idx []int32
+	if from > 0 {
+		s.span = s.span[:0]
+		for r := from; r < n; r++ {
+			s.span = append(s.span, int32(r))
+		}
+		idx = s.span
+	}
+	surv := s.scratch.cancelRows(s.pending, &s.left, dst, idx)
+	if len(surv) == n-from {
+		return nil, nil
+	}
+	return surv, nil
+}
+
+// NextChunk implements ChunkScanner for the Source view: it fills dst
+// with surviving rows only, compacting away the rows removals cancel.
+func (s *bagScan) NextChunk(dst *Chunk) error {
+	start := dst.Len()
+	for !dst.Full() {
+		from := dst.Len()
+		idx, err := s.next(dst)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		for _, t := range batch {
-			if left > 0 && consumeRemoval(pending, t) {
-				left--
-				continue
-			}
+		if idx != nil {
+			dst.keepRows(from, idx)
+		}
+	}
+	if dst.Len() == start {
+		return io.EOF
+	}
+	return nil
+}
+
+func (s *bagScan) Close() error { return s.sc.Close() }
+
+// ForEachChunk iterates the net content of the bag (additions minus
+// removals) chunk by chunk: fn receives each chunk of the buffer and the
+// indices of its rows that survive the pending removals, or nil when all
+// of them do; chunks whose rows all cancel are skipped. Both are only
+// valid during the call. A removal that matches no row is reported as an
+// error once the buffer is exhausted.
+func (b *TupleBag) ForEachChunk(fn func(ch *Chunk, idx []int32) error) error {
+	s, err := b.scan()
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	ch := NewChunk(len(b.Schema().Attributes), int(min(max(b.add.Len(), 1), DefaultChunkRows)))
+	for {
+		ch.Reset()
+		idx, err := s.next(ch)
+		if err == io.EOF {
+			return s.Close()
+		}
+		if err != nil {
+			return err
+		}
+		if ch.Len() == 0 || idx != nil && len(idx) == 0 {
+			continue
+		}
+		if err := fn(ch, idx); err != nil {
+			return err
+		}
+	}
+}
+
+// ForEach iterates the net content of the bag (additions minus removals).
+// Tuples passed to fn are only valid during the call.
+func (b *TupleBag) ForEach(fn func(Tuple) error) error {
+	var rows rowBatch
+	return b.ForEachChunk(func(ch *Chunk, idx []int32) error {
+		for _, t := range rows.fill(ch, idx) {
 			if err := fn(t); err != nil {
 				return err
 			}
 		}
-	}
-	if left > 0 {
-		return fmt.Errorf("data: %d removal(s) did not match any tuple in the bag", left)
-	}
-	return nil
+		return nil
+	})
 }
 
 // Materialize returns deep copies of the bag's net content. The copies
 // share one backing array rather than paying one allocation per tuple.
 func (b *TupleBag) Materialize() ([]Tuple, error) {
-	width := len(b.Schema().Attributes)
-	n := b.Len()
-	if n < 0 {
-		n = 0
-	}
+	n := max(b.Len(), 0)
 	out := make([]Tuple, 0, n)
-	backing := make([]float64, 0, int(n)*width)
-	err := b.ForEach(func(t Tuple) error {
-		if cap(backing)-len(backing) < width {
-			backing = make([]float64, 0, max(width*DefaultBatchSize, width))
-		}
-		start := len(backing)
-		backing = append(backing, t.Values...)
-		out = append(out, Tuple{Values: backing[start:len(backing):len(backing)], Class: t.Class})
+	slab := make([]float64, 0, int(n)*len(b.Schema().Attributes))
+	err := b.ForEachChunk(func(ch *Chunk, idx []int32) error {
+		out = ch.appendRows(out, &slab, idx)
 		return nil
 	})
 	if err != nil {
@@ -314,7 +383,7 @@ func (b *TupleBag) Compact() error {
 		return nil
 	}
 	fresh := NewSpillBufferEnv(b.add.schema, b.add.env)
-	err := b.ForEach(fresh.Append)
+	err := b.ForEachChunk(fresh.AppendChunkRows)
 	if err != nil {
 		fresh.Close()
 		return err
@@ -348,23 +417,20 @@ func (b *TupleBag) Close() error {
 }
 
 // Source returns a read-only Source view of the bag's net content.
-// The bag must not be mutated while scans of the view are open.
+// Scans of the view stream the buffer, filtering pending removals chunk
+// by chunk, so they hold no more than a chunk of the bag in memory. The
+// bag must not be mutated while scans of the view are open.
 func (b *TupleBag) Source() Source { return &bagSource{b} }
 
 type bagSource struct{ b *TupleBag }
 
-func (s *bagSource) Schema() *Schema      { return s.b.Schema() }
-func (s *bagSource) Count() (int64, bool) { return s.b.Len(), true }
+func (s *bagSource) Schema() *Schema        { return s.b.Schema() }
+func (s *bagSource) Count() (int64, bool)   { return s.b.Len(), true }
+func (s *bagSource) Scan() (Scanner, error) { return ScanRows(s) }
 
-func (s *bagSource) Scan() (Scanner, error) {
-	// Bags with no pending removals can stream straight from the buffer;
-	// otherwise materialize through the removal filter.
+func (s *bagSource) ScanChunks() (ChunkScanner, error) {
 	if s.b.removed == 0 {
-		return s.b.add.Scan()
+		return s.b.add.ScanChunks()
 	}
-	ts, err := s.b.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	return &memScanner{tuples: ts}, nil
+	return s.b.scan()
 }

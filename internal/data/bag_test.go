@@ -1,6 +1,7 @@
 package data
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -159,6 +160,47 @@ func TestTupleBagSourceView(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("source view returned %d tuples", len(got))
 	}
+
+	// A view with pending removals streams the buffer, filtering chunk by
+	// chunk: a pass over a spilled bag allocates a fixed amount — the
+	// spill file's read buffer and a few chunks — whatever the bag holds.
+	t.Run("spilled-removals-bounded-memory", func(t *testing.T) {
+		const n, removals = 100000, 10
+		b := NewTupleBagEnv(twoAttrSchema(t), SpillEnv{Dir: t.TempDir(), Budget: NewMemBudget(1000)})
+		defer b.Close()
+		ts := makeTuples(n)
+		for _, tp := range ts {
+			if err := b.Add(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < removals; i++ {
+			if err := b.Remove(ts[i*(n/removals)+3]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const bound = 1 << 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var seen int
+		err := ForEachChunk(b.Source(), DefaultChunkRows, func(ch *Chunk) error {
+			seen += ch.Len()
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != n-removals {
+			t.Fatalf("view delivered %d tuples, want %d", seen, n-removals)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("one pass over a %d-tuple view allocated %d bytes", n, alloc)
+		if alloc > bound {
+			t.Errorf("one pass over a %d-tuple view allocated %d bytes, want at most %d", n, alloc, bound)
+		}
+	})
 }
 
 func TestTupleBagMaterializeAndReset(t *testing.T) {

@@ -3,6 +3,7 @@ package data
 import (
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -138,44 +139,98 @@ func (c *Chunk) TupleCopy(r int) Tuple {
 	return Tuple{Values: vals, Class: c.Class(r)}
 }
 
+// selected returns how many rows idx names (all rows when idx is nil).
+func (c *Chunk) selected(idx []int32) int {
+	if idx == nil {
+		return c.n
+	}
+	return len(idx)
+}
+
+// rowsInto fills rows (one entry per row named by idx, all rows when idx
+// is nil) with row-major copies whose values live in vals, which must hold
+// len(rows)*Width values.
+func (c *Chunk) rowsInto(rows []Tuple, vals []float64, idx []int32) {
+	w := c.width
+	for j := range rows {
+		r := j
+		if idx != nil {
+			r = int(idx[j])
+		}
+		v := vals[j*w : (j+1)*w : (j+1)*w]
+		c.Gather(r, v)
+		rows[j] = Tuple{Values: v, Class: int(c.class[r])}
+	}
+}
+
 // GatherRows returns row-major copies of the rows named by idx (all rows
 // when idx is nil). All copies share one backing array — one allocation
-// for the batch instead of one per row — and the transpose runs column by
-// column: sequential (or gathered) reads from each hot source column
-// instead of a strided scatter per row.
+// for the batch instead of one per row.
 func (c *Chunk) GatherRows(idx []int32) []Tuple {
-	n := c.n
-	if idx != nil {
-		n = len(idx)
-	}
+	n := c.selected(idx)
 	if n == 0 {
 		return nil
 	}
-	w := c.width
-	backing := make([]float64, n*w)
-	for a := 0; a < w; a++ {
-		col := c.vals[a*c.stride:]
-		if idx == nil {
-			for r := 0; r < n; r++ {
-				backing[r*w+a] = col[r]
-			}
-		} else {
-			for j, r := range idx {
-				backing[j*w+a] = col[r]
-			}
-		}
-	}
 	out := make([]Tuple, n)
-	if idx == nil {
-		for r := range out {
-			out[r] = Tuple{Values: backing[r*w : (r+1)*w : (r+1)*w], Class: int(c.class[r])}
-		}
-	} else {
+	c.rowsInto(out, make([]float64, n*c.width), idx)
+	return out
+}
+
+// appendRows appends deep row-major copies of the rows named by idx (all
+// rows when idx is nil) to out. Their values are carved from *slab, which
+// is replaced by a fresh slab of at least DefaultChunkRows rows when it
+// runs out, so the copies share backing arrays.
+func (c *Chunk) appendRows(out []Tuple, slab *[]float64, idx []int32) []Tuple {
+	n := c.selected(idx)
+	need := n * c.width
+	if cap(*slab)-len(*slab) < need {
+		*slab = make([]float64, 0, max(n, DefaultChunkRows)*c.width)
+	}
+	s := *slab
+	*slab = s[:len(s)+need]
+	out = slices.Grow(out, n)
+	c.rowsInto(out[len(out):len(out)+n], s[len(s):len(s)+need], idx)
+	return out[:len(out)+n]
+}
+
+// keepRows filters the rows from row from on down to the ones idx names,
+// which must be ascending and at or after from; rows before from are
+// untouched. The filter compacts each column in place.
+func (c *Chunk) keepRows(from int, idx []int32) {
+	for a := 0; a < c.width; a++ {
+		col := c.vals[a*c.stride:]
 		for j, r := range idx {
-			out[j] = Tuple{Values: backing[j*w : (j+1)*w : (j+1)*w], Class: int(c.class[r])}
+			col[from+j] = col[r]
 		}
 	}
-	return out
+	for j, r := range idx {
+		c.class[from+j] = c.class[r]
+	}
+	c.n = from + len(idx)
+	if c.zoneRows > from {
+		c.zoneRows = -1
+	}
+}
+
+// rowBatch is a reusable row-major view of chunk rows: the row form that
+// ScanRows and the row iterators hand out, valid until the next fill.
+type rowBatch struct {
+	rows []Tuple
+	vals []float64
+}
+
+// fill transposes the rows of c named by idx (all rows when idx is nil)
+// into the batch and returns them.
+func (b *rowBatch) fill(c *Chunk, idx []int32) []Tuple {
+	n := c.selected(idx)
+	if len(b.rows) < n || len(b.vals) < n*c.width {
+		m := max(n, c.stride)
+		b.rows = make([]Tuple, m)
+		b.vals = make([]float64, m*c.width)
+	}
+	rows := b.rows[:n]
+	c.rowsInto(rows, b.vals, idx)
+	return rows
 }
 
 // HashRows computes Tuple.Hash64 for the rows named by idx (all rows when
@@ -187,10 +242,7 @@ func (c *Chunk) GatherRows(idx []int32) []Tuple {
 // removal paths of TupleBag lean on this for their bucket keys.
 func (c *Chunk) HashRows(dst []uint64, idx []int32) []uint64 {
 	const offset64 = 14695981039346656037
-	n := c.n
-	if idx != nil {
-		n = len(idx)
-	}
+	n := c.selected(idx)
 	if cap(dst) < n {
 		dst = make([]uint64, n)
 	}
@@ -389,71 +441,11 @@ type ChunkScanner interface {
 	Close() error
 }
 
-// ChunkedSource is implemented by sources with a native columnar scan
-// path (decoding or generating straight into chunk columns). Sources
-// without one are adapted from their row Scanner by ScanChunks.
-type ChunkedSource interface {
-	Source
-	ScanChunks() (ChunkScanner, error)
-}
-
-// ScanChunks begins a chunked scan over src: the source's native columnar
-// scan when it implements ChunkedSource, otherwise an adapter that packs
-// the row Scanner's batches into the destination chunks.
-func ScanChunks(src Source) (ChunkScanner, error) {
-	if cs, ok := src.(ChunkedSource); ok {
-		return cs.ScanChunks()
-	}
-	sc, err := src.Scan()
-	if err != nil {
-		return nil, err
-	}
-	return &rowChunkScanner{sc: sc}, nil
-}
-
-// rowChunkScanner adapts a row Scanner to the chunked interface.
-type rowChunkScanner struct {
-	sc    Scanner
-	batch []Tuple
-	pos   int
-	done  bool
-}
-
-func (s *rowChunkScanner) NextChunk(dst *Chunk) error {
-	filled := false
-	for !dst.Full() {
-		if s.pos >= len(s.batch) {
-			if s.done {
-				break
-			}
-			batch, err := s.sc.Next()
-			if err == io.EOF {
-				s.done = true
-				break
-			}
-			if err != nil {
-				return err
-			}
-			s.batch, s.pos = batch, 0
-			continue
-		}
-		dst.AppendTuple(s.batch[s.pos])
-		s.pos++
-		filled = true
-	}
-	if !filled && dst.Len() == 0 {
-		return io.EOF
-	}
-	return nil
-}
-
-func (s *rowChunkScanner) Close() error { return s.sc.Close() }
-
 // ForEachChunk scans src once in chunks of the given row capacity,
 // invoking fn for every non-empty chunk. The chunk (and its columns) is
 // only valid during the call; it is reused between invocations.
 func ForEachChunk(src Source, rows int, fn func(*Chunk) error) error {
-	sc, err := ScanChunks(src)
+	sc, err := src.ScanChunks()
 	if err != nil {
 		return err
 	}

@@ -718,23 +718,10 @@ func (s *ColSource) Schema() *Schema { return s.schema }
 // Count implements Source.
 func (s *ColSource) Count() (int64, bool) { return s.count, true }
 
-// Scan implements Source by adapting the chunked scan to row batches.
-func (s *ColSource) Scan() (Scanner, error) {
-	cs, err := s.ScanChunks()
-	if err != nil {
-		return nil, err
-	}
-	arity := len(s.schema.Attributes)
-	sc := &colRowScanner{cs: cs, ch: NewChunk(arity, DefaultBatchSize)}
-	sc.batch = make([]Tuple, DefaultBatchSize)
-	backing := make([]float64, DefaultBatchSize*arity)
-	for i := range sc.batch {
-		sc.batch[i].Values = backing[i*arity : (i+1)*arity]
-	}
-	return sc, nil
-}
+// Scan implements Source.
+func (s *ColSource) Scan() (Scanner, error) { return ScanRows(s) }
 
-// ScanChunks implements ChunkedSource: a whole-file scan behind the
+// ScanChunks implements Source: a whole-file scan behind the
 // prefetch/decode pipeline.
 func (s *ColSource) ScanChunks() (ChunkScanner, error) {
 	return s.ScanChunksPipeline(nil)
@@ -915,32 +902,7 @@ func (b *blockReader) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Row adapter and format sniffing
-
-// colRowScanner adapts the chunked scan to the row Scanner interface.
-type colRowScanner struct {
-	cs    ChunkScanner
-	ch    *Chunk
-	batch []Tuple
-}
-
-func (s *colRowScanner) Next() ([]Tuple, error) {
-	s.ch.Reset()
-	if err := s.cs.NextChunk(s.ch); err != nil {
-		return nil, err
-	}
-	n := s.ch.Len()
-	if n == 0 {
-		return nil, io.EOF
-	}
-	for r := 0; r < n; r++ {
-		s.ch.Gather(r, s.batch[r].Values)
-		s.batch[r].Class = s.ch.Class(r)
-	}
-	return s.batch[:n], nil
-}
-
-func (s *colRowScanner) Close() error { return s.cs.Close() }
+// Format sniffing
 
 // Open opens a dataset file of either on-disk format, sniffing the magic:
 // row-major files (FileSource) and columnar block files (ColSource).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -43,11 +44,25 @@ func writeColTestFile(t *testing.T, tuples []Tuple, blockRows int) string {
 	return path
 }
 
+// requireSourceTuples fails unless the row scan of src (ScanRows over its
+// chunked scan) delivers want, tuple for tuple.
 func requireSourceTuples(t *testing.T, label string, src Source, want []Tuple) {
 	t.Helper()
-	got, err := ReadAll(src)
+	sc, err := src.Scan()
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
+	}
+	defer sc.Close()
+	var got []Tuple
+	for {
+		batch, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got = append(got, CloneTuples(batch)...)
 	}
 	requireTuples(t, label, got, want)
 }

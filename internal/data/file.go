@@ -213,19 +213,22 @@ func CreateFile(path string, schema *Schema, format Format) (*FileWriter, error)
 	return &FileWriter{f: f, w: w, fmt: format, schema: schema}, nil
 }
 
-// Append writes one tuple.
-func (fw *FileWriter) Append(t Tuple) error {
+// AppendChunk writes every row of ch (same width required) in one write.
+func (fw *FileWriter) AppendChunk(ch *Chunk) error {
 	if fw.closed {
 		return errors.New("data: append to closed writer")
 	}
-	if len(t.Values) != len(fw.schema.Attributes) {
+	if ch.Width() != len(fw.schema.Attributes) {
 		return ErrSchemaMismatch
 	}
-	fw.buf = encodeTuple(fw.buf[:0], fw.fmt, t)
+	fw.buf = fw.buf[:0]
+	for r := 0; r < ch.Len(); r++ {
+		fw.buf = encodeChunkRow(fw.buf, fw.fmt, ch, r)
+	}
 	if _, err := fw.w.Write(fw.buf); err != nil {
 		return err
 	}
-	fw.n++
+	fw.n += int64(ch.Len())
 	return nil
 }
 
@@ -251,7 +254,7 @@ func WriteFile(path string, src Source, format Format) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := ForEach(src, fw.Append); err != nil {
+	if err := ForEachChunk(src, DefaultChunkRows, fw.AppendChunk); err != nil {
 		fw.Close()
 		os.Remove(path)
 		return 0, err
@@ -333,27 +336,9 @@ func (fs *FileSource) SizeBytes() int64 {
 }
 
 // Scan implements Source.
-func (fs *FileSource) Scan() (Scanner, error) {
-	f, err := os.Open(fs.path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(fs.headerLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	sc := &fileScanner{
-		c:         f,
-		r:         bufio.NewReaderSize(f, 1<<18),
-		format:    fs.format,
-		tupleSize: fs.format.TupleSize(fs.schema),
-		remaining: fs.count,
-	}
-	sc.alloc(len(fs.schema.Attributes))
-	return sc, nil
-}
+func (fs *FileSource) Scan() (Scanner, error) { return ScanRows(fs) }
 
-// ScanChunks implements ChunkedSource: records are decoded from the raw
+// ScanChunks implements Source: records are decoded from the raw
 // byte stream directly into the destination chunk's columns, never
 // materializing row-major Tuples at all.
 func (fs *FileSource) ScanChunks() (ChunkScanner, error) {
@@ -375,6 +360,9 @@ func (fs *FileSource) ScanChunks() (ChunkScanner, error) {
 }
 
 // fileChunkScanner decodes fixed-size records straight into chunk columns.
+// c, when non-nil, is closed with the scanner (the underlying file
+// handle); the spill path also feeds it stitched readers (durable file
+// prefix plus the in-memory write buffer), which own no handle.
 type fileChunkScanner struct {
 	c         io.Closer
 	r         *bufio.Reader
@@ -441,7 +429,7 @@ func decodeChunkRow(buf []byte, f Format, c *Chunk) {
 }
 
 // encodeChunkRow appends the encoding of row r of c to buf (the chunked
-// counterpart of encodeTuple, used by the spill path).
+// counterpart of encodeTuple, used by the file writer and the spill path).
 func encodeChunkRow(buf []byte, f Format, c *Chunk, r int) []byte {
 	switch f {
 	case FormatCompact:
@@ -454,56 +442,4 @@ func encodeChunkRow(buf []byte, f Format, c *Chunk, r int) []byte {
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf, uint32(c.class[r]))
-}
-
-// fileScanner decodes fixed-size tuple records from a byte stream. c, when
-// non-nil, is closed with the scanner (the underlying file handle); the
-// spill path also feeds it stitched readers (durable file prefix plus the
-// in-memory write buffer), which own no handle.
-type fileScanner struct {
-	c         io.Closer
-	r         *bufio.Reader
-	format    Format
-	tupleSize int
-	remaining int64
-	batch     []Tuple
-	raw       []byte
-}
-
-func (s *fileScanner) alloc(arity int) {
-	n := DefaultBatchSize
-	s.batch = make([]Tuple, n)
-	values := make([]float64, n*arity)
-	for i := range s.batch {
-		s.batch[i].Values = values[i*arity : (i+1)*arity]
-	}
-	s.raw = make([]byte, n*s.tupleSize)
-}
-
-func (s *fileScanner) Next() ([]Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	raw := s.raw[:int(n)*s.tupleSize]
-	if _, err := io.ReadFull(s.r, raw); err != nil {
-		return nil, fmt.Errorf("data: scan read: %w", err)
-	}
-	for i := int64(0); i < n; i++ {
-		decodeTuple(raw[int(i)*s.tupleSize:], s.format, &s.batch[i])
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
-}
-
-func (s *fileScanner) Close() error {
-	if s.c == nil {
-		return nil
-	}
-	err := s.c.Close()
-	s.c = nil
-	return err
 }

@@ -131,8 +131,8 @@ func TestFileWriterSchemaMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
-	if err := fw.Append(Tuple{Values: []float64{1}, Class: 0}); err == nil {
-		t.Error("expected schema mismatch")
+	if err := fw.AppendChunk(NewChunk(1, 4)); err != ErrSchemaMismatch {
+		t.Errorf("AppendChunk of a 1-attribute chunk = %v, want ErrSchemaMismatch", err)
 	}
 }
 
@@ -144,7 +144,9 @@ func TestFileWriterAppendAfterClose(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Append(Tuple{Values: []float64{1, 2}, Class: 0}); err == nil {
+	ch := NewChunk(2, 4)
+	ch.AppendTuple(Tuple{Values: []float64{1, 2}, Class: 0})
+	if err := fw.AppendChunk(ch); err == nil {
 		t.Error("expected error appending after close")
 	}
 	if err := fw.Close(); err != nil {

@@ -100,7 +100,7 @@ type PhysicalReader interface {
 // PipelinedChunkSource is implemented by sources whose chunked scan runs
 // behind the prefetch/decode pipeline and can report live readings.
 type PipelinedChunkSource interface {
-	ChunkedSource
+	Source
 	ScanChunksPipeline(obs PipelineObserver) (ChunkScanner, error)
 }
 
@@ -112,7 +112,7 @@ func ScanChunksPipelined(src Source, obs PipelineObserver) (ChunkScanner, error)
 	if ps, ok := src.(PipelinedChunkSource); ok {
 		return ps.ScanChunksPipeline(obs)
 	}
-	return ScanChunks(src)
+	return src.ScanChunks()
 }
 
 // pipeJob is a raw block travelling from the reader to a decode worker.

@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// Scanner iterates a dataset sequentially in batches. The tuples returned
-// by Next (including their Values slices) are only valid until the
-// following Next call; callers that retain tuples must Clone them.
+// Scanner iterates a dataset sequentially in row batches. The tuples
+// returned by Next (including their Values slices) are only valid until
+// the following Next call; callers that retain tuples must Clone them.
 // Next returns (nil, io.EOF) once the scan is exhausted.
 type Scanner interface {
 	Next() ([]Tuple, error)
@@ -16,33 +16,69 @@ type Scanner interface {
 }
 
 // Source is a scannable training database. A Source may be scanned any
-// number of times; each Scan starts a fresh sequential pass, modeling one
+// number of times; each scan starts a fresh sequential pass, modeling one
 // scan over the training database D in the paper's cost accounting.
 type Source interface {
 	// Schema describes the tuples produced by this source.
 	Schema() *Schema
-	// Scan begins a new sequential scan.
+	// ScanChunks begins a new sequential scan in columnar chunks: the
+	// source's one native scan.
+	ScanChunks() (ChunkScanner, error)
+	// Scan begins a new sequential scan in row batches. Every built-in
+	// source implements it as ScanRows over its chunked scan.
 	Scan() (Scanner, error)
 	// Count returns the number of tuples if known without scanning.
 	Count() (n int64, known bool)
 }
 
-// DefaultBatchSize is the number of tuples per Scanner batch used by the
-// built-in sources.
-const DefaultBatchSize = 1024
+// ScanRows begins a row scan of src by adapting its chunked scan: each
+// chunk is transposed into a reused batch of DefaultChunkRows rows, so
+// the row form costs one copy and no per-batch allocation. A chunk
+// delivered together with a terminal error is returned with that error.
+func ScanRows(src Source) (Scanner, error) {
+	cs, err := src.ScanChunks()
+	if err != nil {
+		return nil, err
+	}
+	return &rowScanner{cs: cs, ch: NewChunk(len(src.Schema().Attributes), DefaultChunkRows)}, nil
+}
+
+type rowScanner struct {
+	cs    ChunkScanner
+	ch    *Chunk
+	batch rowBatch
+}
+
+func (s *rowScanner) Next() ([]Tuple, error) {
+	for {
+		s.ch.Reset()
+		err := s.cs.NextChunk(s.ch)
+		if s.ch.Len() > 0 {
+			if err == io.EOF {
+				err = nil
+			}
+			return s.batch.fill(s.ch, nil), err
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+func (s *rowScanner) Close() error { return s.cs.Close() }
 
 // ---------------------------------------------------------------------------
 // In-memory source
 
 // MemSource is an in-memory Source backed by a tuple slice. The slice is
 // not copied; callers must not mutate it (or the tuples it holds) after
-// the first scan — chunked scans serve from a columnar mirror built once.
+// the first scan — scans serve from a columnar mirror built once.
 type MemSource struct {
 	schema *Schema
 	tuples []Tuple
 
 	mirrorOnce sync.Once
-	mirror     *Chunk // columnar mirror of tuples, built on first ScanChunks
+	mirror     *Chunk // columnar mirror of tuples, built on the first scan
 }
 
 // NewMemSource wraps tuples as a Source.
@@ -60,13 +96,11 @@ func (m *MemSource) Count() (int64, bool) { return int64(len(m.tuples)), true }
 func (m *MemSource) Tuples() []Tuple { return m.tuples }
 
 // Scan implements Source.
-func (m *MemSource) Scan() (Scanner, error) {
-	return &memScanner{tuples: m.tuples}, nil
-}
+func (m *MemSource) Scan() (Scanner, error) { return ScanRows(m) }
 
-// ScanChunks implements ChunkedSource: chunks are served by column-wise
+// ScanChunks implements Source: chunks are served by column-wise
 // copies from a columnar mirror of the tuple slice. The mirror is
-// transposed once, on the first chunked scan, and amortized across every
+// transposed once, on the first scan, and amortized across every
 // later pass (a build scans the source at least twice: sampling and
 // cleanup).
 func (m *MemSource) ScanChunks() (ChunkScanner, error) {
@@ -101,25 +135,36 @@ func (s *memChunkScanner) NextChunk(dst *Chunk) error {
 
 func (s *memChunkScanner) Close() error { return nil }
 
-type memScanner struct {
-	tuples []Tuple
-	pos    int
+// ---------------------------------------------------------------------------
+// Generated sources
+
+// GeneratedScan is the chunked scan of a source that generates its n rows
+// one at a time: next writes the following row into t, whose Values has
+// width entries, and the row is appended to the destination chunk.
+func GeneratedScan(n int64, width int, next func(t *Tuple)) ChunkScanner {
+	return &generatedScanner{remaining: n, row: Tuple{Values: make([]float64, width)}, next: next}
 }
 
-func (s *memScanner) Next() ([]Tuple, error) {
-	if s.pos >= len(s.tuples) {
-		return nil, io.EOF
-	}
-	end := s.pos + DefaultBatchSize
-	if end > len(s.tuples) {
-		end = len(s.tuples)
-	}
-	batch := s.tuples[s.pos:end]
-	s.pos = end
-	return batch, nil
+type generatedScanner struct {
+	remaining int64
+	row       Tuple
+	next      func(*Tuple)
 }
 
-func (s *memScanner) Close() error { return nil }
+func (s *generatedScanner) NextChunk(dst *Chunk) error {
+	if s.remaining == 0 {
+		return io.EOF
+	}
+	n := min(int64(dst.Cap()-dst.Len()), s.remaining)
+	for i := int64(0); i < n; i++ {
+		s.next(&s.row)
+		dst.AppendTuple(s.row)
+	}
+	s.remaining -= n
+	return nil
+}
+
+func (s *generatedScanner) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -127,47 +172,29 @@ func (s *memScanner) Close() error { return nil }
 // ForEach scans src once, invoking fn for every tuple. The tuple passed to
 // fn is only valid during the call.
 func ForEach(src Source, fn func(Tuple) error) error {
-	sc, err := src.Scan()
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			return sc.Close()
-		}
-		if err != nil {
-			sc.Close()
-			return err
-		}
-		for _, t := range batch {
+	var rows rowBatch
+	return ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error {
+		for _, t := range rows.fill(ch, nil) {
 			if err := fn(t); err != nil {
-				sc.Close()
 				return err
 			}
 		}
-	}
+		return nil
+	})
 }
 
 // ReadAll scans src once and returns deep copies of all tuples. The
-// copies share one backing array per batch of rows rather than paying one
-// allocation per tuple.
+// copies share backing arrays rather than paying one allocation per
+// tuple: one array for the whole source when its count is known.
 func ReadAll(src Source) ([]Tuple, error) {
 	var out []Tuple
-	width := len(src.Schema().Attributes)
-	var backing []float64
+	var slab []float64
 	if n, ok := src.Count(); ok {
 		out = make([]Tuple, 0, n)
-		backing = make([]float64, 0, int(n)*width)
+		slab = make([]float64, 0, int(n)*len(src.Schema().Attributes))
 	}
-	err := ForEach(src, func(t Tuple) error {
-		if cap(backing)-len(backing) < width {
-			backing = make([]float64, 0, max(width*DefaultBatchSize, width))
-		}
-		start := len(backing)
-		backing = append(backing, t.Values...)
-		out = append(out, Tuple{Values: backing[start:len(backing):len(backing)], Class: t.Class})
+	err := ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error {
+		out = ch.appendRows(out, &slab, nil)
 		return nil
 	})
 	if err != nil {
@@ -176,13 +203,17 @@ func ReadAll(src Source) ([]Tuple, error) {
 	return out, nil
 }
 
-// CountTuples scans src if necessary to determine its cardinality.
+// CountTuples returns the cardinality of src, scanning it only when the
+// count is not known up front.
 func CountTuples(src Source) (int64, error) {
 	if n, ok := src.Count(); ok {
 		return n, nil
 	}
 	var n int64
-	err := ForEach(src, func(Tuple) error { n++; return nil })
+	err := ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error {
+		n += int64(ch.Len())
+		return nil
+	})
 	return n, err
 }
 

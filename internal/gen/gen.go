@@ -17,7 +17,6 @@ package gen
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
@@ -281,46 +280,17 @@ func (s *Source) Count() (int64, bool) { return s.n, true }
 func (s *Source) Config() Config { return s.cfg }
 
 // Scan implements data.Source.
-func (s *Source) Scan() (data.Scanner, error) {
-	sc := &genScanner{
-		cfg:       s.cfg,
-		rng:       rand.New(rand.NewSource(s.seed)),
-		remaining: s.n,
-	}
-	arity := len(s.schema.Attributes)
-	sc.batch = make([]data.Tuple, data.DefaultBatchSize)
-	values := make([]float64, len(sc.batch)*arity)
-	for i := range sc.batch {
-		sc.batch[i].Values = values[i*arity : (i+1)*arity]
-	}
-	return sc, nil
-}
+func (s *Source) Scan() (data.Scanner, error) { return data.ScanRows(s) }
 
-type genScanner struct {
-	cfg       Config
-	rng       *rand.Rand
-	remaining int64
-	batch     []data.Tuple
-}
-
-func (s *genScanner) Next() ([]data.Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	for i := int64(0); i < n; i++ {
-		t := &s.batch[i]
-		fillPredictors(s.rng, t.Values)
+// ScanChunks implements data.Source: rows are generated one at a time,
+// in stream order, straight into the destination chunk.
+func (s *Source) ScanChunks() (data.ChunkScanner, error) {
+	rng := rand.New(rand.NewSource(s.seed))
+	return data.GeneratedScan(s.n, len(s.schema.Attributes), func(t *data.Tuple) {
+		fillPredictors(rng, t.Values)
 		t.Class = Label(s.cfg, *t)
-		if s.cfg.Noise > 0 && s.rng.Float64() < s.cfg.Noise {
+		if s.cfg.Noise > 0 && rng.Float64() < s.cfg.Noise {
 			t.Class = 1 - t.Class
 		}
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
+	}), nil
 }
-
-func (s *genScanner) Close() error { return nil }

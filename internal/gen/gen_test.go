@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -56,6 +58,65 @@ func TestDeterministicRescan(t *testing.T) {
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("tuple %d differs between scans", i)
+		}
+	}
+
+	// The generated data are pinned across versions, not only across
+	// rescans: every test and benchmark builds on them. Each digest is FNV
+	// over Tuple.Key of the whole sequence, through the row scan and the
+	// chunked scan at several chunk sizes.
+	for _, c := range []struct {
+		name string
+		src  data.Source
+		want uint64
+	}{
+		{"F1", MustSource(Config{Function: 1}, 10000, 1), 0x4268067dee0137d9},
+		{"F7-extra", MustSource(Config{Function: 7, Noise: 0.1, ExtraAttrs: 2}, 10000, 99), 0x84d760f0a83809b2},
+		{"instability", InstabilitySource(10000, 17), 0x448b39900138eb17},
+	} {
+		t.Run("digest/"+c.name, func(t *testing.T) { requireDigest(t, c.src, c.want) })
+	}
+}
+
+// requireDigest checks that the row scan and the chunked scans of src at
+// several chunk sizes all deliver the tuple sequence whose FNV digest over
+// Tuple.Key is want.
+func requireDigest(t *testing.T, src data.Source, want uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	sc, err := src.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for {
+		batch, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range batch {
+			io.WriteString(h, tp.Key())
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("row scan digest %#x, want %#x", got, want)
+	}
+	for _, rows := range []int{1, 7, 64, data.DefaultChunkRows} {
+		h.Reset()
+		err := data.ForEachChunk(src, rows, func(ch *data.Chunk) error {
+			for r := 0; r < ch.Len(); r++ {
+				io.WriteString(h, ch.TupleCopy(r).Key())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("chunked scan (rows=%d) digest %#x, want %#x", rows, got, want)
 		}
 	}
 }

@@ -303,22 +303,12 @@ type trackedSource struct {
 func (t *trackedSource) Schema() *data.Schema { return t.inner.Schema() }
 func (t *trackedSource) Count() (int64, bool) { return t.inner.Count() }
 
-func (t *trackedSource) Scan() (data.Scanner, error) {
-	sc, err := t.inner.Scan()
-	if err != nil {
-		return nil, err
-	}
-	t.stats.RecordScan()
-	return &trackedScanner{inner: sc, stats: t.stats, tupleBytes: t.tupleBytes}, nil
-}
+func (t *trackedSource) Scan() (data.Scanner, error) { return data.ScanRows(t) }
 
-// ScanChunks implements data.ChunkedSource so tracked sources keep the
-// native columnar scan path of the wrapped source: the chunked scan is
-// resolved against the inner source (falling back to the row adapter only
-// if the inner source has no native path) and reads are recorded per
-// chunk.
+// ScanChunks implements data.Source: the wrapped source's chunked scan,
+// with the scan and every chunk's reads recorded.
 func (t *trackedSource) ScanChunks() (data.ChunkScanner, error) {
-	sc, err := data.ScanChunks(t.inner)
+	sc, err := t.inner.ScanChunks()
 	if err != nil {
 		return nil, err
 	}
@@ -387,22 +377,3 @@ func (t *trackedChunkScanner) PipelineStats() data.PipelineStats {
 }
 
 func (t *trackedChunkScanner) Close() error { return t.inner.Close() }
-
-type trackedScanner struct {
-	inner      data.Scanner
-	stats      *Stats
-	tupleBytes int64
-}
-
-// Next records delivered rows even when they arrive together with a
-// terminal error (a final partial batch must not go uncounted).
-func (t *trackedScanner) Next() ([]data.Tuple, error) {
-	batch, err := t.inner.Next()
-	if n := int64(len(batch)); n > 0 {
-		t.stats.RecordRead(n, n*t.tupleBytes)
-		t.stats.RecordPhysRead(n * t.tupleBytes)
-	}
-	return batch, err
-}
-
-func (t *trackedScanner) Close() error { return t.inner.Close() }

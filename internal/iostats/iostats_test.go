@@ -188,7 +188,7 @@ func TestConcurrentTrackedScans(t *testing.T) {
 // drainChunks consumes a chunked scan over src and returns the rows seen.
 func drainChunks(t *testing.T, src data.Source) int64 {
 	t.Helper()
-	sc, err := data.ScanChunks(src)
+	sc, err := src.ScanChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,54 +255,45 @@ func TestTrackedChunkedScans(t *testing.T) {
 	}
 }
 
-// TestTrackedGenRowScan covers the generator source on the row-at-a-time
-// path (the other two kinds are covered above and in the earlier tests).
+// TestTrackedGenRowScan covers the generator source on the row path: Scan
+// is ScanRows over the tracked chunked scan, so it is recorded once, row
+// for row.
 func TestTrackedGenRowScan(t *testing.T) {
 	var st Stats
 	src := Tracked(gen.MustSource(gen.Config{Function: 1}, 750, 11), &st)
-	var n int64
-	if err := data.ForEach(src, func(data.Tuple) error { n++; return nil }); err != nil {
+	sc, err := src.Scan()
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer sc.Close()
+	var n int64
+	for {
+		batch, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int64(len(batch))
 	}
 	if n != 750 || st.TuplesRead() != 750 || st.Scans() != 1 {
 		t.Fatalf("rows=%d TuplesRead=%d Scans=%d, want 750/750/1", n, st.TuplesRead(), st.Scans())
 	}
 }
 
-// errRowSource delivers its rows in one batch together with a terminal
-// error, like a reader hitting corruption after a final partial batch.
-type errRowSource struct {
+// errSource delivers its rows in one chunk together with a terminal
+// error, like a reader hitting corruption after a final partial chunk.
+type errSource struct {
 	schema *data.Schema
 	tuples []data.Tuple
 	err    error
 }
 
-func (s *errRowSource) Schema() *data.Schema { return s.schema }
-func (s *errRowSource) Count() (int64, bool) { return 0, false }
-func (s *errRowSource) Scan() (data.Scanner, error) {
-	return &errRowScanner{tuples: s.tuples, err: s.err}, nil
-}
-
-type errRowScanner struct {
-	tuples []data.Tuple
-	err    error
-}
-
-func (s *errRowScanner) Next() ([]data.Tuple, error) {
-	batch := s.tuples
-	s.tuples = nil
-	return batch, s.err
-}
-
-func (s *errRowScanner) Close() error { return nil }
-
-// errChunkSource is the chunked analogue: NextChunk fills rows into dst
-// and returns a terminal error in the same call.
-type errChunkSource struct {
-	errRowSource
-}
-
-func (s *errChunkSource) ScanChunks() (data.ChunkScanner, error) {
+func (s *errSource) Schema() *data.Schema        { return s.schema }
+func (s *errSource) Count() (int64, bool)        { return 0, false }
+func (s *errSource) Scan() (data.Scanner, error) { return data.ScanRows(s) }
+func (s *errSource) ScanChunks() (data.ChunkScanner, error) {
 	return &errChunkScanner{tuples: s.tuples, err: s.err}, nil
 }
 
@@ -323,10 +314,12 @@ func (s *errChunkScanner) Close() error { return nil }
 
 // TestTrackedCountsRowsDeliveredWithError pins down the accounting fix:
 // rows handed back together with a terminal error were still read and
-// must be counted, on both the row and the chunked path.
+// must be counted, on both the row and the chunked path. The row scan
+// (ScanRows over the tracked chunked scan) hands the rows back with the
+// error too.
 func TestTrackedCountsRowsDeliveredWithError(t *testing.T) {
 	boom := errors.New("disk error")
-	base := errRowSource{schema: testSchema(), tuples: testTuples(7), err: boom}
+	base := errSource{schema: testSchema(), tuples: testTuples(7), err: boom}
 
 	t.Run("rows", func(t *testing.T) {
 		var st Stats
@@ -346,8 +339,8 @@ func TestTrackedCountsRowsDeliveredWithError(t *testing.T) {
 
 	t.Run("chunks", func(t *testing.T) {
 		var st Stats
-		src := Tracked(&errChunkSource{errRowSource: base}, &st)
-		cs, err := data.ScanChunks(src)
+		src := Tracked(&base, &st)
+		cs, err := src.ScanChunks()
 		if err != nil {
 			t.Fatal(err)
 		}

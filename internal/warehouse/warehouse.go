@@ -15,7 +15,6 @@ package warehouse
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
@@ -133,47 +132,23 @@ type viewSource struct {
 func (v *viewSource) Schema() *data.Schema { return v.schema }
 func (v *viewSource) Count() (int64, bool) { return v.n, true }
 
-func (v *viewSource) Scan() (data.Scanner, error) {
-	sc := &viewScanner{
-		star:      v.star,
-		rng:       rand.New(rand.NewSource(v.seed)),
-		remaining: v.n,
-	}
-	arity := len(v.schema.Attributes)
-	sc.batch = make([]data.Tuple, data.DefaultBatchSize)
-	values := make([]float64, len(sc.batch)*arity)
-	for i := range sc.batch {
-		sc.batch[i].Values = values[i*arity : (i+1)*arity]
-	}
-	return sc, nil
-}
+func (v *viewSource) Scan() (data.Scanner, error) { return data.ScanRows(v) }
 
-type viewScanner struct {
-	star      *Star
-	rng       *rand.Rand
-	remaining int64
-	batch     []data.Tuple
-}
-
-func (s *viewScanner) Next() ([]data.Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	for i := int64(0); i < n; i++ {
+// ScanChunks streams the fact table and joins each fact row with its
+// dimensions straight into the destination chunk.
+func (v *viewSource) ScanChunks() (data.ChunkScanner, error) {
+	rng := rand.New(rand.NewSource(v.seed))
+	star := v.star
+	return data.GeneratedScan(v.n, len(v.schema.Attributes), func(t *data.Tuple) {
 		// One fact-table row...
-		cID := s.rng.Intn(len(s.star.customers))
-		pID := s.rng.Intn(len(s.star.products))
-		channel := s.rng.Intn(3)
-		c := s.star.customers[cID]
-		p := s.star.products[pID]
+		cID := rng.Intn(len(star.customers))
+		pID := rng.Intn(len(star.products))
+		channel := rng.Intn(3)
+		c := star.customers[cID]
+		p := star.products[pID]
 		// Spend correlates with income and price; integral amounts.
-		amount := float64(int64(p.price)) + float64(s.rng.Int63n(int64(c.income)/4+1))
+		amount := float64(int64(p.price)) + float64(rng.Int63n(int64(c.income)/4+1))
 		// ...joined with its dimensions and labeled.
-		t := &s.batch[i]
 		t.Values[0] = c.age
 		t.Values[1] = c.income
 		t.Values[2] = float64(c.region)
@@ -181,10 +156,6 @@ func (s *viewScanner) Next() ([]data.Tuple, error) {
 		t.Values[4] = p.price
 		t.Values[5] = float64(channel)
 		t.Values[6] = amount
-		t.Class = label(s.rng, c, p, channel, amount)
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
+		t.Class = label(rng, c, p, channel, amount)
+	}), nil
 }
-
-func (s *viewScanner) Close() error { return nil }

@@ -1,6 +1,8 @@
 package warehouse
 
 import (
+	"hash/fnv"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -48,6 +50,56 @@ func TestTrainingViewDeterministicRescans(t *testing.T) {
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("tuple %d differs between scans of the join view", i)
+		}
+	}
+
+	// The view's tuples are pinned across versions too: FNV over Tuple.Key
+	// of the whole sequence, through the row scan and the chunked scan at
+	// several chunk sizes.
+	t.Run("digest", func(t *testing.T) {
+		requireDigest(t, star(t).TrainingView(10000, 3), 0x8f13c4abdf1410cc)
+	})
+}
+
+// requireDigest checks that the row scan and the chunked scans of src at
+// several chunk sizes all deliver the tuple sequence whose FNV digest over
+// Tuple.Key is want.
+func requireDigest(t *testing.T, src data.Source, want uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	sc, err := src.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for {
+		batch, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range batch {
+			io.WriteString(h, tp.Key())
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("row scan digest %#x, want %#x", got, want)
+	}
+	for _, rows := range []int{1, 7, 64, data.DefaultChunkRows} {
+		h.Reset()
+		err := data.ForEachChunk(src, rows, func(ch *data.Chunk) error {
+			for r := 0; r < ch.Len(); r++ {
+				io.WriteString(h, ch.TupleCopy(r).Key())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("chunked scan (rows=%d) digest %#x, want %#x", rows, got, want)
 		}
 	}
 }

@@ -56,7 +56,11 @@ type Config struct {
 	// families that fit in memory; Section 5 uses 1.5M tuples). With
 	// StopAtThreshold=true such families become leaves outright (the
 	// performance-experiment methodology); otherwise their subtrees are
-	// completed in memory, yielding the full reference tree.
+	// completed in memory, yielding the full reference tree. A frontier
+	// or failed node's family above the threshold gets a recursive BOAT
+	// invocation only when it spilled out of MemBudgetTuples; a resident
+	// one is grown with one in-memory build (in stop mode it becomes a
+	// fat leaf, refit in memory after each update that touches it).
 	StopThreshold   int64
 	StopAtThreshold bool
 
@@ -112,8 +116,8 @@ type Config struct {
 	Logger *slog.Logger
 
 	// MaxRebuildRecursion bounds how deeply BOAT may invoke itself on the
-	// gathered family of a failed or frontier node before falling back to
-	// the main-memory algorithm. 0 selects 3.
+	// spilled family of a failed or frontier node before growing it with
+	// the main-memory algorithm anyway. 0 selects 3.
 	MaxRebuildRecursion int
 
 	// ScanChunkRows is the row capacity of the columnar chunks the cleanup
@@ -253,8 +257,8 @@ type BuildStats struct {
 	// FailMoment: a moment-based method's exact recomputation
 	// contradicted the coarse criterion.
 	FailMoment int64
-	// FrontierRebuilds counts frontier families too large for the
-	// main-memory switch, rebuilt by recursive BOAT invocations.
+	// FrontierRebuilds counts recursive BOAT invocations: one per family
+	// of a frontier or failed node that spilled out of MemBudgetTuples.
 	FrontierRebuilds int64
 	// SpillRebuilds counts subtrees rebuilt because a storage fault on
 	// the spill path made the node's buffers untrustworthy; the rebuild
@@ -267,7 +271,9 @@ type BuildStats struct {
 	// StuckTuples is the total size of the stuck sets S_n after the
 	// cleanup scan.
 	StuckTuples int64
-	// InMemoryLeaves counts switch-over nodes finished in memory.
+	// InMemoryLeaves counts families grown with the main-memory
+	// algorithm: switch-over leaves, and the resident families of
+	// frontier and failed nodes.
 	InMemoryLeaves int64
 }
 
@@ -279,7 +285,8 @@ type UpdateStats struct {
 	// (0 on the row-at-a-time baseline path).
 	Chunks int64
 	// RebuiltSubtrees counts nodes whose coarse criterion was invalidated
-	// by the update (distribution change), rebuilding their subtree.
+	// by the update (distribution change), rebuilding their subtree, and
+	// promotions of spilled fat leaves to BOAT subtrees.
 	RebuiltSubtrees int64
 	// RebuildTuples counts tuples re-processed by those rebuilds.
 	RebuildTuples int64

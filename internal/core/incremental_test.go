@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/gen"
 	"github.com/boatml/boat/internal/inmem"
+	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/split"
 )
 
@@ -131,8 +133,8 @@ func TestIncrementalDistributionChange(t *testing.T) {
 }
 
 // TestIncrementalGrowthPromotesLeaves: inserting enough data pushes stored
-// leaf families past the in-memory threshold; they must be promoted and
-// the tree must stay exact.
+// leaf families past the in-memory threshold; the resident ones are grown
+// in memory, and the tree must stay exact.
 func TestIncrementalGrowthPromotesLeaves(t *testing.T) {
 	g := inmem.Config{Method: split.NewGini(), MaxDepth: 6, MinSplit: 50}
 	base := gen.MustSource(gen.Config{Function: 2, Noise: 0.05}, 3000, 1)
@@ -257,6 +259,35 @@ func TestUpdateErrors(t *testing.T) {
 	}
 	if err := bt.CheckConsistency(); err == nil {
 		t.Error("consistency check of a closed tree should fail")
+	}
+}
+
+// TestDanglingDeleteFailsUpdate: deleting tuples the tree never held
+// fails the update with the dangling-removal error. Removals routed into
+// a stuck set surface when verification reads the set; that read error
+// must fail the pass, not count as a confidence-interval miss that
+// rebuilds the subtree.
+func TestDanglingDeleteFailsUpdate(t *testing.T) {
+	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 6000, 1)
+	reg := obs.NewRegistry()
+	bt, err := Build(base, Config{
+		Method: split.NewGini(), MaxDepth: 5, MinSplit: 100,
+		SampleSize: 1500, Seed: 7, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	misses := reg.Snapshot().Counters["verify.ci.miss"]
+	upd, err := bt.Delete(gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 500, 2))
+	if err == nil || !strings.Contains(err.Error(), "did not match") {
+		t.Fatalf("dangling delete returned %v, want the dangling-removal error", err)
+	}
+	if strings.Contains(err.Error(), "rebuild") || upd.RebuiltSubtrees != 0 {
+		t.Errorf("dangling delete rebuilt %d subtree(s): %v", upd.RebuiltSubtrees, err)
+	}
+	if got := reg.Snapshot().Counters["verify.ci.miss"]; got != misses {
+		t.Errorf("dangling delete counted %d confidence-interval misses", got-misses)
 	}
 }
 

@@ -51,11 +51,12 @@ type bnode struct {
 	family  *data.TupleBag
 	subtree *tree.Node // in-memory completion (nil for stop-mode leaves within the threshold)
 	dirty   bool
-	// promoteAttempt is the family size at the last BOAT-promotion
-	// attempt that ended as a stored-family leaf (bootstrap disagreement
-	// at the family's root). Until the family outgrows it by 25%, further
-	// attempts would almost surely fail again, so the node is kept exact
-	// with plain in-memory refits instead.
+	// promoteAttempt is the family size at the last promotion of this
+	// spilled fat leaf that ended as a stored-family leaf (bootstrap
+	// disagreement at the family's root). Until the family outgrows it by
+	// 25%, further attempts would almost surely fail again, so the node is
+	// kept exact with plain in-memory refits instead. Resident fat leaves
+	// are never promoted and leave it 0.
 	promoteAttempt int64
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/discretize"
@@ -31,6 +32,19 @@ const (
 	nodeTagLeaf     = byte(1)
 	nodeTagInternal = byte(2)
 )
+
+// ErrCorruptModel reports a model stream Load cannot accept: a wrong
+// magic or version, a truncated stream, or a decoded state that breaks
+// the tree's invariants — count vectors of the wrong arity or sign,
+// attribute indexes or kinds outside the schema, stored tuples outside
+// the schema's domain, class counts that disagree with the stored
+// tuples. Every such failure wraps it, and leaves no buffer open; a read
+// error of the stream itself is returned as is.
+var ErrCorruptModel = errors.New("core: corrupt model")
+
+// ErrConfigMismatch reports a model saved under different growth options
+// than the configuration Load was given.
+var ErrConfigMismatch = errors.New("core: configuration fingerprint mismatch")
 
 // Save writes the model to w. The configuration itself is not stored
 // (methods are code, not data); Load verifies a fingerprint of the
@@ -76,22 +90,17 @@ func Load(r io.Reader, schema *data.Schema, cfg Config) (*Tree, error) {
 	t.impurityBased, _ = cfg.Method.(split.ImpurityBased)
 	t.momentBased, _ = cfg.Method.(split.MomentBased)
 
-	br := bufio.NewReaderSize(r, 1<<16)
+	dec := &decoder{r: bufio.NewReaderSize(r, 1<<16), schema: schema, t: t}
 	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading model magic: %w", err)
+	if dec.read(magic); dec.err == nil && string(magic) != persistMagic {
+		dec.failf("not a BOAT model stream")
 	}
-	if string(magic) != persistMagic {
-		return nil, errors.New("core: not a BOAT model stream")
-	}
-	dec := &decoder{r: br, schema: schema, t: t}
-	if v := dec.u8(); v != persistVersion && dec.err == nil {
-		return nil, fmt.Errorf("core: unsupported model version %d", v)
+	if v := dec.u8(); dec.err == nil && v != persistVersion {
+		dec.failf("unsupported model version %d", v)
 	}
 	fp := dec.str()
 	if dec.err == nil && fp != t.fingerprint() {
-		return nil, fmt.Errorf("core: configuration fingerprint mismatch: model %q, config %q",
-			fp, t.fingerprint())
+		return nil, fmt.Errorf("%w: model %q, config %q", ErrConfigMismatch, fp, t.fingerprint())
 	}
 	root := dec.node(0)
 	if dec.err != nil {
@@ -350,7 +359,32 @@ type decoder struct {
 
 func (d *decoder) fail(err error) {
 	if d.err == nil {
+		d.err = fmt.Errorf("%w: %w", ErrCorruptModel, err)
+	}
+}
+
+func (d *decoder) failf(format string, args ...any) {
+	d.fail(fmt.Errorf(format, args...))
+}
+
+// failIO records an I/O error: a stream that ends early is a truncated
+// model, and any other error — the reader's own, or a spill write's —
+// passes up as is.
+func (d *decoder) failIO(err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		d.fail(io.ErrUnexpectedEOF)
+	} else if d.err == nil {
 		d.err = err
+	}
+}
+
+// read fills b from the stream.
+func (d *decoder) read(b []byte) {
+	if d.err != nil {
+		return
+	}
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		d.failIO(err)
 	}
 }
 
@@ -359,19 +393,15 @@ func (d *decoder) u8() byte {
 		return 0
 	}
 	b, err := d.r.ReadByte()
-	d.fail(err)
+	if err != nil {
+		d.failIO(err)
+	}
 	return b
 }
 
 func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
 	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		d.fail(err)
-		return 0
-	}
+	d.read(b[:])
 	return binary.LittleEndian.Uint64(b[:])
 }
 
@@ -381,66 +411,83 @@ func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *decoder) count(max uint64, what string) int {
 	n := d.u64()
 	if d.err == nil && n > max {
-		d.fail(fmt.Errorf("core: implausible %s count %d", what, n))
+		d.failf("implausible %s count %d", what, n)
 		return 0
 	}
 	return int(n)
 }
 
+// readLimit caps the up-front allocation of a length-prefixed block:
+// longer blocks grow as their bytes arrive, so a corrupt length in a
+// short stream fails at the stream's end instead of allocating it.
+const readLimit = 1 << 16
+
 func (d *decoder) str() string {
-	n := d.count(1<<16, "string")
-	if d.err != nil {
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.fail(err)
-		return ""
-	}
-	return string(b)
+	return string(d.bytesBlock(1 << 16))
 }
 
-func (d *decoder) bytesBlock() []byte {
-	n := d.count(1<<32, "bytes")
+func (d *decoder) bytesBlock(max uint64) []byte {
+	n := d.count(max, "bytes")
 	if d.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.fail(err)
-		return nil
+	b := make([]byte, 0, min(n, readLimit))
+	for len(b) < n {
+		k := min(n-len(b), readLimit)
+		b = slices.Grow(b, k)[:len(b)+k]
+		if d.read(b[len(b)-k:]); d.err != nil {
+			return nil
+		}
 	}
 	return b
 }
 
-func (d *decoder) i64s() []int64 {
-	n := d.count(1<<24, "int64 slice")
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.i64()
+// words reads a length-prefixed vector of 8-byte words.
+func words[T int64 | uint64 | float64](d *decoder, what string, conv func(uint64) T) []T {
+	n := d.count(1<<24, what)
+	out := make([]T, 0, min(n, readLimit))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, conv(d.u64()))
 	}
 	return out
+}
+
+func (d *decoder) i64s() []int64 {
+	return words(d, "int64 slice", func(v uint64) int64 { return int64(v) })
 }
 
 func (d *decoder) u64slice() []uint64 {
-	n := d.count(1<<24, "uint64 slice")
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.u64()
-	}
-	return out
+	return words(d, "uint64 slice", func(v uint64) uint64 { return v })
 }
 
 func (d *decoder) f64s() []float64 {
-	n := d.count(1<<24, "float64 slice")
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
+	return words(d, "float64 slice", math.Float64frombits)
 }
 
-func (d *decoder) bag() *data.TupleBag {
+// counts reads a per-class count vector, which must have one
+// non-negative entry per class.
+func (d *decoder) counts(what string) []int64 {
+	v := d.i64s()
+	if d.err != nil {
+		return nil
+	}
+	if len(v) != d.schema.ClassCount {
+		d.failf("%s arity %d, schema has %d classes", what, len(v), d.schema.ClassCount)
+		return nil
+	}
+	for _, c := range v {
+		if c < 0 {
+			d.failf("negative %s %d", what, c)
+			return nil
+		}
+	}
+	return v
+}
+
+// bag decodes a stored tuple bag, checking every tuple against the
+// schema's domain; the classes of its tuples are added to tally when it
+// is non-nil.
+func (d *decoder) bag(tally []int64) *data.TupleBag {
 	n := d.u64()
 	bag := data.NewTupleBagEnv(d.schema, d.t.spillEnv(d.t.budget))
 	d.open = append(d.open, bag)
@@ -453,14 +500,20 @@ func (d *decoder) bag() *data.TupleBag {
 	}
 	tp := data.Tuple{Values: make([]float64, len(d.schema.Attributes))}
 	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(d.r, d.buf[:tupleSize]); err != nil {
-			d.fail(err)
+		if d.read(d.buf[:tupleSize]); d.err != nil {
 			return bag
 		}
 		data.DecodeTupleInto(d.buf[:tupleSize], data.FormatWide, &tp)
-		if err := bag.Add(tp); err != nil {
+		if err := d.schema.CheckDomain(tp); err != nil {
 			d.fail(err)
 			return bag
+		}
+		if err := bag.Add(tp); err != nil {
+			d.failIO(err)
+			return bag
+		}
+		if tally != nil {
+			tally[tp.Class]++
 		}
 	}
 	return bag
@@ -473,38 +526,47 @@ func (d *decoder) node(depth int) *bnode {
 	switch tag := d.u8(); tag {
 	case nodeTagLeaf:
 		n := &bnode{depth: depth, leaf: true}
-		n.classCounts = d.i64s()
+		n.classCounts = d.counts("leaf class count")
 		n.promoteAttempt = d.i64()
-		n.family = d.bag()
+		tally := make([]int64, d.schema.ClassCount)
+		n.family = d.bag(tally)
 		if d.u8() == 1 {
-			raw := d.bytesBlock()
+			raw := d.bytesBlock(1 << 32)
 			if d.err == nil {
 				sub, err := tree.DecodeSubtree(raw, d.schema)
-				d.fail(err)
+				if err != nil {
+					d.fail(err)
+				}
 				n.subtree = sub
 			}
 		}
 		if d.err != nil {
 			return nil
 		}
-		if len(n.classCounts) != d.schema.ClassCount {
-			d.fail(errors.New("core: leaf class-count arity mismatch"))
+		if !slices.Equal(tally, n.classCounts) {
+			d.failf("leaf class counts %v, stored family holds %v", n.classCounts, tally)
 			return nil
 		}
 		return n
 	case nodeTagInternal:
-		classCounts := d.i64s()
+		classCounts := d.counts("class count")
 		c := &coarseCrit{}
 		c.attr = int(d.i64())
+		if d.err == nil && (c.attr < 0 || c.attr >= len(d.schema.Attributes)) {
+			d.failf("coarse attribute %d out of range", c.attr)
+		}
+		if d.err != nil {
+			return nil
+		}
 		c.kind = data.Kind(d.u8())
+		if d.err == nil && c.kind != d.schema.Attributes[c.attr].Kind {
+			d.failf("coarse attribute %d has kind %d, the schema says %d",
+				c.attr, c.kind, d.schema.Attributes[c.attr].Kind)
+		}
 		c.subset = d.u64()
 		c.lo = d.f64()
 		c.hi = d.f64()
 		if d.err != nil {
-			return nil
-		}
-		if c.attr < 0 || c.attr >= len(d.schema.Attributes) {
-			d.fail(fmt.Errorf("core: coarse attribute %d out of range", c.attr))
 			return nil
 		}
 		n := d.t.newInternal(depth, c)
@@ -515,26 +577,38 @@ func (d *decoder) node(depth int) *bnode {
 		n.crit = split.Split{Found: true}
 		n.crit.Attr = int(d.i64())
 		n.crit.Kind = data.Kind(d.u8())
+		if d.err == nil && (n.crit.Attr != c.attr || n.crit.Kind != c.kind) {
+			d.failf("final criterion on attribute %d kind %d, coarse criterion on %d kind %d",
+				n.crit.Attr, n.crit.Kind, c.attr, c.kind)
+			return nil
+		}
 		n.crit.Threshold = d.f64()
 		n.crit.Subset = d.u64()
 		n.crit.Quality = d.f64()
 		n.routedThr = d.f64()
 		n.eqLow = d.i64()
-		n.lowCounts = d.i64s()
-		n.highCounts = d.i64s()
+		if c.kind == data.Numeric {
+			n.lowCounts = d.counts("low-interval count")
+			n.highCounts = d.counts("high-interval count")
+		} else if low, high := d.i64s(), d.i64s(); d.err == nil && len(low)+len(high) != 0 {
+			d.failf("interval counts on a categorical coarse criterion")
+		}
 		for i, a := range d.schema.Attributes {
-			if d.u8() == 0 {
-				n.catCounts[i] = nil
-				continue
+			present := d.u8() == 1
+			if d.err == nil && present != (a.Kind == data.Categorical) {
+				d.failf("categorical counts present %v on attribute %d of kind %d", present, i, a.Kind)
 			}
-			card := d.count(data.MaxCardinality, "category")
-			if d.err != nil || a.Kind != data.Categorical || card != a.Cardinality {
-				d.fail(errors.New("core: categorical counts shape mismatch"))
+			if d.err != nil {
 				return nil
 			}
-			for code := 0; code < card; code++ {
-				row := d.i64s()
-				copy(n.catCounts[i].Counts[code], row)
+			if !present {
+				continue
+			}
+			if card := d.count(data.MaxCardinality, "category"); d.err == nil && card != a.Cardinality {
+				d.failf("attribute %d has %d categories, model stores %d", i, a.Cardinality, card)
+			}
+			for code := 0; code < a.Cardinality && d.err == nil; code++ {
+				copy(n.catCounts[i].Counts[code], d.i64s())
 			}
 		}
 		for i := range d.schema.Attributes {
@@ -547,43 +621,56 @@ func (d *decoder) node(depth int) *bnode {
 			if d.err != nil {
 				return nil
 			}
+			for j, b := range bounds {
+				if b != b || (j > 0 && b <= bounds[j-1]) {
+					d.failf("histogram boundaries of attribute %d not ascending", i)
+					return nil
+				}
+			}
 			h := discretize.NewHistogram(bounds, d.schema.ClassCount)
 			if cells != h.NumCells() {
-				d.fail(errors.New("core: histogram cell count mismatch"))
+				d.failf("histogram cell count mismatch")
 				return nil
 			}
 			for cidx := 0; cidx < cells; cidx++ {
-				row := d.i64s()
-				copy(h.Counts[cidx], row)
+				copy(h.Counts[cidx], d.i64s())
 			}
 			n.hist[i] = h
 		}
-		if d.u8() == 1 {
+		if moments := d.u8() == 1; d.err == nil && moments != (d.t.momentBased != nil) {
+			d.failf("moments present %v for method %q", moments, d.t.cfg.Method.Name())
+			return nil
+		} else if moments {
 			m := split.NewMoments(d.schema)
-			m.ClassTotals = d.i64s()
-			for i := range d.schema.Attributes {
-				if d.u8() == 1 {
+			m.ClassTotals = d.counts("moment class total")
+			for i, a := range d.schema.Attributes {
+				numeric := d.u8() == 1
+				if d.err == nil && numeric != (a.Kind == data.Numeric) {
+					d.failf("moments of attribute %d stored as the wrong kind", i)
+				}
+				if d.err != nil {
+					return nil
+				}
+				if numeric {
 					nm := m.Num[i]
-					nm.Count = d.i64s()
+					nm.Count = d.counts("moment count")
 					nm.Sum = d.i64s()
 					nm.SqHi = d.u64slice()
 					nm.SqLo = d.u64slice()
-				} else {
-					card := d.count(data.MaxCardinality, "moment category")
-					if d.err != nil {
-						return nil
+					k := d.schema.ClassCount
+					if d.err == nil && (len(nm.Sum) != k || len(nm.SqHi) != k || len(nm.SqLo) != k) {
+						d.failf("moment arity mismatch on attribute %d", i)
 					}
-					for code := 0; code < card; code++ {
-						row := d.i64s()
-						if m.Cat[i] != nil && code < len(m.Cat[i].Counts) {
-							copy(m.Cat[i].Counts[code], row)
-						}
-					}
+					continue
+				}
+				if card := d.count(data.MaxCardinality, "moment category"); d.err == nil && card != a.Cardinality {
+					d.failf("attribute %d has %d categories, moments store %d", i, a.Cardinality, card)
+				}
+				for code := 0; code < a.Cardinality && d.err == nil; code++ {
+					copy(m.Cat[i].Counts[code], d.i64s())
 				}
 			}
 			n.moments = m
-		} else {
-			n.moments = nil
 		}
 		// newInternal allocates bags only for numeric coarse criteria;
 		// replace them with the persisted contents either way.
@@ -593,23 +680,28 @@ func (d *decoder) node(depth int) *bnode {
 		if n.pushed != nil {
 			n.pushed.Close()
 		}
-		n.pending = d.bag()
-		n.pushed = d.bag()
-		if c.kind == data.Categorical {
+		pending := make([]int64, d.schema.ClassCount)
+		n.pending = d.bag(pending)
+		n.pushed = d.bag(nil)
+		if d.err == nil && c.kind == data.Categorical && (n.pending.Len() != 0 || n.pushed.Len() != 0) {
 			// Categorical coarse nodes have no stuck sets.
-			if n.pending.Len() != 0 || n.pushed.Len() != 0 {
-				d.fail(errors.New("core: categorical node with stuck tuples"))
-				return nil
-			}
+			d.failf("categorical node with stuck tuples")
 		}
 		n.left = d.node(depth + 1)
 		n.right = d.node(depth + 1)
 		if d.err != nil {
 			return nil
 		}
+		for j, v := range n.classCounts {
+			if v != n.left.classCounts[j]+n.right.classCounts[j]+pending[j] {
+				d.failf("class counts %v, children and stuck set hold %v + %v + %v",
+					n.classCounts, n.left.classCounts, n.right.classCounts, pending)
+				return nil
+			}
+		}
 		return n
 	default:
-		d.fail(fmt.Errorf("core: unknown node tag %d", tag))
+		d.failf("unknown node tag %d", tag)
 		return nil
 	}
 }

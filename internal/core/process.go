@@ -23,11 +23,13 @@ import (
 //
 // The internal-node pass is sequential (a node's stuck tuples must be
 // pushed before its children are examined), but it only defers leaf
-// completion: leaves are collected in left-to-right order and finished
-// afterwards by completeLeaves — concurrently when Parallelism > 1, since
-// each leaf's in-memory fit or frontier rebuild touches only that leaf's
-// family. rdepth is the BOAT-in-BOAT recursion depth of this pass, and sp
-// the enclosing trace span (the build "process" span, or an update span).
+// completion: leaves — including failed nodes turned into leaves over
+// their resident families — are collected in left-to-right order and
+// finished afterwards by completeLeaves, concurrently when Parallelism >
+// 1, since each leaf's in-memory fit or promotion touches only that
+// leaf's family. rdepth is the BOAT-in-BOAT recursion depth of this
+// pass, and sp the enclosing trace span (the build "process" span, or an
+// update span).
 func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
 	var leaves []*bnode
 	verSpan := sp.Start("verification")
@@ -52,17 +54,20 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 	if grow.StopBeforeSplit(n.total(), n.depth, n.classCounts) {
 		// The reference algorithm makes this node a leaf (it became pure
 		// or too small, e.g. after deletions).
-		if err := t.demoteToLeaf(n); err != nil {
-			return err
+		if err := t.gatherLeaf(n, 0); err != nil {
+			return fmt.Errorf("core: gathering family for demotion: %w", err)
 		}
 		*leaves = append(*leaves, n)
 		return nil
 	}
-	chosen, ok := t.verify(n)
+	chosen, ok, err := t.verify(n)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		t.met.ciMiss.Inc()
 		t.noteFailure()
-		return t.rebuildFromSubtree(n, rdepth, sp)
+		return t.rebuild(n, 0, rdepth, leaves, sp)
 	}
 	t.met.ciHit.Inc()
 	if n.coarse.kind == data.Numeric {
@@ -90,7 +95,7 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 					// stuck tuples live in the subtree's buffers, the rest
 					// only in the pending set, so rebuilding the subtree
 					// from the gathered family recovers exactly.
-					return t.rebuildAfterSpillFault(n, routed, rdepth, sp)
+					return t.rebuildAfterSpillFault(n, routed, rdepth, leaves, sp)
 				}
 				return fmt.Errorf("core: pushing stuck tuples: %w", err)
 			}
@@ -113,8 +118,8 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 }
 
 // completeLeaves finishes the collected leaves. Each dirty leaf's work —
-// an in-memory (re)fit or the promotion of an oversized frontier family
-// to a BOAT subtree — depends only on that leaf's family, so with
+// an in-memory (re)fit or the promotion of a spilled frontier family to
+// a BOAT subtree — depends only on that leaf's family, so with
 // Parallelism > 1 the leaves are completed by an errgroup-style worker
 // pool. Shared state reached from processLeaf (the memory budget, the
 // I/O stats, the build/update counters, the rebuild seed counter) is
@@ -201,10 +206,14 @@ func (t *Tree) migrate(n *bnode, old, new float64) error {
 // verify computes the exact final splitting criterion at n given the
 // coarse criterion, and checks that the global optimum cannot lie outside
 // it (Lemma 3.2). ok=false signals that the coarse splitting criterion is
-// (or may be) incorrect; the subtree must be discarded and rebuilt.
-func (t *Tree) verify(n *bnode) (split.Split, bool) {
+// (or may be) incorrect; the subtree must be discarded and rebuilt. An
+// error means the node's stuck set could not be read — a storage fault,
+// or a removal that matched no stored tuple (a dangling delete) — and
+// fails the pass instead of counting as a verification failure.
+func (t *Tree) verify(n *bnode) (split.Split, bool, error) {
 	if t.momentBased != nil {
-		return t.verifyMoments(n)
+		chosen, ok := t.verifyMoments(n)
+		return chosen, ok, nil
 	}
 	return t.verifyImpurity(n)
 }
@@ -255,7 +264,7 @@ func (t *Tree) verifyMoments(n *bnode) (split.Split, bool) {
 // equals the chosen quality fails verification if it could contain an
 // equal-quality candidate that the canonical order (split.Split.Better)
 // would prefer — an occasional spurious rebuild instead of a wrong tree.
-func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool) {
+func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool, error) {
 	crit := t.impurityBased.Criterion()
 	c := n.coarse
 
@@ -274,21 +283,21 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool) {
 	if c.kind == data.Numeric {
 		avc, err := t.stuckAVC(n)
 		if err != nil {
-			return split.Split{}, false
+			return split.Split{}, false, fmt.Errorf("core: reading stuck set: %w", err)
 		}
 		bestIv := split.BestNumericSplitInInterval(crit, c.attr, n.lowCounts,
 			n.eqLow > 0, c.lo, avc, n.classCounts)
 		if !bestIv.Found {
 			t.met.failNoCandidate.Inc()
 			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailNoCandidate++ })
-			return split.Split{}, false
+			return split.Split{}, false, nil
 		}
 		if bestCat.Better(bestIv) {
 			// A categorical attribute beats the coarse attribute: the
 			// coarse splitting attribute is wrong.
 			t.met.failBetterCat.Inc()
 			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBetterCat++ })
-			return split.Split{}, false
+			return split.Split{}, false, nil
 		}
 		chosen = bestIv
 	} else {
@@ -296,12 +305,12 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool) {
 		if !exact.Found || exact.Subset != c.subset {
 			t.met.failBetterCat.Inc()
 			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBetterCat++ })
-			return split.Split{}, false
+			return split.Split{}, false, nil
 		}
 		if bestCat.Better(exact) {
 			t.met.failBetterCat.Inc()
 			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBetterCat++ })
-			return split.Split{}, false
+			return split.Split{}, false, nil
 		}
 		chosen = exact
 	}
@@ -345,7 +354,7 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool) {
 			if lb < iPrime {
 				t.met.failBound.Inc()
 				t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBound++ })
-				return split.Split{}, false
+				return split.Split{}, false, nil
 			}
 			if lb == iPrime {
 				// A candidate here could tie the chosen split; fail if
@@ -355,12 +364,12 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool) {
 					(i == chosen.Attr && chosen.Kind == data.Numeric && tieValue < chosen.Threshold) {
 					t.met.failTie.Inc()
 					t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailTie++ })
-					return split.Split{}, false
+					return split.Split{}, false, nil
 				}
 			}
 		}
 	}
-	return chosen, true
+	return chosen, true, nil
 }
 
 // isInteriorEmpty reports whether an interior cell holds no tuples (hence
@@ -418,41 +427,37 @@ func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 	return avc, nil
 }
 
-// processLeaf finishes a leaf node: families above the main-memory switch
-// threshold are promoted to BOAT subtrees; in-memory families are either
-// left as leaves (StopAtThreshold, the paper's performance-experiment
-// methodology) or completed with the main-memory algorithm. May run
+// processLeaf finishes a leaf node. A family above the main-memory
+// switch that spilled out of memory is promoted to a BOAT subtree by a
+// recursive invocation (see recurses); every other family is either left
+// as a labeled leaf (StopAtThreshold, the paper's performance-experiment
+// methodology, for families within the threshold) or grown with the
+// main-memory algorithm — a fat leaf in stop mode, whose whole family is
+// refit in memory after each update that touches it. May run
 // concurrently for distinct leaves (see completeLeaves).
 func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span) error {
 	if !n.dirty {
 		return nil
 	}
 	total := n.total()
-	if t.cfg.StopThreshold > 0 && total > t.cfg.StopThreshold &&
+	if t.recurses(n.family, rdepth) &&
 		(n.promoteAttempt == 0 || total >= n.promoteAttempt+n.promoteAttempt/4) {
-		fam := n.family
-		n.family = nil
-		attempt := total
-		t.met.frontierRebuilds.Inc()
-		t.log.Debug("promoting frontier leaf", "tuples", total, "depth", n.depth, "rdepth", rdepth)
-		t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-			if upd == nil {
-				b.FrontierRebuilds++
-			} else {
+		t.mutateStats(func(_ *BuildStats, upd *UpdateStats) {
+			if upd != nil {
 				upd.RebuiltSubtrees++
 			}
 		})
 		rbSpan := sp.Start("rebuild")
 		rbSpan.SetAttr("tuples", total)
-		err := t.finishNodeFromFamily(n, fam, rdepth, rbSpan)
+		err := t.recurseOnFamily(n, rdepth, rbSpan)
 		rbSpan.End()
 		if err != nil {
 			return err
 		}
 		if n.isLeaf() {
-			// Promotion ended as a stored-family leaf (the bootstrap
+			// The promotion ended as a stored-family leaf (the bootstrap
 			// trees disagreed at this family's root); back off.
-			n.promoteAttempt = attempt
+			n.promoteAttempt = total
 		}
 		return nil
 	}

@@ -5,21 +5,39 @@ import (
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
-	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/split"
 )
 
-// rebuildFromSubtree discards a node whose coarse splitting criterion
-// failed verification and rebuilds its subtree from the node's family F_n
-// (Section 3.5): the family is gathered from the buffers already stored in
-// the subtree — the not-yet-pushed stuck sets and the stored leaf
+// rebuild discards a node whose coarse splitting criterion failed
+// verification and regrows its subtree from the node's family F_n
+// (Section 3.5). The family is gathered from the buffers already stored
+// in the subtree — the not-yet-pushed stuck sets and the stored leaf
 // families — which is the "additional scan over subsets of the data" the
 // paper refers to; no scan of the original training database is needed.
-// rdepth is the BOAT-in-BOAT recursion depth of the enclosing pass, and
-// sp the enclosing trace span.
-func (t *Tree) rebuildFromSubtree(n *bnode, rdepth int, sp *obs.Span) error {
-	return t.rebuild(n, 0, rdepth, sp)
+// A family that spilled out of memory gets a recursive BOAT invocation
+// (recurseOnFamily); a resident one turns n into a dirty stored-family
+// leaf, appended to leaves, which leaf completion grows in memory like
+// any frontier leaf. skip leaves the first skip tuples of n's own stuck
+// set out of the family (see rebuildAfterSpillFault). rdepth is the
+// BOAT-in-BOAT recursion depth of the enclosing pass, and sp the
+// enclosing trace span.
+func (t *Tree) rebuild(n *bnode, skip int64, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
+	rbSpan := sp.Start("rebuild")
+	defer rbSpan.End()
+	if err := t.gatherLeaf(n, skip); err != nil {
+		return fmt.Errorf("core: gathering family for rebuild: %w", err)
+	}
+	total := n.family.Len()
+	rbSpan.SetAttr("tuples", total)
+	t.met.rebuildSubtrees.Inc()
+	t.log.Debug("rebuilding subtree", "tuples", total, "depth", n.depth, "rdepth", rdepth)
+	t.noteRebuildTuples(total)
+	if t.recurses(n.family, rdepth) {
+		return t.recurseOnFamily(n, rdepth, rbSpan)
+	}
+	*leaves = append(*leaves, n)
+	return nil
 }
 
 // rebuildAfterSpillFault rebuilds the subtree at n after a storage fault
@@ -29,43 +47,22 @@ func (t *Tree) rebuildFromSubtree(n *bnode, rdepth int, sp *obs.Span) error {
 // n before the fault (a failed route adds its tuple nowhere), so the
 // gathered family takes them from there and leaves them out of the stuck
 // set: every tuple is gathered exactly once.
-func (t *Tree) rebuildAfterSpillFault(n *bnode, routed int64, rdepth int, sp *obs.Span) error {
+func (t *Tree) rebuildAfterSpillFault(n *bnode, routed int64, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
 	t.met.spillRebuilds.Inc()
 	t.log.Warn("storage fault on spill path; rebuilding subtree", "depth", n.depth, "rdepth", rdepth)
 	t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.SpillRebuilds++ })
-	return t.rebuild(n, routed, rdepth, sp)
+	return t.rebuild(n, routed, rdepth, leaves, sp)
 }
 
-// rebuild gathers F_n — leaving out the first skip tuples of n's own stuck
-// set — and installs the subtree finishNodeFromFamily grows from it.
-func (t *Tree) rebuild(n *bnode, skip int64, rdepth int, sp *obs.Span) error {
-	rbSpan := sp.Start("rebuild")
-	defer rbSpan.End()
+// gatherLeaf turns n into a dirty stored-family leaf holding F_n, leaving
+// out the first skip tuples of n's own stuck set. Rebuilds and demotions
+// (the reference stopping rules turned n into a leaf, typically after
+// deletions) both start here; the caller queues the leaf for completion.
+func (t *Tree) gatherLeaf(n *bnode, skip int64) error {
 	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
 	if err := gatherFamily(n, fam, skip); err != nil {
 		fam.Close()
-		return fmt.Errorf("core: gathering family for rebuild: %w", err)
-	}
-	rbSpan.SetAttr("tuples", fam.Len())
-	t.met.rebuildSubtrees.Inc()
-	t.log.Debug("rebuilding subtree", "tuples", fam.Len(), "depth", n.depth, "rdepth", rdepth)
-	t.noteRebuildTuples(fam.Len())
-	counts := make([]int64, len(n.classCounts))
-	copy(counts, n.classCounts)
-	releaseNodeState(n)
-	n.classCounts = counts
-	return t.finishNodeFromFamily(n, fam, rdepth, rbSpan)
-}
-
-// demoteToLeaf converts an internal node into a leaf because the reference
-// stopping rules say so (the family became pure or too small, typically
-// after deletions). The caller (processInternal) queues the demoted leaf
-// for completion alongside the other leaves of the pass.
-func (t *Tree) demoteToLeaf(n *bnode) error {
-	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-	if err := gatherFamily(n, fam, 0); err != nil {
-		fam.Close()
-		return fmt.Errorf("core: gathering family for demotion: %w", err)
+		return err
 	}
 	counts := make([]int64, len(n.classCounts))
 	copy(counts, n.classCounts)
@@ -147,74 +144,45 @@ func releaseNodeState(n *bnode) {
 	n.promoteAttempt = 0
 }
 
-// finishNodeFromFamily installs the correct subtree at n given its
-// complete family. Families above the main-memory threshold are rebuilt by
-// a recursive BOAT invocation over the buffered family (bounded by
-// MaxRebuildRecursion, threaded through as rdepth so that concurrent
-// rebuilds of distinct nodes track their own depth); everything else
-// becomes a stored-family leaf, completed in memory. sp is the enclosing
-// trace span: a recursive BOAT invocation records its phases under it.
-func (t *Tree) finishNodeFromFamily(n *bnode, fam *data.TupleBag, rdepth int, sp *obs.Span) error {
+// recurses reports whether the family of a frontier or failed node gets a
+// recursive BOAT invocation: only a family above the main-memory switch
+// that spilled to disk because it did not fit MemBudgetTuples, while the
+// recursion budget lasts. That is the paper's rule — BOAT recurses on a
+// family because it does not fit in memory. A resident family is grown
+// with one in-memory build instead, like a fat-leaf refit.
+func (t *Tree) recurses(fam *data.TupleBag, rdepth int) bool {
+	return t.cfg.StopThreshold > 0 && fam.Len() > t.cfg.StopThreshold &&
+		fam.Spilled() && rdepth < t.cfg.MaxRebuildRecursion
+}
+
+// recurseOnFamily replaces the stored-family leaf n with the subtree a
+// recursive BOAT invocation grows over its family: a sample of the
+// family, bootstrap trees, a cleanup scan of the family and verification.
+// The invocation runs at rdepth+1, so concurrent rebuilds of distinct
+// nodes track their own depth, and records its phases under sp. If the
+// bootstrap trees disagree at the family's root, the result is again a
+// stored-family leaf.
+func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span) error {
+	fam := n.family
+	n.family = nil
+	defer fam.Close()
 	total := fam.Len()
-	if t.cfg.StopThreshold > 0 && total > t.cfg.StopThreshold &&
-		rdepth < t.cfg.MaxRebuildRecursion {
-		rng := rand.New(rand.NewSource(t.cfg.Seed + 7919*t.seedCounter.Add(1)))
-		sample, err := data.ReservoirSample(fam.Source(), t.cfg.SampleSize, rng)
-		if err == nil {
-			var sub *bnode
-			sub, err = t.buildFromSample(fam.Source(), sample, total, n.depth, rdepth+1, sp)
-			if err == nil {
-				fam.Close()
-				*n = *sub
-				return nil
-			}
+	t.met.frontierRebuilds.Inc()
+	t.log.Debug("recursive BOAT on a spilled family", "tuples", total, "depth", n.depth, "rdepth", rdepth)
+	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
+		if upd == nil {
+			b.FrontierRebuilds++
 		}
-		fam.Close()
-		return err
-	}
-	// Main-memory path: the node keeps its family as a stored-family
-	// leaf. Small families in stop mode stay labeled leaves; everything
-	// else (including oversized families that exhausted the recursion
-	// budget — the rare pathological case the paper notes) is grown with
-	// the main-memory algorithm, whose stopping rules include the stop
-	// threshold, so the result still matches the reference exactly.
-	counts := make([]int64, t.schema.ClassCount)
-	if err := fam.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
-		if idx == nil {
-			for _, c := range ch.Classes() {
-				counts[c]++
-			}
-			return nil
-		}
-		for _, r := range idx {
-			counts[ch.Class(int(r))]++
-		}
-		return nil
-	}); err != nil {
-		fam.Close()
-		return err
-	}
-	n.leaf = true
-	n.family = fam
-	n.classCounts = counts
-	n.dirty = false
-	n.subtree = nil
-	if t.cfg.StopAtThreshold && total <= t.cfg.StopThreshold {
-		return nil
-	}
-	tuples, err := fam.Materialize()
+	})
+	rng := rand.New(rand.NewSource(t.cfg.Seed + 7919*t.seedCounter.Add(1)))
+	sample, err := data.ReservoirSample(fam.Source(), t.cfg.SampleSize, rng)
 	if err != nil {
 		return err
 	}
-	n.subtree = inmem.Build(t.schema, tuples, t.cfg.growConfig(n.depth)).Root
-	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-		if upd == nil {
-			b.InMemoryLeaves++
-			t.met.leavesInMemory.Inc()
-		} else {
-			upd.RefittedLeaves++
-			t.met.leavesRefitted.Inc()
-		}
-	})
+	sub, err := t.buildFromSample(fam.Source(), sample, total, n.depth, rdepth+1, sp)
+	if err != nil {
+		return err
+	}
+	*n = *sub
 	return nil
 }

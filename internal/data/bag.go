@@ -92,6 +92,10 @@ func (b *TupleBag) Len() int64 { return b.add.Len() - b.removed }
 // PendingRemovals returns the number of queued deletions.
 func (b *TupleBag) PendingRemovals() int64 { return b.removed }
 
+// Spilled reports whether some of the bag's additions overflowed its
+// memory budget into the temporary file.
+func (b *TupleBag) Spilled() bool { return b.add.SpilledTuples() > 0 }
+
 // Err returns the poison cause of the underlying spill buffer: non-nil
 // after an overflow write failed for good. A poisoned bag refuses Add but
 // its contents remain iterable.

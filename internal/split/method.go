@@ -81,28 +81,115 @@ func (m *ImpurityMethod) BestSplit(stats *NodeStats) Split {
 // BestNumericSplit finds the best split X <= x over all candidate split
 // points x (the observed attribute values, excluding the largest) of one
 // numeric attribute, from its AVC-set.
+//
+// It is the in-memory builder's hottest loop, so every candidate is
+// evaluated in one fused pass per criterion: the left class counts and
+// their total run along the values, the right side is the family totals
+// minus the left, and a candidate costs only its impurity arithmetic and
+// one comparison. The floating-point operations are PartitionQuality's,
+// in the same order, so the Quality bit pattern and the threshold equal
+// those of evaluating each candidate through QualityFromLeft and keeping
+// the Better one. Up to 8 classes it allocates nothing.
 func BestNumericSplit(crit Criterion, attr int, avc *NumericAVC, classTotals []int64) Split {
-	k := len(classTotals)
-	left := make([]int64, k)
-	scratch := make([]int64, k)
-	best := NoSplit()
-	for i := 0; i < len(avc.Values)-1; i++ {
-		for j, c := range avc.Counts[i] {
+	last := len(avc.Values) - 1
+	if last < 1 {
+		return NoSplit()
+	}
+	var buf [8]int64
+	var left []int64
+	if k := len(classTotals); k <= len(buf) {
+		left = buf[:k]
+	} else {
+		left = make([]int64, k)
+	}
+	var i int
+	var q float64
+	switch crit {
+	case Gini:
+		i, q = bestGiniCut(avc.Values[:last], avc.Counts, left, classTotals)
+	case Entropy:
+		i, q = bestEntropyCut(avc.Values[:last], avc.Counts, left, classTotals)
+	default:
+		panic("split: unknown criterion")
+	}
+	return Split{Found: true, Attr: attr, Kind: data.Numeric, Threshold: avc.Values[i], Quality: q}
+}
+
+// bestGiniCut returns the index and weighted gini impurity of the best
+// cut X <= values[i], scanning counts from the zeroed left counts; ties
+// keep the smaller threshold, as Split.Better does.
+func bestGiniCut(values []float64, counts [][]int64, left, totals []int64) (int, float64) {
+	var n, nL int64
+	for _, c := range totals {
+		n += c
+	}
+	fn := float64(n)
+	bestI, bestQ := -1, 0.0
+	for i, v := range values {
+		for j, c := range counts[i][:len(left)] {
 			left[j] += c
+			nL += c
 		}
-		q := crit.QualityFromLeft(left, classTotals, scratch)
-		cand := Split{
-			Found:     true,
-			Attr:      attr,
-			Kind:      data.Numeric,
-			Threshold: avc.Values[i],
-			Quality:   q,
+		q := math.Inf(1)
+		if nR := n - nL; nL > 0 && nR > 0 {
+			fL, fR := float64(nL), float64(nR)
+			sL, sR := 0.0, 0.0
+			for _, l := range left {
+				p := float64(l) / fL
+				sL += p * p
+			}
+			for j, l := range left {
+				p := float64(totals[j]-l) / fR
+				sR += p * p
+			}
+			q = (fL*(1-sL) + fR*(1-sR)) / fn
 		}
-		if cand.Better(best) {
-			best = cand
+		if bestI < 0 || q < bestQ || (q == bestQ && v < values[bestI]) {
+			bestI, bestQ = i, q
 		}
 	}
-	return best
+	return bestI, bestQ
+}
+
+// bestEntropyCut is bestGiniCut for the entropy criterion.
+func bestEntropyCut(values []float64, counts [][]int64, left, totals []int64) (int, float64) {
+	var n, nL int64
+	for _, c := range totals {
+		n += c
+	}
+	fn := float64(n)
+	bestI, bestQ := -1, 0.0
+	for i, v := range values {
+		for j, c := range counts[i][:len(left)] {
+			left[j] += c
+			nL += c
+		}
+		q := math.Inf(1)
+		if nR := n - nL; nL > 0 && nR > 0 {
+			fL, fR := float64(nL), float64(nR)
+			sL, sR := 0.0, 0.0
+			for _, l := range left {
+				if l == 0 {
+					continue
+				}
+				p := float64(l) / fL
+				sL -= p * math.Log2(p)
+			}
+			for j, l := range left {
+				r := totals[j] - l
+				if r == 0 {
+					continue
+				}
+				p := float64(r) / fR
+				sR -= p * math.Log2(p)
+			}
+			q = (fL*sL + fR*sR) / fn
+		}
+		if bestI < 0 || q < bestQ || (q == bestQ && v < values[bestI]) {
+			bestI, bestQ = i, q
+		}
+	}
+	return bestI, bestQ
 }
 
 // IntervalCandidate is one candidate split point inside a confidence

@@ -250,6 +250,13 @@ func NewMemBudget(limit int64) *MemBudget { return data.NewMemBudget(limit) }
 // (as opposed to a bug or a data error).
 func IsSpillError(err error) bool { return data.IsSpillError(err) }
 
+// ErrBrokenModel is wrapped by every Insert, Delete, Save and SaveFile of
+// a Model whose earlier update failed after its chunk reached the tree
+// (a storage fault, or a bad tuple past the first chunk), together with
+// that first failure. Ready reports it; Snapshot keeps serving the last
+// published epoch. Grow or load the model again to recover.
+var ErrBrokenModel = core.ErrBrokenModel
+
 // LiveTempFiles lists the spill/model temp files currently live in this
 // process — useful for asserting zero leaks after Close.
 func LiveTempFiles() []string { return data.LiveTempFiles() }

@@ -14,7 +14,7 @@
 //	boatbench -experiment fig4
 //	boatbench -experiment all -unit 50000 -files
 //	boatbench -experiment fig12
-//	boatbench -benchjson BENCH_scan.json
+//	boatbench -benchjson scan.json
 //	boatbench -updatejson BENCH_update.json
 //	boatbench -experiment fig4 -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -103,9 +103,9 @@ func main() {
 		faultBuilds = flag.Int("faultbuilds", 100, "number of fault-injected builds in the soak")
 		faultSeed   = flag.Int64("faultseed", 1, "base seed for the injected fault sequence")
 
-		benchJSON   = flag.String("benchjson", "", "run the cleanup-scan micro-benchmark (row-at-a-time vs columnar chunk scan on the Fig-4/F1 workload) and write measurements to this JSON file instead of a figure")
+		benchJSON   = flag.String("benchjson", "", "run the cleanup-scan micro-benchmark (the columnar chunk scan on the Fig-4/F1 workload) and write the measurement to this JSON file instead of a figure")
 		benchTuples = flag.Int64("benchtuples", 200_000, "dataset size for -benchjson")
-		benchRounds = flag.Int("benchrounds", 3, "scan passes per mode for -benchjson")
+		benchRounds = flag.Int("benchrounds", 3, "scan passes for -benchjson")
 
 		predictJSON = flag.String("predictjson", "", "run the classification micro-benchmark (per-tuple pointer walk vs flat walk vs chunked kernel vs parallel predictor on the Fig-4/F1 workload, depth >= 8) and write measurements to this JSON file instead of a figure")
 
@@ -448,9 +448,9 @@ func gitRevision() (sha string, modified bool) {
 	return sha, modified
 }
 
-// scanBenchReport is the JSON document -benchjson writes: one measurement
-// per scan mode plus the chunk-vs-row headline ratios, the run's
-// provenance, and the iostats accounting of every pass.
+// scanBenchReport is the JSON document -benchjson writes: the measurement
+// of the cleanup scan the build runs (the chunk router at weight +1), the
+// run's provenance, and the iostats accounting of its passes.
 type scanBenchReport struct {
 	Workload      string                 `json:"workload"`
 	Tuples        int64                  `json:"tuples"`
@@ -459,23 +459,20 @@ type scanBenchReport struct {
 	Config        benchProvenance        `json:"config"`
 	Modes         []core.ScanMeasurement `json:"modes"`
 	IOStats       iostats.Snapshot       `json:"iostats"`
-	ChunkSpeedup  float64                `json:"chunk_speedup_vs_row"`
-	AllocsRatio   float64                `json:"row_allocs_per_chunk_alloc"`
 	ChunkPerTuple float64                `json:"chunk_allocs_per_tuple"`
 }
 
-// runScanBench times cleanup-scan passes per mode (row-at-a-time
-// baseline, columnar chunk scan) over the Fig-4/F1 workload, prints a
-// table with the iostats accounting, and writes the measurements as JSON.
-// The generator output is materialized up front so the benchmark isolates
-// the scan itself.
+// runScanBench times cleanup-scan passes over the Fig-4/F1 workload,
+// prints the throughput with the iostats accounting, and writes the
+// measurement as JSON. The generator output is materialized up front so
+// the benchmark isolates the scan itself.
 func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "boatbench: benchjson: %v\n", err)
 		return 1
 	}
 	n := mc.benchTuples
-	fmt.Printf("=== cleanup-scan benchmark: Fig-4/F1 workload, %d tuples, %d rounds/mode ===\n",
+	fmt.Printf("=== cleanup-scan benchmark: Fig-4/F1 workload, %d tuples, %d rounds ===\n",
 		n, mc.benchRounds)
 	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, mc.seed+41)
 	tuples, err := data.ReadAll(gsrc)
@@ -498,43 +495,28 @@ func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 			GitModified:   modified,
 		},
 	}
-	var total iostats.Snapshot
-	byMode := map[core.ScanMode]core.ScanMeasurement{}
-	for _, mode := range []core.ScanMode{core.ScanModeRow, core.ScanModeChunk} {
-		stats := &iostats.Stats{}
-		bench, err := core.NewScanBench(src, core.Config{
-			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
-			Seed: 7, TempDir: mc.dir, Parallelism: mc.para, Stats: stats,
-			Metrics: metrics, Logger: mc.logger,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		meas, err := bench.Measure(mode, mc.benchRounds)
-		bench.Close()
-		if err != nil {
-			return fail(err)
-		}
-		rep.Modes = append(rep.Modes, meas)
-		byMode[mode] = meas
-		fmt.Printf("%-8s %12.0f tuples/sec  %10.3f allocs/tuple  %10.1f bytes/tuple\n",
-			meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple, meas.BytesPerTuple)
-		if mc.verbose {
-			fmt.Printf("         iostats: %s\n", stats.Snapshot())
-		}
-		total = total.Add(stats.Snapshot())
+	stats := &iostats.Stats{}
+	bench, err := core.NewScanBench(src, core.Config{
+		Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
+		Seed: 7, TempDir: mc.dir, Parallelism: mc.para, Stats: stats,
+		Metrics: metrics, Logger: mc.logger,
+	})
+	if err != nil {
+		return fail(err)
 	}
-	rep.IOStats = total
-	row, chunk := byMode[core.ScanModeRow], byMode[core.ScanModeChunk]
-	if row.TuplesPerSec > 0 {
-		rep.ChunkSpeedup = chunk.TuplesPerSec / row.TuplesPerSec
+	meas, err := bench.Measure(mc.benchRounds)
+	bench.Close()
+	if err != nil {
+		return fail(err)
 	}
-	if chunk.AllocsPerTuple > 0 {
-		rep.AllocsRatio = row.AllocsPerTuple / chunk.AllocsPerTuple
+	rep.Modes = append(rep.Modes, meas)
+	rep.IOStats = stats.Snapshot()
+	rep.ChunkPerTuple = meas.AllocsPerTuple
+	fmt.Printf("%-8s %12.0f tuples/sec  %10.6f allocs/tuple  %10.1f bytes/tuple\n",
+		meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple, meas.BytesPerTuple)
+	if mc.verbose {
+		fmt.Printf("         iostats: %s\n", rep.IOStats)
 	}
-	rep.ChunkPerTuple = chunk.AllocsPerTuple
-	fmt.Printf("chunk vs row: %.2fx tuples/sec, allocs/tuple %.4f -> %.6f\n",
-		rep.ChunkSpeedup, row.AllocsPerTuple, chunk.AllocsPerTuple)
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -822,7 +804,7 @@ func runIOBench(mc mainConfig, m split.Method) int {
 		if err != nil {
 			return fail(err)
 		}
-		meas, err := bench.Measure(core.ScanModeChunk, rounds)
+		meas, err := bench.Measure(rounds)
 		bench.Close()
 		if err != nil {
 			return fail(err)

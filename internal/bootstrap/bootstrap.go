@@ -197,28 +197,3 @@ func intersect(schema *data.Schema, nodes []*tree.Node, widen float64, st *Stats
 	out.Right = intersect(schema, rights, widen, st)
 	return out
 }
-
-// RouteSample routes a sample tuple one step: -1 left, +1 right. Tuples
-// inside a numeric confidence interval are routed by the median bootstrap
-// split point (this choice only affects discretization quality, never
-// correctness).
-func (n *Node) RouteSample(t data.Tuple) int {
-	if n.Kind == data.Categorical {
-		code := uint(t.Values[n.Attr])
-		if code < 64 && n.Subset&(1<<code) != 0 {
-			return -1
-		}
-		return 1
-	}
-	v := t.Values[n.Attr]
-	if v <= n.Lo {
-		return -1
-	}
-	if v > n.Hi {
-		return 1
-	}
-	if v <= n.Median {
-		return -1
-	}
-	return 1
-}

@@ -134,29 +134,6 @@ func TestBuildCoarseErrors(t *testing.T) {
 	}
 }
 
-func TestRouteSample(t *testing.T) {
-	num := &Node{Attr: 0, Kind: data.Numeric, Lo: 10, Hi: 20, Median: 15}
-	cases := []struct {
-		v    float64
-		want int
-	}{
-		{5, -1}, {10, -1}, {12, -1}, {15, -1}, {16, 1}, {20, 1}, {25, 1},
-	}
-	for _, tc := range cases {
-		tp := data.Tuple{Values: []float64{tc.v}}
-		if got := num.RouteSample(tp); got != tc.want {
-			t.Errorf("RouteSample(%v) = %d, want %d", tc.v, got, tc.want)
-		}
-	}
-	cat := &Node{Attr: 0, Kind: data.Categorical, Subset: 0b101}
-	if cat.RouteSample(data.Tuple{Values: []float64{2}}) != -1 {
-		t.Error("code 2 in subset should go left")
-	}
-	if cat.RouteSample(data.Tuple{Values: []float64{1}}) != 1 {
-		t.Error("code 1 not in subset should go right")
-	}
-}
-
 func TestIntersectDisagreementPrunes(t *testing.T) {
 	// With samples drawn from two different concepts (constructed by
 	// splitting the sample), the coarse tree must not survive below a

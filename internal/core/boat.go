@@ -58,13 +58,15 @@ type Tree struct {
 	// CheckConsistency. Build itself runs before the Tree is shared, so it
 	// does not take it.
 	updateMu sync.Mutex
-	// updScratch is the chunk router's per-level partition scratch, reused
-	// across updates (guarded by updateMu).
-	updScratch *routeScratch
-	// rowUpdates routes Insert/Delete one tuple at a time through
-	// Tree.route instead of the chunk router. The trees are bit-identical
-	// either way; only tests set it, to cross-check the chunk router.
-	rowUpdates bool
+	// broken records why an update failed after its chunk reached the
+	// router, leaving the tree part-way through the update; it wraps
+	// ErrBrokenModel and the update's error (guarded by updateMu). A
+	// broken tree refuses every further update and save (see update).
+	broken error
+	// scratch pools the chunk router's per-level partition scratch
+	// (*routeScratch) across streams, pushes, migrations and forked
+	// descents; concurrent recursive invocations each take their own.
+	scratch sync.Pool
 	// epoch counts completed updates; snap caches the published snapshot
 	// of the epoch it carries. Readers serve snap lock-free and detect
 	// staleness by comparing epochs (see Snapshot).
@@ -105,6 +107,35 @@ func (t *Tree) spillEnv(budget *data.MemBudget) data.SpillEnv {
 	}
 }
 
+// newTree validates cfg for a database of n tuples (withDefaults) and
+// returns an empty tree over schema: the shared memory budget, the metric
+// instruments, the logger, the method's verification interface and the
+// router's scratch pool resolved. Build, NewScanBench and Load all start
+// here.
+func newTree(schema *data.Schema, cfg Config, n int64) (*Tree, error) {
+	cfg, err := cfg.withDefaults(n)
+	if err != nil {
+		return nil, err
+	}
+	budget := cfg.Budget
+	if budget == nil {
+		budget = data.NewMemBudget(cfg.MemBudgetTuples)
+	}
+	t := &Tree{
+		cfg:    cfg,
+		schema: schema,
+		budget: budget,
+		met:    newMetricSet(cfg.Metrics),
+		log:    resolveLogger(cfg.Logger),
+	}
+	// withDefaults admits only methods with one of the two interfaces.
+	t.impurityBased, _ = cfg.Method.(split.ImpurityBased)
+	t.momentBased, _ = cfg.Method.(split.MomentBased)
+	rows := cfg.chunkRows()
+	t.scratch.New = func() any { return newRouteScratch(rows) }
+	return t, nil
+}
+
 // Build constructs the BOAT tree over the training database src.
 //
 // The algorithm makes exactly two sequential scans over src (plus
@@ -120,29 +151,14 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err = cfg.withDefaults(n)
+	t, err := newTree(src.Schema(), cfg, n)
 	if err != nil {
 		return nil, err
 	}
+	cfg = t.cfg
 	buildSpan.SetAttr("tuples", n)
 	buildSpan.SetAttr("parallelism", cfg.workers())
 	buildSpan.SetAttr("chunk_rows", cfg.chunkRows())
-	budget := cfg.Budget
-	if budget == nil {
-		budget = data.NewMemBudget(cfg.MemBudgetTuples)
-	}
-	t := &Tree{
-		cfg:    cfg,
-		schema: src.Schema(),
-		budget: budget,
-		met:    newMetricSet(cfg.Metrics),
-		log:    resolveLogger(cfg.Logger),
-	}
-	t.impurityBased, _ = cfg.Method.(split.ImpurityBased)
-	t.momentBased, _ = cfg.Method.(split.MomentBased)
-	if t.impurityBased == nil && t.momentBased == nil {
-		return nil, fmt.Errorf("core: unsupported method %q", cfg.Method.Name())
-	}
 	t.log.Debug("build started", "tuples", n, "sample_size", cfg.SampleSize,
 		"parallelism", cfg.workers(), "method", cfg.Method.Name())
 
@@ -195,33 +211,10 @@ func (t *Tree) drawSample(src data.Source) ([]data.Tuple, error) {
 // recursion depth of this invocation, and parent the enclosing trace
 // span (the build root, or a rebuild span).
 func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, depth, rdepth int, parent *obs.Span) (*bnode, error) {
-	bootSpan := parent.Start("bootstrap")
-	bcfg := bootstrap.Config{
-		Trees:         t.cfg.BootstrapTrees,
-		SubsampleSize: t.cfg.SubsampleSize,
-		WidenFraction: t.cfg.WidenFraction,
-		TreeConfig:    t.bootstrapGrowConfig(n),
-		Seed:          t.cfg.Seed + 104729*t.seedCounter.Add(1),
-		Parallelism:   t.cfg.workers(),
-		Span:          bootSpan,
-	}
-	coarse, bstats, err := bootstrap.BuildCoarse(t.schema, sample, bcfg)
-	bootSpan.SetAttr("coarse_nodes", bstats.CoarseNodes)
-	bootSpan.SetAttr("disagreements", bstats.Disagreements)
-	bootSpan.End()
+	root, err := t.skeleton(sample, n, depth, parent)
 	if err != nil {
-		return nil, fmt.Errorf("core: bootstrap: %w", err)
+		return nil, err
 	}
-	t.met.coarseNodes.Add(int64(bstats.CoarseNodes))
-	t.met.disagreements.Add(int64(bstats.Disagreements))
-	t.mutateStats(func(b *BuildStats, _ *UpdateStats) {
-		b.CoarseNodes += bstats.CoarseNodes
-		b.Disagreements += bstats.Disagreements
-	})
-
-	skelSpan := parent.Start("skeleton")
-	root := t.skeletonFromCoarse(coarse, sample, depth)
-	skelSpan.End()
 
 	// Cleanup scan (scan 2): stream every tuple down the coarse tree (see
 	// scan.go). On any error the skeleton's buffers (and their temp files)
@@ -255,6 +248,40 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 		return nil, fmt.Errorf("core: processing: %w", err)
 	}
 	return root, nil
+}
+
+// skeleton runs the bootstrap over the sample of a database (or family)
+// of n tuples and turns the resulting coarse tree into the skeleton the
+// cleanup scan fills, its root at the given depth. parent is the
+// enclosing trace span (nil ok).
+func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Span) (*bnode, error) {
+	bootSpan := parent.Start("bootstrap")
+	bcfg := bootstrap.Config{
+		Trees:         t.cfg.BootstrapTrees,
+		SubsampleSize: t.cfg.SubsampleSize,
+		WidenFraction: t.cfg.WidenFraction,
+		TreeConfig:    t.bootstrapGrowConfig(n),
+		Seed:          t.cfg.Seed + 104729*t.seedCounter.Add(1),
+		Parallelism:   t.cfg.workers(),
+		Span:          bootSpan,
+	}
+	coarse, bstats, err := bootstrap.BuildCoarse(t.schema, sample, bcfg)
+	bootSpan.SetAttr("coarse_nodes", bstats.CoarseNodes)
+	bootSpan.SetAttr("disagreements", bstats.Disagreements)
+	bootSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: bootstrap: %w", err)
+	}
+	t.met.coarseNodes.Add(int64(bstats.CoarseNodes))
+	t.met.disagreements.Add(int64(bstats.Disagreements))
+	t.mutateStats(func(b *BuildStats, _ *UpdateStats) {
+		b.CoarseNodes += bstats.CoarseNodes
+		b.Disagreements += bstats.Disagreements
+	})
+
+	skelSpan := parent.Start("skeleton")
+	defer skelSpan.End()
+	return t.skeletonFromCoarse(coarse, sample, depth)
 }
 
 // bootstrapGrowConfig derives the growth rules for bootstrap trees: the
@@ -350,6 +377,14 @@ func (t *Tree) publishLocked() (*Snapshot, error) {
 	if s := t.snap.Load(); s != nil && s.Epoch == epoch {
 		return s, nil
 	}
+	if t.broken != nil {
+		// Keep serving the last published epoch; never publish the tree a
+		// failed update left behind.
+		if s := t.snap.Load(); s != nil {
+			return s, nil
+		}
+		return nil, t.broken
+	}
 	mt := &tree.Tree{Schema: t.schema, Root: materialize(t.root)}
 	flat, err := tree.Compile(mt)
 	if err != nil {
@@ -364,20 +399,23 @@ func (t *Tree) publishLocked() (*Snapshot, error) {
 
 // Ready reports whether the tree is fit to serve and accept updates: a
 // consistent snapshot must have been published (readers have an epoch to
-// route through) and no spill buffer may be poisoned by a permanent
-// storage fault. It backs the diagnostics server's /readyz probe.
+// route through), no update may have broken the tree (ErrBrokenModel),
+// and no spill buffer may be poisoned by a permanent storage fault. It
+// backs the diagnostics server's /readyz probe.
 //
-// The poison walk serializes with in-flight updates on the update mutex,
-// so a probe landing mid-Insert waits for the update to complete — a
-// readiness probe observing a half-applied update would be meaningless.
+// The checks serialize with in-flight updates on the update mutex, so a
+// probe landing mid-Insert waits for the update to complete — a readiness
+// probe observing a half-applied update would be meaningless.
 func (t *Tree) Ready() error {
-	if t.snap.Load() == nil {
-		return fmt.Errorf("core: not ready: no snapshot epoch published yet")
-	}
 	t.updateMu.Lock()
 	defer t.updateMu.Unlock()
-	if t.root == nil {
+	switch {
+	case t.root == nil:
 		return fmt.Errorf("core: not ready: tree is closed")
+	case t.broken != nil:
+		return fmt.Errorf("core: not ready: %w", t.broken)
+	case t.snap.Load() == nil:
+		return fmt.Errorf("core: not ready: no snapshot epoch published yet")
 	}
 	return poisonCheck(t.root)
 }
@@ -462,12 +500,16 @@ func (t *Tree) Close() error {
 	return nil
 }
 
-// CheckConsistency validates internal invariants (used by tests).
+// CheckConsistency validates internal invariants (used by tests). A
+// broken tree fails it with its ErrBrokenModel error.
 func (t *Tree) CheckConsistency() error {
 	t.updateMu.Lock()
 	defer t.updateMu.Unlock()
 	if t.root == nil {
 		return fmt.Errorf("core: closed tree")
+	}
+	if t.broken != nil {
+		return t.broken
 	}
 	return t.root.checkConsistency(t.schema)
 }

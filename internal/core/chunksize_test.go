@@ -102,7 +102,7 @@ func TestScanModesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				bench.tree.cfg.Parallelism = 1 + 3*(i/2) // the second chunk pass forks
-				seen, err := bench.RunOnce(mode)
+				seen, err := bench.runMode(mode)
 				if err != nil {
 					t.Fatalf("%s: %v", mode, err)
 				}

@@ -281,12 +281,13 @@ type BuildStats struct {
 type UpdateStats struct {
 	// TuplesSeen is the chunk size streamed down the tree.
 	TuplesSeen int64
-	// Chunks is the number of columnar batches the update was streamed in
-	// (0 on the row-at-a-time baseline path).
+	// Chunks is the number of columnar batches the update was streamed in.
 	Chunks int64
 	// RebuiltSubtrees counts nodes whose coarse criterion was invalidated
-	// by the update (distribution change), rebuilding their subtree, and
-	// promotions of spilled fat leaves to BOAT subtrees.
+	// by the update (distribution change), rebuilding their subtree,
+	// promotions of spilled fat leaves to BOAT subtrees, and subtrees
+	// rebuilt after a storage fault (also counted in
+	// BuildStats.SpillRebuilds).
 	RebuiltSubtrees int64
 	// RebuildTuples counts tuples re-processed by those rebuilds.
 	RebuildTuples int64

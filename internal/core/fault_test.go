@@ -14,6 +14,7 @@ import (
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/faultfs"
 	"github.com/boatml/boat/internal/gen"
+	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/iostats"
 	"github.com/boatml/boat/internal/split"
 )
@@ -268,6 +269,107 @@ func TestPushSpillFaultSweep(t *testing.T) {
 		total, exact, recovered, failed)
 	if recovered == 0 {
 		t.Error("no swept fault reached the stuck-set push recovery")
+	}
+}
+
+// TestUpdateSpillFaultSweep is TestPushSpillFaultSweep for an update: an
+// insert whose chunk leaves many stuck tuples and moves split points, so
+// that swept faults land in the routing of the chunk, in the migrations,
+// in the pushes and in the recording of the pushed sets. Every write of
+// the insert fails in turn, on a fresh build; the insert must then either
+// leave the fault-free tree — consistent, over exactly |D| + |chunk|
+// tuples — or fail with a spill error that breaks the model. Some exact
+// outcomes must come from a recovery rebuild, and every run must leave
+// the budget drained and no temp file behind once the tree is closed.
+func TestUpdateSpillFaultSweep(t *testing.T) {
+	base := gen.MustSource(gen.Config{Function: 2, Noise: 0.05}, 12000, 77)
+	ins := gen.MustSource(gen.Config{Function: 2, Noise: 0.05}, 20000, 79)
+	cfg := Config{
+		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
+		SampleSize: 1500, Seed: 11, Parallelism: 1, SpillRetry: noSleep,
+	}
+	type outcome struct {
+		buildWrites, writes int64
+		upd                 UpdateStats
+		err                 error
+		bt                  *Tree
+		budget              *data.MemBudget
+		dir                 string
+	}
+	run := func(failWrite int64) outcome {
+		fs := &failNthWriteFS{failWrite: failWrite}
+		o := outcome{budget: data.NewMemBudget(32), dir: t.TempDir()}
+		c := cfg
+		c.Budget, c.FS, c.TempDir = o.budget, fs, o.dir
+		var err error
+		if o.bt, err = Build(base, c); err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		o.buildWrites = fs.writes.Load()
+		o.upd, o.err = o.bt.Insert(ins)
+		o.writes = fs.writes.Load() - o.buildWrites
+		return o
+	}
+	clean := run(0)
+	if clean.err != nil {
+		t.Fatal(clean.err)
+	}
+	want := clean.bt.Tree()
+	clean.bt.Close()
+	if clean.writes < 10 || clean.upd.MigratedTuples == 0 || clean.upd.RebuiltSubtrees != 0 {
+		t.Fatalf("fault-free insert: %d spill writes, %+v; the sweep needs a spilling, migrating insert without rebuilds",
+			clean.writes, clean.upd)
+	}
+	tuples, err := data.ReadAll(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := data.ReadAll(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqual(t, "fault-free insert", want, inmem.Build(base.Schema(), append(tuples, more...),
+		inmem.Config{Method: cfg.Method, MaxDepth: cfg.MaxDepth, MinSplit: cfg.MinSplit}))
+
+	var exact, broken, recovered int
+	for k := int64(1); k <= clean.writes; k++ {
+		o := run(clean.buildWrites + k)
+		if o.err != nil {
+			if !data.IsSpillError(o.err) || !errors.Is(o.err, ErrBrokenModel) {
+				t.Fatalf("write %d: got %v, want a spill error that breaks the model", k, o.err)
+			}
+			broken++
+		} else {
+			got := o.bt.Tree()
+			var rootTotal int64
+			for _, c := range got.Root.ClassCounts {
+				rootTotal += c
+			}
+			if rootTotal != 32000 {
+				t.Errorf("write %d: root holds %d tuples, want 32000", k, rootTotal)
+			}
+			if cerr := o.bt.CheckConsistency(); cerr != nil {
+				t.Errorf("write %d: %v", k, cerr)
+			}
+			if !got.Equal(want) {
+				t.Errorf("write %d: tree differs from the fault-free insert (rebuilt %d): %s",
+					k, o.upd.RebuiltSubtrees, got.Diff(want))
+			}
+			if o.upd.RebuiltSubtrees > 0 {
+				recovered++
+			}
+			exact++
+		}
+		o.bt.Close()
+		if o.budget.Used() != 0 {
+			t.Errorf("write %d: budget used = %d after close", k, o.budget.Used())
+		}
+		requireNoTempsUnder(t, o.dir)
+	}
+	t.Logf("%d insert writes swept: %d exact (%d via a recovery rebuild), %d broken",
+		clean.writes, exact, recovered, broken)
+	if recovered == 0 {
+		t.Error("no swept fault reached a push or migration recovery")
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 // Insert is safe for concurrent use: updates are serialized on the tree's
 // update mutex (see the concurrency contract on Tree), and predictions
 // keep serving the last published Snapshot while the update is in flight.
+// An update that fails before any of its chunk reached the tree leaves the
+// tree as it was; one that fails later breaks it (ErrBrokenModel).
 func (t *Tree) Insert(chunk data.Source) (UpdateStats, error) {
 	return t.update(chunk, +1)
 }
@@ -38,11 +40,23 @@ func (t *Tree) Delete(chunk data.Source) (UpdateStats, error) {
 	return t.update(chunk, -1)
 }
 
+// ErrBrokenModel reports a model that an update left part-way: the update
+// failed after its chunk reached the router, so the tree holds some of
+// the chunk's effect and no longer equals the reference on any multiset.
+// From then on Insert, Delete, Save and SaveFile fail with an error
+// wrapping it and the first failure, Ready and CheckConsistency report
+// it, and Snapshot keeps serving the last published epoch. Rebuild or
+// reload the model to recover.
+var ErrBrokenModel = errors.New("core: broken model")
+
 func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	t.updateMu.Lock()
 	defer t.updateMu.Unlock()
 	if t.root == nil {
 		return UpdateStats{}, errors.New("core: tree is closed")
+	}
+	if t.broken != nil {
+		return UpdateStats{}, t.broken
 	}
 	if !t.schema.Equal(chunk.Schema()) {
 		return UpdateStats{}, data.ErrSchemaMismatch
@@ -65,38 +79,28 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	defer updSpan.End()
 	start := time.Now()
 
-	// Route the chunk down the tree: columnar batches through the chunk
-	// router, or one descent per tuple when a test forces the row oracle.
-	// Both paths update the same statistics with the same signed
-	// weight and fill the same buffers in stream order, so the trees they
-	// leave behind are bit-identical.
 	tracked := iostats.Tracked(chunk, t.cfg.Stats)
 	routeSpan := updSpan.Start("route-chunk")
-	var err error
-	if t.rowUpdates {
-		routeSpan.SetAttr("mode", "row")
-		err = data.ForEach(tracked, func(tp data.Tuple) error {
-			upd.TuplesSeen++
-			return t.route(t.root, tp, w)
-		})
-	} else {
-		routeSpan.SetAttr("mode", "chunked")
-		if t.updScratch == nil {
-			t.updScratch = newRouteScratch(t.cfg.chunkRows())
-		}
-		r := t.newChunkRouter(w)
-		err = t.stream(r, tracked, t.root, t.updScratch, routeSpan)
-		upd.TuplesSeen, upd.Chunks = r.tuples, r.chunks
-		t.met.updBlocksSkipped.Add(r.skips.Load())
-	}
+	r := t.newChunkRouter(w)
+	sc := t.scratch.Get().(*routeScratch)
+	err := t.stream(r, tracked, t.root, sc, routeSpan)
+	t.scratch.Put(sc)
+	upd.TuplesSeen, upd.Chunks = r.tuples, r.chunks
+	t.met.updBlocksSkipped.Add(r.skips.Load())
 	routeSpan.SetAttr("tuples", upd.TuplesSeen)
 	routeSpan.SetAttr("chunks", upd.Chunks)
 	routeSpan.End()
 	if err != nil {
-		return *upd, fmt.Errorf("core: streaming update chunk: %w", err)
+		err = fmt.Errorf("core: streaming update chunk: %w", err)
+		if upd.Chunks == 0 {
+			// Nothing reached the router (a read or domain error on the
+			// first chunk): the tree is untouched.
+			return *upd, err
+		}
+		return *upd, t.breakModel(err)
 	}
 	if err := t.process(t.root, 0, updSpan); err != nil {
-		return *upd, fmt.Errorf("core: post-update processing: %w", err)
+		return *upd, t.breakModel(fmt.Errorf("core: post-update processing: %w", err))
 	}
 
 	// The tree is consistent again: advance the epoch, and republish
@@ -124,6 +128,15 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 		"rebuilt_subtrees", upd.RebuiltSubtrees, "migrated_tuples", upd.MigratedTuples,
 		"refitted_leaves", upd.RefittedLeaves)
 	return *upd, nil
+}
+
+// breakModel marks the tree broken by an update that failed part-way
+// (see ErrBrokenModel) and returns the error every later update and save
+// returns. Callers hold updateMu.
+func (t *Tree) breakModel(cause error) error {
+	t.broken = fmt.Errorf("%w: %w", ErrBrokenModel, cause)
+	t.log.Error("update failed part-way; model broken", "err", cause)
+	return t.broken
 }
 
 func (t *Tree) noteRebuildTuples(n int64) {

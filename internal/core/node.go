@@ -113,29 +113,24 @@ func (t *Tree) newInternal(depth int, c *coarseCrit) *bnode {
 // node's discretizations from the sample. Sample routing goes through a
 // compiled flat router (see compileCoarseRouter); the sample slice is
 // reordered in place by the partitioning.
-func (t *Tree) skeletonFromCoarse(cn *bootstrap.Node, sample []data.Tuple, depth int) *bnode {
-	n := t.buildSkeleton(cn, depth)
+func (t *Tree) skeletonFromCoarse(cn *bootstrap.Node, sample []data.Tuple, depth int) (*bnode, error) {
 	router, err := t.compileCoarseRouter(cn)
 	if err != nil {
-		// Unreachable for well-formed coarse trees; the scalar
-		// RouteSample fallback keeps the build correct regardless.
-		router = nil
+		return nil, fmt.Errorf("core: compiling the coarse tree: %w", err)
 	}
-	var scratch []data.Tuple
-	if router != nil {
-		scratch = make([]data.Tuple, 0, len(sample))
-	}
-	t.attachDiscretizations(n, cn, router, 0, sample, scratch)
-	return n
+	n := t.buildSkeleton(cn, depth)
+	t.attachDiscretizations(n, cn, router, 0, sample, make([]data.Tuple, 0, len(sample)))
+	return n, nil
 }
 
 // compileCoarseRouter projects the coarse tree's sample-routing predicates
 // onto the flat inference layout, so the skeleton phase partitions its
-// sample with the same compiled criteria the read path classifies with.
-// The projection is exact: RouteSample's numeric three-way test (v <= Lo
-// left, v > Hi right, otherwise v <= Median) collapses to v <= Median
-// because Lo <= Median <= Hi, and the categorical subset test is already
-// the flat predicate.
+// sample with the same compiled criteria the read path classifies with:
+// a sample tuple goes left when its value is at most the bootstrap median
+// (Lo <= Median <= Hi, so the interval ends agree), or when its code is
+// in the categorical subset. Compilation fails only on malformed trees
+// (beyond 2^31 nodes, an attribute outside the schema), never for a
+// bootstrap tree.
 func (t *Tree) compileCoarseRouter(cn *bootstrap.Node) (*tree.FlatTree, error) {
 	if cn == nil {
 		return nil, nil
@@ -205,33 +200,19 @@ func (t *Tree) attachDiscretizations(n *bnode, cn *bootstrap.Node, router *tree.
 	// the shared scratch) replaces the per-node append-grown slices: one
 	// scratch buffer for the whole skeleton instead of two fresh slices
 	// per internal node.
-	var leftS, rightS []data.Tuple
-	if router != nil {
-		w := 0
-		scratch = scratch[:0]
-		for _, tp := range sample {
-			if router.GoesLeft(id, tp) {
-				sample[w] = tp
-				w++
-			} else {
-				scratch = append(scratch, tp)
-			}
-		}
-		copy(sample[w:], scratch)
-		leftS, rightS = sample[:w], sample[w:]
-		t.attachDiscretizations(n.left, cn.Left, router, router.LeftChild(id), leftS, scratch)
-		t.attachDiscretizations(n.right, cn.Right, router, router.RightChild(id), rightS, scratch)
-		return
-	}
+	w := 0
+	scratch = scratch[:0]
 	for _, tp := range sample {
-		if cn.RouteSample(tp) < 0 {
-			leftS = append(leftS, tp)
+		if router.GoesLeft(id, tp) {
+			sample[w] = tp
+			w++
 		} else {
-			rightS = append(rightS, tp)
+			scratch = append(scratch, tp)
 		}
 	}
-	t.attachDiscretizations(n.left, cn.Left, nil, 0, leftS, nil)
-	t.attachDiscretizations(n.right, cn.Right, nil, 0, rightS, nil)
+	copy(sample[w:], scratch)
+	t.attachDiscretizations(n.left, cn.Left, router, router.LeftChild(id), sample[:w], scratch)
+	t.attachDiscretizations(n.right, cn.Right, router, router.RightChild(id), sample[w:], scratch)
 }
 
 // crit returns the impurity criterion used for discretization and
@@ -243,86 +224,6 @@ func (t *Tree) crit() split.Criterion {
 		return t.impurityBased.Criterion()
 	}
 	return split.Gini
-}
-
-// route streams one tuple down the subtree rooted at n with weight w
-// (+1 insert, -1 delete), updating every per-node statistic along its
-// path, exactly as the cleanup phase of Section 3.3/3.5 prescribes:
-// update counts at the node; if the coarse attribute is numeric and the
-// value falls inside the confidence interval, the tuple sticks in S_n;
-// otherwise it descends. Deletions of stuck tuples are removed from the
-// pushed set and the removal continues downward along the path the
-// original push took (routedThr).
-func (t *Tree) route(n *bnode, tp data.Tuple, w int64) error {
-	for {
-		n.classCounts[tp.Class] += w
-		if n.isLeaf() {
-			n.dirty = true
-			if w > 0 {
-				return n.family.Add(tp)
-			}
-			return n.family.Remove(tp)
-		}
-		for i, cc := range n.catCounts {
-			if cc != nil {
-				cc.Add(int(tp.Values[i]), tp.Class, w)
-			}
-		}
-		for i, h := range n.hist {
-			if h != nil {
-				h.Add(tp.Values[i], tp.Class, w)
-			}
-		}
-		if n.moments != nil {
-			n.moments.Add(tp, w)
-		}
-		c := n.coarse
-		if c.kind == data.Categorical {
-			// Same predicate as the compiled inference layout
-			// (tree.FlatTree): codes outside [0, 64) — including the
-			// platform-dependent uint conversion of negative or NaN values,
-			// which always lands at or above 1<<63 — and codes outside the
-			// subset take the pinned right edge.
-			code := uint(tp.Values[c.attr])
-			if code < 64 && c.subset&(1<<code) != 0 {
-				n = n.left
-			} else {
-				n = n.right
-			}
-			continue
-		}
-		v := tp.Values[c.attr]
-		switch {
-		case v <= c.lo:
-			n.lowCounts[tp.Class] += w
-			if v == c.lo {
-				n.eqLow += w
-			}
-			n = n.left
-		case v > c.hi || v != v:
-			// Above the interval — or NaN, which takes the pinned
-			// missing-value edge (right of every finite threshold, exactly
-			// as FlatTree classifies it) rather than sticking in S_n, where
-			// it would corrupt the in-interval split-point candidates.
-			n.highCounts[tp.Class] += w
-			n = n.right
-		default:
-			// Inside the confidence interval: the tuple sticks at n.
-			if w > 0 {
-				return n.pending.Add(tp)
-			}
-			// Deleting a stuck tuple: it was pushed down by routedThr in
-			// an earlier pass; undo both the bag entry and the push.
-			if err := n.pushed.Remove(tp); err != nil {
-				return err
-			}
-			if v <= n.routedThr {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-	}
 }
 
 // checkConsistency validates structural invariants of the subtree for

@@ -48,10 +48,14 @@ var ErrConfigMismatch = errors.New("core: configuration fingerprint mismatch")
 
 // Save writes the model to w. The configuration itself is not stored
 // (methods are code, not data); Load verifies a fingerprint of the
-// growth-relevant options and refuses mismatched configurations.
+// growth-relevant options and refuses mismatched configurations. A
+// broken model (ErrBrokenModel) is refused.
 func (t *Tree) Save(w io.Writer) error {
 	if t.root == nil {
 		return errors.New("core: saving a closed tree")
+	}
+	if t.broken != nil {
+		return t.broken
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := io.WriteString(bw, persistMagic); err != nil {
@@ -72,23 +76,10 @@ func (t *Tree) Save(w io.Writer) error {
 // resource options (TempDir, MemBudgetTuples, Stats, Seed) may differ.
 // src-independent: the training data itself is not needed.
 func Load(r io.Reader, schema *data.Schema, cfg Config) (*Tree, error) {
-	cfg, err := cfg.withDefaults(1) // n only influences sample-size defaults
+	t, err := newTree(schema, cfg, 1) // n only influences sample-size defaults
 	if err != nil {
 		return nil, err
 	}
-	budget := cfg.Budget
-	if budget == nil {
-		budget = data.NewMemBudget(cfg.MemBudgetTuples)
-	}
-	t := &Tree{
-		cfg:    cfg,
-		schema: schema,
-		budget: budget,
-		met:    newMetricSet(cfg.Metrics),
-		log:    resolveLogger(cfg.Logger),
-	}
-	t.impurityBased, _ = cfg.Method.(split.ImpurityBased)
-	t.momentBased, _ = cfg.Method.(split.MomentBased)
 
 	dec := &decoder{r: bufio.NewReaderSize(r, 1<<16), schema: schema, t: t}
 	magic := make([]byte, len(persistMagic))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -54,7 +55,7 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 	if grow.StopBeforeSplit(n.total(), n.depth, n.classCounts) {
 		// The reference algorithm makes this node a leaf (it became pure
 		// or too small, e.g. after deletions).
-		if err := t.gatherLeaf(n, 0); err != nil {
+		if err := t.gatherLeaf(n, fromBuffers); err != nil {
 			return fmt.Errorf("core: gathering family for demotion: %w", err)
 		}
 		*leaves = append(*leaves, n)
@@ -67,48 +68,16 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 	if !ok {
 		t.met.ciMiss.Inc()
 		t.noteFailure()
-		return t.rebuild(n, 0, rdepth, leaves, sp)
+		return t.rebuild(n, fromBuffers, rdepth, leaves, sp)
 	}
 	t.met.ciHit.Inc()
 	if n.coarse.kind == data.Numeric {
-		if n.pushed.Len() > 0 && n.routedThr != chosen.Threshold {
-			if err := t.migrate(n, n.routedThr, chosen.Threshold); err != nil {
-				return err
+		if rule, err := t.moveStuck(n, chosen.Threshold); err != nil {
+			if data.IsSpillError(err) {
+				return t.rebuildAfterSpillFault(n, rule, rdepth, leaves, sp)
 			}
+			return err
 		}
-		if n.pending.Len() > 0 {
-			var routed int64
-			err := n.pending.ForEach(func(tp data.Tuple) error {
-				child := n.right
-				if tp.Values[n.coarse.attr] <= chosen.Threshold {
-					child = n.left
-				}
-				if err := t.route(child, tp, +1); err != nil {
-					return err
-				}
-				routed++
-				return n.pushed.Add(tp)
-			})
-			if err != nil {
-				if data.IsSpillError(err) {
-					// A storage fault interrupted the push. The first routed
-					// stuck tuples live in the subtree's buffers, the rest
-					// only in the pending set, so rebuilding the subtree
-					// from the gathered family recovers exactly.
-					return t.rebuildAfterSpillFault(n, routed, rdepth, leaves, sp)
-				}
-				return fmt.Errorf("core: pushing stuck tuples: %w", err)
-			}
-			if err := n.pending.Reset(); err != nil {
-				// Reset keeps the overflow file for reuse; if truncating it
-				// failed, discard the bag and start a fresh one — all its
-				// tuples were pushed successfully, so the contents are
-				// disposable.
-				n.pending.Close()
-				n.pending = data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-			}
-		}
-		n.routedThr = chosen.Threshold
 	}
 	n.crit = chosen
 	if err := t.processInternal(n.left, rdepth, leaves, sp); err != nil {
@@ -165,34 +134,95 @@ func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span) error {
 	return firstErr
 }
 
+// moveStuck brings n's children in line with its stuck set S_n under the
+// final split point thr: it migrates the pushed tuples the split point
+// moved past, pushes the pending ones down, and records them as pushed.
+// On failure it also returns the rule that gathers F_n exactly from what
+// the failing step left behind.
+func (t *Tree) moveStuck(n *bnode, thr float64) (familyRule, error) {
+	if n.pushed.Len() > 0 && n.routedThr != thr {
+		if err := t.migrate(n, n.routedThr, thr); err != nil {
+			return fromStuckSets, fmt.Errorf("core: migrating stuck tuples: %w", err)
+		}
+	}
+	if n.pending.Len() > 0 {
+		if err := t.push(n, thr); err != nil {
+			return fromStuckSets, fmt.Errorf("core: pushing stuck tuples: %w", err)
+		}
+		// Every stuck tuple now lives below n as well, so a fault from here
+		// on leaves F_n entirely in the subtree.
+		if err := n.pending.ForEachChunk(n.pushed.AddChunkRows); err != nil {
+			return fromSubtree, fmt.Errorf("core: recording pushed stuck tuples: %w", err)
+		}
+		if err := n.pending.Reset(); err != nil {
+			// Reset keeps the overflow file for reuse; if truncating it
+			// failed, discard the bag and start a fresh one — all its
+			// tuples were pushed successfully, so the contents are
+			// disposable.
+			n.pending.Close()
+			n.pending = data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
+		}
+	}
+	n.routedThr = thr
+	return fromBuffers, nil
+}
+
+// push streams n's stuck set S_n (pending), chunk by chunk, into n's
+// children by the final split point thr: each chunk's rows are split by
+// thr and the two index sets descend into n.left and n.right at weight +1
+// through the chunk router — its kernels, forks and per-chunk barrier —
+// exactly as if they had been routed past n by the cleanup scan. Every
+// buffer below n receives its rows in pending order. pending itself is
+// left untouched; the caller records it as pushed.
+func (t *Tree) push(n *bnode, thr float64) error {
+	r := t.newChunkRouter(+1)
+	sc := t.scratch.Get().(*routeScratch)
+	defer t.scratch.Put(sc)
+	attr := n.coarse.attr
+	return n.pending.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+		left, right, _ := sc.at(0)
+		col := ch.Col(attr)
+		left = intervalRows(left, col, idx, math.Inf(-1), thr, true)
+		right = intervalRows(right, col, idx, math.Inf(-1), thr, false)
+		return r.wait(r.children(n, ch, left, right, sc, 1))
+	})
+}
+
 // migrate re-routes previously pushed stuck tuples whose side changed when
 // the final split point moved from old to new within the confidence
-// interval. Only the tuples between the two thresholds move; the paper's
-// claim that stable distributions make updates cheap rests on this set
-// being small.
+// interval. Only the tuples between the two thresholds move: they stream
+// out of n.pushed chunk by chunk and descend through the chunk router at
+// -1 into the side they leave, then at +1 into the side they join. The
+// paper's claim that stable distributions make updates cheap rests on
+// this set being small.
 func (t *Tree) migrate(n *bnode, old, new float64) error {
+	// A lower split point sends the tuples in (new, old], routed left so
+	// far, to the right; a higher one sends those in (old, new] left.
+	leave, join := n.left, n.right
+	lo, hi := new, old
+	if new > old {
+		leave, join = n.right, n.left
+		lo, hi = old, new
+	}
+	out, in := t.newChunkRouter(-1), t.newChunkRouter(+1)
+	sc := t.scratch.Get().(*routeScratch)
+	defer t.scratch.Put(sc)
 	attr := n.coarse.attr
 	var moved int64
-	err := n.pushed.ForEach(func(tp data.Tuple) error {
-		v := tp.Values[attr]
-		switch {
-		case new > old && v > old && v <= new: // was routed right, now belongs left
-			if err := t.route(n.right, tp, -1); err != nil {
-				return err
-			}
-			moved++
-			return t.route(n.left, tp, +1)
-		case new < old && v > new && v <= old: // was routed left, now belongs right
-			if err := t.route(n.left, tp, -1); err != nil {
-				return err
-			}
-			moved++
-			return t.route(n.right, tp, +1)
+	err := n.pushed.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+		sel, _, _ := sc.at(0)
+		sel = intervalRows(sel, ch.Col(attr), idx, lo, hi, true)
+		if len(sel) == 0 {
+			return nil
 		}
-		return nil
+		moved += int64(len(sel))
+		if err := out.wait(out.descend(leave, ch, sel, sc, 1)); err != nil {
+			return err
+		}
+		return in.wait(in.descend(join, ch, sel, sc, 1))
 	})
 	if err != nil {
-		return fmt.Errorf("core: migrating stuck tuples: %w", err)
+		return err
 	}
 	t.met.migratedTuples.Add(moved)
 	t.mutateStats(func(_ *BuildStats, upd *UpdateStats) {
@@ -201,6 +231,26 @@ func (t *Tree) migrate(n *bnode, old, new float64) error {
 		}
 	})
 	return nil
+}
+
+// intervalRows appends to dst the rows named by idx (all rows when idx is
+// nil) whose value in col lies inside (lo, hi] when inside is set, and
+// outside it otherwise — NaN included, which every router sends right.
+func intervalRows(dst []int32, col []float64, idx []int32, lo, hi float64, inside bool) []int32 {
+	if idx == nil {
+		for i, v := range col {
+			if (v > lo && v <= hi) == inside {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range idx {
+		if v := col[i]; (v > lo && v <= hi) == inside {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // verify computes the exact final splitting criterion at n given the

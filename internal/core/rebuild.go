@@ -11,21 +11,19 @@ import (
 
 // rebuild discards a node whose coarse splitting criterion failed
 // verification and regrows its subtree from the node's family F_n
-// (Section 3.5). The family is gathered from the buffers already stored
-// in the subtree — the not-yet-pushed stuck sets and the stored leaf
-// families — which is the "additional scan over subsets of the data" the
-// paper refers to; no scan of the original training database is needed.
-// A family that spilled out of memory gets a recursive BOAT invocation
+// (Section 3.5). The family is gathered by rule from the buffers already
+// stored in the subtree — the stuck sets and the stored leaf families —
+// which is the "additional scan over subsets of the data" the paper
+// refers to; no scan of the original training database is needed. A
+// family that spilled out of memory gets a recursive BOAT invocation
 // (recurseOnFamily); a resident one turns n into a dirty stored-family
 // leaf, appended to leaves, which leaf completion grows in memory like
-// any frontier leaf. skip leaves the first skip tuples of n's own stuck
-// set out of the family (see rebuildAfterSpillFault). rdepth is the
-// BOAT-in-BOAT recursion depth of the enclosing pass, and sp the
-// enclosing trace span.
-func (t *Tree) rebuild(n *bnode, skip int64, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
+// any frontier leaf. rdepth is the BOAT-in-BOAT recursion depth of the
+// enclosing pass, and sp the enclosing trace span.
+func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
 	rbSpan := sp.Start("rebuild")
 	defer rbSpan.End()
-	if err := t.gatherLeaf(n, skip); err != nil {
+	if err := t.gatherLeaf(n, rule); err != nil {
 		return fmt.Errorf("core: gathering family for rebuild: %w", err)
 	}
 	total := n.family.Len()
@@ -41,26 +39,53 @@ func (t *Tree) rebuild(n *bnode, skip int64, rdepth int, leaves *[]*bnode, sp *o
 }
 
 // rebuildAfterSpillFault rebuilds the subtree at n after a storage fault
-// interrupted the push of its stuck set. The buffers below n remain fully
-// scannable even when poisoned, so the family can still be gathered.
-// The first routed tuples of the stuck set already reached a buffer below
-// n before the fault (a failed route adds its tuple nowhere), so the
-// gathered family takes them from there and leaves them out of the stuck
-// set: every tuple is gathered exactly once.
-func (t *Tree) rebuildAfterSpillFault(n *bnode, routed int64, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
+// interrupted the push or the migration of its stuck set, gathering F_n
+// by rule. The buffers below n remain fully scannable even when poisoned,
+// so the family can still be gathered. During an update the rebuild also
+// counts as a rebuilt subtree.
+func (t *Tree) rebuildAfterSpillFault(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
 	t.met.spillRebuilds.Inc()
 	t.log.Warn("storage fault on spill path; rebuilding subtree", "depth", n.depth, "rdepth", rdepth)
-	t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.SpillRebuilds++ })
-	return t.rebuild(n, routed, rdepth, leaves, sp)
+	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
+		b.SpillRebuilds++
+		if upd != nil {
+			upd.RebuiltSubtrees++
+		}
+	})
+	return t.rebuild(n, rule, rdepth, leaves, sp)
 }
 
-// gatherLeaf turns n into a dirty stored-family leaf holding F_n, leaving
-// out the first skip tuples of n's own stuck set. Rebuilds and demotions
-// (the reference stopping rules turned n into a leaf, typically after
-// deletions) both start here; the caller queues the leaf for completion.
-func (t *Tree) gatherLeaf(n *bnode, skip int64) error {
+// familyRule names where gatherLeaf finds the family F_n of an internal
+// node n. F_n is the node's stuck set S_n — pending, or already pushed
+// into the children — plus the tuples the routers sent past n, whose
+// value of n's coarse attribute lies outside (lo, hi]. Stuck tuples that
+// reached the subtree did so only through n's push and migration.
+type familyRule int
+
+const (
+	// fromBuffers: n's pending stuck set plus every row stored below n.
+	// Exact whenever the subtree is consistent: after a failed
+	// verification and on demotion.
+	fromBuffers familyRule = iota
+	// fromStuckSets: n's pending and pushed stuck sets plus the rows
+	// stored below n whose coarse value lies outside (lo, hi]. Exact after
+	// a fault in the push's or the migration's routing, however many rows
+	// of the failing step landed: every row inside (lo, hi] below n came
+	// from the stuck sets and is taken from there instead.
+	fromStuckSets
+	// fromSubtree: the rows stored below n only. Exact after a fault while
+	// recording the push in n's pushed set: the routing had finished, so
+	// all of S_n was already below n.
+	fromSubtree
+)
+
+// gatherLeaf turns n into a dirty stored-family leaf holding F_n,
+// gathered by rule. Rebuilds and demotions (the reference stopping rules
+// turned n into a leaf, typically after deletions) both start here; the
+// caller queues the leaf for completion.
+func (t *Tree) gatherLeaf(n *bnode, rule familyRule) error {
 	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-	if err := gatherFamily(n, fam, skip); err != nil {
+	if err := gatherFamily(n, fam, rule); err != nil {
 		fam.Close()
 		return err
 	}
@@ -74,43 +99,57 @@ func (t *Tree) gatherLeaf(n *bnode, skip int64) error {
 	return nil
 }
 
-// gatherFamily streams F_n into fam: the stored families of the leaves of
-// the subtree plus any stuck tuples not yet pushed down, leaving out the
-// first skip tuples of n's own stuck set. Pushed stuck sets are skipped —
-// their tuples already live in buffers further down. Rows move chunk by
-// chunk, net of each buffer's pending removals.
-func gatherFamily(n *bnode, fam *data.TupleBag, skip int64) error {
-	if n == nil {
-		return nil
+// gatherFamily streams F_n into fam by rule, chunk by chunk, net of each
+// buffer's pending removals.
+func gatherFamily(n *bnode, fam *data.TupleBag, rule familyRule) error {
+	if rule == fromBuffers {
+		return gatherRows(n, fam.AddChunkRows)
 	}
+	add := fam.AddChunkRows
+	if rule == fromStuckSets {
+		if err := n.pending.ForEachChunk(add); err != nil {
+			return err
+		}
+		if err := n.pushed.ForEachChunk(add); err != nil {
+			return err
+		}
+		add = outsideInterval(n.coarse, add)
+	}
+	if err := gatherRows(n.left, add); err != nil {
+		return err
+	}
+	return gatherRows(n.right, add)
+}
+
+// gatherRows streams the rows stored in the subtree rooted at n into add:
+// the stored families of its leaves plus the stuck tuples not yet pushed
+// down. Pushed stuck sets are skipped — their tuples already live in
+// buffers further down.
+func gatherRows(n *bnode, add func(*data.Chunk, []int32) error) error {
 	if n.isLeaf() {
-		return n.family.ForEachChunk(fam.AddChunkRows)
+		return n.family.ForEachChunk(add)
 	}
-	if n.pending != nil && n.pending.Len() > 0 {
-		err := n.pending.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
-			if skip > 0 {
-				if idx == nil {
-					idx = make([]int32, ch.Len())
-					for r := range idx {
-						idx[r] = int32(r)
-					}
-				}
-				k := min(skip, int64(len(idx)))
-				idx, skip = idx[k:], skip-k
-				if len(idx) == 0 {
-					return nil
-				}
-			}
-			return fam.AddChunkRows(ch, idx)
-		})
-		if err != nil {
+	if n.pending != nil {
+		if err := n.pending.ForEachChunk(add); err != nil {
 			return err
 		}
 	}
-	if err := gatherFamily(n.left, fam, 0); err != nil {
+	if err := gatherRows(n.left, add); err != nil {
 		return err
 	}
-	return gatherFamily(n.right, fam, 0)
+	return gatherRows(n.right, add)
+}
+
+// outsideInterval wraps add so that it only receives the rows whose value
+// of the numeric coarse attribute lies outside (c.lo, c.hi].
+func outsideInterval(c *coarseCrit, add func(*data.Chunk, []int32) error) func(*data.Chunk, []int32) error {
+	var sel []int32
+	return func(ch *data.Chunk, idx []int32) error {
+		if sel = intervalRows(sel[:0], ch.Col(c.attr), idx, c.lo, c.hi, false); len(sel) == 0 {
+			return nil
+		}
+		return add(ch, sel)
+	}
 }
 
 // releaseNodeState closes every buffer in the subtree rooted at n and

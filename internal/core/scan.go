@@ -64,7 +64,9 @@ func recoverableScanError(err error) bool {
 func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
 	start := time.Now()
 	r := t.newChunkRouter(+1)
-	err := t.stream(r, src, root, newRouteScratch(t.cfg.chunkRows()), sp)
+	sc := t.scratch.Get().(*routeScratch)
+	err := t.stream(r, src, root, sc, sp)
+	t.scratch.Put(sc)
 	if err == nil {
 		t.recordScanThroughput(r.tuples, time.Since(start).Seconds())
 		t.recordZoneSkips(sp, r.skips.Load())
@@ -108,23 +110,6 @@ func (t *Tree) recordZoneSkips(sp *obs.Span, skips int64) {
 	}
 	t.met.blocksSkipped.Add(skips)
 	sp.SetAttr("blocks_skipped", skips)
-}
-
-// rowScan is the row-at-a-time cleanup scan (one root-to-stick descent
-// per tuple via Tree.route). The chunk router replaced it in the build;
-// it is retained as the baseline BenchmarkCleanupScan measures the
-// columnar path against, and as the oracle of TestScanModesAgree. To stay
-// faithful to the path it stands in for — where every tuple was a
-// separately heap-allocated []float64 the moment it entered a buffer —
-// each tuple is cloned before routing; the shared buffers no longer do
-// that themselves.
-func (t *Tree) rowScan(src data.Source, root *bnode) (int64, error) {
-	var seen int64
-	err := data.ForEach(src, func(tp data.Tuple) error {
-		seen++
-		return t.route(root, tp.Clone(), +1)
-	})
-	return seen, err
 }
 
 // resetScanState zeroes every statistic and buffer a cleanup scan writes

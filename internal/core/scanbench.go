@@ -1,27 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
-	"github.com/boatml/boat/internal/bootstrap"
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/iostats"
-	"github.com/boatml/boat/internal/split"
-)
-
-// ScanMode selects which cleanup-scan implementation a ScanBench pass
-// runs.
-type ScanMode string
-
-const (
-	// ScanModeRow is the row-at-a-time baseline: one root-to-stick
-	// descent per tuple.
-	ScanModeRow ScanMode = "row"
-	// ScanModeChunk is the columnar scan the build runs: the chunk router
-	// of Insert/Delete at weight +1.
-	ScanModeChunk ScanMode = "chunk"
 )
 
 // ScanMeasurement is the result of timing cleanup-scan passes.
@@ -57,44 +41,19 @@ func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err = cfg.withDefaults(n)
+	t, err := newTree(src.Schema(), cfg, n)
 	if err != nil {
 		return nil, err
 	}
-	budget := cfg.Budget
-	if budget == nil {
-		budget = data.NewMemBudget(cfg.MemBudgetTuples)
-	}
-	t := &Tree{
-		cfg:    cfg,
-		schema: src.Schema(),
-		budget: budget,
-		met:    newMetricSet(cfg.Metrics),
-		log:    resolveLogger(cfg.Logger),
-	}
-	t.impurityBased, _ = cfg.Method.(split.ImpurityBased)
-	t.momentBased, _ = cfg.Method.(split.MomentBased)
-	if t.impurityBased == nil && t.momentBased == nil {
-		return nil, fmt.Errorf("core: unsupported method %q", cfg.Method.Name())
-	}
-	tracked := iostats.Tracked(src, cfg.Stats)
+	tracked := iostats.Tracked(src, t.cfg.Stats)
 	sample, err := t.drawSample(tracked)
 	if err != nil {
 		return nil, err
 	}
-	bcfg := bootstrap.Config{
-		Trees:         cfg.BootstrapTrees,
-		SubsampleSize: cfg.SubsampleSize,
-		WidenFraction: cfg.WidenFraction,
-		TreeConfig:    t.bootstrapGrowConfig(n),
-		Seed:          cfg.Seed + 104729*t.seedCounter.Add(1),
-		Parallelism:   cfg.workers(),
-	}
-	coarse, _, err := bootstrap.BuildCoarse(t.schema, sample, bcfg)
+	root, err := t.skeleton(sample, n, 0, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: bootstrap: %w", err)
+		return nil, err
 	}
-	root := t.skeletonFromCoarse(coarse, sample, 0)
 	return &ScanBench{tree: t, src: tracked, root: root}, nil
 }
 
@@ -102,30 +61,23 @@ func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 // for another pass.
 func (b *ScanBench) Reset() error { return resetScanState(b.root) }
 
-// RunOnce performs one cleanup scan in the given mode over a skeleton
-// that must be freshly built or Reset, returning the tuples seen.
-func (b *ScanBench) RunOnce(mode ScanMode) (int64, error) {
-	switch mode {
-	case ScanModeRow:
-		return b.tree.rowScan(b.src, b.root)
-	case ScanModeChunk:
-		return b.tree.scanPass(b.src, b.root, nil)
-	}
-	return 0, fmt.Errorf("core: unknown scan mode %q", mode)
-}
+// RunOnce performs one cleanup scan — the chunk router at weight +1, as
+// the build runs it — over a skeleton that must be freshly built or
+// Reset, returning the tuples seen.
+func (b *ScanBench) RunOnce() (int64, error) { return b.tree.scanPass(b.src, b.root, nil) }
 
 // Close releases the skeleton's buffers (spill files, arenas).
 func (b *ScanBench) Close() { closeSubtree(b.root) }
 
-// Measure times rounds cleanup-scan passes in the given mode, resetting
-// between passes. Reset time is excluded from the timing; the allocation
-// counts bracket only the scans (via runtime.MemStats deltas) and are
-// also recorded into the config's Stats when present.
-func (b *ScanBench) Measure(mode ScanMode, rounds int) (ScanMeasurement, error) {
+// Measure times rounds cleanup-scan passes, resetting between passes.
+// Reset time is excluded from the timing; the allocation counts bracket
+// only the scans (via runtime.MemStats deltas) and are also recorded into
+// the config's Stats when present.
+func (b *ScanBench) Measure(rounds int) (ScanMeasurement, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
-	m := ScanMeasurement{Mode: string(mode), Rounds: rounds}
+	m := ScanMeasurement{Mode: "chunk", Rounds: rounds}
 	var (
 		elapsed        time.Duration
 		mallocs, bytes uint64
@@ -139,7 +91,7 @@ func (b *ScanBench) Measure(mode ScanMode, rounds int) (ScanMeasurement, error) 
 		runtime.ReadMemStats(&ms)
 		m0, a0 := ms.Mallocs, ms.TotalAlloc
 		start := time.Now()
-		seen, err := b.RunOnce(mode)
+		seen, err := b.RunOnce()
 		elapsed += time.Since(start)
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - m0

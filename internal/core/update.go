@@ -12,8 +12,12 @@ import (
 // The chunk router streams columnar batches down the tree with a signed
 // weight w: +1 for the cleanup scan (scan.go) and Insert, -1 for Delete.
 // The paper streams an inserted or deleted chunk "exactly as in the
-// cleanup phase", so one router serves all three. It descends
-// level-synchronously instead of once per tuple: each node applies the
+// cleanup phase", so one router serves all three, and it also moves the
+// stuck sets after verification (process.go): a push descends a node's
+// pending chunks into its children at +1, and a migration descends the
+// moved rows at -1 into the side they leave and at +1 into the side they
+// join. It descends level-synchronously instead of once per tuple: each
+// node applies the
 // signed batch kernels (CatAVC.AddBatch, Histogram.AddBatch,
 // Moments.AddChunk), partitions the batch three ways by its coarse
 // criterion, and recurses with the partition's index sets. Each kernel's
@@ -22,11 +26,12 @@ import (
 // reused, index batches live in per-depth scratch buffers, and stuck and
 // leaf rows are copied into the buffers' slab arenas.
 //
-// Every counter a tuple's root-to-stick path touches in Tree.route is
-// applied here, weighted, from the batch. All statistics are signed
-// integer counts and the buffers receive their rows per node in stream
-// order, so the router and the per-tuple oracle leave identical state,
-// which TestUpdateChunkedMatchesRow and TestScanModesAgree pin down.
+// Every counter a tuple's root-to-stick path touches in the per-tuple
+// oracle (Tree.route, in the package's tests) is applied here, weighted,
+// from the batch. All statistics are signed integer counts and the
+// buffers receive their rows per node in stream order, so the router and
+// the oracle leave identical state, which TestUpdateChunkedMatchesRow and
+// TestScanModesAgree pin down.
 //
 // Concurrency: disjoint subtrees share no mutable state (each node's
 // counters, statistics, and buffers are touched only while routing through
@@ -46,13 +51,13 @@ import (
 const forkMinRows = 1024
 
 // chunkRouter carries one stream's descent: the signed weight, the worker
-// token bucket (nil when sequential), the scratch pool for forked
+// token bucket (nil when sequential), the tree's scratch pool for forked
 // descents, first-error collection, and what the stream routed.
 type chunkRouter struct {
 	w        int64
 	zoneSkip bool
 	sem      chan struct{}
-	scratch  sync.Pool
+	scratch  *sync.Pool
 	wg       sync.WaitGroup
 
 	// tuples and chunks count what the stream routed; skips counts the
@@ -66,12 +71,10 @@ type chunkRouter struct {
 }
 
 func (t *Tree) newChunkRouter(w int64) *chunkRouter {
-	r := &chunkRouter{w: w, zoneSkip: !t.cfg.DisableZoneSkip}
+	r := &chunkRouter{w: w, zoneSkip: !t.cfg.DisableZoneSkip, scratch: &t.scratch}
 	if workers := t.cfg.workers(); workers > 1 {
 		r.sem = make(chan struct{}, workers-1)
 	}
-	rows := t.cfg.chunkRows()
-	r.scratch.New = func() any { return newRouteScratch(rows) }
 	return r
 }
 
@@ -124,7 +127,13 @@ func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScr
 // route streams one chunk down the subtree rooted at root and returns
 // after every descent, forked ones included, completes.
 func (r *chunkRouter) route(root *bnode, ch *data.Chunk, sc *routeScratch) error {
-	err := r.descend(root, ch, nil, sc, 0)
+	return r.wait(r.descend(root, ch, nil, sc, 0))
+}
+
+// wait is the per-chunk barrier: it returns once every forked descent of
+// the chunk has completed, with err or else the first error a forked
+// descent reported.
+func (r *chunkRouter) wait(err error) error {
 	r.wg.Wait()
 	if err == nil {
 		r.mu.Lock()
@@ -301,10 +310,16 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 			}
 		}
 	}
-	// Fork the left descent when a worker token is free and both sides are
-	// big enough to amortize the handoff. The forked goroutine owns the
-	// whole left subtree for this batch; its index set is copied out of
-	// this level's scratch, and it partitions with its own scratch.
+	return r.children(n, ch, left, right, sc, depth+1)
+}
+
+// children descends the chunk rows named by left into n.left and those
+// named by right into n.right; depth indexes sc's scratch for both
+// descents. It forks the left descent when a worker token is free and
+// both sides are big enough to amortize the handoff. The forked goroutine
+// owns the whole left subtree for this batch; its index set is copied out
+// of the caller's scratch, and it partitions with its own scratch.
+func (r *chunkRouter) children(n *bnode, ch *data.Chunk, left, right []int32, sc *routeScratch, depth int) error {
 	if r.sem != nil && len(left) >= forkMinRows && len(right) >= forkMinRows {
 		select {
 		case r.sem <- struct{}{}:
@@ -321,19 +336,19 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 				r.scratch.Put(csc)
 			}()
 			if len(right) > 0 {
-				return r.descend(n.right, ch, right, sc, depth+1)
+				return r.descend(n.right, ch, right, sc, depth)
 			}
 			return nil
 		default:
 		}
 	}
 	if len(left) > 0 {
-		if err := r.descend(n.left, ch, left, sc, depth+1); err != nil {
+		if err := r.descend(n.left, ch, left, sc, depth); err != nil {
 			return err
 		}
 	}
 	if len(right) > 0 {
-		return r.descend(n.right, ch, right, sc, depth+1)
+		return r.descend(n.right, ch, right, sc, depth)
 	}
 	return nil
 }
@@ -383,7 +398,9 @@ func zoneRoute(c *coarseCrit, z data.ColZone) int {
 // routeScratch holds the per-depth index buffers of one goroutine's
 // level-synchronous descent: the partition written at depth d stays live
 // while the children recurse with the buffers of depth d+1 and below.
-// Buffers are allocated once per depth and reused for every chunk.
+// Buffers are allocated once per depth and reused for every chunk; the
+// tree's pool (Tree.scratch) recycles them across streams, pushes and
+// forked descents.
 type routeScratch struct {
 	rows   int
 	levels [][3][]int32 // per depth: left, right, stuck

@@ -60,8 +60,9 @@ func advTuples(n int, seed int64, adversarial bool) []data.Tuple {
 
 // TestUpdateChunkedMatchesRow is the update-path parity property test: a
 // BOAT tree maintained with the columnar chunk router must stay
-// bit-identical to one maintained with the row-at-a-time baseline AND to a
-// from-scratch reference build on the evolving dataset — including under
+// bit-identical to one whose update chunks are routed one tuple at a time
+// by the per-tuple oracle (rowUpdate) AND to a from-scratch reference
+// build on the evolving dataset — including under
 // adversarial chunks carrying NaN numeric values, negative values, and
 // unseen high categorical codes, at Parallelism 1 and 8.
 func TestUpdateChunkedMatchesRow(t *testing.T) {
@@ -89,7 +90,6 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rowTree.Close()
-			rowTree.rowUpdates = true
 
 			all := data.CloneTuples(base)
 			for i, ct := range chunks {
@@ -98,7 +98,7 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 				if err != nil {
 					t.Fatalf("chunked insert %d: %v", i, err)
 				}
-				rowUpd, err := rowTree.Insert(chunk)
+				rowUpd, err := rowTree.rowUpdate(chunk, +1)
 				if err != nil {
 					t.Fatalf("row insert %d: %v", i, err)
 				}
@@ -129,7 +129,7 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 			if _, err := chTree.Delete(expired); err != nil {
 				t.Fatalf("chunked delete: %v", err)
 			}
-			if _, err := rowTree.Delete(expired); err != nil {
+			if _, err := rowTree.rowUpdate(expired, -1); err != nil {
 				t.Fatalf("row delete: %v", err)
 			}
 			all = subtract(all, chunks[0])

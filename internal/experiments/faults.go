@@ -24,7 +24,7 @@ type FaultSoakResult struct {
 
 	ScanRetries   int64 // cleanup scans retried after a storage fault
 	SpillRetries  int64 // individual spill operations retried
-	SpillRebuilds int64 // subtrees rebuilt after a push-phase spill fault
+	SpillRebuilds int64 // subtrees rebuilt after a spill fault while moving a stuck set
 }
 
 // RunFaultSoak drives the fault-injection soak: `builds` BOAT builds of

@@ -417,9 +417,9 @@ func dumpMetrics(metrics *obs.Registry, path string) int {
 }
 
 // benchProvenance pins down what produced a -benchjson report: the
-// machine-independent run configuration, the toolchain, and the source
+// machine-independent run configuration, the toolchain, the source
 // revision (from the binary's embedded VCS stamp, when built from a git
-// checkout).
+// checkout with go build) and the UTC date of the run.
 type benchProvenance struct {
 	Parallelism   int    `json:"parallelism"`
 	ScanChunkRows int    `json:"scan_chunk_rows"`
@@ -428,6 +428,22 @@ type benchProvenance struct {
 	GoVersion     string `json:"go_version"`
 	GitSHA        string `json:"git_sha,omitempty"`
 	GitModified   bool   `json:"git_modified,omitempty"`
+	Date          string `json:"date"`
+}
+
+// newProvenance fills the provenance of a report run now.
+func newProvenance(mc mainConfig, m split.Method) benchProvenance {
+	sha, modified := gitRevision()
+	return benchProvenance{
+		Parallelism:   mc.para,
+		ScanChunkRows: data.DefaultChunkRows,
+		Method:        m.Name(),
+		Seed:          mc.seed,
+		GoVersion:     runtime.Version(),
+		GitSHA:        sha,
+		GitModified:   modified,
+		Date:          time.Now().UTC().Format(time.RFC3339),
+	}
 }
 
 // gitRevision extracts the vcs.revision/vcs.modified stamps the Go
@@ -481,19 +497,10 @@ func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	}
 	src := data.NewMemSource(gsrc.Schema(), tuples)
 
-	sha, modified := gitRevision()
 	rep := scanBenchReport{
 		Workload: "fig4-f1", Tuples: n, Rounds: mc.benchRounds,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Config: benchProvenance{
-			Parallelism:   mc.para,
-			ScanChunkRows: data.DefaultChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
+		Config:     newProvenance(mc, m),
 	}
 	stats := &iostats.Stats{}
 	bench, err := core.NewScanBench(src, core.Config{
@@ -545,6 +552,7 @@ type updateMeasurement struct {
 // measurement of the sliding-window workload and the run's provenance.
 type updateBenchReport struct {
 	Workload    string              `json:"workload"`
+	Noise       float64             `json:"noise"`
 	BaseTuples  int64               `json:"base_tuples"`
 	ChunkTuples int64               `json:"chunk_tuples"`
 	Window      int                 `json:"window"`
@@ -558,7 +566,9 @@ type updateBenchReport struct {
 // runUpdateBench times sustained sliding-window maintenance — the
 // boatstream workload: every round inserts the newest chunk and deletes
 // the expired one, holding the tree's net size constant — through the
-// columnar chunk router, and writes the measurement as JSON.
+// columnar chunk router, and writes the measurement as JSON. The data is
+// F1 with 5% label noise, as in the repository benchmark's stream
+// workloads, so the fat leaves are impure and every update refits some.
 func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "boatbench: updatejson: %v\n", err)
@@ -569,30 +579,23 @@ func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 		chunkTuples = 10_000
 		window      = 3
 		slots       = 2 * window
+		noise       = 0.05
 	)
 	rounds := mc.updateRounds
 	fmt.Printf("=== streaming-update benchmark: sliding window %d x %d tuples over %d base, %d rounds ===\n",
 		window, chunkTuples, baseTuples, rounds)
-	base := gen.MustSource(gen.Config{Function: 1}, baseTuples, mc.seed)
+	gcfg := gen.Config{Function: 1, Noise: noise}
+	base := gen.MustSource(gcfg, baseTuples, mc.seed)
 	chunks := make([]data.Source, slots)
 	for i := range chunks {
-		chunks[i] = gen.MustSource(gen.Config{Function: 1}, chunkTuples, mc.seed+int64(10+i))
+		chunks[i] = gen.MustSource(gcfg, chunkTuples, mc.seed+int64(10+i))
 	}
 
-	sha, modified := gitRevision()
 	rep := updateBenchReport{
-		Workload: "sliding-window-f1", BaseTuples: baseTuples,
+		Workload: "sliding-window-f1", Noise: noise, BaseTuples: baseTuples,
 		ChunkTuples: chunkTuples, Window: window, Slots: slots,
 		Rounds: rounds, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Config: benchProvenance{
-			Parallelism:   mc.para,
-			ScanChunkRows: data.DefaultChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
+		Config: newProvenance(mc, m),
 	}
 	bt, err := core.Build(base, core.Config{
 		Method: m, StopThreshold: 4000, StopAtThreshold: true,
@@ -761,23 +764,15 @@ func runIOBench(mc mainConfig, m split.Method) int {
 	fmt.Printf("row file: %d bytes | columnar file: %d bytes (%d blocks x %d rows) | %.2fx smaller\n",
 		rowBytes, colBytes, colFile.Blocks(), colFile.BlockRows(), float64(rowBytes)/float64(colBytes))
 
-	sha, modified := gitRevision()
 	rep := ioBenchReport{
 		Workload: "fig4-f1", Tuples: n, Rounds: rounds,
 		Parallelism: para, BlockRows: colFile.BlockRows(),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		RowFileBytes: rowBytes, ColFileBytes: colBytes,
 		Compression: float64(rowBytes) / float64(colBytes),
-		Config: benchProvenance{
-			Parallelism:   para,
-			ScanChunkRows: data.DefaultChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
+		Config:      newProvenance(mc, m),
 	}
+	rep.Config.Parallelism = para
 
 	modes := []struct {
 		name     string
@@ -970,22 +965,14 @@ func runPredictBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	}
 	fmt.Printf("determinism: %d parallelism/chunk-size configurations bit-identical to the pointer baseline\n", checked)
 
-	sha, modified := gitRevision()
 	rep := predictBenchReport{
 		Workload: "fig4-f1", Tuples: n, Rounds: mc.benchRounds,
 		TreeDepth: tr.Depth(), TreeNodes: tr.NumNodes(), TreeLeaves: tr.NumLeaves(),
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		DeterminismConfigs: checked,
-		Config: benchProvenance{
-			Parallelism:   mc.para,
-			ScanChunkRows: predictBenchChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
+		Config:             newProvenance(mc, m),
 	}
+	rep.Config.ScanChunkRows = predictBenchChunkRows
 	byMode := map[predict.Mode]predict.Measurement{}
 	for _, mode := range []predict.Mode{
 		predict.ModeTuple, predict.ModeFlat, predict.ModeChunk, predict.ModeParallel,

@@ -102,6 +102,9 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	if err := t.process(t.root, 0, updSpan); err != nil {
 		return *upd, t.breakModel(fmt.Errorf("core: post-update processing: %w", err))
 	}
+	if err := compactBuffers(t.root); err != nil {
+		return *upd, t.breakModel(fmt.Errorf("core: compacting buffers: %w", err))
+	}
 
 	// The tree is consistent again: advance the epoch, and republish
 	// eagerly when serving has started so readers flip to the new epoch

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -266,7 +267,9 @@ func TestUpdateErrors(t *testing.T) {
 // fails the update with the dangling-removal error. Removals routed into
 // a stuck set surface when verification reads the set; that read error
 // must fail the pass, not count as a confidence-interval miss that
-// rebuilds the subtree.
+// rebuilds the subtree. In stop mode, after an update has moved the fat
+// leaves into presorted families, the removals that reach a family fail
+// the update while the chunk is routed.
 func TestDanglingDeleteFailsUpdate(t *testing.T) {
 	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 6000, 1)
 	reg := obs.NewRegistry()
@@ -288,6 +291,29 @@ func TestDanglingDeleteFailsUpdate(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["verify.ci.miss"]; got != misses {
 		t.Errorf("dangling delete counted %d confidence-interval misses", got-misses)
+	}
+
+	f1 := gen.Config{Function: 1, Noise: 0.05}
+	stop, err := Build(gen.MustSource(f1, 20000, 1), Config{
+		Method: split.NewGini(), StopThreshold: 5000, StopAtThreshold: true,
+		SampleSize: 4000, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop.Close()
+	if _, err := stop.Insert(gen.MustSource(f1, 2000, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if len(presortedLeaves(stop.root, nil)) == 0 {
+		t.Fatal("the insert's refit kept no presorted family")
+	}
+	upd, err = stop.Delete(gen.MustSource(f1, 500, 3))
+	if err == nil || !strings.Contains(err.Error(), "did not match any live row of the family") {
+		t.Fatalf("stop mode: dangling delete returned %v, want the presorted family's dangling-removal error", err)
+	}
+	if upd.RebuiltSubtrees != 0 || !errors.Is(err, ErrBrokenModel) {
+		t.Errorf("stop mode: dangling delete rebuilt %d subtree(s), returned %v", upd.RebuiltSubtrees, err)
 	}
 }
 

@@ -22,10 +22,9 @@ func (t *Tree) route(n *bnode, tp data.Tuple, w int64) error {
 		n.classCounts[tp.Class] += w
 		if n.isLeaf() {
 			n.dirty = true
-			if w > 0 {
-				return n.family.Add(tp)
-			}
-			return n.family.Remove(tp)
+			ch := data.NewChunk(len(tp.Values), 1)
+			ch.AppendTuple(tp)
+			return n.store(ch, nil, w)
 		}
 		for i, cc := range n.catCounts {
 			if cc != nil {

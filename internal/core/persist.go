@@ -218,22 +218,44 @@ func (e *encoder) f64s(v []float64) {
 }
 
 func (e *encoder) bag(b *data.TupleBag) {
-	if e.err != nil {
-		return
-	}
 	if b == nil {
 		e.u64(0)
 		return
 	}
-	e.u64(uint64(b.Len()))
+	e.rows(b.Len(), b.ForEachChunk)
+}
+
+// rows encodes a stored tuple multiset of n tuples — a bag's or a
+// presorted family's — as its count followed by the tuples that each
+// streams, in stream order.
+func (e *encoder) rows(n int64, each func(func(*data.Chunk, []int32) error) error) {
+	if e.err != nil {
+		return
+	}
+	e.u64(uint64(n))
 	tupleSize := data.FormatWide.TupleSize(e.schema)
-	err := b.ForEach(func(tp data.Tuple) error {
-		e.buf = data.AppendTuple(e.buf[:0], data.FormatWide, tp)
-		if len(e.buf) != tupleSize {
-			return errors.New("core: unexpected tuple encoding size")
+	tp := data.Tuple{Values: make([]float64, len(e.schema.Attributes))}
+	err := each(func(ch *data.Chunk, idx []int32) error {
+		k := ch.Len()
+		if idx != nil {
+			k = len(idx)
 		}
-		_, werr := e.w.Write(e.buf)
-		return werr
+		for j := 0; j < k; j++ {
+			r := j
+			if idx != nil {
+				r = int(idx[j])
+			}
+			ch.Gather(r, tp.Values)
+			tp.Class = ch.Class(r)
+			e.buf = data.AppendTuple(e.buf[:0], data.FormatWide, tp)
+			if len(e.buf) != tupleSize {
+				return errors.New("core: unexpected tuple encoding size")
+			}
+			if _, err := e.w.Write(e.buf); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if e.err == nil {
 		e.err = err
@@ -248,7 +270,11 @@ func (e *encoder) node(n *bnode) {
 		e.u8(nodeTagLeaf)
 		e.i64s(n.classCounts)
 		e.i64(n.promoteAttempt)
-		e.bag(n.family)
+		if n.sorted != nil {
+			e.rows(int64(n.sorted.Len()), n.sorted.ForEachChunk)
+		} else {
+			e.bag(n.family)
+		}
 		if n.subtree != nil {
 			raw, err := tree.EncodeSubtree(n.subtree, e.schema)
 			if err != nil {

@@ -13,15 +13,26 @@ import (
 	"github.com/boatml/boat/internal/tree"
 )
 
+// saveLoad round-trips bt through Save and Load, and requires the loaded
+// model to save to the same bytes — leaves held as presorted families
+// included, which load back as bags.
 func saveLoad(t *testing.T, bt *Tree, cfg Config) *Tree {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := bt.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	loaded, err := Load(&buf, bt.Schema(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := loaded.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), saved) {
+		t.Fatal("the loaded model saves to different bytes")
 	}
 	return loaded
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/discretize"
@@ -12,6 +13,7 @@ import (
 	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/split"
+	"github.com/boatml/boat/internal/tree"
 )
 
 // process performs the top-down pass over the subtree (Sections 3.3-3.5
@@ -41,9 +43,19 @@ func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
 	}
 	leafSpan := sp.Start("leaf-completion")
 	leafSpan.SetAttr("leaves", len(leaves))
-	err = t.completeLeaves(leaves, rdepth, leafSpan)
+	var tally leafTally
+	err = t.completeLeaves(leaves, rdepth, leafSpan, &tally)
+	leafSpan.SetAttr("family_refits", tally.refits.Load())
+	leafSpan.SetAttr("family_conversions", tally.conversions.Load())
 	leafSpan.End()
 	return err
+}
+
+// leafTally counts, over one leaf completion, the refits grown from a
+// presorted family kept since an earlier update and the resident bags
+// moved into one.
+type leafTally struct {
+	refits, conversions atomic.Int64
 }
 
 func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
@@ -93,7 +105,7 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 // pool. Shared state reached from processLeaf (the memory budget, the
 // I/O stats, the build/update counters, the rebuild seed counter) is
 // thread-safe; the resulting tree is identical either way.
-func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span) error {
+func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span, tally *leafTally) error {
 	dirty := leaves[:0:0]
 	for _, n := range leaves {
 		if n.dirty {
@@ -103,7 +115,7 @@ func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span) error {
 	w := min(t.cfg.workers(), len(dirty))
 	if w <= 1 {
 		for _, n := range dirty {
-			if err := t.processLeaf(n, rdepth, sp); err != nil {
+			if err := t.processLeaf(n, rdepth, sp, tally); err != nil {
 				return err
 			}
 		}
@@ -120,7 +132,7 @@ func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span) error {
 		go func() {
 			defer wg.Done()
 			for n := range next {
-				if err := t.processLeaf(n, rdepth, sp); err != nil {
+				if err := t.processLeaf(n, rdepth, sp, tally); err != nil {
 					errOnce.Do(func() { firstErr = err })
 				}
 			}
@@ -483,14 +495,16 @@ func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 // as a labeled leaf (StopAtThreshold, the paper's performance-experiment
 // methodology, for families within the threshold) or grown with the
 // main-memory algorithm — a fat leaf in stop mode, whose whole family is
-// refit in memory after each update that touches it. May run
-// concurrently for distinct leaves (see completeLeaves).
-func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span) error {
+// refit in memory after each update that touches it. An update's refit
+// moves a resident bag into a presorted family first, and grows every
+// presorted family from its permutations; a build's leaves keep their
+// bags. May run concurrently for distinct leaves (see completeLeaves).
+func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally) error {
 	if !n.dirty {
 		return nil
 	}
 	total := n.total()
-	if t.recurses(n.family, rdepth) &&
+	if n.family != nil && t.recurses(n.family, rdepth) &&
 		(n.promoteAttempt == 0 || total >= n.promoteAttempt+n.promoteAttempt/4) {
 		t.mutateStats(func(_ *BuildStats, upd *UpdateStats) {
 			if upd != nil {
@@ -531,11 +545,28 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span) error {
 	// above-threshold subtree of a fat leaf in stop mode (the growth
 	// rules include the stop threshold, so the subtree matches the
 	// reference either way).
-	tuples, err := n.family.Materialize()
-	if err != nil {
-		return fmt.Errorf("core: materializing leaf family: %w", err)
+	switch {
+	case n.sorted != nil:
+		tally.refits.Add(1)
+	case t.updating() && !n.family.Spilled():
+		if err := t.presort(n); err != nil {
+			return err
+		}
+		if n.sorted != nil {
+			tally.conversions.Add(1)
+		}
 	}
-	sub := inmem.Build(t.schema, tuples, t.cfg.growConfig(n.depth))
+	grow := t.cfg.growConfig(n.depth)
+	var sub *tree.Tree
+	if n.sorted != nil {
+		sub = n.sorted.Build(grow)
+	} else {
+		tuples, err := n.family.Materialize()
+		if err != nil {
+			return fmt.Errorf("core: materializing leaf family: %w", err)
+		}
+		sub = inmem.Build(t.schema, tuples, grow)
+	}
 	n.subtree = sub.Root
 	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
 		if upd == nil {
@@ -546,10 +577,36 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span) error {
 			t.met.leavesRefitted.Inc()
 		}
 	})
-	if n.family.PendingRemovals() > 0 && n.family.PendingRemovals()*2 > n.family.Len() {
-		return n.family.Compact()
-	}
 	return nil
+}
+
+// compactBuffers applies the compaction rule to every buffer of the
+// subtree rooted at n once an update pass is over: a leaf bag or a stuck
+// set whose pending removals, or a presorted family whose dead rows,
+// outnumber half its live rows is rewritten without them. Leaves the
+// pass did not refit and pushed stuck sets would otherwise keep their
+// removals for good.
+func compactBuffers(n *bnode) error {
+	if n == nil {
+		return nil
+	}
+	if f := n.sorted; f != nil {
+		if f.Dead() > 0 && 2*f.Dead() > f.Len() {
+			f.Compact()
+		}
+		return nil
+	}
+	for _, b := range []*data.TupleBag{n.family, n.pending, n.pushed} {
+		if b != nil && b.PendingRemovals() > 0 && 2*b.PendingRemovals() > b.Len() {
+			if err := b.Compact(); err != nil {
+				return err
+			}
+		}
+	}
+	if err := compactBuffers(n.left); err != nil {
+		return err
+	}
+	return compactBuffers(n.right)
 }
 
 func (t *Tree) noteFailure() {

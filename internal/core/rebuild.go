@@ -127,7 +127,7 @@ func gatherFamily(n *bnode, fam *data.TupleBag, rule familyRule) error {
 // buffers further down.
 func gatherRows(n *bnode, add func(*data.Chunk, []int32) error) error {
 	if n.isLeaf() {
-		return n.family.ForEachChunk(add)
+		return n.eachStored(add)
 	}
 	if n.pending != nil {
 		if err := n.pending.ForEachChunk(add); err != nil {
@@ -166,6 +166,9 @@ func releaseNodeState(n *bnode) {
 	if n.family != nil {
 		n.family.Close()
 	}
+	if n.sorted != nil {
+		n.sorted.release()
+	}
 	n.left, n.right = nil, nil
 	n.coarse = nil
 	n.crit = split.Split{}
@@ -177,7 +180,7 @@ func releaseNodeState(n *bnode) {
 	n.pending, n.pushed = nil, nil
 	n.routedThr = 0
 	n.leaf = false
-	n.family = nil
+	n.family, n.sorted = nil, nil
 	n.subtree = nil
 	n.dirty = false
 	n.promoteAttempt = 0

@@ -24,7 +24,8 @@ import (
 // working set (one attribute column plus one statistic) stays hot across
 // thousands of rows, and the steady state is allocation-free: chunks are
 // reused, index batches live in per-depth scratch buffers, and stuck and
-// leaf rows are copied into the buffers' slab arenas.
+// leaf rows are copied into the buffers' slab arenas (or a presorted leaf
+// family's columns).
 //
 // Every counter a tuple's root-to-stick path touches in the per-tuple
 // oracle (Tree.route, in the package's tests) is applied here, weighted,
@@ -164,10 +165,7 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 			return nil
 		}
 		n.dirty = true
-		if w > 0 {
-			return n.family.AddChunkRows(ch, idx)
-		}
-		return n.family.RemoveChunkRows(ch, idx)
+		return n.store(ch, idx, w)
 	}
 	for i, cc := range n.catCounts {
 		if cc != nil {

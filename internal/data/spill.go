@@ -38,7 +38,9 @@ type MemBudget struct {
 // negative = zero capacity).
 func NewMemBudget(limit int64) *MemBudget { return &MemBudget{Limit: limit} }
 
-func (b *MemBudget) tryAcquire(n int64) bool {
+// TryAcquire acquires n tuples when the budget covers all of them and
+// reports whether it did.
+func (b *MemBudget) TryAcquire(n int64) bool {
 	if b == nil || b.Limit == 0 {
 		return true
 	}
@@ -56,7 +58,7 @@ func (b *MemBudget) tryAcquire(n int64) bool {
 
 // acquireUpTo acquires as many of n tuples as the budget allows in one
 // locked step and returns the count. The greedy in-order semantics match
-// a loop of tryAcquire(1): the first `acquired` tuples of a batch stay in
+// a loop of TryAcquire(1): the first `acquired` tuples of a batch stay in
 // memory and the rest spill — exactly the split a per-tuple append
 // sequence would produce, so batch appends do not change what spills.
 func (b *MemBudget) acquireUpTo(n int64) int64 {
@@ -79,7 +81,8 @@ func (b *MemBudget) acquireUpTo(n int64) int64 {
 	return avail
 }
 
-func (b *MemBudget) release(n int64) {
+// Release returns n acquired tuples to the budget.
+func (b *MemBudget) Release(n int64) {
 	if b == nil || b.Limit <= 0 {
 		return
 	}
@@ -306,7 +309,7 @@ func (sb *SpillBuffer) Append(t Tuple) error {
 	if len(t.Values) != len(sb.schema.Attributes) {
 		return ErrSchemaMismatch
 	}
-	if sb.file == nil && sb.env.Budget.tryAcquire(1) {
+	if sb.file == nil && sb.env.Budget.TryAcquire(1) {
 		sb.tail().AppendTuple(t)
 		sb.memN++
 		return nil
@@ -507,7 +510,7 @@ func (s *spillChunkScanner) Close() error {
 // poisoned state: after a successful Reset the buffer accepts appends
 // again. If the file cannot be truncated the buffer stays poisoned.
 func (sb *SpillBuffer) Reset() error {
-	sb.env.Budget.release(int64(sb.memRows()))
+	sb.env.Budget.Release(int64(sb.memRows()))
 	// The storage chunks are kept: the buffer is typically refilled to a
 	// similar size after a reset (re-scans, repeated benchmark passes),
 	// and retaining the pointer-free chunks avoids re-growing from scratch.
@@ -542,7 +545,7 @@ func (sb *SpillBuffer) Close() error {
 		return nil
 	}
 	sb.closed = true
-	sb.env.Budget.release(int64(sb.memRows()))
+	sb.env.Budget.Release(int64(sb.memRows()))
 	sb.memChunks, sb.active, sb.memN = nil, 0, 0
 	if sb.file == nil {
 		return nil

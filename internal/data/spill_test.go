@@ -95,10 +95,10 @@ func TestSpillBufferOverflowAccounting(t *testing.T) {
 
 func TestMemBudgetZeroCapacity(t *testing.T) {
 	b := NewMemBudget(-1)
-	if b.tryAcquire(1) {
+	if b.TryAcquire(1) {
 		t.Error("negative-limit budget must refuse every acquisition")
 	}
-	b.release(1) // must not underflow or panic
+	b.Release(1) // must not underflow or panic
 	if b.Used() != 0 {
 		t.Errorf("used = %d", b.Used())
 	}
@@ -226,10 +226,10 @@ func TestSpillBufferSchemaMismatch(t *testing.T) {
 
 func TestMemBudgetNilSafe(t *testing.T) {
 	var b *MemBudget
-	if !b.tryAcquire(100) {
+	if !b.TryAcquire(100) {
 		t.Error("nil budget should be unlimited")
 	}
-	b.release(100)
+	b.Release(100)
 	if b.Used() != 0 {
 		t.Error("nil budget Used should be 0")
 	}

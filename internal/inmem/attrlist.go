@@ -26,7 +26,7 @@ import (
 // the two on randomized inputs.
 
 // entry is one attribute-list entry: a numeric value, the class label of
-// its tuple, and the tuple's row id into the fixed tuple backing array.
+// its tuple, and the tuple's row id into the class and code columns.
 type entry struct {
 	v     float64
 	class int32
@@ -36,7 +36,6 @@ type entry struct {
 type listBuilder struct {
 	schema *data.Schema
 	cfg    Config
-	tuples []data.Tuple // fixed backing array; never reordered
 
 	lists      [][]entry   // per attribute, sorted by value; nil for categorical attributes
 	cols       [][]float64 // per attribute, codes by row id; nil for numeric attributes
@@ -55,23 +54,47 @@ type listBuilder struct {
 // the schema's domain (data.Schema.CheckDomain): categorical codes are
 // whole numbers in [0, Cardinality) and classes lie in [0, ClassCount).
 func Build(schema *data.Schema, tuples []data.Tuple, cfg Config) *tree.Tree {
-	b := newListBuilder(schema, tuples, cfg)
-	root := b.buildNode(0, len(tuples), 0)
-	return &tree.Tree{Schema: schema, Root: root}
+	n := len(tuples)
+	attrs := schema.Attributes
+	b := newListBuilder(schema, cfg, n)
+	b.classes = make([]int32, n)
+	colArena := make([]float64, (len(attrs)-b.numeric())*n)
+	for a, attr := range attrs {
+		if attr.Kind != data.Numeric {
+			b.cols[a], colArena = colArena[:n:n], colArena[n:]
+		}
+	}
+	// One pass over the tuples fills every list and column, so each
+	// tuple's values are read once.
+	for i := range tuples {
+		t := &tuples[i]
+		b.classes[i] = int32(t.Class)
+		for a, v := range t.Values[:len(attrs)] {
+			if attrs[a].Kind == data.Numeric {
+				b.lists[a][i] = entry{v: v, class: int32(t.Class), row: int32(i)}
+			} else {
+				b.cols[a][i] = v
+			}
+		}
+	}
+	for _, l := range b.lists {
+		sortEntries(l, b.scratch)
+	}
+	b.sizeCounts()
+	return b.grow()
 }
 
-// newListBuilder allocates every buffer of the build and sorts the root
-// attribute lists.
-func newListBuilder(schema *data.Schema, tuples []data.Tuple, cfg Config) *listBuilder {
-	n := len(tuples)
+// newListBuilder allocates the working memory of a build over n rows:
+// the attribute lists (filled by the caller, sorted or not), the row,
+// side and scratch arrays, and the AVC-group scratch. The caller supplies
+// the class column and the categorical code columns.
+func newListBuilder(schema *data.Schema, cfg Config, n int) *listBuilder {
 	attrs := schema.Attributes
 	b := &listBuilder{
 		schema:     schema,
 		cfg:        cfg,
-		tuples:     tuples,
 		lists:      make([][]entry, len(attrs)),
 		cols:       make([][]float64, len(attrs)),
-		classes:    make([]int32, n),
 		rows:       make([]int32, n),
 		side:       make([]uint8, n),
 		scratch:    make([]entry, n),
@@ -83,44 +106,40 @@ func newListBuilder(schema *data.Schema, tuples []data.Tuple, cfg Config) *listB
 		},
 		counts: make([][][]int64, len(attrs)),
 	}
-	numeric := 0
-	for _, a := range attrs {
-		if a.Kind == data.Numeric {
-			numeric++
-		}
-	}
-	arena := make([]entry, numeric*n)
-	colArena := make([]float64, (len(attrs)-numeric)*n)
-	k := schema.ClassCount
+	arena := make([]entry, b.numeric()*n)
 	for a, attr := range attrs {
 		if attr.Kind == data.Numeric {
 			b.lists[a], arena = arena[:n:n], arena[n:]
 		} else {
-			b.cols[a], colArena = colArena[:n:n], colArena[n:]
-			b.stats.Cat[a] = split.NewCatAVC(attr.Cardinality, k)
+			b.stats.Cat[a] = split.NewCatAVC(attr.Cardinality, schema.ClassCount)
 		}
 	}
-	// One pass over the tuples fills every list and column, so each
-	// tuple's values are read once.
-	for i := range tuples {
-		t := &tuples[i]
+	for i := range b.rows {
 		b.rows[i] = int32(i)
-		b.classes[i] = int32(t.Class)
-		for a, v := range t.Values[:len(attrs)] {
-			if attrs[a].Kind == data.Numeric {
-				b.lists[a][i] = entry{v: v, class: int32(t.Class), row: int32(i)}
-			} else {
-				b.cols[a][i] = v
-			}
+	}
+	return b
+}
+
+// numeric returns the number of numeric attributes.
+func (b *listBuilder) numeric() int {
+	k := 0
+	for _, a := range b.schema.Attributes {
+		if a.Kind == data.Numeric {
+			k++
 		}
 	}
+	return k
+}
+
+// sizeCounts allocates the AVC-set storage of every numeric attribute
+// from its sorted root list: the root holds every value, so its distinct
+// count bounds the AVC-set of every node below it.
+func (b *listBuilder) sizeCounts() {
+	k := b.schema.ClassCount
 	for a, l := range b.lists {
-		if attrs[a].Kind != data.Numeric {
+		if l == nil {
 			continue
 		}
-		sortEntries(l, b.scratch)
-		// The root holds every value, so its distinct count bounds the
-		// AVC-set of every node below it.
 		distinct := 0
 		for i := range l {
 			if i == 0 || !split.SameValue(l[i].v, l[i-1].v) {
@@ -135,7 +154,11 @@ func newListBuilder(schema *data.Schema, tuples []data.Tuple, cfg Config) *listB
 		b.counts[a] = counts
 		b.stats.Num[a] = &split.NumericAVC{Values: make([]float64, 0, distinct)}
 	}
-	return b
+}
+
+// grow grows the tree over every row from the sorted lists.
+func (b *listBuilder) grow() *tree.Tree {
+	return &tree.Tree{Schema: b.schema, Root: b.buildNode(0, len(b.rows), 0)}
 }
 
 // sortKey maps a value to an unsigned key whose order is the canonical
@@ -231,9 +254,11 @@ func (b *listBuilder) partition(lo, hi int, crit split.Split) int {
 			}
 		}
 	} else {
+		// The predicate of split.Split.Left, on the code column.
+		col := b.cols[crit.Attr]
 		for _, row := range b.rows[lo:hi] {
 			b.side[row] = 0
-			if crit.Left(b.tuples[row]) {
+			if code := uint(col[row]); code < 64 && crit.Subset&(1<<code) != 0 {
 				b.side[row] = 1
 				mid++
 			}

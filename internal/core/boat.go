@@ -94,13 +94,6 @@ func (t *Tree) mutateStats(f func(b *BuildStats, upd *UpdateStats)) {
 	t.statsMu.Unlock()
 }
 
-// updating reports whether an update is in flight.
-func (t *Tree) updating() bool {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.upd != nil
-}
-
 // spillEnv assembles the spill environment for a buffer charged against
 // budget: the tree's temp dir, recorder, filesystem, and retry policy.
 func (t *Tree) spillEnv(budget *data.MemBudget) data.SpillEnv {
@@ -434,7 +427,7 @@ func poisonCheck(n *bnode) error {
 	}
 	if n.isLeaf() {
 		if n.family != nil {
-			if err := n.family.Err(); err != nil {
+			if err := n.family.err(); err != nil {
 				return fmt.Errorf("core: not ready: poisoned leaf family: %w", err)
 			}
 		}

@@ -328,14 +328,17 @@ func bufferSequences(t *testing.T, n *bnode) [][]data.Tuple {
 	var out [][]data.Tuple
 	var walk func(*bnode)
 	walk = func(n *bnode) {
-		bag := n.family
+		each := n.family.each
 		if !n.isLeaf() {
-			bag = n.pending
+			each = nil
+			if n.pending != nil {
+				each = n.pending.ForEachChunk
+			}
 		}
-		if bag != nil {
+		if each != nil {
 			var seq []data.Tuple
-			if err := bag.ForEach(func(tp data.Tuple) error {
-				seq = append(seq, tp.Clone())
+			if err := each(func(ch *data.Chunk, idx []int32) error {
+				seq = append(seq, ch.GatherRows(idx)...)
 				return nil
 			}); err != nil {
 				t.Fatal(err)

@@ -115,11 +115,6 @@ type Config struct {
 	// (log/slog). nil discards them.
 	Logger *slog.Logger
 
-	// MaxRebuildRecursion bounds how deeply BOAT may invoke itself on the
-	// spilled family of a failed or frontier node before growing it with
-	// the main-memory algorithm anyway. 0 selects 3.
-	MaxRebuildRecursion int
-
 	// ScanChunkRows is the row capacity of the columnar chunks the cleanup
 	// scan streams the data in.
 	// 0 selects data.DefaultChunkRows. The resulting tree is identical at
@@ -182,9 +177,6 @@ func (c Config) withDefaults(n int64) (Config, error) {
 	}
 	if c.MinSplit < 0 || c.MaxDepth < 0 || c.StopThreshold < 0 {
 		return c, errors.New("core: negative growth limits")
-	}
-	if c.MaxRebuildRecursion <= 0 {
-		c.MaxRebuildRecursion = 3
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)

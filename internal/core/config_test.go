@@ -42,9 +42,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.SubsampleSize != 25_000 {
 		t.Errorf("SubsampleSize default = %d, want SampleSize/4", cfg.SubsampleSize)
 	}
-	if cfg.MaxRebuildRecursion != 3 {
-		t.Errorf("MaxRebuildRecursion default = %d", cfg.MaxRebuildRecursion)
-	}
 	// Sample size is capped at the paper's 200k.
 	cfg, _ = Config{Method: split.NewGini()}.withDefaults(100_000_000)
 	if cfg.SampleSize != 200_000 {

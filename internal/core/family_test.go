@@ -20,8 +20,8 @@ func presortedLeaves(n *bnode, out map[*bnode]int) map[*bnode]int {
 	switch {
 	case n == nil:
 	case n.isLeaf():
-		if n.sorted != nil {
-			out[n] = n.sorted.Len()
+		if f := n.family.fam; f != nil {
+			out[n] = f.Len()
 		}
 	default:
 		presortedLeaves(n.left, out)
@@ -49,10 +49,14 @@ func checkRemovalBacklog(n *bnode) error {
 	if n == nil {
 		return nil
 	}
-	if f := n.sorted; f != nil && 2*f.Dead() > f.Len() {
-		return fmt.Errorf("presorted family at depth %d: %d dead rows, %d live", n.depth, f.Dead(), f.Len())
+	var leafBag *data.TupleBag
+	if n.isLeaf() {
+		if f := n.family.fam; f != nil && 2*f.Dead() > f.Len() {
+			return fmt.Errorf("presorted family at depth %d: %d dead rows, %d live", n.depth, f.Dead(), f.Len())
+		}
+		leafBag = n.family.bag
 	}
-	for name, b := range map[string]*data.TupleBag{"leaf bag": n.family, "pending set": n.pending, "pushed set": n.pushed} {
+	for name, b := range map[string]*data.TupleBag{"leaf bag": leafBag, "pending set": n.pending, "pushed set": n.pushed} {
 		if b != nil && 2*b.PendingRemovals() > b.Len() {
 			return fmt.Errorf("%s at depth %d: %d pending removals, %d live", name, n.depth, b.PendingRemovals(), b.Len())
 		}
@@ -192,10 +196,10 @@ func TestFamilyBudgetFallback(t *testing.T) {
 	nodes := reachable(bt.root, nil)
 	for n := range families {
 		switch {
-		case !nodes[n] || n.sorted != nil:
+		case !nodes[n]:
 		case !n.isLeaf():
 			fellBack++ // promoted: only a spilled bag is
-		case n.family.Spilled():
+		case n.family.spilled():
 			fellBack++
 		}
 	}

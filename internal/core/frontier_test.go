@@ -117,7 +117,9 @@ func noiseSource(t *testing.T, n int, seed int64) data.Source {
 // spilled fat leaves reach: a spilled family whose recursive invocation
 // ends as a stored-family leaf (the bootstrap trees disagree at its root)
 // is refit in memory, without another bootstrap, until it outgrows the
-// failed attempt by a quarter. The tree stays exact either way.
+// failed attempt by a quarter. Inside the back-off the leaf is fit from
+// a copy of its spilled bag and stays a spilled bag. The tree stays exact
+// either way, and Close returns the budget and removes every spill file.
 func TestSpilledFatLeafBackOff(t *testing.T) {
 	const n, threshold = 3000, 500
 	base := noiseSource(t, n, 1)
@@ -139,6 +141,19 @@ func TestSpilledFatLeafBackOff(t *testing.T) {
 		t.Fatalf("root: leaf %v, promoteAttempt %d; want a fat leaf that backed off at %d",
 			bt.root.isLeaf(), bt.root.promoteAttempt, n)
 	}
+	// A spilled fat leaf kept from promotion is fit from a copy and stays
+	// a spilled bag.
+	spilledLeaf := func(label string) {
+		t.Helper()
+		if bt.root.subtree == nil || !bt.root.family.spilled() {
+			t.Fatalf("%s: root fit %v, spilled bag %v; want a fit leaf holding a spilled bag",
+				label, bt.root.subtree != nil, bt.root.family.spilled())
+		}
+		if err := bt.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	spilledLeaf("build")
 	g := cfg.growConfig(0)
 	all := []data.Source{base}
 	check := func(label string) {
@@ -162,6 +177,7 @@ func TestSpilledFatLeafBackOff(t *testing.T) {
 	}
 	all = append(all, small)
 	check("insert inside the back-off")
+	spilledLeaf("insert inside the back-off")
 	if got := countSpans(tracer, "bootstrap"); got != boots || upd.RebuiltSubtrees != 0 || upd.RefittedLeaves != 1 {
 		t.Fatalf("insert inside the back-off: %d new bootstrap spans, RebuiltSubtrees %d, RefittedLeaves %d; want 0, 0, 1",
 			got-boots, upd.RebuiltSubtrees, upd.RefittedLeaves)
@@ -181,4 +197,9 @@ func TestSpilledFatLeafBackOff(t *testing.T) {
 	if err := bt.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	bt.Close()
+	if used := budget.Used(); used != 0 {
+		t.Errorf("budget holds %d tuples after Close, want 0", used)
+	}
+	requireNoTempsUnder(t, dir)
 }

@@ -267,24 +267,33 @@ func TestUpdateErrors(t *testing.T) {
 // fails the update with the dangling-removal error. Removals routed into
 // a stuck set surface when verification reads the set; that read error
 // must fail the pass, not count as a confidence-interval miss that
-// rebuilds the subtree. In stop mode, after an update has moved the fat
-// leaves into presorted families, the removals that reach a family fail
-// the update while the chunk is routed.
+// rebuilds the subtree. The first case runs on a loaded model, whose
+// leaves are all bags, so no removal fails while the chunk is routed and
+// the stuck set's read is the first to see one. A Delete of more tuples
+// than the loaded model holds drives the class counts below zero, so the
+// root is demoted: gathering its family must fail on the bags' unmatched
+// removals, not size the family from a negative count. In stop mode,
+// after an update has moved the fat leaves into presorted families, the
+// removals that reach a family fail the update while the chunk is routed.
 func TestDanglingDeleteFailsUpdate(t *testing.T) {
-	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 6000, 1)
+	f1 := gen.Config{Function: 1, Noise: 0.05}
+	base := gen.MustSource(f1, 6000, 1)
 	reg := obs.NewRegistry()
-	bt, err := Build(base, Config{
+	cfg := Config{
 		Method: split.NewGini(), MaxDepth: 5, MinSplit: 100,
 		SampleSize: 1500, Seed: 7, Metrics: reg,
-	})
+	}
+	built, err := Build(base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer built.Close()
+	bt := saveLoad(t, built, cfg)
 	defer bt.Close()
 	misses := reg.Snapshot().Counters["verify.ci.miss"]
-	upd, err := bt.Delete(gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 500, 2))
-	if err == nil || !strings.Contains(err.Error(), "did not match") {
-		t.Fatalf("dangling delete returned %v, want the dangling-removal error", err)
+	upd, err := bt.Delete(gen.MustSource(f1, 500, 2))
+	if err == nil || !strings.Contains(err.Error(), "did not match any tuple in the bag") {
+		t.Fatalf("dangling delete returned %v, want the bag's dangling-removal error", err)
 	}
 	if strings.Contains(err.Error(), "rebuild") || upd.RebuiltSubtrees != 0 {
 		t.Errorf("dangling delete rebuilt %d subtree(s): %v", upd.RebuiltSubtrees, err)
@@ -293,7 +302,13 @@ func TestDanglingDeleteFailsUpdate(t *testing.T) {
 		t.Errorf("dangling delete counted %d confidence-interval misses", got-misses)
 	}
 
-	f1 := gen.Config{Function: 1, Noise: 0.05}
+	over := saveLoad(t, built, cfg)
+	defer over.Close()
+	_, err = over.Delete(gen.MustSource(f1, 10_000, 2))
+	if err == nil || !errors.Is(err, ErrBrokenModel) || !strings.Contains(err.Error(), "did not match any tuple in the bag") {
+		t.Fatalf("delete of more tuples than the tree holds returned %v, want a broken model with the bag's dangling-removal error", err)
+	}
+
 	stop, err := Build(gen.MustSource(f1, 20000, 1), Config{
 		Method: split.NewGini(), StopThreshold: 5000, StopAtThreshold: true,
 		SampleSize: 4000, Seed: 7,

@@ -158,19 +158,23 @@ func TestLoadRejectsOutOfDomainClass(t *testing.T) {
 		if leaf == nil {
 			t.Fatal("seed model has no fat leaf")
 		}
-		tuples, err := leaf.family.Materialize()
-		if err != nil {
+		var tuples []data.Tuple
+		if err := leaf.family.each(func(ch *data.Chunk, idx []int32) error {
+			tuples = append(tuples, ch.GatherRows(idx)...)
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		tuples[0].Class = 1092097708
-		fam := data.NewTupleBagEnv(bt.schema, bt.spillEnv(bt.budget))
+		env := bt.spillEnv(bt.budget)
+		bag := data.NewTupleBagEnv(bt.schema, env)
 		for _, tp := range tuples {
-			if err := fam.Add(tp); err != nil {
+			if err := bag.Add(tp); err != nil {
 				t.Fatal(err)
 			}
 		}
-		leaf.family.Close()
-		leaf.family = fam
+		leaf.family.close()
+		leaf.family = newLeafFamily(bag, env)
 	})
 	requireCorruptModel(t, raw, data.ErrSchemaMismatch)
 }

@@ -6,7 +6,6 @@ import (
 	"github.com/boatml/boat/internal/bootstrap"
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/discretize"
-	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/split"
 	"github.com/boatml/boat/internal/tree"
 )
@@ -47,14 +46,9 @@ type bnode struct {
 	pushed      *data.TupleBag          // stuck tuples already pushed (by routedThr)
 	routedThr   float64                 // threshold the pushed set was routed by
 
-	// Leaf state. The stored family lives in exactly one of family, a
-	// tuple bag, and sorted, a presorted family: an update's leaf
-	// completion moves a resident bag it refits into a presorted family,
-	// which then takes the leaf's rows until the memory budget cannot
-	// cover an insert (see sortedFamily).
+	// Leaf state.
 	leaf    bool
-	family  *data.TupleBag
-	sorted  *sortedFamily
+	family  *leafFamily
 	subtree *tree.Node // in-memory completion (nil for stop-mode leaves within the threshold)
 	dirty   bool
 	// promoteAttempt is the family size at the last promotion of this
@@ -76,116 +70,15 @@ func (n *bnode) total() int64 {
 	return s
 }
 
-// sortedFamily is a leaf's family kept between updates as a presorted
-// inmem.Family, so a refit merges the update's rows into presorted lists
-// instead of copying the family out of a bag and sorting it again. Its
-// live rows count against the memory budget of env, as a resident bag's
-// rows do; when the budget cannot cover an insert in full, the rows move
-// back into a bag over env (see bnode.store).
-type sortedFamily struct {
-	*inmem.Family
-	env data.SpillEnv
-}
-
-// add appends the chunk rows named by idx (all rows when idx is nil) if
-// the budget covers every one of them, and reports whether it did.
-func (f *sortedFamily) add(ch *data.Chunk, idx []int32) bool {
-	k := int64(ch.Len())
-	if idx != nil {
-		k = int64(len(idx))
-	}
-	if !f.env.Budget.TryAcquire(k) {
-		return false
-	}
-	f.Add(ch, idx)
-	return true
-}
-
-// remove deletes the chunk rows named by idx (see inmem.Family.Remove)
-// and returns the removed rows to the budget.
-func (f *sortedFamily) remove(ch *data.Chunk, idx []int32) error {
-	before := f.Len()
-	err := f.Remove(ch, idx)
-	f.env.Budget.Release(int64(before - f.Len()))
-	return err
-}
-
-// release returns the family's rows to the budget.
-func (f *sortedFamily) release() { f.env.Budget.Release(int64(f.Len())) }
-
-// bag copies the live rows, in row order, into a new bag over env, which
-// keeps what the budget allows and spills the rest. On error the bag
-// holds the rows copied so far.
-func (f *sortedFamily) bag() (*data.TupleBag, error) {
-	bag := data.NewTupleBagEnv(f.Schema(), f.env)
-	return bag, f.ForEachChunk(bag.AddChunkRows)
-}
-
-// presort moves the resident bag of leaf n into a presorted family. The
-// budget the bag held goes to the family; if another leaf took it in the
-// meantime, the rows stay in a bag.
-func (t *Tree) presort(n *bnode) error {
-	fam := inmem.NewFamily(t.schema)
-	err := n.family.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
-		fam.Add(ch, idx)
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("core: reading leaf family: %w", err)
-	}
-	n.family.Close()
-	n.family = nil
-	f := &sortedFamily{Family: fam, env: t.spillEnv(t.budget)}
-	if t.budget.TryAcquire(int64(fam.Len())) {
-		n.sorted = f
-		return nil
-	}
-	n.family, err = f.bag()
-	return err
-}
-
-// store applies the chunk rows named by idx (all rows when idx is nil) to
-// leaf n's family with weight w: +1 adds them, -1 removes them. A
-// presorted family whose budget cannot cover an insert moves back into a
-// bag first, which then takes the insert.
-func (n *bnode) store(ch *data.Chunk, idx []int32, w int64) error {
-	if f := n.sorted; f != nil {
-		if w < 0 {
-			return f.remove(ch, idx)
-		}
-		if f.add(ch, idx) {
-			return nil
-		}
-		f.release()
-		bag, err := f.bag()
-		n.sorted, n.family = nil, bag
-		if err != nil {
-			return err
-		}
-	}
-	if w > 0 {
-		return n.family.AddChunkRows(ch, idx)
-	}
-	return n.family.RemoveChunkRows(ch, idx)
-}
-
-// eachStored streams leaf n's stored family chunk by chunk, net of
-// removals, whichever way it is held.
-func (n *bnode) eachStored(fn func(*data.Chunk, []int32) error) error {
-	if n.sorted != nil {
-		return n.sorted.ForEachChunk(fn)
-	}
-	return n.family.ForEachChunk(fn)
-}
-
-// newLeaf allocates a leaf bnode with an empty stored family.
+// newLeaf allocates a leaf bnode whose stored family is an empty bag.
 func (t *Tree) newLeaf(depth int) *bnode {
+	env := t.spillEnv(t.budget)
 	return &bnode{
 		depth:       depth,
 		leaf:        true,
 		dirty:       true,
 		classCounts: make([]int64, t.schema.ClassCount),
-		family:      data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget)),
+		family:      newLeafFamily(data.NewTupleBagEnv(t.schema, env), env),
 	}
 }
 
@@ -336,9 +229,8 @@ func (t *Tree) crit() split.Criterion {
 
 // checkConsistency validates structural invariants of the subtree for
 // tests: class counts are non-negative, internal nodes' counts equal the
-// sum of children plus unpushed stuck tuples, leaf families match the
-// leaf's class counts, and a presorted family's permutations are sorted
-// and cover exactly its rows.
+// sum of children plus unpushed stuck tuples, and leaf families match the
+// leaf's class counts (see leafFamily.check).
 func (n *bnode) checkConsistency(schema *data.Schema) error {
 	for c, v := range n.classCounts {
 		if v < 0 {
@@ -346,30 +238,7 @@ func (n *bnode) checkConsistency(schema *data.Schema) error {
 		}
 	}
 	if n.isLeaf() {
-		if (n.family == nil) == (n.sorted == nil) {
-			return fmt.Errorf("core: leaf holds a bag (%v) and a presorted family (%v)", n.family != nil, n.sorted != nil)
-		}
-		if n.sorted != nil {
-			if err := n.sorted.Check(); err != nil {
-				return err
-			}
-		}
-		var famN int64
-		err := n.eachStored(func(ch *data.Chunk, idx []int32) error {
-			if idx == nil {
-				famN += int64(ch.Len())
-			} else {
-				famN += int64(len(idx))
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if famN != n.total() {
-			return fmt.Errorf("core: leaf family size %d != class-count total %d", famN, n.total())
-		}
-		return nil
+		return n.family.check(n.total())
 	}
 	expect := n.left.total() + n.right.total()
 	if n.pending != nil {
@@ -390,11 +259,7 @@ func closeSubtree(n *bnode) {
 		return
 	}
 	if n.family != nil {
-		n.family.Close()
-	}
-	if n.sorted != nil {
-		n.sorted.release()
-		n.sorted = nil
+		n.family.close()
 	}
 	if n.pending != nil {
 		n.pending.Close()

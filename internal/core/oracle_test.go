@@ -24,7 +24,7 @@ func (t *Tree) route(n *bnode, tp data.Tuple, w int64) error {
 			n.dirty = true
 			ch := data.NewChunk(len(tp.Values), 1)
 			ch.AppendTuple(tp)
-			return n.store(ch, nil, w)
+			return n.family.apply(ch, nil, w)
 		}
 		for i, cc := range n.catCounts {
 			if cc != nil {

@@ -225,9 +225,9 @@ func (e *encoder) bag(b *data.TupleBag) {
 	e.rows(b.Len(), b.ForEachChunk)
 }
 
-// rows encodes a stored tuple multiset of n tuples — a bag's or a
-// presorted family's — as its count followed by the tuples that each
-// streams, in stream order.
+// rows encodes a stored tuple multiset of n tuples — a stuck set's or a
+// leaf family's — as its count followed by the tuples that each streams,
+// in stream order.
 func (e *encoder) rows(n int64, each func(func(*data.Chunk, []int32) error) error) {
 	if e.err != nil {
 		return
@@ -270,11 +270,7 @@ func (e *encoder) node(n *bnode) {
 		e.u8(nodeTagLeaf)
 		e.i64s(n.classCounts)
 		e.i64(n.promoteAttempt)
-		if n.sorted != nil {
-			e.rows(int64(n.sorted.Len()), n.sorted.ForEachChunk)
-		} else {
-			e.bag(n.family)
-		}
+		e.rows(n.family.len(), n.family.each)
 		if n.subtree != nil {
 			raw, err := tree.EncodeSubtree(n.subtree, e.schema)
 			if err != nil {
@@ -546,7 +542,7 @@ func (d *decoder) node(depth int) *bnode {
 		n.classCounts = d.counts("leaf class count")
 		n.promoteAttempt = d.i64()
 		tally := make([]int64, d.schema.ClassCount)
-		n.family = d.bag(tally)
+		n.family = newLeafFamily(d.bag(tally), d.t.spillEnv(d.t.budget))
 		if d.u8() == 1 {
 			raw := d.bytesBlock(1 << 32)
 			if d.err == nil {

@@ -10,10 +10,8 @@ import (
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/discretize"
 	"github.com/boatml/boat/internal/hull"
-	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/split"
-	"github.com/boatml/boat/internal/tree"
 )
 
 // process performs the top-down pass over the subtree (Sections 3.3-3.5
@@ -52,8 +50,8 @@ func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
 }
 
 // leafTally counts, over one leaf completion, the refits grown from a
-// presorted family kept since an earlier update and the resident bags
-// moved into one.
+// presorted family kept since an earlier fit and the resident bags moved
+// into one (see leafFamily.fit).
 type leafTally struct {
 	refits, conversions atomic.Int64
 }
@@ -494,17 +492,15 @@ func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 // recursive invocation (see recurses); every other family is either left
 // as a labeled leaf (StopAtThreshold, the paper's performance-experiment
 // methodology, for families within the threshold) or grown with the
-// main-memory algorithm — a fat leaf in stop mode, whose whole family is
-// refit in memory after each update that touches it. An update's refit
-// moves a resident bag into a presorted family first, and grows every
-// presorted family from its permutations; a build's leaves keep their
-// bags. May run concurrently for distinct leaves (see completeLeaves).
+// main-memory algorithm (leafFamily.fit) — a fat leaf in stop mode, whose
+// whole family is refit in memory after each update that touches it.
+// May run concurrently for distinct leaves (see completeLeaves).
 func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally) error {
 	if !n.dirty {
 		return nil
 	}
 	total := n.total()
-	if n.family != nil && t.recurses(n.family, rdepth) &&
+	if t.recurses(n, rdepth) &&
 		(n.promoteAttempt == 0 || total >= n.promoteAttempt+n.promoteAttempt/4) {
 		t.mutateStats(func(_ *BuildStats, upd *UpdateStats) {
 			if upd != nil {
@@ -532,8 +528,8 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally)
 	}
 	// If the reference builder's stopping rule fires on this family's
 	// size, depth, and class histogram — all maintained eagerly — the
-	// (re)fit would yield a bare leaf: skip materializing and sorting the
-	// family and emit the leaf directly. This is exactly the builder's own
+	// (re)fit would yield a bare leaf: skip copying and sorting the family
+	// and emit the leaf directly. This is exactly the builder's own
 	// first check (inmem.Config.StopBeforeSplit at subtree depth 0), so
 	// exactness is preserved; it turns the per-update refit of pure or
 	// unsplittable fat leaves from O(n log n) into O(classes).
@@ -545,27 +541,9 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally)
 	// above-threshold subtree of a fat leaf in stop mode (the growth
 	// rules include the stop threshold, so the subtree matches the
 	// reference either way).
-	switch {
-	case n.sorted != nil:
-		tally.refits.Add(1)
-	case t.updating() && !n.family.Spilled():
-		if err := t.presort(n); err != nil {
-			return err
-		}
-		if n.sorted != nil {
-			tally.conversions.Add(1)
-		}
-	}
-	grow := t.cfg.growConfig(n.depth)
-	var sub *tree.Tree
-	if n.sorted != nil {
-		sub = n.sorted.Build(grow)
-	} else {
-		tuples, err := n.family.Materialize()
-		if err != nil {
-			return fmt.Errorf("core: materializing leaf family: %w", err)
-		}
-		sub = inmem.Build(t.schema, tuples, grow)
+	sub, err := n.family.fit(t.cfg.growConfig(n.depth), tally)
+	if err != nil {
+		return err
 	}
 	n.subtree = sub.Root
 	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
@@ -581,22 +559,19 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally)
 }
 
 // compactBuffers applies the compaction rule to every buffer of the
-// subtree rooted at n once an update pass is over: a leaf bag or a stuck
-// set whose pending removals, or a presorted family whose dead rows,
-// outnumber half its live rows is rewritten without them. Leaves the
-// pass did not refit and pushed stuck sets would otherwise keep their
-// removals for good.
+// subtree rooted at n once an update pass is over: a leaf family (see
+// leafFamily.compact) or a stuck set whose pending removals outnumber
+// half its live rows is rewritten without them. Leaves the pass did not
+// refit and pushed stuck sets would otherwise keep their removals for
+// good.
 func compactBuffers(n *bnode) error {
 	if n == nil {
 		return nil
 	}
-	if f := n.sorted; f != nil {
-		if f.Dead() > 0 && 2*f.Dead() > f.Len() {
-			f.Compact()
-		}
-		return nil
+	if n.isLeaf() {
+		return n.family.compact()
 	}
-	for _, b := range []*data.TupleBag{n.family, n.pending, n.pushed} {
+	for _, b := range []*data.TupleBag{n.pending, n.pushed} {
 		if b != nil && b.PendingRemovals() > 0 && 2*b.PendingRemovals() > b.Len() {
 			if err := b.Compact(); err != nil {
 				return err

@@ -26,12 +26,12 @@ func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, 
 	if err := t.gatherLeaf(n, rule); err != nil {
 		return fmt.Errorf("core: gathering family for rebuild: %w", err)
 	}
-	total := n.family.Len()
+	total := n.total()
 	rbSpan.SetAttr("tuples", total)
 	t.met.rebuildSubtrees.Inc()
 	t.log.Debug("rebuilding subtree", "tuples", total, "depth", n.depth, "rdepth", rdepth)
 	t.noteRebuildTuples(total)
-	if t.recurses(n.family, rdepth) {
+	if t.recurses(n, rdepth) {
 		return t.recurseOnFamily(n, rdepth, rbSpan)
 	}
 	*leaves = append(*leaves, n)
@@ -82,11 +82,23 @@ const (
 // gatherLeaf turns n into a dirty stored-family leaf holding F_n,
 // gathered by rule. Rebuilds and demotions (the reference stopping rules
 // turned n into a leaf, typically after deletions) both start here; the
-// caller queues the leaf for completion.
+// caller queues the leaf for completion. F_n's size is n's class-count
+// total, so it lands in a family presized to it, with an insert's budget
+// fallback (see leafFamily.apply): a family the budget cannot hold ends
+// as a bag that spilled. The presize never exceeds the budget's free
+// room, and dangling removals, which drive the counts below zero, make
+// it 0: the gather then fails on the bags' unmatched removals.
 func (t *Tree) gatherLeaf(n *bnode, rule familyRule) error {
-	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-	if err := gatherFamily(n, fam, rule); err != nil {
-		fam.Close()
+	size := max(n.total(), 0)
+	if b := t.budget; b.Limit < 0 {
+		size = 0
+	} else if b.Limit > 0 {
+		size = min(size, max(b.Limit-b.Used(), 0))
+	}
+	fam := newPresizedFamily(t.schema, t.spillEnv(t.budget), size)
+	add := func(ch *data.Chunk, idx []int32) error { return fam.apply(ch, idx, +1) }
+	if err := gatherFamily(n, add, rule); err != nil {
+		fam.close()
 		return err
 	}
 	counts := make([]int64, len(n.classCounts))
@@ -99,13 +111,12 @@ func (t *Tree) gatherLeaf(n *bnode, rule familyRule) error {
 	return nil
 }
 
-// gatherFamily streams F_n into fam by rule, chunk by chunk, net of each
+// gatherFamily streams F_n into add by rule, chunk by chunk, net of each
 // buffer's pending removals.
-func gatherFamily(n *bnode, fam *data.TupleBag, rule familyRule) error {
+func gatherFamily(n *bnode, add func(*data.Chunk, []int32) error, rule familyRule) error {
 	if rule == fromBuffers {
-		return gatherRows(n, fam.AddChunkRows)
+		return gatherRows(n, add)
 	}
-	add := fam.AddChunkRows
 	if rule == fromStuckSets {
 		if err := n.pending.ForEachChunk(add); err != nil {
 			return err
@@ -127,7 +138,7 @@ func gatherFamily(n *bnode, fam *data.TupleBag, rule familyRule) error {
 // buffers further down.
 func gatherRows(n *bnode, add func(*data.Chunk, []int32) error) error {
 	if n.isLeaf() {
-		return n.eachStored(add)
+		return n.family.each(add)
 	}
 	if n.pending != nil {
 		if err := n.pending.ForEachChunk(add); err != nil {
@@ -164,10 +175,7 @@ func releaseNodeState(n *bnode) {
 		n.pushed.Close()
 	}
 	if n.family != nil {
-		n.family.Close()
-	}
-	if n.sorted != nil {
-		n.sorted.release()
+		n.family.close()
 	}
 	n.left, n.right = nil, nil
 	n.coarse = nil
@@ -180,21 +188,27 @@ func releaseNodeState(n *bnode) {
 	n.pending, n.pushed = nil, nil
 	n.routedThr = 0
 	n.leaf = false
-	n.family, n.sorted = nil, nil
+	n.family = nil
 	n.subtree = nil
 	n.dirty = false
 	n.promoteAttempt = 0
 }
 
-// recurses reports whether the family of a frontier or failed node gets a
-// recursive BOAT invocation: only a family above the main-memory switch
-// that spilled to disk because it did not fit MemBudgetTuples, while the
-// recursion budget lasts. That is the paper's rule — BOAT recurses on a
-// family because it does not fit in memory. A resident family is grown
-// with one in-memory build instead, like a fat-leaf refit.
-func (t *Tree) recurses(fam *data.TupleBag, rdepth int) bool {
-	return t.cfg.StopThreshold > 0 && fam.Len() > t.cfg.StopThreshold &&
-		fam.Spilled() && rdepth < t.cfg.MaxRebuildRecursion
+// maxRebuildRecursion bounds how deeply BOAT invokes itself on the
+// spilled family of a failed or frontier node before growing it with the
+// main-memory algorithm anyway.
+const maxRebuildRecursion = 3
+
+// recurses reports whether the family of the frontier or failed node n
+// gets a recursive BOAT invocation: only a family above the main-memory
+// switch that spilled to disk because it did not fit MemBudgetTuples,
+// while the recursion budget lasts. That is the paper's rule — BOAT
+// recurses on a family because it does not fit in memory. A resident
+// family is grown with one in-memory build instead, like a fat-leaf
+// refit.
+func (t *Tree) recurses(n *bnode, rdepth int) bool {
+	return t.cfg.StopThreshold > 0 && n.total() > t.cfg.StopThreshold &&
+		n.family.spilled() && rdepth < maxRebuildRecursion
 }
 
 // recurseOnFamily replaces the stored-family leaf n with the subtree a
@@ -207,8 +221,8 @@ func (t *Tree) recurses(fam *data.TupleBag, rdepth int) bool {
 func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span) error {
 	fam := n.family
 	n.family = nil
-	defer fam.Close()
-	total := fam.Len()
+	defer fam.close()
+	total := fam.len()
 	t.met.frontierRebuilds.Inc()
 	t.log.Debug("recursive BOAT on a spilled family", "tuples", total, "depth", n.depth, "rdepth", rdepth)
 	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
@@ -217,11 +231,12 @@ func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span) error {
 		}
 	})
 	rng := rand.New(rand.NewSource(t.cfg.Seed + 7919*t.seedCounter.Add(1)))
-	sample, err := data.ReservoirSample(fam.Source(), t.cfg.SampleSize, rng)
+	src := fam.source()
+	sample, err := data.ReservoirSample(src, t.cfg.SampleSize, rng)
 	if err != nil {
 		return err
 	}
-	sub, err := t.buildFromSample(fam.Source(), sample, total, n.depth, rdepth+1, sp)
+	sub, err := t.buildFromSample(src, sample, total, n.depth, rdepth+1, sp)
 	if err != nil {
 		return err
 	}

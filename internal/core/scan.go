@@ -126,12 +126,7 @@ func resetScanState(n *bnode) error {
 	clear(n.classCounts)
 	if n.isLeaf() {
 		n.dirty = true
-		if f := n.sorted; f != nil {
-			f.release()
-			n.sorted, n.family = nil, data.NewTupleBagEnv(f.Schema(), f.env)
-			return nil
-		}
-		return n.family.Reset()
+		return n.family.reset()
 	}
 	for _, cc := range n.catCounts {
 		if cc != nil {

@@ -149,11 +149,11 @@ func (e *familyEvents) observe(root *bnode, before map[*bnode]int) {
 		switch {
 		case !nodes[n]:
 			e.Gathered++
-		case n.sorted == nil:
+		case !n.isLeaf() || n.family.fam == nil:
 			e.ToBag++
 		case after[n] > rows && n.subtree != nil:
 			e.Merged++
-		case after[n] < rows && n.sorted.Dead() == 0:
+		case after[n] < rows && n.family.fam.Dead() == 0:
 			e.Compacted++
 		}
 	}

@@ -24,8 +24,8 @@ import (
 // working set (one attribute column plus one statistic) stays hot across
 // thousands of rows, and the steady state is allocation-free: chunks are
 // reused, index batches live in per-depth scratch buffers, and stuck and
-// leaf rows are copied into the buffers' slab arenas (or a presorted leaf
-// family's columns).
+// leaf rows are copied into the buffers' slab arenas (or a leaf family's
+// columns).
 //
 // Every counter a tuple's root-to-stick path touches in the per-tuple
 // oracle (Tree.route, in the package's tests) is applied here, weighted,
@@ -165,7 +165,7 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 			return nil
 		}
 		n.dirty = true
-		return n.store(ch, idx, w)
+		return n.family.apply(ch, idx, w)
 	}
 	for i, cc := range n.catCounts {
 		if cc != nil {

@@ -172,7 +172,7 @@ func (sc *batchScratch) cancelRows(pending map[uint64][]removalEntry, left *int6
 
 // Remove queues the deletion of one occurrence of t. The occurrence must
 // exist; a dangling removal is detected (and reported as an error) by the
-// next ForEach/Materialize/Compact.
+// next ForEach/ForEachChunk/Compact.
 func (b *TupleBag) Remove(t Tuple) error {
 	if b.removals == nil {
 		b.removals = make(map[uint64][]removalEntry)
@@ -362,22 +362,6 @@ func (b *TupleBag) ForEach(fn func(Tuple) error) error {
 		}
 		return nil
 	})
-}
-
-// Materialize returns deep copies of the bag's net content. The copies
-// share one backing array rather than paying one allocation per tuple.
-func (b *TupleBag) Materialize() ([]Tuple, error) {
-	n := max(b.Len(), 0)
-	out := make([]Tuple, 0, n)
-	slab := make([]float64, 0, int(n)*len(b.Schema().Attributes))
-	err := b.ForEachChunk(func(ch *Chunk, idx []int32) error {
-		out = ch.appendRows(out, &slab, idx)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Compact rewrites the bag so pending removals are applied physically.

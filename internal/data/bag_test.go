@@ -1,6 +1,8 @@
 package data
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -211,15 +213,81 @@ func TestTupleBagMaterializeAndReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts, err := b.Materialize()
+	ts, err := ReadAll(b.Source())
 	if err != nil || len(ts) != 5 {
-		t.Fatalf("materialize: %d tuples, err %v", len(ts), err)
+		t.Fatalf("read: %d tuples, err %v", len(ts), err)
 	}
 	ts[0].Values[0] = -1 // must not affect the bag
+	if got := bagContents(t, b); got[0] != 0 {
+		t.Errorf("writing a read copy changed the bag: %v", got)
+	}
 	if err := b.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
 		t.Errorf("Len after reset = %d", b.Len())
+	}
+}
+
+// TestTupleBagSignedZero: Equal does not tell -0 from +0, so a bag must
+// remove a stored -0 when asked to remove +0 (and the other way round)
+// through both remove paths, and a -0 addition must cancel a pending +0
+// removal through both add paths.
+func TestTupleBagSignedZero(t *testing.T) {
+	schema := twoAttrSchema(t)
+	negZero := math.Copysign(0, -1)
+	row := func(x float64) Tuple { return Tuple{Values: []float64{x, 1}, Class: 1} }
+	chunkOf := func(tp Tuple) *Chunk {
+		ch := NewChunk(2, 1)
+		ch.AppendTuple(tp)
+		return ch
+	}
+	requireEmpty := func(label string, b *TupleBag) {
+		t.Helper()
+		if err := b.ForEach(func(Tuple) error { return nil }); err != nil {
+			t.Fatalf("%s: ForEach: %v", label, err)
+		}
+		if err := b.Compact(); err != nil {
+			t.Fatalf("%s: Compact: %v", label, err)
+		}
+		if b.Len() != 0 || b.PendingRemovals() != 0 {
+			t.Errorf("%s: Len %d, %d pending removals, want both 0", label, b.Len(), b.PendingRemovals())
+		}
+	}
+	for _, signs := range [][2]float64{{negZero, 0}, {0, negZero}} {
+		stored, removed := row(signs[0]), row(signs[1])
+		for _, chunked := range []bool{false, true} {
+			label := fmt.Sprintf("store %v, remove %v, chunked %v", stored, removed, chunked)
+			b := NewTupleBag(schema, t.TempDir(), nil, nil)
+			if err := b.Add(stored); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if chunked {
+				err = b.RemoveChunkRows(chunkOf(removed), nil)
+			} else {
+				err = b.Remove(removed)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEmpty("remove: "+label, b)
+			b.Close()
+
+			b = NewTupleBag(schema, t.TempDir(), nil, nil)
+			if err := b.Remove(removed); err != nil {
+				t.Fatal(err)
+			}
+			if chunked {
+				err = b.AddChunkRows(chunkOf(stored), nil)
+			} else {
+				err = b.Add(stored)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEmpty("cancel: "+label, b)
+			b.Close()
+		}
 	}
 }

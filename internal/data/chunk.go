@@ -2,7 +2,6 @@ package data
 
 import (
 	"io"
-	"math"
 	"slices"
 	"sync"
 )
@@ -236,10 +235,10 @@ func (b *rowBatch) fill(c *Chunk, idx []int32) []Tuple {
 // HashRows computes Tuple.Hash64 for the rows named by idx (all rows when
 // idx is nil), reusing dst's capacity. The hashes are bit-identical to
 // hashing each row's materialized Tuple — same FNV-1a byte walk, same NaN
-// canonicalization — but evaluated column by column: the ~8 dependent
-// multiplies per value then belong to independent per-row chains that the
-// pipeline overlaps, where the row-major walk serializes them. The batch
-// removal paths of TupleBag lean on this for their bucket keys.
+// and zero canonicalization — but evaluated column by column: the ~8
+// dependent multiplies per value then belong to independent per-row chains
+// that the pipeline overlaps, where the row-major walk serializes them.
+// The batch removal paths of TupleBag lean on this for their bucket keys.
 func (c *Chunk) HashRows(dst []uint64, idx []int32) []uint64 {
 	const offset64 = 14695981039346656037
 	n := c.selected(idx)
@@ -254,21 +253,11 @@ func (c *Chunk) HashRows(dst []uint64, idx []int32) []uint64 {
 		col := c.vals[a*c.stride:]
 		if idx == nil {
 			for r := 0; r < n; r++ {
-				v := col[r]
-				b := math.Float64bits(v)
-				if v != v {
-					b = canonicalNaNBits
-				}
-				dst[r] = fnvMix(dst[r], b)
+				dst[r] = fnvMix(dst[r], hashBits(col[r]))
 			}
 		} else {
 			for j, r := range idx {
-				v := col[r]
-				b := math.Float64bits(v)
-				if v != v {
-					b = canonicalNaNBits
-				}
-				dst[j] = fnvMix(dst[j], b)
+				dst[j] = fnvMix(dst[j], hashBits(col[r]))
 			}
 		}
 	}

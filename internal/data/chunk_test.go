@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -135,6 +136,18 @@ func TestHashRowsMatchesTupleHash64(t *testing.T) {
 		}
 		c.AppendTuple(Tuple{Values: vals, Class: rng.Intn(4)})
 	}
+	// Rows 50-53: the same values with every zero signed both ways, which
+	// Equal does not tell apart, so they must hash alike.
+	negZero := math.Copysign(0, -1)
+	for _, vals := range [][]float64{{0, 1, 0, nan(), 2}, {negZero, 1, negZero, nan(), 2}, {0, 1, negZero, nan(), 2}, {negZero, 1, 0, nan(), 2}} {
+		c.AppendTuple(Tuple{Values: vals, Class: 3})
+	}
+	zeros := c.HashRows(nil, []int32{50, 51, 52, 53})
+	for j, h := range zeros {
+		if h != zeros[0] {
+			t.Errorf("signed-zero row %d hashes %#x, row 50 %#x", 50+j, h, zeros[0])
+		}
+	}
 	check := func(idx []int32, label string) {
 		hashes := c.HashRows(nil, idx)
 		rows := c.GatherRows(idx)
@@ -160,7 +173,7 @@ func TestHashRowsMatchesTupleHash64(t *testing.T) {
 		}
 	}
 	check(nil, "all rows")
-	check([]int32{0, 3, 7, 7, 49, 12}, "index subset")
+	check([]int32{0, 3, 7, 7, 49, 12, 51, 50}, "index subset")
 	// Reused destination capacity must not leak previous hashes.
 	buf := c.HashRows(nil, nil)
 	again := c.HashRows(buf, []int32{1, 2})

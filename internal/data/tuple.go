@@ -30,10 +30,11 @@ func (t Tuple) Clone() Tuple {
 	return Tuple{Values: v, Class: t.Class}
 }
 
-// Equal reports exact equality of values and class. NaN values compare
-// equal to each other (any payload): a tuple carrying a missing value must
-// match its own copy so the dynamic environment can delete it again, which
-// IEEE equality would forbid.
+// Equal reports equality of values and class under IEEE comparison, with
+// one exception: NaN values compare equal to each other (any payload), so
+// a tuple carrying a missing value matches its own copy and the dynamic
+// environment can delete it again, which IEEE equality would forbid. As
+// under IEEE comparison, -0 equals +0.
 func (t Tuple) Equal(o Tuple) bool {
 	if t.Class != o.Class || len(t.Values) != len(o.Values) {
 		return false
@@ -51,11 +52,24 @@ func (t Tuple) Equal(o Tuple) bool {
 // consistent with Equal (which treats all NaNs as one value).
 var canonicalNaNBits = math.Float64bits(math.NaN())
 
+// hashBits returns the bits Hash64 hashes for v: every NaN as one value
+// and -0 as +0, the values Equal does not tell apart.
+func hashBits(v float64) uint64 {
+	if v != v {
+		return canonicalNaNBits
+	}
+	if v == 0 {
+		return 0
+	}
+	return math.Float64bits(v)
+}
+
 // Hash64 returns a 64-bit FNV-1a hash over the tuple's value bits and
 // class. TupleBag's removal bookkeeping uses it as a bucket key (with an
 // Equal check against the bucket's entries for collisions), avoiding the
-// per-tuple string allocation a byte-exact map key would cost. NaNs are
-// canonicalized before hashing so Equal tuples always share a bucket.
+// per-tuple string allocation a byte-exact map key would cost. NaNs and
+// zeros are canonicalized before hashing so Equal tuples always share a
+// bucket.
 func (t Tuple) Hash64() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -63,10 +77,7 @@ func (t Tuple) Hash64() uint64 {
 	)
 	h := uint64(offset64)
 	for _, v := range t.Values {
-		b := math.Float64bits(v)
-		if v != v {
-			b = canonicalNaNBits
-		}
+		b := hashBits(v)
 		for i := 0; i < 64; i += 8 {
 			h = (h ^ (b >> i & 0xff)) * prime64
 		}

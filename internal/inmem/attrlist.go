@@ -50,38 +50,28 @@ type listBuilder struct {
 }
 
 // Build constructs the decision tree for the family using attribute
-// lists. The tuple slice itself is not reordered. Every tuple must lie in
-// the schema's domain (data.Schema.CheckDomain): categorical codes are
-// whole numbers in [0, Cardinality) and classes lie in [0, ClassCount).
+// lists: it copies the tuples into a Family presized to them and grows
+// the tree with Family.Build. The tuple slice itself is not reordered.
+// Every tuple must lie in the schema's domain (data.Schema.CheckDomain):
+// categorical codes are whole numbers in [0, Cardinality) and classes lie
+// in [0, ClassCount).
 func Build(schema *data.Schema, tuples []data.Tuple, cfg Config) *tree.Tree {
 	n := len(tuples)
-	attrs := schema.Attributes
-	b := newListBuilder(schema, cfg, n)
-	b.classes = make([]int32, n)
-	colArena := make([]float64, (len(attrs)-b.numeric())*n)
-	for a, attr := range attrs {
-		if attr.Kind != data.Numeric {
-			b.cols[a], colArena = colArena[:n:n], colArena[n:]
-		}
+	f := NewFamily(schema, n)
+	for a := range f.cols {
+		f.cols[a] = f.cols[a][:n]
 	}
-	// One pass over the tuples fills every list and column, so each
-	// tuple's values are read once.
+	f.class, f.dead = f.class[:n], f.dead[:n]
+	// One pass over the tuples fills every column, so each tuple's values
+	// are read once.
 	for i := range tuples {
 		t := &tuples[i]
-		b.classes[i] = int32(t.Class)
-		for a, v := range t.Values[:len(attrs)] {
-			if attrs[a].Kind == data.Numeric {
-				b.lists[a][i] = entry{v: v, class: int32(t.Class), row: int32(i)}
-			} else {
-				b.cols[a][i] = v
-			}
+		f.class[i] = int32(t.Class)
+		for a, v := range t.Values[:len(f.cols)] {
+			f.cols[a][i] = v
 		}
 	}
-	for _, l := range b.lists {
-		sortEntries(l, b.scratch)
-	}
-	b.sizeCounts()
-	return b.grow()
+	return f.Build(cfg)
 }
 
 // newListBuilder allocates the working memory of a build over n rows:

@@ -40,13 +40,20 @@ type Family struct {
 	key int
 }
 
-// NewFamily returns an empty family over schema.
-func NewFamily(schema *data.Schema) *Family {
+// NewFamily returns an empty family over schema with room for n rows:
+// its columns take n rows before they grow.
+func NewFamily(schema *data.Schema, n int) *Family {
 	f := &Family{
 		schema: schema,
 		cols:   make([][]float64, len(schema.Attributes)),
+		class:  make([]int32, 0, n),
 		perm:   make([][]int32, len(schema.Attributes)),
+		dead:   make([]bool, 0, n),
 		key:    -1,
+	}
+	arena := make([]float64, len(f.cols)*n)
+	for a := range f.cols {
+		f.cols[a], arena = arena[:0:n], arena[n:]
 	}
 	if num := schema.NumericIndexes(); len(num) > 0 {
 		f.key = num[0]

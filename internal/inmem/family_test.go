@@ -146,7 +146,7 @@ func TestFamilyMatchesBuild(t *testing.T) {
 				}
 				return data.Tuple{Values: vals, Class: class}
 			}
-			f := NewFamily(schema)
+			f := NewFamily(schema, 0)
 			var live, gone []data.Tuple
 			for step := 0; step < 14; step++ {
 				for ops := 1 + rng.Intn(3); ops > 0; ops-- {
@@ -246,7 +246,7 @@ func TestFamilyRemoveUnmatched(t *testing.T) {
 			}
 			return data.Tuple{Values: []float64{x, 1}, Class: class}
 		}
-		f := NewFamily(schema)
+		f := NewFamily(schema, 0)
 		f.Add(chunkOf(schema, []data.Tuple{row(1, 0), row(2, 1), row(1, 0)}), nil)
 		f.Build(Config{Method: split.NewGini()})
 		if err := f.Remove(chunkOf(schema, []data.Tuple{row(1, 0), row(1, 0)}), nil); err != nil {
@@ -275,7 +275,7 @@ func TestFamilyRemovesFirstEqualRow(t *testing.T) {
 		{Values: []float64{0, nan2}, Class: 1},
 	}
 	for _, built := range []bool{false, true} {
-		f := NewFamily(schema)
+		f := NewFamily(schema, 0)
 		f.Add(chunkOf(schema, rows), nil)
 		if built {
 			f.Build(Config{Method: split.NewGini()})
@@ -318,7 +318,7 @@ func BenchmarkRefit(b *testing.B) {
 		a, c := tuples[n-step:n], tuples[n:]
 		chA, chC := chunkOf(schema, a), chunkOf(schema, c)
 		b.Run(fmt.Sprintf("family/n=%d", n), func(b *testing.B) {
-			f := NewFamily(schema)
+			f := NewFamily(schema, n)
 			f.Add(chunkOf(schema, tuples[:n]), nil)
 			f.Build(cfg)
 			in, out := chC, chA

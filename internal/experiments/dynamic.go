@@ -142,9 +142,10 @@ func boolTo(b bool) int {
 // updateCurve builds an initial BOAT tree and inserts chunks of
 // chunkUnits paper-millions until MaxUnits have arrived, reporting the
 // cumulative update time after each chunk. shifted != 0 draws the chunks
-// from the shifted distribution (Figure 14). The exactness of every
-// intermediate tree is verified against a from-scratch in-memory build
-// when the cumulative data fits (it always does at laptop scale).
+// from the shifted distribution (Figure 14). After every insert, outside
+// the timed region, the maintained tree must equal a from-scratch
+// in-memory build on the cumulative multiset (base plus every chunk so
+// far, under the shared stopping rules); a mismatch is an error.
 func (c Config) updateCurve(fig, algo string, chunkUnits int, shifted int, baseCfg gen.Config) ([]Row, error) {
 	baseN := 2 * c.Unit
 	baseSrc, cleanup, err := c.makeSource(baseCfg, baseN, c.Seed+800, fig+"-base")
@@ -152,6 +153,10 @@ func (c Config) updateCurve(fig, algo string, chunkUnits int, shifted int, baseC
 		return nil, err
 	}
 	defer cleanup()
+	all, err := data.ReadAll(baseSrc)
+	if err != nil {
+		return nil, err
+	}
 
 	var st iostats.Stats
 	bt, err := core.Build(baseSrc, c.boatConfig(&st))
@@ -180,12 +185,22 @@ func (c Config) updateCurve(fig, algo string, chunkUnits int, shifted int, baseC
 		}
 		start := time.Now()
 		upd, err := bt.Insert(chunk)
-		chunkCleanup()
 		if err != nil {
+			chunkCleanup()
 			return rows, err
 		}
 		cumSeconds += time.Since(start).Seconds()
 		inserted += n
+		arrived, err := data.ReadAll(chunk)
+		chunkCleanup()
+		if err != nil {
+			return rows, err
+		}
+		all = append(all, arrived...)
+		if ref := inmem.Build(baseSrc.Schema(), all, c.grow()); !bt.Tree().Equal(ref) {
+			return rows, fmt.Errorf("%s %s inserted=%g: maintained tree differs from a from-scratch build: %s",
+				fig, algo, float64(inserted)/float64(c.Unit), bt.Tree().Diff(ref))
+		}
 		rows = append(rows, Row{
 			Figure: fig, X: float64(inserted) / float64(c.Unit), XLabel: "millions-inserted",
 			Algo: algo, Seconds: cumSeconds,

@@ -13,6 +13,7 @@ package hull
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/boatml/boat/internal/split"
 )
@@ -27,42 +28,63 @@ const MaxClasses = 16
 // totals-left) over every integer vector "left" with lo <= left <= hi
 // componentwise. lo and hi are the stamp points at the two boundaries of
 // a discretization bucket, and totals are the class counts N^i of the
-// node's family.
+// node's family. Verification, discretization and the in-memory split
+// search all bound buckets through it.
 //
 // Corner points with an empty side evaluate to +Inf via PartitionQuality;
 // they are still valid corners (no split inside the bucket can do better
-// than the returned minimum).
+// than the returned minimum). The corners are evaluated by
+// QualityFromLeft, so a degenerate rectangle (lo == hi) returns that
+// point's exact quality bits. It allocates nothing.
 func LowerBound(crit split.Criterion, lo, hi, totals []int64) float64 {
 	k := len(totals)
 	if k > MaxClasses {
 		return math.Inf(-1)
 	}
 	// Enumerate only dimensions that actually vary.
-	var varying []int
-	corner := make([]int64, k)
-	for i := 0; i < k; i++ {
-		corner[i] = lo[i]
-		if hi[i] != lo[i] {
-			varying = append(varying, i)
-		}
-	}
-	scratch := make([]int64, k)
+	var cornerBuf, scratchBuf [MaxClasses]int64
+	corner, scratch := cornerBuf[:k], scratchBuf[:k]
+	varying := varyingDims(lo, hi)
 	best := math.Inf(1)
-	n := 1 << len(varying)
-	for mask := 0; mask < n; mask++ {
-		for bit, dim := range varying {
-			if mask&(1<<bit) != 0 {
-				corner[dim] = hi[dim]
-			} else {
-				corner[dim] = lo[dim]
+	// sub runs over every subset of varying; each corner takes hi in the
+	// dimensions of its subset and lo in the rest.
+	for sub := uint32(0); ; sub = (sub - varying) & varying {
+		for i := range corner {
+			corner[i] = lo[i]
+			if sub&(1<<i) != 0 {
+				corner[i] = hi[i]
 			}
 		}
-		q := crit.QualityFromLeft(corner, totals, scratch)
-		if q < best {
+		if q := crit.QualityFromLeft(corner, totals, scratch); q < best {
 			best = q
 		}
+		if sub == varying {
+			return best
+		}
 	}
-	return best
+}
+
+// Corners returns the number of corner points LowerBound evaluates for
+// the rectangle [lo, hi]: 2^v, v the number of dimensions in which lo and
+// hi differ. Above MaxClasses classes it returns 0, since LowerBound then
+// evaluates none and returns -Inf.
+func Corners(lo, hi []int64) int {
+	if len(lo) > MaxClasses {
+		return 0
+	}
+	return 1 << bits.OnesCount32(varyingDims(lo, hi))
+}
+
+// varyingDims returns the set of dimensions in which lo and hi, of at
+// most MaxClasses dimensions, differ: bit i is set when dimension i does.
+func varyingDims(lo, hi []int64) uint32 {
+	var varying uint32
+	for i := range lo {
+		if hi[i] != lo[i] {
+			varying |= 1 << i
+		}
+	}
+	return varying
 }
 
 // MinOverBuckets returns the minimum LowerBound over consecutive pairs of

@@ -125,3 +125,47 @@ func TestMinOverBuckets(t *testing.T) {
 		t.Errorf("skipping a bucket lowered the min: %v < %v", one, all)
 	}
 }
+
+// TestLowerBoundNoAllocs: the corner enumeration runs on the stack, at 2
+// and at MaxClasses classes, since verification, discretization and the
+// in-memory split search call the bound once per bucket.
+func TestLowerBoundNoAllocs(t *testing.T) {
+	for _, k := range []int{2, MaxClasses} {
+		lo, hi, totals := make([]int64, k), make([]int64, k), make([]int64, k)
+		for i := range totals {
+			lo[i], hi[i], totals[i] = int64(i), int64(2*i+1), int64(3*i+5)
+		}
+		for _, crit := range []split.Criterion{split.Gini, split.Entropy} {
+			if n := testing.AllocsPerRun(10, func() { LowerBound(crit, lo, hi, totals) }); n != 0 {
+				t.Errorf("%v, %d classes: %v allocations per call, want 0", crit, k, n)
+			}
+		}
+	}
+}
+
+// TestCorners: the corner count the in-memory split search weighs against
+// scanning a bucket is 2 to the number of classes whose count changes,
+// and 0 above MaxClasses, where LowerBound evaluates no corner.
+func TestCorners(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi []int64
+		want   int
+	}{
+		{[]int64{3, 4}, []int64{3, 4}, 1},
+		{[]int64{3, 4}, []int64{5, 4}, 2},
+		{[]int64{0, 0, 0}, []int64{1, 2, 3}, 8},
+		{make([]int64, MaxClasses), make([]int64, MaxClasses), 1},
+		{make([]int64, MaxClasses+1), make([]int64, MaxClasses+1), 0},
+	} {
+		if got := Corners(c.lo, c.hi); got != c.want {
+			t.Errorf("Corners(%v, %v) = %d, want %d", c.lo, c.hi, got, c.want)
+		}
+	}
+	lo, hi := make([]int64, MaxClasses), make([]int64, MaxClasses)
+	for i := range hi {
+		hi[i] = 1
+	}
+	if got := Corners(lo, hi); got != 1<<MaxClasses {
+		t.Errorf("Corners over %d varying classes = %d, want %d", MaxClasses, got, 1<<MaxClasses)
+	}
+}

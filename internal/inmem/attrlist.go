@@ -17,8 +17,11 @@ import (
 //
 // One build allocates its working memory once. A node owns the range
 // [lo, hi) of every attribute list and of the row array, and a split
-// partitions that range in place; the AVC-group handed to the split
-// selection method is scratch reused at every node.
+// partitions that range in place. An impurity-based method's split is
+// found by the pruned search of search.go, which aggregates only the
+// buckets of each list whose Lemma 3.1 bound can beat the best split found
+// so far; any other method gets the node's whole AVC-group, scratch reused
+// at every node.
 //
 // The selected splits are identical to the naive per-node re-sorting
 // builder (both feed the same integer counts to the same split-selection
@@ -45,8 +48,10 @@ type listBuilder struct {
 	scratch    []entry     // right-hand entries during a partition; radix buffer at the root
 	rowScratch []int32     // right-hand row ids during a partition
 
+	num    []int           // the numeric attribute indexes
+	search *bucketSearch   // the pruned split search of an impurity-based method; nil for others
 	stats  split.NodeStats // the AVC-group of the node being split, reused at every node
-	counts [][][]int64     // per numeric attribute: count rows for its root distinct values
+	counts [][][]int64     // exhaustive search only, per numeric attribute: count rows for its root distinct values
 }
 
 // Build constructs the decision tree for the family using attribute
@@ -76,8 +81,9 @@ func Build(schema *data.Schema, tuples []data.Tuple, cfg Config) *tree.Tree {
 
 // newListBuilder allocates the working memory of a build over n rows:
 // the attribute lists (filled by the caller, sorted or not), the row,
-// side and scratch arrays, and the AVC-group scratch. The caller supplies
-// the class column and the categorical code columns.
+// side and scratch arrays, the categorical AVC-sets and, for an
+// impurity-based method, the pruned search's bucket state. The caller
+// supplies the class column and the categorical code columns.
 func newListBuilder(schema *data.Schema, cfg Config, n int) *listBuilder {
 	attrs := schema.Attributes
 	b := &listBuilder{
@@ -89,14 +95,16 @@ func newListBuilder(schema *data.Schema, cfg Config, n int) *listBuilder {
 		side:       make([]uint8, n),
 		scratch:    make([]entry, n),
 		rowScratch: make([]int32, n),
+		num:        schema.NumericIndexes(),
 		stats: split.NodeStats{
 			Schema: schema,
-			Num:    make([]*split.NumericAVC, len(attrs)),
 			Cat:    make([]*split.CatAVC, len(attrs)),
 		},
-		counts: make([][][]int64, len(attrs)),
 	}
-	arena := make([]entry, b.numeric()*n)
+	if m, ok := cfg.Method.(split.ImpurityBased); ok {
+		b.search = newBucketSearch(m.Criterion(), len(b.num), schema.ClassCount, n)
+	}
+	arena := make([]entry, len(b.num)*n)
 	for a, attr := range attrs {
 		if attr.Kind == data.Numeric {
 			b.lists[a], arena = arena[:n:n], arena[n:]
@@ -110,40 +118,41 @@ func newListBuilder(schema *data.Schema, cfg Config, n int) *listBuilder {
 	return b
 }
 
-// numeric returns the number of numeric attributes.
-func (b *listBuilder) numeric() int {
-	k := 0
-	for _, a := range b.schema.Attributes {
-		if a.Kind == data.Numeric {
-			k++
-		}
-	}
-	return k
-}
-
-// sizeCounts allocates the AVC-set storage of every numeric attribute
-// from its sorted root list: the root holds every value, so its distinct
-// count bounds the AVC-set of every node below it.
-func (b *listBuilder) sizeCounts() {
-	k := b.schema.ClassCount
-	for a, l := range b.lists {
-		if l == nil {
-			continue
-		}
-		distinct := 0
+// distinct returns the number of value runs of every numeric attribute's
+// sorted root list, 0 for categorical attributes.
+func (b *listBuilder) distinct() []int {
+	d := make([]int, len(b.lists))
+	for _, a := range b.num {
+		l := b.lists[a]
 		for i := range l {
 			if i == 0 || !split.SameValue(l[i].v, l[i-1].v) {
-				distinct++
+				d[a]++
 			}
 		}
-		backing := make([]int64, distinct*k)
-		counts := make([][]int64, distinct)
-		for d := range counts {
-			counts[d] = backing[d*k : (d+1)*k : (d+1)*k]
-		}
-		b.counts[a] = counts
-		b.stats.Num[a] = &split.NumericAVC{Values: make([]float64, 0, distinct)}
 	}
+	return d
+}
+
+// sizeCounts allocates the AVC-set storage of the exhaustive search for
+// every numeric attribute from its root distinct count, which bounds the
+// AVC-set of every node below the root.
+func (b *listBuilder) sizeCounts(distinct []int) {
+	b.stats.Num = make([]*split.NumericAVC, len(b.lists))
+	b.counts = make([][][]int64, len(b.lists))
+	for _, a := range b.num {
+		b.counts[a] = countRows(distinct[a], b.schema.ClassCount)
+		b.stats.Num[a] = &split.NumericAVC{Values: make([]float64, 0, distinct[a])}
+	}
+}
+
+// countRows returns n count rows of k classes on one backing.
+func countRows(n, k int) [][]int64 {
+	backing := make([]int64, n*k)
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = backing[i*k : (i+1)*k : (i+1)*k]
+	}
+	return rows
 }
 
 // grow grows the tree over every row from the sorted lists.
@@ -216,8 +225,13 @@ func (b *listBuilder) buildNode(lo, hi, depth int) *tree.Node {
 	if b.cfg.StopBeforeSplit(int64(hi-lo), depth, classTotals) {
 		return n
 	}
-	b.fillStats(lo, hi, classTotals)
-	best := b.cfg.Method.BestSplit(&b.stats)
+	var best split.Split
+	if b.search != nil {
+		best = b.prunedSplit(lo, hi, classTotals)
+	} else {
+		b.fillStats(lo, hi, classTotals)
+		best = b.cfg.Method.BestSplit(&b.stats)
+	}
 	if !best.Found {
 		return n
 	}
@@ -284,8 +298,9 @@ func (b *listBuilder) partition(lo, hi int, crit split.Split) int {
 }
 
 // fillStats assembles the AVC-group of the node owning [lo, hi) in the
-// reused scratch: numeric attributes by linear run aggregation over their
-// sorted lists, categorical attributes by a counting pass over the rows.
+// reused scratch for the exhaustive search: numeric attributes by linear
+// run aggregation over their sorted lists, categorical attributes by a
+// counting pass over the rows.
 func (b *listBuilder) fillStats(lo, hi int, classTotals []int64) {
 	b.stats.ClassTotals = classTotals
 	for a, attr := range b.schema.Attributes {
@@ -296,19 +311,24 @@ func (b *listBuilder) fillStats(lo, hi int, classTotals []int64) {
 			continue
 		}
 		avc := b.stats.Num[a]
-		counts := b.counts[a]
-		vals := avc.Values[:0]
-		var row []int64
-		es := b.lists[a][lo:hi]
-		for i, e := range es {
-			if i == 0 || !split.SameValue(e.v, es[i-1].v) {
-				row = counts[len(vals)]
-				clear(row)
-				vals = append(vals, e.v)
-			}
-			row[e.class]++
-		}
-		avc.Values = vals
-		avc.Counts = counts[:len(vals)]
+		avc.Values = aggregateRuns(b.lists[a][lo:hi], avc.Values, b.counts[a])
+		avc.Counts = b.counts[a][:len(avc.Values)]
 	}
+}
+
+// aggregateRuns returns, in vals' storage, the value of the first entry
+// of every value run of es, and counts the classes of run i in counts[i],
+// which must hold a row per run.
+func aggregateRuns(es []entry, vals []float64, counts [][]int64) []float64 {
+	vals = vals[:0]
+	var row []int64
+	for i, e := range es {
+		if i == 0 || !split.SameValue(e.v, es[i-1].v) {
+			row = counts[len(vals)]
+			clear(row)
+			vals = append(vals, e.v)
+		}
+		row[e.class]++
+	}
+	return vals
 }

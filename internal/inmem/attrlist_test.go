@@ -264,7 +264,10 @@ var benchTree *tree.Tree
 // maintained model builds: bootstrap subsamples of 500 and 1,250 tuples
 // (stop thresholds scaled as for bootstrap trees), a 40,000-tuple fat
 // leaf refit and a 100,000-tuple family, both under a 15,000-tuple stop
-// threshold.
+// threshold. The classes=k cases grow a 40,000-tuple family of k classes
+// (manyClassFamily, one label in ten drawn at random) to a 1,250-tuple
+// stop threshold: most of their buckets hold every class, so the pruned
+// split search must scan them rather than pay for 2^k bound corners.
 func BenchmarkBuildAttrList(b *testing.B) {
 	for _, bc := range []struct{ n, stop int64 }{
 		{500, 75},
@@ -283,6 +286,17 @@ func BenchmarkBuildAttrList(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchTree = Build(src.Schema(), tuples, cfg)
+			}
+		})
+	}
+	for _, k := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("classes=%d", k), func(b *testing.B) {
+			schema, tuples := manyClassFamily(rand.New(rand.NewSource(int64(k))), 40_000, k, 10)
+			cfg := Config{Method: split.NewGini(), StopThreshold: 1_250, StopAtThreshold: true}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTree = Build(schema, tuples, cfg)
 			}
 		})
 	}

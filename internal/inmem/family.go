@@ -196,6 +196,11 @@ func keepLive[T any](s []T, dead []bool) []T {
 // permutation. A first build, all tail, sorts its lists directly and
 // records the permutations from them instead.
 func (f *Family) Build(cfg Config) *tree.Tree {
+	return f.builder(cfg).grow()
+}
+
+// builder returns the builder of Build, its root lists filled.
+func (f *Family) builder(cfg Config) *listBuilder {
 	f.Compact()
 	first := f.sorted == 0
 	if !first {
@@ -228,13 +233,16 @@ func (f *Family) Build(cfg Config) *tree.Tree {
 		}
 	}
 	f.sorted = n
-	b.sizeCounts()
-	for a, c := range b.counts {
-		if c != nil && len(c) > len(b.counts[f.key]) {
+	distinct := b.distinct()
+	for _, a := range b.num {
+		if distinct[a] > distinct[f.key] {
 			f.key = a
 		}
 	}
-	return b.grow()
+	if b.search == nil {
+		b.sizeCounts(distinct)
+	}
+	return b
 }
 
 // Remove deletes one occurrence of each chunk row named by idx (all rows

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/boatml/boat/internal/data"
@@ -13,6 +14,13 @@ import (
 // fuses: every candidate pays QualityFromLeft, a Split value and a
 // Better call. The fused kernel must return exactly its result.
 func bestNumericSplitOracle(crit Criterion, attr int, avc *NumericAVC, classTotals []int64) Split {
+	return bestCutOracle(crit, attr, avc, classTotals, 0)
+}
+
+// bestCutOracle is bestNumericSplitOracle restricted to the candidates
+// from index from on: the counts of the values below it only seed the
+// left side.
+func bestCutOracle(crit Criterion, attr int, avc *NumericAVC, classTotals []int64, from int) Split {
 	k := len(classTotals)
 	left := make([]int64, k)
 	scratch := make([]int64, k)
@@ -20,6 +28,9 @@ func bestNumericSplitOracle(crit Criterion, attr int, avc *NumericAVC, classTota
 	for i := 0; i < len(avc.Values)-1; i++ {
 		for j, c := range avc.Counts[i] {
 			left[j] += c
+		}
+		if i < from {
+			continue
 		}
 		q := crit.QualityFromLeft(left, classTotals, scratch)
 		cand := Split{
@@ -92,21 +103,55 @@ func randomKernelAVC(rng *rand.Rand, k int) (*NumericAVC, []int64) {
 // TestBestNumericSplitMatchesOracle pins the fused kernel to the
 // per-candidate oracle bit for bit: same Found, same threshold, same
 // Quality bit pattern, for gini and entropy at 1 to 10 classes (above 8
-// the kernel takes its heap-allocated path).
+// the kernel takes its heap-allocated path). Each AVC-set is also cut at
+// a random prefix, as the in-memory builder scans one bucket: BestCut
+// from the prefix's cumulative counts must return the oracle's best over
+// the remaining candidates and leave left at the last candidate's stamp
+// point.
 func TestBestNumericSplitMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	same := func(got, want Split) bool {
+		return got.Found == want.Found &&
+			math.Float64bits(got.Threshold) == math.Float64bits(want.Threshold) &&
+			math.Float64bits(got.Quality) == math.Float64bits(want.Quality) &&
+			(!got.Found || got.Attr == want.Attr && got.Kind == want.Kind)
+	}
 	for _, crit := range []Criterion{Gini, Entropy} {
 		for k := 1; k <= 10; k++ {
 			for trial := 0; trial < 400; trial++ {
 				avc, totals := randomKernelAVC(rng, k)
 				got := BestNumericSplit(crit, 3, avc, totals)
 				want := bestNumericSplitOracle(crit, 3, avc, totals)
-				if got.Found != want.Found ||
-					math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) ||
-					math.Float64bits(got.Quality) != math.Float64bits(want.Quality) ||
-					(got.Found && (got.Attr != want.Attr || got.Kind != want.Kind)) {
+				if !same(got, want) {
 					t.Fatalf("%v k=%d trial %d: kernel %+v, oracle %+v\nvalues %v\ncounts %v\ntotals %v",
 						crit, k, trial, got, want, avc.Values, avc.Counts, totals)
+				}
+				last := len(avc.Values) - 1
+				if last < 1 {
+					continue
+				}
+				from := rng.Intn(last)
+				left := make([]int64, k)
+				for _, row := range avc.Counts[:from] {
+					for j, c := range row {
+						left[j] += c
+					}
+				}
+				i, q := BestCut(crit, avc.Values[from:last], avc.Counts[from:], left, totals)
+				got = Split{Found: true, Attr: 3, Kind: data.Numeric, Threshold: avc.Values[from+i], Quality: q}
+				want = bestCutOracle(crit, 3, avc, totals, from)
+				if !same(got, want) {
+					t.Fatalf("%v k=%d trial %d from %d: kernel %+v, oracle %+v\nvalues %v\ncounts %v\ntotals %v",
+						crit, k, trial, from, got, want, avc.Values, avc.Counts, totals)
+				}
+				stamp := make([]int64, k)
+				for _, row := range avc.Counts[:last] {
+					for j, c := range row {
+						stamp[j] += c
+					}
+				}
+				if !slices.Equal(left, stamp) {
+					t.Fatalf("%v k=%d trial %d from %d: left ends at %v, want %v", crit, k, trial, from, left, stamp)
 				}
 			}
 		}

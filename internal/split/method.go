@@ -20,7 +20,12 @@ type Method interface {
 // ImpurityBased is implemented by methods that minimize a concave impurity
 // function of the class-count vectors. BOAT exploits the concavity (via
 // the stamp-point corner lower bound of Lemma 3.1) to verify the coarse
-// splitting criteria of these methods.
+// splitting criteria of these methods, and the in-memory builder to prune
+// its split search. Both rely on one condition: BestSplit returns the
+// exhaustive minimum, under Split.Better, of Criterion()'s weighted
+// impurity (PartitionQuality) over every numeric candidate
+// (BestNumericSplit) and every attribute's categorical split
+// (BestCategoricalSplit).
 type ImpurityBased interface {
 	Method
 	Criterion() Criterion
@@ -80,16 +85,8 @@ func (m *ImpurityMethod) BestSplit(stats *NodeStats) Split {
 
 // BestNumericSplit finds the best split X <= x over all candidate split
 // points x (the observed attribute values, excluding the largest) of one
-// numeric attribute, from its AVC-set.
-//
-// It is the in-memory builder's hottest loop, so every candidate is
-// evaluated in one fused pass per criterion: the left class counts and
-// their total run along the values, the right side is the family totals
-// minus the left, and a candidate costs only its impurity arithmetic and
-// one comparison. The floating-point operations are PartitionQuality's,
-// in the same order, so the Quality bit pattern and the threshold equal
-// those of evaluating each candidate through QualityFromLeft and keeping
-// the Better one. Up to 8 classes it allocates nothing.
+// numeric attribute, from its AVC-set: BestCut over every value but the
+// last, from zero left counts. Up to 8 classes it allocates nothing.
 func BestNumericSplit(crit Criterion, attr int, avc *NumericAVC, classTotals []int64) Split {
 	last := len(avc.Values) - 1
 	if last < 1 {
@@ -102,26 +99,45 @@ func BestNumericSplit(crit Criterion, attr int, avc *NumericAVC, classTotals []i
 	} else {
 		left = make([]int64, k)
 	}
-	var i int
-	var q float64
-	switch crit {
-	case Gini:
-		i, q = bestGiniCut(avc.Values[:last], avc.Counts, left, classTotals)
-	case Entropy:
-		i, q = bestEntropyCut(avc.Values[:last], avc.Counts, left, classTotals)
-	default:
-		panic("split: unknown criterion")
-	}
+	i, q := BestCut(crit, avc.Values[:last], avc.Counts, left, classTotals)
 	return Split{Found: true, Attr: attr, Kind: data.Numeric, Threshold: avc.Values[i], Quality: q}
 }
 
-// bestGiniCut returns the index and weighted gini impurity of the best
-// cut X <= values[i], scanning counts from the zeroed left counts; ties
-// keep the smaller threshold, as Split.Better does.
+// BestCut returns the index i and the weighted impurity of the best cut
+// X <= values[i], where counts[i] holds the class counts of values[i] and
+// left holds, on entry, the class counts of every tuple below values[0]:
+// zeros for a whole AVC-set, a stamp point for one bucket of it. Every
+// value is a candidate, so the caller leaves out the attribute's largest.
+// left is advanced past the last value. It returns -1 for no values.
+//
+// It is the in-memory builder's hottest loop, so every candidate is
+// evaluated in one fused pass per criterion: the left class counts and
+// their total run along the values, the right side is the family totals
+// minus the left, and a candidate costs only its impurity arithmetic and
+// one comparison. The floating-point operations are PartitionQuality's,
+// in the same order, so the Quality bit pattern and the index equal
+// those of evaluating each candidate through QualityFromLeft and keeping
+// the Better one.
+func BestCut(crit Criterion, values []float64, counts [][]int64, left, totals []int64) (int, float64) {
+	switch crit {
+	case Gini:
+		return bestGiniCut(values, counts, left, totals)
+	case Entropy:
+		return bestEntropyCut(values, counts, left, totals)
+	default:
+		panic("split: unknown criterion")
+	}
+}
+
+// bestGiniCut is BestCut for the gini criterion; ties keep the smaller
+// threshold, as Split.Better does.
 func bestGiniCut(values []float64, counts [][]int64, left, totals []int64) (int, float64) {
 	var n, nL int64
 	for _, c := range totals {
 		n += c
+	}
+	for _, c := range left {
+		nL += c
 	}
 	fn := float64(n)
 	bestI, bestQ := -1, 0.0
@@ -151,11 +167,14 @@ func bestGiniCut(values []float64, counts [][]int64, left, totals []int64) (int,
 	return bestI, bestQ
 }
 
-// bestEntropyCut is bestGiniCut for the entropy criterion.
+// bestEntropyCut is BestCut for the entropy criterion.
 func bestEntropyCut(values []float64, counts [][]int64, left, totals []int64) (int, float64) {
 	var n, nL int64
 	for _, c := range totals {
 		n += c
+	}
+	for _, c := range left {
+		nL += c
 	}
 	fn := float64(n)
 	bestI, bestQ := -1, 0.0

@@ -182,7 +182,10 @@ type (
 	Model = core.Tree
 	// Options configures Grow. The zero value plus a Method is valid:
 	// sample sizes, bootstrap parameters and thresholds default to the
-	// paper's settings (scaled to the dataset).
+	// paper's settings (scaled to the dataset). Options.Parallelism sets
+	// the workers of every parallel phase: bootstrap trees, the chunk
+	// router's descents, and leaf completion, whose in-memory fits share
+	// their attribute passes and subtrees across the workers.
 	Options = core.Config
 	// GrowStats reports what happened during Grow.
 	GrowStats = core.BuildStats

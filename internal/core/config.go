@@ -132,14 +132,17 @@ type Config struct {
 	DisableZoneSkip bool
 
 	// Parallelism is the number of worker goroutines used by bootstrap-tree
-	// growth, the completion of independent leaves (and frontier rebuilds)
-	// after top-down processing, and the forked subtree descents of the
-	// chunk router that runs the cleanup scan and Insert/Delete. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs every phase sequentially in-line. The
-	// resulting tree is identical at every setting: per-tree bootstrap RNGs
-	// are derived from Seed + treeIndex, the concurrent phases work on
-	// disjoint subtrees, and every buffer receives its tuples in stream
-	// order.
+	// growth, leaf completion after top-down processing, and the forked
+	// subtree descents of the chunk router that runs the cleanup scan and
+	// Insert/Delete. Leaf completion shares its workers between the
+	// independent leaves (their in-memory fits and frontier rebuilds) and
+	// the inside of each in-memory fit: a worker with no leaf left runs
+	// the attribute passes and subtrees the other leaves' fits offer. 0
+	// selects runtime.GOMAXPROCS(0); 1 runs every phase sequentially
+	// in-line. The resulting tree is identical at every setting: per-tree
+	// bootstrap RNGs are derived from Seed + treeIndex, the concurrent
+	// phases work on disjoint subtrees, attributes or scratch, and every
+	// buffer receives its tuples in stream order.
 	Parallelism int
 }
 

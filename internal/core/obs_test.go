@@ -240,6 +240,70 @@ func TestUpdateTracing(t *testing.T) {
 	}
 }
 
+// TestLeafCompletionTraceBalance: the leaf-completion span of an update
+// that refits two fat leaves at Parallelism 2 carries the slowest fit's
+// and the summed fits' wall time and the number of fit tasks run by a
+// worker other than the fit's owner. Each of three inserts must carry all
+// three attributes with the sum at least the maximum, and over the
+// inserts some task must have been shared.
+func TestLeafCompletionTraceBalance(t *testing.T) {
+	tracer := obs.NewTracer(nil)
+	gcfg := gen.Config{Function: 1, Noise: 0.05}
+	bt, err := Build(gen.MustSource(gcfg, 60_000, 41), Config{
+		Method: split.NewGini(), StopThreshold: 15_000, StopAtThreshold: true,
+		SampleSize: 3_000, Seed: 5, Parallelism: 2, TempDir: t.TempDir(), Trace: tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	var shared int64
+	for round := 0; round < 3; round++ {
+		upd, err := bt.Insert(gen.MustSource(gcfg, 6_000, int64(100+round)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if upd.RefittedLeaves < 2 {
+			t.Fatalf("insert %d refit %d leaves, want both fat leaves", round, upd.RefittedLeaves)
+		}
+		roots := tracer.Roots()
+		span := findSpan(roots[len(roots)-1], "leaf-completion")
+		if span == nil {
+			t.Fatalf("insert %d has no leaf-completion span", round)
+		}
+		attrs := map[string]any{}
+		for _, a := range span.Attrs() {
+			attrs[a.Key] = a.Value
+		}
+		slowest, okMax := attrs["fit_s_max"].(float64)
+		sum, okSum := attrs["fit_s_sum"].(float64)
+		n, okShared := attrs["shared_tasks"].(int64)
+		if !okMax || !okSum || !okShared {
+			t.Fatalf("insert %d: leaf-completion attributes %v miss fit_s_max, fit_s_sum or shared_tasks", round, attrs)
+		}
+		if slowest <= 0 || sum < slowest {
+			t.Errorf("insert %d: fit_s_max %v, fit_s_sum %v", round, slowest, sum)
+		}
+		shared += n
+	}
+	if shared == 0 {
+		t.Error("no fit task ran on a worker other than its fit's owner")
+	}
+}
+
+// findSpan returns the first span named name in s's subtree, preorder.
+func findSpan(s *obs.Span, name string) *obs.Span {
+	if s.Name() == name {
+		return s
+	}
+	for _, c := range s.Children() {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // tracerSkeletonOf renders one span subtree the same way Tracer.Skeleton
 // renders roots (names and nesting, canonical sibling order).
 func tracerSkeletonOf(s *obs.Span) string {

@@ -6,10 +6,12 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/discretize"
 	"github.com/boatml/boat/internal/hull"
+	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/split"
 )
@@ -41,19 +43,41 @@ func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
 	}
 	leafSpan := sp.Start("leaf-completion")
 	leafSpan.SetAttr("leaves", len(leaves))
-	var tally leafTally
+	tally := leafTally{timed: leafSpan != nil}
 	err = t.completeLeaves(leaves, rdepth, leafSpan, &tally)
 	leafSpan.SetAttr("family_refits", tally.refits.Load())
 	leafSpan.SetAttr("family_conversions", tally.conversions.Load())
+	if tally.timed {
+		leafSpan.SetAttr("fit_s_max", time.Duration(tally.fitMax.Load()).Seconds())
+		leafSpan.SetAttr("fit_s_sum", time.Duration(tally.fitSum.Load()).Seconds())
+		leafSpan.SetAttr("shared_tasks", tally.shared)
+	}
 	leafSpan.End()
 	return err
 }
 
 // leafTally counts, over one leaf completion, the refits grown from a
 // presorted family kept since an earlier fit and the resident bags moved
-// into one (see leafFamily.fit).
+// into one (see leafFamily.fit). When timed (the completion is traced) it
+// also keeps the slowest fit's and the sum of every fit's wall time, in
+// nanoseconds, and in shared the number of fit tasks run by a worker
+// other than the fit's owner (inmem.Pool.Shared).
 type leafTally struct {
 	refits, conversions atomic.Int64
+	timed               bool
+	fitMax, fitSum      atomic.Int64
+	shared              int64
+}
+
+// noteFit records a fit's wall time d.
+func (tl *leafTally) noteFit(d time.Duration) {
+	tl.fitSum.Add(int64(d))
+	for {
+		m := tl.fitMax.Load()
+		if int64(d) <= m || tl.fitMax.CompareAndSwap(m, int64(d)) {
+			return
+		}
+	}
 }
 
 func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
@@ -98,11 +122,14 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 
 // completeLeaves finishes the collected leaves. Each dirty leaf's work —
 // an in-memory (re)fit or the promotion of a spilled frontier family to
-// a BOAT subtree — depends only on that leaf's family, so with
-// Parallelism > 1 the leaves are completed by an errgroup-style worker
-// pool. Shared state reached from processLeaf (the memory budget, the
-// I/O stats, the build/update counters, the rebuild seed counter) is
-// thread-safe; the resulting tree is identical either way.
+// a BOAT subtree — depends only on that leaf's family, so the dirty
+// leaves are the jobs of one inmem.Pool of Parallelism workers: each
+// worker takes leaves while any is left, then runs the tasks that the
+// still-running fits offer (see inmem.Pool), until every leaf is done.
+// Shared state reached from processLeaf (the memory budget, the I/O
+// stats, the build/update counters, the rebuild seed counter) is
+// thread-safe; the resulting tree is identical either way. A promotion
+// runs its own nested pool.
 func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span, tally *leafTally) error {
 	dirty := leaves[:0:0]
 	for _, n := range leaves {
@@ -110,38 +137,14 @@ func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span, tally *
 			dirty = append(dirty, n)
 		}
 	}
-	w := min(t.cfg.workers(), len(dirty))
-	if w <= 1 {
-		for _, n := range dirty {
-			if err := t.processLeaf(n, rdepth, sp, tally); err != nil {
-				return err
-			}
-		}
-		return nil
+	pool := inmem.NewPool(t.cfg.workers())
+	err := pool.Run(len(dirty), func(w *inmem.Worker, i int) error {
+		return t.processLeaf(dirty[i], rdepth, sp, tally, w)
+	})
+	if tally.timed {
+		tally.shared = pool.Shared()
 	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan *bnode)
-	for range w {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range next {
-				if err := t.processLeaf(n, rdepth, sp, tally); err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
-			}
-		}()
-	}
-	for _, n := range dirty {
-		next <- n
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
+	return err
 }
 
 // moveStuck brings n's children in line with its stuck set S_n under the
@@ -494,8 +497,10 @@ func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 // methodology, for families within the threshold) or grown with the
 // main-memory algorithm (leafFamily.fit) — a fat leaf in stop mode, whose
 // whole family is refit in memory after each update that touches it.
-// May run concurrently for distinct leaves (see completeLeaves).
-func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally) error {
+// May run concurrently for distinct leaves (see completeLeaves); the fit
+// shares its work through w, the pool worker running the leaf (nil runs
+// it alone).
+func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally, w *inmem.Worker) error {
 	if !n.dirty {
 		return nil
 	}
@@ -541,9 +546,16 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally)
 	// above-threshold subtree of a fat leaf in stop mode (the growth
 	// rules include the stop threshold, so the subtree matches the
 	// reference either way).
-	sub, err := n.family.fit(t.cfg.growConfig(n.depth), tally)
+	var start time.Time
+	if tally.timed {
+		start = time.Now()
+	}
+	sub, err := n.family.fit(t.cfg.growConfig(n.depth), tally, w)
 	if err != nil {
 		return err
+	}
+	if tally.timed {
+		tally.noteFit(time.Since(start))
 	}
 	n.subtree = sub.Root
 	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {

@@ -15,13 +15,17 @@ import (
 // so sorted order is preserved and no sorting happens below the root.
 // AVC-sets are built by linear run aggregation over the sorted lists.
 //
-// One build allocates its working memory once. A node owns the range
-// [lo, hi) of every attribute list and of the row array, and a split
-// partitions that range in place. An impurity-based method's split is
-// found by the pruned search of search.go, which aggregates only the
-// buckets of each list whose Lemma 3.1 bound can beat the best split found
-// so far; any other method gets the node's whole AVC-group, scratch reused
-// at every node.
+// One build allocates its lists, row and side arrays once. A node owns
+// the range [lo, hi) of every attribute list and of the row array, and a
+// split partitions that range in place. An impurity-based method's split
+// is found by the pruned search of search.go, which aggregates only the
+// buckets of each list whose Lemma 3.1 bound can beat the best split
+// found so far; any other method gets the node's whole AVC-group, count
+// rows reused at every node. A build run on a pool's Worker (pool.go)
+// forks its per-attribute passes and its large subtrees; each fork item
+// writes only its own attribute's range, its own subtree's ranges or the
+// running worker's scratch, so the tree is the same at every worker
+// count.
 //
 // The selected splits are identical to the naive per-node re-sorting
 // builder (both feed the same integer counts to the same split-selection
@@ -39,19 +43,60 @@ type entry struct {
 type listBuilder struct {
 	schema *data.Schema
 	cfg    Config
+	pruned bool            // the method is impurity-based: its split comes from the pruned search
+	crit   split.Criterion // the pruned search's criterion
 
-	lists      [][]entry   // per attribute, sorted by value; nil for categorical attributes
-	cols       [][]float64 // per attribute, codes by row id; nil for numeric attributes
-	classes    []int32     // class labels by row id
-	rows       []int32     // row ids, ascending within every node's range
-	side       []uint8     // side[row]: 1 if the row goes left at the node currently splitting
-	scratch    []entry     // right-hand entries during a partition; radix buffer at the root
-	rowScratch []int32     // right-hand row ids during a partition
+	lists   [][]entry   // per attribute, sorted by value; nil for categorical attributes
+	cols    [][]float64 // per attribute, codes by row id; nil for numeric attributes
+	classes []int32     // class labels by row id
+	rows    []int32     // row ids, ascending within every node's range
+	side    []uint8     // side[row]: 1 if the row goes left at the node splitting it
 
-	num    []int           // the numeric attribute indexes
-	search *bucketSearch   // the pruned split search of an impurity-based method; nil for others
-	stats  split.NodeStats // the AVC-group of the node being split, reused at every node
-	counts [][][]int64     // exhaustive search only, per numeric attribute: count rows for its root distinct values
+	num      []int // the numeric attribute indexes
+	slot     []int // slot[a]: the position of a in num; -1 for categorical attributes
+	distinct []int // per numeric attribute: the value runs of its root list
+
+	root  *nodeState // the search state of the build's own frame
+	owner int        // the id of the worker running the build; 0 without a pool
+	sets  []*scratch // per worker id: that worker's private scratch in this build
+}
+
+// nodeState is the part of a node's split search that lives from its
+// first phase to its second: per attribute the best split found so far;
+// per numeric attribute the pruned search's bucket bounds, their
+// thresholds and stamp points; and the AVC-group, whose categorical sets
+// both searches fill and whose numeric sets only the exhaustive search
+// does. The frame that grows a node's children reuses it; a subtree that
+// another worker takes gets its own.
+type nodeState struct {
+	best   []split.Split
+	bounds []int32   // per numeric attribute, up to maxBuckets+1 positions in the node's list, the last its length
+	thr    []float64 // per bound: the value of the first entry of the run ending there
+	stamps []int64   // per bound: the k class counts of the list before it
+	stats  split.NodeStats
+	counts [][][]int64 // exhaustive search, per numeric attribute: count rows for the runs of a node's list
+}
+
+// scratch is one worker's private working memory in one build. A worker
+// runs one task of a build at a time, and a frame it suspends at a join
+// holds nothing in it, so each task uses its running worker's scratch.
+// The buffers grow to the largest range the worker served.
+type scratch struct {
+	entries []entry   // the second buffer of a sort, a merge or a list partition
+	rowBuf  []int32   // the right-hand rows of a row partition
+	vals    []float64 // the AVC-set of the bucket being scanned: run values
+	rows    [][]int64 //   and their class counts, on one backing
+	left    []int64   // a bucket scan's left counts
+	q       []int64   // QualityFromLeft's scratch
+	counts  searchCounts
+}
+
+// searchCounts counts the pruned search's work for tests: listed the
+// numeric list entries of every searched node, the entries the exhaustive
+// search aggregates; aggregated those of the scanned buckets; corners the
+// corner points the bound evaluated; and pruned the buckets it skipped.
+type searchCounts struct {
+	listed, aggregated, corners, pruned int64
 }
 
 // Build constructs the decision tree for the family using attribute
@@ -76,41 +121,41 @@ func Build(schema *data.Schema, tuples []data.Tuple, cfg Config) *tree.Tree {
 			f.cols[a][i] = v
 		}
 	}
-	return f.Build(cfg)
+	return f.Build(cfg, nil)
 }
 
-// newListBuilder allocates the working memory of a build over n rows:
-// the attribute lists (filled by the caller, sorted or not), the row,
-// side and scratch arrays, the categorical AVC-sets and, for an
-// impurity-based method, the pruned search's bucket state. The caller
-// supplies the class column and the categorical code columns.
-func newListBuilder(schema *data.Schema, cfg Config, n int) *listBuilder {
+// newListBuilder allocates the working memory of a build over n rows run
+// by w: the attribute lists (filled by the caller, sorted or not) and the
+// row and side arrays. The caller supplies the class column and the
+// categorical code columns, and the root's node state once the lists are
+// sorted.
+func newListBuilder(schema *data.Schema, cfg Config, n int, w *Worker) *listBuilder {
 	attrs := schema.Attributes
 	b := &listBuilder{
-		schema:     schema,
-		cfg:        cfg,
-		lists:      make([][]entry, len(attrs)),
-		cols:       make([][]float64, len(attrs)),
-		rows:       make([]int32, n),
-		side:       make([]uint8, n),
-		scratch:    make([]entry, n),
-		rowScratch: make([]int32, n),
-		num:        schema.NumericIndexes(),
-		stats: split.NodeStats{
-			Schema: schema,
-			Cat:    make([]*split.CatAVC, len(attrs)),
-		},
+		schema:   schema,
+		cfg:      cfg,
+		lists:    make([][]entry, len(attrs)),
+		cols:     make([][]float64, len(attrs)),
+		rows:     make([]int32, n),
+		side:     make([]uint8, n),
+		num:      schema.NumericIndexes(),
+		slot:     make([]int, len(attrs)),
+		distinct: make([]int, len(attrs)),
+		sets:     make([]*scratch, 1),
 	}
 	if m, ok := cfg.Method.(split.ImpurityBased); ok {
-		b.search = newBucketSearch(m.Criterion(), len(b.num), schema.ClassCount, n)
+		b.pruned, b.crit = true, m.Criterion()
+	}
+	if w != nil {
+		b.owner, b.sets = w.id, make([]*scratch, w.pool.workers)
 	}
 	arena := make([]entry, len(b.num)*n)
-	for a, attr := range attrs {
-		if attr.Kind == data.Numeric {
-			b.lists[a], arena = arena[:n:n], arena[n:]
-		} else {
-			b.stats.Cat[a] = split.NewCatAVC(attr.Cardinality, schema.ClassCount)
-		}
+	for a := range b.slot {
+		b.slot[a] = -1
+	}
+	for t, a := range b.num {
+		b.slot[a] = t
+		b.lists[a], arena = arena[:n:n], arena[n:]
 	}
 	for i := range b.rows {
 		b.rows[i] = int32(i)
@@ -118,31 +163,92 @@ func newListBuilder(schema *data.Schema, cfg Config, n int) *listBuilder {
 	return b
 }
 
-// distinct returns the number of value runs of every numeric attribute's
-// sorted root list, 0 for categorical attributes.
-func (b *listBuilder) distinct() []int {
-	d := make([]int, len(b.lists))
-	for _, a := range b.num {
-		l := b.lists[a]
-		for i := range l {
-			if i == 0 || !split.SameValue(l[i].v, l[i-1].v) {
-				d[a]++
-			}
+// newNodeState allocates a node state; the exhaustive search's count rows
+// grow at their first use.
+func (b *listBuilder) newNodeState() *nodeState {
+	attrs, k := b.schema.Attributes, b.schema.ClassCount
+	st := &nodeState{
+		best:  make([]split.Split, len(attrs)),
+		stats: split.NodeStats{Schema: b.schema, Cat: make([]*split.CatAVC, len(attrs))},
+	}
+	for a, attr := range attrs {
+		if attr.Kind == data.Categorical {
+			st.stats.Cat[a] = split.NewCatAVC(attr.Cardinality, k)
 		}
 	}
-	return d
+	if b.pruned {
+		slots := len(b.num) * (maxBuckets + 1)
+		st.bounds, st.thr, st.stamps = make([]int32, slots), make([]float64, slots), make([]int64, slots*k)
+	} else {
+		st.stats.Num = make([]*split.NumericAVC, len(attrs))
+		st.counts = make([][][]int64, len(attrs))
+		for _, a := range b.num {
+			st.stats.Num[a] = &split.NumericAVC{}
+		}
+	}
+	return st
 }
 
-// sizeCounts allocates the AVC-set storage of the exhaustive search for
-// every numeric attribute from its root distinct count, which bounds the
-// AVC-set of every node below the root.
-func (b *listBuilder) sizeCounts(distinct []int) {
-	b.stats.Num = make([]*split.NumericAVC, len(b.lists))
-	b.counts = make([][][]int64, len(b.lists))
-	for _, a := range b.num {
-		b.counts[a] = countRows(distinct[a], b.schema.ClassCount)
-		b.stats.Num[a] = &split.NumericAVC{Values: make([]float64, 0, distinct[a])}
+// set returns w's scratch in this build, the only worker's without a
+// pool.
+func (b *listBuilder) set(w *Worker) *scratch {
+	id := 0
+	if w != nil {
+		id = w.id
 	}
+	sc := b.sets[id]
+	if sc == nil {
+		k := b.schema.ClassCount
+		sc = &scratch{left: make([]int64, k), q: make([]int64, k)}
+		b.sets[id] = sc
+	}
+	return sc
+}
+
+// entryBuf returns the scratch's entry buffer, at least n long.
+func (sc *scratch) entryBuf(n int) []entry {
+	if len(sc.entries) < n {
+		sc.entries = make([]entry, n)
+	}
+	return sc.entries
+}
+
+// fork runs fn(i, w) for every i in [0, n) on behalf of a frame of the
+// build running on w, over a node or family of size rows. With a pool and
+// at least forkRows rows it offers items 1..n-1 to the pool as tasks of
+// kind, runs item 0 itself and joins the rest; otherwise it runs every
+// item in order. fn receives the worker running the item, whose scratch
+// it may use.
+func (b *listBuilder) fork(w *Worker, size int, kind taskKind, n int, fn func(i int, w *Worker)) {
+	if w == nil || size < forkRows || n < 2 {
+		for i := 0; i < n; i++ {
+			fn(i, w)
+		}
+		return
+	}
+	ts := make([]task, n-1)
+	run := func(i int, w *Worker, _ bool) { fn(i, w) }
+	for i := range ts {
+		ts[i] = task{run: run, item: i + 1, kind: kind, owner: b.owner}
+	}
+	w.offer(ts)
+	fn(0, w)
+	w.join(ts)
+}
+
+// forkRows is the least node or family size whose work a fit offers to a
+// pool's other workers.
+const forkRows = 4096
+
+// runs returns the number of value runs of a sorted list.
+func runs(l []entry) int {
+	n := 0
+	for i := range l {
+		if i == 0 || !split.SameValue(l[i].v, l[i-1].v) {
+			n++
+		}
+	}
+	return n
 }
 
 // countRows returns n count rows of k classes on one backing.
@@ -155,9 +261,9 @@ func countRows(n, k int) [][]int64 {
 	return rows
 }
 
-// grow grows the tree over every row from the sorted lists.
-func (b *listBuilder) grow() *tree.Tree {
-	return &tree.Tree{Schema: b.schema, Root: b.buildNode(0, len(b.rows), 0)}
+// grow grows the tree over every row from the sorted lists, on w.
+func (b *listBuilder) grow(w *Worker) *tree.Tree {
+	return &tree.Tree{Schema: b.schema, Root: b.buildNode(0, len(b.rows), 0, b.root, w)}
 }
 
 // sortKey maps a value to an unsigned key whose order is the canonical
@@ -216,7 +322,10 @@ func sortEntries(es, buf []entry) {
 	}
 }
 
-func (b *listBuilder) buildNode(lo, hi, depth int) *tree.Node {
+// buildNode grows the subtree of the node owning [lo, hi) at depth, on
+// w with the node state st. When both children reach forkRows, the right
+// subtree is offered to the pool while w grows the left one.
+func (b *listBuilder) buildNode(lo, hi, depth int, st *nodeState, w *Worker) *tree.Node {
 	classTotals := make([]int64, b.schema.ClassCount)
 	for _, row := range b.rows[lo:hi] {
 		classTotals[b.classes[row]]++
@@ -226,27 +335,41 @@ func (b *listBuilder) buildNode(lo, hi, depth int) *tree.Node {
 		return n
 	}
 	var best split.Split
-	if b.search != nil {
-		best = b.prunedSplit(lo, hi, classTotals)
+	if b.pruned {
+		best = b.prunedSplit(lo, hi, classTotals, st, w)
 	} else {
-		b.fillStats(lo, hi, classTotals)
-		best = b.cfg.Method.BestSplit(&b.stats)
+		best = b.exhaustiveSplit(lo, hi, classTotals, st, w)
 	}
 	if !best.Found {
 		return n
 	}
 	n.Crit = best
-	mid := b.partition(lo, hi, best)
-	n.Left = b.buildNode(lo, mid, depth+1)
-	n.Right = b.buildNode(mid, hi, depth+1)
+	mid := b.partition(lo, hi, best, w)
+	if w == nil || min(mid-lo, hi-mid) < forkRows {
+		n.Left = b.buildNode(lo, mid, depth+1, st, w)
+		n.Right = b.buildNode(mid, hi, depth+1, st, w)
+		return n
+	}
+	right := []task{{kind: subtreeTask, owner: b.owner, run: func(_ int, w *Worker, own bool) {
+		rst := st
+		if !own {
+			rst = b.newNodeState()
+		}
+		n.Right = b.buildNode(mid, hi, depth+1, rst, w)
+	}}}
+	w.offer(right)
+	n.Left = b.buildNode(lo, mid, depth+1, st, w)
+	w.join(right)
 	return n
 }
 
 // partition records every row's side of crit, then partitions [lo, hi)
 // of the row array and of each attribute list stably in place, and
-// returns the boundary between the children.
-func (b *listBuilder) partition(lo, hi int, crit split.Split) int {
+// returns the boundary between the children. The row array and each list
+// are one item of a fork, moved through the running worker's scratch.
+func (b *listBuilder) partition(lo, hi int, crit split.Split, w *Worker) int {
 	mid := lo
+	moved := b.num
 	if crit.Kind == data.Numeric {
 		// The left side of a numeric split is a prefix of its own sorted
 		// list, which therefore needs no partitioning.
@@ -255,6 +378,12 @@ func (b *listBuilder) partition(lo, hi int, crit split.Split) int {
 			if e.v <= crit.Threshold {
 				b.side[e.row] = 1
 				mid++
+			}
+		}
+		moved = make([]int, 0, len(b.num))
+		for _, a := range b.num {
+			if a != crit.Attr {
+				moved = append(moved, a)
 			}
 		}
 	} else {
@@ -268,52 +397,80 @@ func (b *listBuilder) partition(lo, hi int, crit split.Split) int {
 			}
 		}
 	}
-	// Every element is written to both destinations and only the cursor
-	// of its side advances: a branch on the side would mispredict on
-	// about every other element of a balanced split.
-	rows, w, r := b.rows[lo:hi], 0, 0
-	for _, row := range rows {
-		s := int(b.side[row])
-		rows[w] = row
-		b.rowScratch[r] = row
-		w += s
-		r += 1 - s
-	}
-	copy(rows[w:], b.rowScratch[:r])
-	for a, attr := range b.schema.Attributes {
-		if attr.Kind != data.Numeric || crit.Kind == data.Numeric && a == crit.Attr {
-			continue
+	b.fork(w, hi-lo, partitionTask, 1+len(moved), func(i int, w *Worker) {
+		sc := b.set(w)
+		if i == 0 {
+			if len(sc.rowBuf) < hi-lo {
+				sc.rowBuf = make([]int32, hi-lo)
+			}
+			partitionRows(b.rows[lo:hi], b.side, sc.rowBuf)
+			return
 		}
-		es, w, r := b.lists[a][lo:hi], 0, 0
-		for _, e := range es {
-			s := int(b.side[e.row])
-			es[w] = e
-			b.scratch[r] = e
-			w += s
-			r += 1 - s
-		}
-		copy(es[w:], b.scratch[:r])
-	}
+		partitionList(b.lists[moved[i-1]][lo:hi], b.side, sc.entryBuf(hi-lo))
+	})
 	return mid
 }
 
-// fillStats assembles the AVC-group of the node owning [lo, hi) in the
-// reused scratch for the exhaustive search: numeric attributes by linear
-// run aggregation over their sorted lists, categorical attributes by a
-// counting pass over the rows.
-func (b *listBuilder) fillStats(lo, hi int, classTotals []int64) {
-	b.stats.ClassTotals = classTotals
-	for a, attr := range b.schema.Attributes {
-		if attr.Kind == data.Categorical {
-			avc := b.stats.Cat[a]
-			avc.Reset()
-			avc.AddBatch(b.cols[a], b.classes, b.rows[lo:hi], 1)
-			continue
-		}
-		avc := b.stats.Num[a]
-		avc.Values = aggregateRuns(b.lists[a][lo:hi], avc.Values, b.counts[a])
-		avc.Counts = b.counts[a][:len(avc.Values)]
+// partitionRows moves the rows whose side is 1 to the front of rows,
+// stably, and the others after them, through buf. Every element is
+// written to both destinations and only the cursor of its side advances:
+// a branch on the side would mispredict on about every other element of
+// a balanced split.
+func partitionRows(rows []int32, side []uint8, buf []int32) {
+	w, r := 0, 0
+	for _, row := range rows {
+		s := int(side[row])
+		rows[w] = row
+		buf[r] = row
+		w += s
+		r += 1 - s
 	}
+	copy(rows[w:], buf[:r])
+}
+
+// partitionList is partitionRows for an attribute list.
+func partitionList(es []entry, side []uint8, buf []entry) {
+	w, r := 0, 0
+	for _, e := range es {
+		s := int(side[e.row])
+		es[w] = e
+		buf[r] = e
+		w += s
+		r += 1 - s
+	}
+	copy(es[w:], buf[:r])
+}
+
+// exhaustiveSplit returns the split of a method without a criterion at
+// the node owning [lo, hi): the node's whole AVC-group, one attribute's
+// sets per fork item, then Method.BestSplit.
+func (b *listBuilder) exhaustiveSplit(lo, hi int, classTotals []int64, st *nodeState, w *Worker) split.Split {
+	st.stats.ClassTotals = classTotals
+	b.fork(w, hi-lo, searchTask, len(b.schema.Attributes), func(a int, _ *Worker) {
+		b.fillAVC(lo, hi, a, st)
+	})
+	return b.cfg.Method.BestSplit(&st.stats)
+}
+
+// fillAVC fills attribute a's AVC-set of the node owning [lo, hi) in st:
+// a numeric attribute by linear run aggregation over its sorted list, into
+// count rows grown to the node's size or the root's distinct count,
+// whichever is smaller; a categorical attribute by a counting pass over
+// the rows.
+func (b *listBuilder) fillAVC(lo, hi, a int, st *nodeState) {
+	if b.slot[a] < 0 {
+		avc := st.stats.Cat[a]
+		avc.Reset()
+		avc.AddBatch(b.cols[a], b.classes, b.rows[lo:hi], 1)
+		return
+	}
+	avc := st.stats.Num[a]
+	if need := min(b.distinct[a], hi-lo); len(st.counts[a]) < need {
+		st.counts[a] = countRows(need, b.schema.ClassCount)
+		avc.Values = make([]float64, 0, need)
+	}
+	avc.Values = aggregateRuns(b.lists[a][lo:hi], avc.Values, st.counts[a])
+	avc.Counts = st.counts[a][:len(avc.Values)]
 }
 
 // aggregateRuns returns, in vals' storage, the value of the first entry

@@ -99,40 +99,50 @@ func appendRows[T any](dst, src []T, idx []int32) []T {
 	return dst
 }
 
-// merge sorts the unsorted tail and merges it into every permutation,
-// backwards and in place. An old row wins a tie: every tail row has a
-// larger row id, so the permutations stay ordered by row within a run.
+// merge sorts the unsorted tail and merges it into every permutation.
 func (f *Family) merge() {
 	n := len(f.class)
 	if f.sorted == n {
 		return
 	}
-	tail := make([]entry, n-f.sorted)
-	buf := make([]entry, len(tail))
+	buf := make([]entry, 2*(n-f.sorted))
 	for a, attr := range f.schema.Attributes {
-		if attr.Kind != data.Numeric {
-			continue
+		if attr.Kind == data.Numeric {
+			f.mergeAttr(a, buf)
 		}
-		col := f.cols[a]
-		for i := range tail {
-			r := f.sorted + i
-			tail[i] = entry{v: col[r], row: int32(r)}
-		}
-		sortEntries(tail, buf)
-		p := slices.Grow(f.perm[a], len(tail))[:n]
-		i, j := f.sorted-1, len(tail)-1
-		for w := n - 1; j >= 0; w-- {
-			if i >= 0 && sortKey(col[p[i]]) > sortKey(tail[j].v) {
-				p[w] = p[i]
-				i--
-			} else {
-				p[w] = tail[j].row
-				j--
-			}
-		}
-		f.perm[a] = p
 	}
 	f.sorted = n
+}
+
+// mergeAttr sorts the unsorted tail of numeric attribute a and merges it
+// into a's permutation, backwards and in place, through buf, at least
+// twice the tail long. An old row wins a tie: every tail row has a larger
+// row id, so the permutation stays ordered by row within a run.
+func (f *Family) mergeAttr(a int, buf []entry) {
+	n := len(f.class)
+	m := n - f.sorted
+	if m == 0 {
+		return
+	}
+	tail := buf[:m]
+	col := f.cols[a]
+	for i := range tail {
+		r := f.sorted + i
+		tail[i] = entry{v: col[r], row: int32(r)}
+	}
+	sortEntries(tail, buf[m:2*m])
+	p := slices.Grow(f.perm[a], m)[:n]
+	i, j := f.sorted-1, m-1
+	for w := n - 1; j >= 0; w-- {
+		if i >= 0 && sortKey(col[p[i]]) > sortKey(tail[j].v) {
+			p[w] = p[i]
+			i--
+		} else {
+			p[w] = tail[j].row
+			j--
+		}
+	}
+	f.perm[a] = p
 }
 
 // Compact drops the dead rows in one pass over each column and
@@ -189,59 +199,58 @@ func keepLive[T any](s []T, dead []bool) []T {
 	return s[:w]
 }
 
-// Build grows the decision tree of the family's multiset under cfg; the
-// tree equals Build on the family's tuples. The family keeps its rows:
-// Build drops the dead ones and merges the tail, so the next build starts
-// presorted again, then gathers each numeric attribute's list through its
-// permutation. A first build, all tail, sorts its lists directly and
-// records the permutations from them instead.
-func (f *Family) Build(cfg Config) *tree.Tree {
-	return f.builder(cfg).grow()
+// Build grows the decision tree of the family's multiset under cfg on w
+// (nil runs it on the caller's goroutine alone); the tree equals Build on
+// the family's tuples. The family keeps its rows: Build drops the dead
+// ones and merges the tail, so the next build starts presorted again,
+// then gathers each numeric attribute's list through its permutation. A
+// first build, all tail, sorts its lists directly and records the
+// permutations from them instead. Each numeric attribute's pass is one
+// fork item (see Pool).
+func (f *Family) Build(cfg Config, w *Worker) *tree.Tree {
+	return f.builder(cfg, w).grow(w)
 }
 
 // builder returns the builder of Build, its root lists filled.
-func (f *Family) builder(cfg Config) *listBuilder {
+func (f *Family) builder(cfg Config, w *Worker) *listBuilder {
 	f.Compact()
-	first := f.sorted == 0
-	if !first {
-		f.merge()
-	}
 	n := len(f.class)
-	b := newListBuilder(f.schema, cfg, n)
+	first := f.sorted == 0
+	b := newListBuilder(f.schema, cfg, n, w)
 	b.classes = f.class
 	for a, attr := range f.schema.Attributes {
-		col := f.cols[a]
 		if attr.Kind != data.Numeric {
-			b.cols[a] = col
-			continue
+			b.cols[a] = f.cols[a]
 		}
-		l := b.lists[a]
+	}
+	b.fork(w, n, builderTask, len(b.num), func(t int, w *Worker) {
+		a := b.num[t]
+		col, l, sc := f.cols[a], b.lists[a], b.set(w)
 		if first {
 			for r := range l {
 				l[r] = entry{v: col[r], class: f.class[r], row: int32(r)}
 			}
-			sortEntries(l, b.scratch)
+			sortEntries(l, sc.entryBuf(n))
 			p := slices.Grow(f.perm[a][:0], n)[:n]
 			for i, e := range l {
 				p[i] = e.row
 			}
 			f.perm[a] = p
 		} else {
+			f.mergeAttr(a, sc.entryBuf(2*(n-f.sorted)))
 			for i, r := range f.perm[a] {
 				l[i] = entry{v: col[r], class: f.class[r], row: r}
 			}
 		}
-	}
+		b.distinct[a] = runs(l)
+	})
 	f.sorted = n
-	distinct := b.distinct()
 	for _, a := range b.num {
-		if distinct[a] > distinct[f.key] {
+		if b.distinct[a] > b.distinct[f.key] {
 			f.key = a
 		}
 	}
-	if b.search == nil {
-		b.sizeCounts(distinct)
-	}
+	b.root = b.newNodeState()
 	return b
 }
 

@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/gen"
 	"github.com/boatml/boat/internal/split"
+	"github.com/boatml/boat/internal/tree"
 )
 
 // familyDraw draws one attribute value of a random family schema.
@@ -212,7 +214,7 @@ func TestFamilyMatchesBuild(t *testing.T) {
 						cfg.StopThreshold = int64(len(live) / (2 + rng.Intn(4)))
 						cfg.StopAtThreshold = true
 					}
-					got := f.Build(cfg)
+					got := f.Build(cfg, nil)
 					if err := f.Check(); err != nil {
 						t.Fatalf("step %d after build: %v", step, err)
 					}
@@ -248,7 +250,7 @@ func TestFamilyRemoveUnmatched(t *testing.T) {
 		}
 		f := NewFamily(schema, 0)
 		f.Add(chunkOf(schema, []data.Tuple{row(1, 0), row(2, 1), row(1, 0)}), nil)
-		f.Build(Config{Method: split.NewGini()})
+		f.Build(Config{Method: split.NewGini()}, nil)
 		if err := f.Remove(chunkOf(schema, []data.Tuple{row(1, 0), row(1, 0)}), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +280,7 @@ func TestFamilyRemovesFirstEqualRow(t *testing.T) {
 		f := NewFamily(schema, 0)
 		f.Add(chunkOf(schema, rows), nil)
 		if built {
-			f.Build(Config{Method: split.NewGini()})
+			f.Build(Config{Method: split.NewGini()}, nil)
 		}
 		rm := data.Tuple{Values: []float64{negZero, math.NaN()}, Class: 1}
 		if err := f.Remove(chunkOf(schema, []data.Tuple{rm}), nil); err != nil {
@@ -302,8 +304,13 @@ var benchFamilyTree any
 // insert and a 10% delete: the family path adds and removes the rows and
 // rebuilds from its presorted permutations; the inmem path is Build on
 // the same multiset, from tuples already in memory. Both grow under a
-// 15,000-tuple stop threshold, as BenchmarkBuildAttrList does.
+// 15,000-tuple stop threshold, as BenchmarkBuildAttrList does. The pair
+// cases refit two F1 families of 88,000 and 44,000 rows, the shape of a
+// stream window's two fat leaves, concurrently: on two goroutines that
+// share nothing (separate), and as the two jobs of one pool of 2 workers
+// (pooled), whose fits share their tasks.
 func BenchmarkRefit(b *testing.B) {
+	cfg := Config{Method: split.NewGini(), StopThreshold: 15_000, StopAtThreshold: true}
 	for _, n := range []int{40_000, 100_000} {
 		step := n / 10
 		src := gen.MustSource(gen.Config{Function: 6, Noise: 0.1}, int64(n+step), 5)
@@ -312,29 +319,18 @@ func BenchmarkRefit(b *testing.B) {
 			b.Fatal(err)
 		}
 		schema := src.Schema()
-		cfg := Config{Method: split.NewGini(), StopThreshold: 15_000, StopAtThreshold: true}
-		// The family holds rows [0, n) and the window slides by step rows:
-		// each iteration deletes one slice and inserts the other.
-		a, c := tuples[n-step:n], tuples[n:]
-		chA, chC := chunkOf(schema, a), chunkOf(schema, c)
+		w := newWindow(schema, tuples, n)
+		w.family.Build(cfg, nil)
 		b.Run(fmt.Sprintf("family/n=%d", n), func(b *testing.B) {
-			f := NewFamily(schema, n)
-			f.Add(chunkOf(schema, tuples[:n]), nil)
-			f.Build(cfg)
-			in, out := chC, chA
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.Remove(out, nil); err != nil {
-					b.Fatal(err)
-				}
-				f.Add(in, nil)
-				benchFamilyTree = f.Build(cfg)
-				in, out = out, in
+				w.slide(b)
+				benchFamilyTree = w.family.Build(cfg, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("inmem/n=%d", n), func(b *testing.B) {
-			multiset := append(data.CloneTuples(tuples[:n-step]), c...)
+			multiset := append(data.CloneTuples(tuples[:n-step]), tuples[n:]...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -342,4 +338,73 @@ func BenchmarkRefit(b *testing.B) {
 			}
 		})
 	}
+	var pair []*window
+	for i, n := range []int{88_000, 44_000} {
+		src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, int64(n+n/10), int64(11+i))
+		tuples, err := data.ReadAll(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := newWindow(src.Schema(), tuples, n)
+		w.family.Build(cfg, nil)
+		pair = append(pair, w)
+	}
+	trees := make([]*tree.Tree, len(pair))
+	b.Run("pair/separate", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			for j, w := range pair {
+				w.slide(b)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					trees[j] = w.family.Build(cfg, nil)
+				}()
+			}
+			wg.Wait()
+		}
+		benchFamilyTree = trees
+	})
+	b.Run("pair/pooled", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, w := range pair {
+				w.slide(b)
+			}
+			err := NewPool(2).Run(len(pair), func(wk *Worker, j int) error {
+				trees[j] = pair[j].family.Build(cfg, wk)
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchFamilyTree = trees
+	})
+}
+
+// window is a family holding n rows of a tuple list with a tenth more:
+// each slide deletes one tenth-sized slice of the rows and inserts the
+// other, so the family alternates between two multisets.
+type window struct {
+	family  *Family
+	in, out *data.Chunk
+}
+
+func newWindow(schema *data.Schema, tuples []data.Tuple, n int) *window {
+	step := n / 10
+	f := NewFamily(schema, n)
+	f.Add(chunkOf(schema, tuples[:n]), nil)
+	return &window{family: f, in: chunkOf(schema, tuples[n:n+step]), out: chunkOf(schema, tuples[n-step:n])}
+}
+
+func (w *window) slide(b *testing.B) {
+	if err := w.family.Remove(w.out, nil); err != nil {
+		b.Fatal(err)
+	}
+	w.family.Add(w.in, nil)
+	w.in, w.out = w.out, w.in
 }

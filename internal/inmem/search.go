@@ -49,113 +49,101 @@ const (
 	searchMargin = 1e-12
 )
 
-// bucketSearch is the working memory of the pruned split search,
-// allocated once per build on flat backings. Per numeric attribute it
-// holds the current node's bucket bounds, the threshold of the split at
-// each bound and each bound's stamp point; the scratch AVC rows take the
-// runs of the bucket being scanned.
-type bucketSearch struct {
-	crit    split.Criterion
-	k       int
-	bounds  []int32   // per numeric attribute, up to maxBuckets+1 positions in the node's list, the last its length
-	thr     []float64 // per bound: the value of the first entry of the run ending there
-	stamps  []int64   // per bound: the k class counts of the list before it
-	vals    []float64 // scratch AVC of the bucket being scanned: run values
-	rows    [][]int64 //   and their class counts, on one backing
-	left    []int64
-	scratch []int64
-
-	// listed counts the numeric list entries of every searched node, the
-	// entries the exhaustive search aggregates; aggregated counts those of
-	// the scanned buckets, corners the corner points the bound evaluated
-	// and pruned the buckets it skipped.
-	listed, aggregated, corners, pruned int64
-}
-
-// newBucketSearch allocates the search of a build over n rows. The
-// root's buckets are the largest, n/buckets(n) entries before each bound
-// moves to the end of its run, so the scratch rows start with room for
-// twice that and grow only for a bucket stretched by a longer run.
-func newBucketSearch(crit split.Criterion, numeric, k, n int) *bucketSearch {
-	slots := numeric * (maxBuckets + 1)
-	rows := 2 * (n/buckets(n) + 1)
-	counts := make([]int64, (slots+2)*k) // the stamp points, then left and scratch
-	return &bucketSearch{
-		crit:    crit,
-		k:       k,
-		bounds:  make([]int32, slots),
-		thr:     make([]float64, slots),
-		stamps:  counts[:slots*k],
-		vals:    make([]float64, rows),
-		rows:    countRows(rows, k),
-		left:    counts[slots*k : (slots+1)*k],
-		scratch: counts[(slots+1)*k:],
-	}
-}
-
 // buckets returns the number of buckets a list of n entries is cut into.
 func buckets(n int) int {
 	return max(1, min(maxBuckets, n/minBucket))
 }
 
 // prunedSplit returns the split Method.BestSplit selects at the node
-// owning [lo, hi), whose class totals are totals.
-func (b *listBuilder) prunedSplit(lo, hi int, totals []int64) split.Split {
-	s := b.search
-	best := split.NoSplit()
-	for a, attr := range b.schema.Attributes {
-		if attr.Kind != data.Categorical {
-			continue
+// owning [lo, hi), whose class totals are totals, in two phases of one
+// fork item per attribute. Phase 1 takes each attribute's best
+// categorical split or best split at its bucket bounds; their
+// Split.Better-best is the incumbent. Phase 2 scans each numeric
+// attribute's buckets from the incumbent with the attribute's own running
+// best, which only its own scans improve. A skipped bucket cannot hold a
+// split better than a candidate already evaluated, so the Better-best of
+// the phase-2 results is the exhaustive search's split whoever runs
+// which attribute; it is also the same at every worker count.
+func (b *listBuilder) prunedSplit(lo, hi int, totals []int64, st *nodeState, w *Worker) split.Split {
+	n := hi - lo
+	b.fork(w, n, searchTask, len(b.schema.Attributes), func(a int, w *Worker) {
+		st.best[a] = b.incumbent(lo, hi, a, totals, st, b.set(w))
+	})
+	inc := split.NoSplit()
+	for _, cand := range st.best {
+		if cand.Better(inc) {
+			inc = cand
 		}
-		avc := b.stats.Cat[a]
+	}
+	b.set(w).counts.listed += int64(n) * int64(len(b.num))
+	b.fork(w, n, scanTask, len(b.num), func(t int, w *Worker) {
+		st.best[b.num[t]] = b.scan(lo, hi, t, totals, inc, st, b.set(w))
+	})
+	best := inc
+	for _, a := range b.num {
+		if st.best[a].Better(best) {
+			best = st.best[a]
+		}
+	}
+	return best
+}
+
+// incumbent is phase 1 of prunedSplit for attribute a: a categorical
+// attribute's best split, or a numeric one's best split at the bucket
+// bounds of its cut.
+func (b *listBuilder) incumbent(lo, hi, a int, totals []int64, st *nodeState, sc *scratch) split.Split {
+	t := b.slot[a]
+	if t < 0 {
+		avc := st.stats.Cat[a]
 		avc.Reset()
 		avc.AddBatch(b.cols[a], b.classes, b.rows[lo:hi], 1)
-		if cand := split.BestCategoricalSplit(s.crit, a, avc, totals); cand.Better(best) {
+		return split.BestCategoricalSplit(b.crit, a, avc, totals)
+	}
+	n, k := hi-lo, len(totals)
+	st.cut(t, b.lists[a][lo:hi], buckets(n), k)
+	best := split.NoSplit()
+	// The last bound, n, ends the list: its split has an empty right
+	// side.
+	for j := t*(maxBuckets+1) + 1; int(st.bounds[j]) < n; j++ {
+		q := b.crit.QualityFromLeft(st.stamps[j*k:(j+1)*k], totals, sc.q)
+		cand := split.Split{Found: true, Attr: a, Kind: data.Numeric, Threshold: st.thr[j], Quality: q}
+		if cand.Better(best) {
 			best = cand
 		}
 	}
-	n, k := hi-lo, s.k
-	for t, a := range b.num {
-		s.cut(t, b.lists[a][lo:hi], buckets(n))
-		base := t * (maxBuckets + 1)
-		// The last bound, n, ends the list: its split has an empty right
-		// side.
-		for j := base + 1; int(s.bounds[j]) < n; j++ {
-			q := s.crit.QualityFromLeft(s.stamps[j*k:(j+1)*k], totals, s.scratch)
-			cand := split.Split{Found: true, Attr: a, Kind: data.Numeric, Threshold: s.thr[j], Quality: q}
-			if cand.Better(best) {
-				best = cand
+	return best
+}
+
+// scan is phase 2 of prunedSplit for the t-th numeric attribute: it
+// scans the buckets of the phase-1 cut whose bound can reach best, the
+// incumbent at first and then the attribute's own best, and returns that
+// best.
+func (b *listBuilder) scan(lo, hi, t int, totals []int64, best split.Split, st *nodeState, sc *scratch) split.Split {
+	a, n, k := b.num[t], hi-lo, len(totals)
+	es := b.lists[a][lo:hi]
+	for j := t * (maxBuckets + 1); int(st.bounds[j]) < n; j++ {
+		from, to := st.bounds[j], st.bounds[j+1]
+		if split.SameValue(es[from].v, es[to-1].v) {
+			continue // one run: no candidate inside
+		}
+		at, next := st.stamps[j*k:(j+1)*k], st.stamps[(j+1)*k:(j+2)*k]
+		// Bound the bucket only when its corners, of k classes each, cost
+		// no more than scanning its entries.
+		if c := hull.Corners(at, next); c*k <= int(to-from) {
+			sc.counts.corners += int64(c)
+			if hull.LowerBound(b.crit, at, next, totals) > best.Quality+searchMargin {
+				sc.counts.pruned++
+				continue
 			}
 		}
-	}
-	s.listed += int64(n) * int64(len(b.num))
-	for t, a := range b.num {
-		es := b.lists[a][lo:hi]
-		base := t * (maxBuckets + 1)
-		for j := base; int(s.bounds[j]) < n; j++ {
-			from, to := s.bounds[j], s.bounds[j+1]
-			if split.SameValue(es[from].v, es[to-1].v) {
-				continue // one run: no candidate inside
-			}
-			at, next := s.stamps[j*k:(j+1)*k], s.stamps[(j+1)*k:(j+2)*k]
-			// Bound the bucket only when its corners, of k classes each,
-			// cost no more than scanning its entries.
-			if c := hull.Corners(at, next); c*k <= int(to-from) {
-				s.corners += int64(c)
-				if hull.LowerBound(s.crit, at, next, totals) > best.Quality+searchMargin {
-					s.pruned++
-					continue
-				}
-			}
-			vals, rows := s.aggregate(es[from:to])
-			// The bucket's last run is not a candidate: its split is the
-			// next bound's, or it holds the attribute's largest value.
-			copy(s.left, at)
-			i, q := split.BestCut(s.crit, vals[:len(vals)-1], rows, s.left, totals)
-			cand := split.Split{Found: true, Attr: a, Kind: data.Numeric, Threshold: vals[i], Quality: q}
-			if cand.Better(best) {
-				best = cand
-			}
+		vals, rows := sc.aggregate(es[from:to], k)
+		// The bucket's last run is not a candidate: its split is the next
+		// bound's, or it holds the attribute's largest value.
+		copy(sc.left, at)
+		i, q := split.BestCut(b.crit, vals[:len(vals)-1], rows, sc.left, totals)
+		cand := split.Split{Found: true, Attr: a, Kind: data.Numeric, Threshold: vals[i], Quality: q}
+		if cand.Better(best) {
+			best = cand
 		}
 	}
 	return best
@@ -165,12 +153,12 @@ func (b *listBuilder) prunedSplit(lo, hi int, totals []int64) split.Split {
 // position into at most nb buckets. Each bound moves forward to the end of
 // a value run, so the last is len(es); the pass records, at every bound,
 // its position, the value of the first entry of the run ending there and
-// its stamp point.
-func (s *bucketSearch) cut(t int, es []entry, nb int) {
-	k, n := s.k, len(es)
+// its stamp point of k classes.
+func (st *nodeState) cut(t int, es []entry, nb, k int) {
+	n := len(es)
 	base := t * (maxBuckets + 1)
-	bounds, thr := s.bounds[base:base+maxBuckets+1], s.thr[base:base+maxBuckets+1]
-	stamps := s.stamps[base*k : (base+maxBuckets+1)*k]
+	bounds, thr := st.bounds[base:base+maxBuckets+1], st.thr[base:base+maxBuckets+1]
+	stamps := st.stamps[base*k : (base+maxBuckets+1)*k]
 	clear(stamps[:k])
 	bounds[0] = 0
 	m := 0
@@ -192,16 +180,17 @@ func (s *bucketSearch) cut(t int, es []entry, nb int) {
 }
 
 // aggregate returns the AVC-set of es, a bucket that starts a value run,
-// in the scratch rows, grown first to hold len(es) runs if they cannot.
-func (s *bucketSearch) aggregate(es []entry) ([]float64, [][]int64) {
-	if len(es) > len(s.rows) {
-		n := max(len(es), 2*len(s.rows))
-		s.vals = make([]float64, n)
-		s.rows = countRows(n, s.k)
+// of k classes, in the scratch rows, grown first to hold twice len(es)
+// runs if they cannot hold len(es).
+func (sc *scratch) aggregate(es []entry, k int) ([]float64, [][]int64) {
+	if len(es) > len(sc.rows) {
+		n := max(2*len(es), 2*len(sc.rows))
+		sc.vals = make([]float64, n)
+		sc.rows = countRows(n, k)
 	}
-	s.aggregated += int64(len(es))
-	vals := aggregateRuns(es, s.vals, s.rows)
-	return vals, s.rows[:len(vals)]
+	sc.counts.aggregated += int64(len(es))
+	vals := aggregateRuns(es, sc.vals, sc.rows)
+	return vals, sc.rows[:len(vals)]
 }
 
 // runEnd returns the end of the value run holding es[i]: the first

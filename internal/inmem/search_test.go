@@ -41,18 +41,32 @@ func sameSplits(got, want *tree.Node, path string) error {
 }
 
 // prunedBuild grows the family's tree as Build does and returns it with
-// the state of its pruned search.
-func prunedBuild(schema *data.Schema, tuples []data.Tuple, cfg Config) (*tree.Tree, *bucketSearch) {
+// the counters of its pruned search.
+func prunedBuild(schema *data.Schema, tuples []data.Tuple, cfg Config) (*tree.Tree, searchCounts) {
 	f := NewFamily(schema, len(tuples))
 	f.Add(chunkOf(schema, tuples), nil)
-	b := f.builder(cfg)
-	return b.grow(), b.search
+	b := f.builder(cfg, nil)
+	return b.grow(nil), b.searchCounts()
+}
+
+// searchCounts sums the search counters over every worker's scratch.
+func (b *listBuilder) searchCounts() searchCounts {
+	var c searchCounts
+	for _, sc := range b.sets {
+		if sc != nil {
+			c.listed += sc.counts.listed
+			c.aggregated += sc.counts.aggregated
+			c.corners += sc.counts.corners
+			c.pruned += sc.counts.pruned
+		}
+	}
+	return c
 }
 
 // checkPruned builds the family with the pruned search and with the
 // exhaustive one, fails t unless the trees agree bit for bit, and returns
-// the pruned search's state.
-func checkPruned(t *testing.T, schema *data.Schema, tuples []data.Tuple, cfg Config) *bucketSearch {
+// the pruned search's counters.
+func checkPruned(t *testing.T, schema *data.Schema, tuples []data.Tuple, cfg Config) searchCounts {
 	t.Helper()
 	got, s := prunedBuild(schema, tuples, cfg)
 	ref := cfg

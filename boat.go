@@ -183,9 +183,10 @@ type (
 	// Options configures Grow. The zero value plus a Method is valid:
 	// sample sizes, bootstrap parameters and thresholds default to the
 	// paper's settings (scaled to the dataset). Options.Parallelism sets
-	// the workers of every parallel phase: bootstrap trees, the chunk
-	// router's descents, and leaf completion, whose in-memory fits share
-	// their attribute passes and subtrees across the workers.
+	// the workers of the one pool each Grow, Insert and Delete runs on,
+	// which its bootstrap trees, chunk-router descents and leaf
+	// completion (in-memory fits and recursive invocations alike) share;
+	// the columnar decode pipeline keeps its own workers.
 	Options = core.Config
 	// GrowStats reports what happened during Grow.
 	GrowStats = core.BuildStats

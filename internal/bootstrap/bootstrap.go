@@ -13,7 +13,6 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/inmem"
@@ -38,13 +37,8 @@ type Config struct {
 	TreeConfig inmem.Config
 	// Seed drives the resampling. Tree i draws its bootstrap sample from
 	// a private RNG seeded with Seed + i, so the b trees — and therefore
-	// the coarse tree — are bit-identical regardless of Parallelism.
+	// the coarse tree — are bit-identical whichever worker grows which.
 	Seed int64
-	// Parallelism is the number of worker goroutines growing bootstrap
-	// trees (<= 1 grows them sequentially in-line). Tree construction from
-	// the in-memory sample is embarrassingly parallel: the population is
-	// only read, and each tree owns its RNG and bootstrap sample.
-	Parallelism int
 	// Span, when non-nil, is the enclosing trace span; BuildCoarse records
 	// the tree-growth and intersection phases as child spans under it.
 	Span *obs.Span
@@ -77,9 +71,6 @@ type Node struct {
 	Left, Right *Node
 }
 
-// IsFrontierChildless reports whether the node has no explored children.
-func (n *Node) IsFrontierChildless() bool { return n.Left == nil && n.Right == nil }
-
 // Stats summarizes a sampling phase for diagnostics.
 type Stats struct {
 	// CoarseNodes is the number of internal nodes of the coarse tree.
@@ -93,8 +84,11 @@ type Stats struct {
 	NumericNodes int
 }
 
-// BuildCoarse runs the sampling phase on the in-memory sample.
-func BuildCoarse(schema *data.Schema, sample []data.Tuple, cfg Config) (*Node, Stats, error) {
+// BuildCoarse runs the sampling phase on the in-memory sample, on the
+// pool worker w (nil runs it inline). The b bootstrap trees are the items
+// of one fork (inmem.Fork): the sample is only read, and each tree owns
+// its RNG and bootstrap sample.
+func BuildCoarse(schema *data.Schema, sample []data.Tuple, cfg Config, w *inmem.Worker) (*Node, Stats, error) {
 	var st Stats
 	if cfg.Trees < 2 {
 		return nil, st, errors.New("bootstrap: need at least 2 bootstrap trees")
@@ -110,33 +104,12 @@ func BuildCoarse(schema *data.Schema, sample []data.Tuple, cfg Config) (*Node, S
 	growSpan.SetAttr("trees", cfg.Trees)
 	growSpan.SetAttr("subsample", sub)
 	roots := make([]*tree.Node, cfg.Trees)
-	grow := func(i int) {
+	_ = inmem.Fork(w, cfg.Trees, func(_ *inmem.Worker, i int) error { // growing a tree cannot fail
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
 		boot := data.SampleWithReplacement(sample, sub, rng)
 		roots[i] = inmem.Build(schema, boot, cfg.TreeConfig).Root
-	}
-	if w := min(cfg.Parallelism, cfg.Trees); w > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for range w {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					grow(i)
-				}
-			}()
-		}
-		for i := range roots {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i := range roots {
-			grow(i)
-		}
-	}
+		return nil
+	})
 	growSpan.End()
 	intSpan := cfg.Span.Start("intersect")
 	root := intersect(schema, roots, cfg.WidenFraction, &st)

@@ -30,7 +30,7 @@ func TestBuildCoarseStrongSignal(t *testing.T) {
 	full := inmem.Build(src.Schema(), data.CloneTuples(sample), inmem.Config{
 		Method: split.NewGini(), MaxDepth: 4, MinSplit: 20,
 	})
-	root, stats, err := BuildCoarse(src.Schema(), sample, cfg(1))
+	root, stats, err := BuildCoarse(src.Schema(), sample, cfg(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBuildCoarseInstabilityStopsGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, _, err := BuildCoarse(src.Schema(), sample, cfg(2))
+	root, _, err := BuildCoarse(src.Schema(), sample, cfg(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestBuildCoarseWiden(t *testing.T) {
 	src := gen.MustSource(gen.Config{Function: 7}, 3000, 9)
 	sample, _ := data.ReadAll(src)
 	c := cfg(3)
-	narrow, _, err := BuildCoarse(src.Schema(), sample, c)
+	narrow, _, err := BuildCoarse(src.Schema(), sample, c, nil)
 	if err != nil || narrow == nil {
 		t.Fatalf("narrow: %v", err)
 	}
 	c2 := cfg(3)
 	c2.WidenFraction = 0.5
-	wide, _, err := BuildCoarse(src.Schema(), sample, c2)
+	wide, _, err := BuildCoarse(src.Schema(), sample, c2, nil)
 	if err != nil || wide == nil {
 		t.Fatalf("wide: %v", err)
 	}
@@ -122,10 +122,10 @@ func TestBuildCoarseErrors(t *testing.T) {
 	sample, _ := data.ReadAll(src)
 	bad := cfg(1)
 	bad.Trees = 1
-	if _, _, err := BuildCoarse(src.Schema(), sample, bad); err == nil {
+	if _, _, err := BuildCoarse(src.Schema(), sample, bad, nil); err == nil {
 		t.Error("expected error for <2 bootstrap trees")
 	}
-	root, _, err := BuildCoarse(src.Schema(), nil, cfg(1))
+	root, _, err := BuildCoarse(src.Schema(), nil, cfg(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestIntersectDisagreementPrunes(t *testing.T) {
 	c.SubsampleSize = 100
 	c.TreeConfig.MaxDepth = 8
 	c.TreeConfig.MinSplit = 2
-	root, stats, err := BuildCoarse(src.Schema(), sample, c)
+	root, stats, err := BuildCoarse(src.Schema(), sample, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type Tree struct {
 
 	// statsMu guards buildStats and upd: with Parallelism > 1, leaf
 	// completion (and the rebuilds it triggers) updates counters from
-	// worker goroutines. BOAT-in-BOAT recursion depth is threaded through
+	// pool workers. BOAT-in-BOAT recursion depth is threaded through
 	// the call chain as an explicit parameter (rdepth), not stored here,
 	// so concurrent rebuilds cannot observe each other's depth.
 	statsMu    sync.Mutex
@@ -143,10 +143,6 @@ func newTree(schema *data.Schema, cfg Config, n int64) (*Tree, error) {
 // scan one draws the sample D' for the sampling phase; scan two is the
 // cleanup scan that streams every tuple down the coarse tree.
 func Build(src data.Source, cfg Config) (*Tree, error) {
-	buildSpan := cfg.Trace.Start("build")
-	defer buildSpan.End()
-	start := time.Now()
-
 	n, err := data.CountTuples(src) // known without scanning for all built-in sources
 	if err != nil {
 		return nil, err
@@ -155,12 +151,17 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	wk, stop := newPool(t.cfg.Parallelism).Start()
+	defer stop()
+	buildSpan := cfg.Trace.Start("build")
+	defer buildSpan.End()
+	start := time.Now()
 	cfg = t.cfg
 	buildSpan.SetAttr("tuples", n)
-	buildSpan.SetAttr("parallelism", cfg.workers())
+	buildSpan.SetAttr("parallelism", cfg.Parallelism)
 	buildSpan.SetAttr("chunk_rows", cfg.chunkRows())
 	t.log.Debug("build started", "tuples", n, "sample_size", cfg.SampleSize,
-		"parallelism", cfg.workers(), "method", cfg.Method.Name())
+		"parallelism", cfg.Parallelism, "method", cfg.Method.Name())
 
 	tracked := iostats.Tracked(src, cfg.Stats)
 
@@ -173,7 +174,7 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t.buildStats.SampleSize = len(sample)
-	root, err := t.buildFromSample(tracked, sample, n, 0, 0, buildSpan)
+	root, err := t.buildFromSample(tracked, sample, n, 0, 0, buildSpan, wk)
 	if err != nil {
 		t.log.Error("build failed", "err", err)
 		return nil, err
@@ -208,10 +209,10 @@ func (t *Tree) drawSample(src data.Source) ([]data.Tuple, error) {
 // sample), the cleanup scan over src, and top-down processing, returning
 // the resulting subtree rooted at the given depth. It is shared by Build
 // and by recursive rebuild invocations; rdepth is the BOAT-in-BOAT
-// recursion depth of this invocation, and parent the enclosing trace
-// span (the build root, or a rebuild span).
-func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, depth, rdepth int, parent *obs.Span) (*bnode, error) {
-	root, err := t.skeleton(sample, n, depth, parent)
+// recursion depth of this invocation, parent the enclosing trace span
+// (the build root, or a rebuild span) and wk the pool worker running it.
+func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, depth, rdepth int, parent *obs.Span, wk *inmem.Worker) (*bnode, error) {
+	root, err := t.skeleton(sample, n, depth, parent, wk)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 	// scan.go). On any error the skeleton's buffers (and their temp files)
 	// are released before returning, so a failed build never leaks.
 	scanSpan := parent.Start("cleanup-scan")
-	seen, err := t.cleanupScan(src, root, scanSpan)
+	seen, err := t.cleanupScan(src, root, scanSpan, wk)
 	scanSpan.SetAttr("tuples", seen)
 	if err != nil {
 		scanSpan.End()
@@ -241,7 +242,7 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 
 	// Top-down processing: exact splits, verification, completion.
 	procSpan := parent.Start("process")
-	err = t.process(root, rdepth, procSpan)
+	err = t.process(root, rdepth, procSpan, wk)
 	procSpan.End()
 	if err != nil {
 		closeSubtree(root)
@@ -251,10 +252,10 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 }
 
 // skeleton runs the bootstrap over the sample of a database (or family)
-// of n tuples and turns the resulting coarse tree into the skeleton the
-// cleanup scan fills, its root at the given depth. parent is the
-// enclosing trace span (nil ok).
-func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Span) (*bnode, error) {
+// of n tuples, its trees forked on wk, and turns the resulting coarse
+// tree into the skeleton the cleanup scan fills, its root at the given
+// depth. parent is the enclosing trace span (nil ok).
+func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Span, wk *inmem.Worker) (*bnode, error) {
 	bootSpan := parent.Start("bootstrap")
 	bcfg := bootstrap.Config{
 		Trees:         t.cfg.BootstrapTrees,
@@ -262,10 +263,9 @@ func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Spa
 		WidenFraction: t.cfg.WidenFraction,
 		TreeConfig:    t.bootstrapGrowConfig(n),
 		Seed:          t.cfg.Seed + 104729*t.seedCounter.Add(1),
-		Parallelism:   t.cfg.workers(),
 		Span:          bootSpan,
 	}
-	coarse, bstats, err := bootstrap.BuildCoarse(t.schema, sample, bcfg)
+	coarse, bstats, err := bootstrap.BuildCoarse(t.schema, sample, bcfg, wk)
 	bootSpan.SetAttr("coarse_nodes", bstats.CoarseNodes)
 	bootSpan.SetAttr("disagreements", bstats.Disagreements)
 	bootSpan.End()
@@ -283,6 +283,13 @@ func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Spa
 	defer skelSpan.End()
 	return t.skeletonFromCoarse(coarse, sample, depth)
 }
+
+// newPool constructs the one pool of Parallelism workers that each Build,
+// Insert, Delete and ScanBench pass forks every phase on, recursive
+// invocations included; tests swap it to count the pools. Build and
+// update start it before their trace span and stop it after, so the wait
+// for its helpers is no part of the traced operation.
+var newPool = inmem.NewPool
 
 // bootstrapGrowConfig derives the growth rules for bootstrap trees: the
 // family-size switch threshold is scaled by the sampling fraction so the

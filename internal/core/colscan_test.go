@@ -372,7 +372,9 @@ func TestScanBufferOrderIndependentOfParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer b.Close()
-		if _, err := b.tree.cleanupScan(b.src, b.root, nil); err != nil {
+		wk, stop := newPool(para).Start()
+		defer stop()
+		if _, err := b.tree.cleanupScan(b.src, b.root, nil, wk); err != nil {
 			t.Fatal(err)
 		}
 		return bufferSequences(t, b.root)

@@ -131,18 +131,17 @@ type Config struct {
 	// baselines and the equivalence tests that pin that claim down.
 	DisableZoneSkip bool
 
-	// Parallelism is the number of worker goroutines used by bootstrap-tree
-	// growth, leaf completion after top-down processing, and the forked
-	// subtree descents of the chunk router that runs the cleanup scan and
-	// Insert/Delete. Leaf completion shares its workers between the
-	// independent leaves (their in-memory fits and frontier rebuilds) and
-	// the inside of each in-memory fit: a worker with no leaf left runs
-	// the attribute passes and subtrees the other leaves' fits offer. 0
-	// selects runtime.GOMAXPROCS(0); 1 runs every phase sequentially
-	// in-line. The resulting tree is identical at every setting: per-tree
-	// bootstrap RNGs are derived from Seed + treeIndex, the concurrent
-	// phases work on disjoint subtrees, attributes or scratch, and every
-	// buffer receives its tuples in stream order.
+	// Parallelism is the number of workers of the one pool each Build,
+	// Insert and Delete runs on: the caller's goroutine and Parallelism-1
+	// helpers. Its bootstrap trees, chunk-router descents and leaf
+	// completion fork on it, in-memory fits share their attribute passes
+	// and subtrees, and recursive invocations fork on the same pool. 0
+	// selects runtime.GOMAXPROCS(0); 1 runs these phases sequentially
+	// in-line. The columnar decode pipeline keeps min(4, GOMAXPROCS)
+	// workers at every setting. The tree is identical at every setting:
+	// bootstrap RNGs derive from Seed + treeIndex, concurrent phases work
+	// on disjoint subtrees, attributes or scratch, and every buffer
+	// receives its tuples in stream order.
 	Parallelism int
 }
 
@@ -185,14 +184,6 @@ func (c Config) withDefaults(n int64) (Config, error) {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return c, nil
-}
-
-// workers returns the effective worker count (always >= 1).
-func (c Config) workers() int {
-	if c.Parallelism < 1 {
-		return 1
-	}
-	return c.Parallelism
 }
 
 // chunkRows returns the effective scan chunk row capacity.

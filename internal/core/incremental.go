@@ -75,6 +75,8 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	if w < 0 {
 		name = "delete"
 	}
+	wk, stop := newPool(t.cfg.Parallelism).Start()
+	defer stop()
 	updSpan := t.cfg.Trace.Start(name)
 	defer updSpan.End()
 	start := time.Now()
@@ -83,7 +85,7 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	routeSpan := updSpan.Start("route-chunk")
 	r := t.newChunkRouter(w)
 	sc := t.scratch.Get().(*routeScratch)
-	err := t.stream(r, tracked, t.root, sc, routeSpan)
+	err := t.stream(r, tracked, t.root, sc, routeSpan, wk)
 	t.scratch.Put(sc)
 	upd.TuplesSeen, upd.Chunks = r.tuples, r.chunks
 	t.met.updBlocksSkipped.Add(r.skips.Load())
@@ -99,7 +101,7 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 		}
 		return *upd, t.breakModel(err)
 	}
-	if err := t.process(t.root, 0, updSpan); err != nil {
+	if err := t.process(t.root, 0, updSpan, wk); err != nil {
 		return *upd, t.breakModel(fmt.Errorf("core: post-update processing: %w", err))
 	}
 	if err := compactBuffers(t.root); err != nil {

@@ -109,9 +109,9 @@ func (f *leafFamily) source() data.Source { return f.bag.Source() }
 // the family then takes the bag's budget and keeps the rows, unless
 // another leaf took that budget in the meantime, in which case the rows
 // go back into a bag. A spilled bag fits from a presized copy dropped
-// after the build, and stays a bag. The build shares its work through w
+// after the build, and stays a bag. The build shares its work through wk
 // (see inmem.Family.Build).
-func (f *leafFamily) fit(cfg inmem.Config, tally *leafTally, w *inmem.Worker) (*tree.Tree, error) {
+func (f *leafFamily) fit(cfg inmem.Config, tally *leafTally, wk *inmem.Worker) (*tree.Tree, error) {
 	if f.fam != nil {
 		if f.grown {
 			tally.refits.Add(1)
@@ -119,7 +119,7 @@ func (f *leafFamily) fit(cfg inmem.Config, tally *leafTally, w *inmem.Worker) (*
 			tally.conversions.Add(1)
 			f.grown = true
 		}
-		return f.fam.Build(cfg, w), nil
+		return f.fam.Build(cfg, wk), nil
 	}
 	fam := inmem.NewFamily(f.bag.Schema(), int(max(f.bag.Len(), 0)))
 	err := f.bag.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
@@ -130,12 +130,12 @@ func (f *leafFamily) fit(cfg inmem.Config, tally *leafTally, w *inmem.Worker) (*
 		return nil, fmt.Errorf("core: reading leaf family: %w", err)
 	}
 	if f.bag.Spilled() {
-		return fam.Build(cfg, w), nil
+		return fam.Build(cfg, wk), nil
 	}
 	f.bag.Close()
 	f.bag = nil
 	kept := f.env.Budget.TryAcquire(int64(fam.Len()))
-	sub := fam.Build(cfg, w)
+	sub := fam.Build(cfg, wk)
 	if !kept {
 		return sub, f.toBag(fam)
 	}

@@ -133,7 +133,9 @@ func (t *Tree) rowUpdate(chunk data.Source, w int64) (UpdateStats, error) {
 		return t.route(t.root, tp, w)
 	})
 	if err == nil {
-		err = t.process(t.root, 0, nil)
+		wk, stop := newPool(t.cfg.Parallelism).Start()
+		defer stop()
+		err = t.process(t.root, 0, nil, wk)
 	}
 	return upd, err
 }

@@ -28,15 +28,15 @@ import (
 // pushed before its children are examined), but it only defers leaf
 // completion: leaves — including failed nodes turned into leaves over
 // their resident families — are collected in left-to-right order and
-// finished afterwards by completeLeaves, concurrently when Parallelism >
-// 1, since each leaf's in-memory fit or promotion touches only that
-// leaf's family. rdepth is the BOAT-in-BOAT recursion depth of this
-// pass, and sp the enclosing trace span (the build "process" span, or an
-// update span).
-func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
+// finished afterwards by completeLeaves, as one fork on wk's pool, since
+// each leaf's in-memory fit or promotion touches only that leaf's
+// family. rdepth is the BOAT-in-BOAT recursion depth of this pass, sp
+// the enclosing trace span (the build "process" span, or an update span)
+// and wk the pool worker running the pass (nil runs it inline).
+func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span, wk *inmem.Worker) error {
 	var leaves []*bnode
 	verSpan := sp.Start("verification")
-	err := t.processInternal(n, rdepth, &leaves, verSpan)
+	err := t.processInternal(n, rdepth, &leaves, verSpan, wk)
 	verSpan.End()
 	if err != nil {
 		return err
@@ -44,7 +44,7 @@ func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
 	leafSpan := sp.Start("leaf-completion")
 	leafSpan.SetAttr("leaves", len(leaves))
 	tally := leafTally{timed: leafSpan != nil}
-	err = t.completeLeaves(leaves, rdepth, leafSpan, &tally)
+	err = t.completeLeaves(leaves, rdepth, leafSpan, &tally, wk)
 	leafSpan.SetAttr("family_refits", tally.refits.Load())
 	leafSpan.SetAttr("family_conversions", tally.conversions.Load())
 	if tally.timed {
@@ -60,8 +60,9 @@ func (t *Tree) process(n *bnode, rdepth int, sp *obs.Span) error {
 // presorted family kept since an earlier fit and the resident bags moved
 // into one (see leafFamily.fit). When timed (the completion is traced) it
 // also keeps the slowest fit's and the sum of every fit's wall time, in
-// nanoseconds, and in shared the number of fit tasks run by a worker
-// other than the fit's owner (inmem.Pool.Shared).
+// nanoseconds, and in shared the fit tasks a worker other than the fit's
+// owner ran on the pool while the completion's fork was open
+// (inmem.Worker.Shared), overlapping fits of a nested completion included.
 type leafTally struct {
 	refits, conversions atomic.Int64
 	timed               bool
@@ -80,7 +81,7 @@ func (tl *leafTally) noteFit(d time.Duration) {
 	}
 }
 
-func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
+func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.Span, wk *inmem.Worker) error {
 	if n.isLeaf() {
 		*leaves = append(*leaves, n)
 		return nil
@@ -102,47 +103,46 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 	if !ok {
 		t.met.ciMiss.Inc()
 		t.noteFailure()
-		return t.rebuild(n, fromBuffers, rdepth, leaves, sp)
+		return t.rebuild(n, fromBuffers, rdepth, leaves, sp, wk)
 	}
 	t.met.ciHit.Inc()
 	if n.coarse.kind == data.Numeric {
-		if rule, err := t.moveStuck(n, chosen.Threshold); err != nil {
+		if rule, err := t.moveStuck(n, chosen.Threshold, wk); err != nil {
 			if data.IsSpillError(err) {
-				return t.rebuildAfterSpillFault(n, rule, rdepth, leaves, sp)
+				return t.rebuildAfterSpillFault(n, rule, rdepth, leaves, sp, wk)
 			}
 			return err
 		}
 	}
 	n.crit = chosen
-	if err := t.processInternal(n.left, rdepth, leaves, sp); err != nil {
+	if err := t.processInternal(n.left, rdepth, leaves, sp, wk); err != nil {
 		return err
 	}
-	return t.processInternal(n.right, rdepth, leaves, sp)
+	return t.processInternal(n.right, rdepth, leaves, sp, wk)
 }
 
 // completeLeaves finishes the collected leaves. Each dirty leaf's work —
 // an in-memory (re)fit or the promotion of a spilled frontier family to
 // a BOAT subtree — depends only on that leaf's family, so the dirty
-// leaves are the jobs of one inmem.Pool of Parallelism workers: each
-// worker takes leaves while any is left, then runs the tasks that the
-// still-running fits offer (see inmem.Pool), until every leaf is done.
-// Shared state reached from processLeaf (the memory budget, the I/O
-// stats, the build/update counters, the rebuild seed counter) is
-// thread-safe; the resulting tree is identical either way. A promotion
-// runs its own nested pool.
-func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span, tally *leafTally) error {
+// leaves are the items of one fork on wk's pool (inmem.Fork): a worker
+// with no leaf left runs the tasks that the still-running fits offer, and
+// a promotion's recursive BOAT forks on the same pool. Shared state
+// reached from processLeaf (the memory budget, the I/O stats, the
+// build/update counters, the rebuild seed counter) is thread-safe; the
+// resulting tree is identical either way.
+func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span, tally *leafTally, wk *inmem.Worker) error {
 	dirty := leaves[:0:0]
 	for _, n := range leaves {
 		if n.dirty {
 			dirty = append(dirty, n)
 		}
 	}
-	pool := inmem.NewPool(t.cfg.workers())
-	err := pool.Run(len(dirty), func(w *inmem.Worker, i int) error {
-		return t.processLeaf(dirty[i], rdepth, sp, tally, w)
+	shared := wk.Shared()
+	err := inmem.Fork(wk, len(dirty), func(wk *inmem.Worker, i int) error {
+		return t.processLeaf(dirty[i], rdepth, sp, tally, wk)
 	})
 	if tally.timed {
-		tally.shared = pool.Shared()
+		tally.shared = wk.Shared() - shared
 	}
 	return err
 }
@@ -151,15 +151,15 @@ func (t *Tree) completeLeaves(leaves []*bnode, rdepth int, sp *obs.Span, tally *
 // final split point thr: it migrates the pushed tuples the split point
 // moved past, pushes the pending ones down, and records them as pushed.
 // On failure it also returns the rule that gathers F_n exactly from what
-// the failing step left behind.
-func (t *Tree) moveStuck(n *bnode, thr float64) (familyRule, error) {
+// the failing step left behind. The router runs on wk.
+func (t *Tree) moveStuck(n *bnode, thr float64, wk *inmem.Worker) (familyRule, error) {
 	if n.pushed.Len() > 0 && n.routedThr != thr {
-		if err := t.migrate(n, n.routedThr, thr); err != nil {
+		if err := t.migrate(n, n.routedThr, thr, wk); err != nil {
 			return fromStuckSets, fmt.Errorf("core: migrating stuck tuples: %w", err)
 		}
 	}
 	if n.pending.Len() > 0 {
-		if err := t.push(n, thr); err != nil {
+		if err := t.push(n, thr, wk); err != nil {
 			return fromStuckSets, fmt.Errorf("core: pushing stuck tuples: %w", err)
 		}
 		// Every stuck tuple now lives below n as well, so a fault from here
@@ -183,11 +183,11 @@ func (t *Tree) moveStuck(n *bnode, thr float64) (familyRule, error) {
 // push streams n's stuck set S_n (pending), chunk by chunk, into n's
 // children by the final split point thr: each chunk's rows are split by
 // thr and the two index sets descend into n.left and n.right at weight +1
-// through the chunk router — its kernels, forks and per-chunk barrier —
-// exactly as if they had been routed past n by the cleanup scan. Every
-// buffer below n receives its rows in pending order. pending itself is
-// left untouched; the caller records it as pushed.
-func (t *Tree) push(n *bnode, thr float64) error {
+// through the chunk router on wk — its kernels and forks — exactly as if
+// they had been routed past n by the cleanup scan. Every buffer below n
+// receives its rows in pending order. pending itself is left untouched;
+// the caller records it as pushed.
+func (t *Tree) push(n *bnode, thr float64, wk *inmem.Worker) error {
 	r := t.newChunkRouter(+1)
 	sc := t.scratch.Get().(*routeScratch)
 	defer t.scratch.Put(sc)
@@ -197,7 +197,7 @@ func (t *Tree) push(n *bnode, thr float64) error {
 		col := ch.Col(attr)
 		left = intervalRows(left, col, idx, math.Inf(-1), thr, true)
 		right = intervalRows(right, col, idx, math.Inf(-1), thr, false)
-		return r.wait(r.children(n, ch, left, right, sc, 1))
+		return r.children(n, ch, left, right, sc, 1, wk)
 	})
 }
 
@@ -205,10 +205,10 @@ func (t *Tree) push(n *bnode, thr float64) error {
 // the final split point moved from old to new within the confidence
 // interval. Only the tuples between the two thresholds move: they stream
 // out of n.pushed chunk by chunk and descend through the chunk router at
-// -1 into the side they leave, then at +1 into the side they join. The
-// paper's claim that stable distributions make updates cheap rests on
-// this set being small.
-func (t *Tree) migrate(n *bnode, old, new float64) error {
+// -1 into the side they leave, then at +1 into the side they join, on
+// wk. The paper's claim that stable distributions make updates cheap
+// rests on this set being small.
+func (t *Tree) migrate(n *bnode, old, new float64, wk *inmem.Worker) error {
 	// A lower split point sends the tuples in (new, old], routed left so
 	// far, to the right; a higher one sends those in (old, new] left.
 	leave, join := n.left, n.right
@@ -229,10 +229,10 @@ func (t *Tree) migrate(n *bnode, old, new float64) error {
 			return nil
 		}
 		moved += int64(len(sel))
-		if err := out.wait(out.descend(leave, ch, sel, sc, 1)); err != nil {
+		if err := out.descend(leave, ch, sel, sc, 1, wk); err != nil {
 			return err
 		}
-		return in.wait(in.descend(join, ch, sel, sc, 1))
+		return in.descend(join, ch, sel, sc, 1, wk)
 	})
 	if err != nil {
 		return err
@@ -498,9 +498,9 @@ func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 // main-memory algorithm (leafFamily.fit) — a fat leaf in stop mode, whose
 // whole family is refit in memory after each update that touches it.
 // May run concurrently for distinct leaves (see completeLeaves); the fit
-// shares its work through w, the pool worker running the leaf (nil runs
-// it alone).
-func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally, w *inmem.Worker) error {
+// or promotion shares its work through wk, the pool worker running the
+// leaf (nil runs it alone).
+func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally, wk *inmem.Worker) error {
 	if !n.dirty {
 		return nil
 	}
@@ -514,7 +514,7 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally,
 		})
 		rbSpan := sp.Start("rebuild")
 		rbSpan.SetAttr("tuples", total)
-		err := t.recurseOnFamily(n, rdepth, rbSpan)
+		err := t.recurseOnFamily(n, rdepth, rbSpan, wk)
 		rbSpan.End()
 		if err != nil {
 			return err
@@ -550,7 +550,7 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally,
 	if tally.timed {
 		start = time.Now()
 	}
-	sub, err := n.family.fit(t.cfg.growConfig(n.depth), tally, w)
+	sub, err := n.family.fit(t.cfg.growConfig(n.depth), tally, wk)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
+	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/split"
 )
@@ -19,8 +20,9 @@ import (
 // (recurseOnFamily); a resident one turns n into a dirty stored-family
 // leaf, appended to leaves, which leaf completion grows in memory like
 // any frontier leaf. rdepth is the BOAT-in-BOAT recursion depth of the
-// enclosing pass, and sp the enclosing trace span.
-func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
+// enclosing pass, sp the enclosing trace span and wk the pool worker
+// running the pass.
+func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span, wk *inmem.Worker) error {
 	rbSpan := sp.Start("rebuild")
 	defer rbSpan.End()
 	if err := t.gatherLeaf(n, rule); err != nil {
@@ -32,7 +34,7 @@ func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, 
 	t.log.Debug("rebuilding subtree", "tuples", total, "depth", n.depth, "rdepth", rdepth)
 	t.noteRebuildTuples(total)
 	if t.recurses(n, rdepth) {
-		return t.recurseOnFamily(n, rdepth, rbSpan)
+		return t.recurseOnFamily(n, rdepth, rbSpan, wk)
 	}
 	*leaves = append(*leaves, n)
 	return nil
@@ -43,7 +45,7 @@ func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, 
 // by rule. The buffers below n remain fully scannable even when poisoned,
 // so the family can still be gathered. During an update the rebuild also
 // counts as a rebuilt subtree.
-func (t *Tree) rebuildAfterSpillFault(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span) error {
+func (t *Tree) rebuildAfterSpillFault(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span, wk *inmem.Worker) error {
 	t.met.spillRebuilds.Inc()
 	t.log.Warn("storage fault on spill path; rebuilding subtree", "depth", n.depth, "rdepth", rdepth)
 	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
@@ -52,7 +54,7 @@ func (t *Tree) rebuildAfterSpillFault(n *bnode, rule familyRule, rdepth int, lea
 			upd.RebuiltSubtrees++
 		}
 	})
-	return t.rebuild(n, rule, rdepth, leaves, sp)
+	return t.rebuild(n, rule, rdepth, leaves, sp, wk)
 }
 
 // familyRule names where gatherLeaf finds the family F_n of an internal
@@ -215,10 +217,11 @@ func (t *Tree) recurses(n *bnode, rdepth int) bool {
 // recursive BOAT invocation grows over its family: a sample of the
 // family, bootstrap trees, a cleanup scan of the family and verification.
 // The invocation runs at rdepth+1, so concurrent rebuilds of distinct
-// nodes track their own depth, and records its phases under sp. If the
-// bootstrap trees disagree at the family's root, the result is again a
-// stored-family leaf.
-func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span) error {
+// nodes track their own depth, records its phases under sp, and forks on
+// wk's pool rather than a pool of its own. If the bootstrap trees
+// disagree at the family's root, the result is again a stored-family
+// leaf.
+func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span, wk *inmem.Worker) error {
 	fam := n.family
 	n.family = nil
 	defer fam.close()
@@ -236,7 +239,7 @@ func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span) error {
 	if err != nil {
 		return err
 	}
-	sub, err := t.buildFromSample(src, sample, total, n.depth, rdepth+1, sp)
+	sub, err := t.buildFromSample(src, sample, total, n.depth, rdepth+1, sp, wk)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/boatml/boat/internal/data"
+	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 )
 
@@ -16,12 +17,13 @@ import (
 // buffer (a stuck set S_n or a leaf family). It streams each chunk
 // through the chunk router of Insert/Delete (update.go), starting from
 // the root it is given: the whole tree, or a rebuild's subtree. With
-// Parallelism > 1 the router forks subtree descents; every buffer still
-// receives its tuples in stream order. On a columnar file the
-// prefetch/decode pipeline overlaps reads and decoding with the routing.
+// Parallelism > 1 the router forks subtree descents on the operation's
+// pool; every buffer still receives its tuples in stream order. On a
+// columnar file the prefetch/decode pipeline overlaps reads and decoding
+// with the routing.
 
-// cleanupScan streams src down the subtree rooted at root, returning the
-// number of tuples seen.
+// cleanupScan streams src down the subtree rooted at root on the pool
+// worker wk, returning the number of tuples seen.
 //
 // Storage faults degrade gracefully: a scan that fails with a storage
 // error gets one reset-and-retry before the error propagates. The
@@ -29,8 +31,8 @@ import (
 // it touches, so zero-and-rerun (resetScanState) reproduces precisely the
 // state a fault-free scan would have built. Logical errors (bad data,
 // schema mismatch) are never retried.
-func (t *Tree) cleanupScan(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
-	seen, err := t.scanPass(src, root, sp)
+func (t *Tree) cleanupScan(src data.Source, root *bnode, sp *obs.Span, wk *inmem.Worker) (int64, error) {
+	seen, err := t.scanPass(src, root, sp, wk)
 	if err != nil && recoverableScanError(err) {
 		t.cfg.Stats.RecordScanRetry()
 		t.log.Warn("cleanup scan hit a storage fault; retrying once", "err", err)
@@ -38,7 +40,7 @@ func (t *Tree) cleanupScan(src data.Source, root *bnode, sp *obs.Span) (int64, e
 		if rerr := resetScanState(root); rerr != nil {
 			return seen, fmt.Errorf("core: resetting after failed cleanup scan: %w", rerr)
 		}
-		seen, err = t.scanPass(src, root, sp)
+		seen, err = t.scanPass(src, root, sp, wk)
 	}
 	return seen, err
 }
@@ -59,13 +61,13 @@ func recoverableScanError(err error) bool {
 }
 
 // scanPass is one pass of the cleanup scan: src streamed through the chunk
-// router at weight +1. sp (nil ok) receives the pipeline stage spans and
-// zone-skip attribution.
-func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
+// router at weight +1, on wk. sp (nil ok) receives the pipeline stage
+// spans and zone-skip attribution.
+func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span, wk *inmem.Worker) (int64, error) {
 	start := time.Now()
 	r := t.newChunkRouter(+1)
 	sc := t.scratch.Get().(*routeScratch)
-	err := t.stream(r, src, root, sc, sp)
+	err := t.stream(r, src, root, sc, sp, wk)
 	t.scratch.Put(sc)
 	if err == nil {
 		t.recordScanThroughput(r.tuples, time.Since(start).Seconds())

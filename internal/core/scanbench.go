@@ -34,8 +34,8 @@ type ScanBench struct {
 }
 
 // NewScanBench runs the sampling phase of a Build (sample, bootstrap,
-// skeleton, discretizations) and returns the skeleton ready for cleanup
-// scans. Close it to release the skeleton's buffers.
+// skeleton, discretizations) on one pool and returns the skeleton ready
+// for cleanup scans. Close it to release the skeleton's buffers.
 func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 	n, err := data.CountTuples(src)
 	if err != nil {
@@ -50,7 +50,9 @@ func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := t.skeleton(sample, n, 0, nil)
+	wk, stop := newPool(t.cfg.Parallelism).Start()
+	defer stop()
+	root, err := t.skeleton(sample, n, 0, nil, wk)
 	if err != nil {
 		return nil, err
 	}
@@ -61,10 +63,14 @@ func NewScanBench(src data.Source, cfg Config) (*ScanBench, error) {
 // for another pass.
 func (b *ScanBench) Reset() error { return resetScanState(b.root) }
 
-// RunOnce performs one cleanup scan — the chunk router at weight +1, as
-// the build runs it — over a skeleton that must be freshly built or
-// Reset, returning the tuples seen.
-func (b *ScanBench) RunOnce() (int64, error) { return b.tree.scanPass(b.src, b.root, nil) }
+// RunOnce performs one cleanup scan — the chunk router at weight +1 on
+// one pool, as the build runs it — over a skeleton that must be freshly
+// built or Reset, returning the tuples seen.
+func (b *ScanBench) RunOnce() (int64, error) {
+	wk, stop := newPool(b.tree.cfg.Parallelism).Start()
+	defer stop()
+	return b.tree.scanPass(b.src, b.root, nil, wk)
+}
 
 // Close releases the skeleton's buffers (spill files, arenas).
 func (b *ScanBench) Close() { closeSubtree(b.root) }

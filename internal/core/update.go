@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/boatml/boat/internal/data"
+	"github.com/boatml/boat/internal/inmem"
 	"github.com/boatml/boat/internal/obs"
 )
 
@@ -37,63 +38,49 @@ import (
 // Concurrency: disjoint subtrees share no mutable state (each node's
 // counters, statistics, and buffers are touched only while routing through
 // that node), so once a batch is partitioned the two children can be
-// routed concurrently. The router forks the larger descents onto worker
-// goroutines up to Config.Parallelism, each with its own partition
-// scratch; the shared substrate (the memory budget, iostats, the metrics
-// registry) is internally synchronized. The resulting state is identical
-// at every Parallelism setting: every per-node mutation is performed by
-// the single worker that owns that subtree for the batch, in the same
-// order as the sequential descent. A barrier at the end of each batch
-// (route) keeps cross-batch ordering intact, so every buffer receives its
-// rows in stream order.
+// routed concurrently. When both sides reach forkMinRows rows, the two
+// descents are one fork on the operation's pool (inmem.Fork): the left
+// one keeps the caller's partition scratch, the right one takes its own.
+// The shared substrate (the memory budget, iostats, the metrics registry)
+// is internally synchronized. The resulting state is identical at every
+// Parallelism setting: every per-node mutation is performed by the single
+// descent that owns that subtree for the batch, in the same order as the
+// sequential descent. The fork joins both descents before it returns, so
+// a chunk is routed completely before the next one, and every buffer
+// receives its rows in stream order.
 
-// forkMinRows is the smallest index set worth a goroutine handoff: below
-// this, partition fan-out and scratch handling cost more than they save.
+// forkMinRows is the least index set, per side, whose descents are
+// forked: below this, the handoff costs more than it saves. It is below
+// the fits' threshold (inmem's forkRows, 4,096), which a default chunk
+// of 4,096 rows could never reach on both sides.
 const forkMinRows = 1024
 
-// chunkRouter carries one stream's descent: the signed weight, the worker
-// token bucket (nil when sequential), the tree's scratch pool for forked
-// descents, first-error collection, and what the stream routed.
+// chunkRouter carries one stream's descent: the signed weight, the tree's
+// scratch pool for forked descents, and what the stream routed.
 type chunkRouter struct {
 	w        int64
 	zoneSkip bool
-	sem      chan struct{}
 	scratch  *sync.Pool
-	wg       sync.WaitGroup
 
 	// tuples and chunks count what the stream routed; skips counts the
 	// nodes at which a whole batch was routed by zone map alone (atomic:
 	// forked descents skip concurrently).
 	tuples, chunks int64
 	skips          atomic.Int64
-
-	mu  sync.Mutex
-	err error
 }
 
 func (t *Tree) newChunkRouter(w int64) *chunkRouter {
-	r := &chunkRouter{w: w, zoneSkip: !t.cfg.DisableZoneSkip, scratch: &t.scratch}
-	if workers := t.cfg.workers(); workers > 1 {
-		r.sem = make(chan struct{}, workers-1)
-	}
-	return r
-}
-
-func (r *chunkRouter) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
+	return &chunkRouter{w: w, zoneSkip: !t.cfg.DisableZoneSkip, scratch: &t.scratch}
 }
 
 // stream routes every chunk of src down the subtree rooted at root with
-// r's weight, checking each chunk's domain before the router changes any
-// statistic. sc is the calling goroutine's partition scratch. The chunks
+// r's weight, on the pool worker wk, checking each chunk's domain before
+// the router changes any statistic. sc is the caller's partition
+// scratch. The chunks
 // come through the prefetch/decode pipeline on a columnar file (the plain
 // chunked scan otherwise), and its stage report lands in sp (nil ok) and
 // the pipeline.* registry counters.
-func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScratch, sp *obs.Span) error {
+func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScratch, sp *obs.Span, wk *inmem.Worker) error {
 	csc, err := data.ScanChunksPipelined(src, t.pipelineObserver())
 	if err != nil {
 		return err
@@ -115,7 +102,7 @@ func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScr
 		}
 		r.tuples += int64(ch.Len())
 		r.chunks++
-		err = r.route(root, ch, sc)
+		err = r.descend(root, ch, nil, sc, 0, wk)
 	}
 	if cerr := csc.Close(); err == nil {
 		err = cerr
@@ -125,30 +112,11 @@ func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScr
 	return err
 }
 
-// route streams one chunk down the subtree rooted at root and returns
-// after every descent, forked ones included, completes.
-func (r *chunkRouter) route(root *bnode, ch *data.Chunk, sc *routeScratch) error {
-	return r.wait(r.descend(root, ch, nil, sc, 0))
-}
-
-// wait is the per-chunk barrier: it returns once every forked descent of
-// the chunk has completed, with err or else the first error a forked
-// descent reported.
-func (r *chunkRouter) wait(err error) error {
-	r.wg.Wait()
-	if err == nil {
-		r.mu.Lock()
-		err = r.err
-		r.mu.Unlock()
-	}
-	return err
-}
-
 // descend applies the chunk rows named by idx (all rows when idx is nil)
-// to the subtree rooted at n. depth indexes sc's per-level scratch
-// buffers, not the node's depth in the full tree (forked descents restart
-// at 0 with their own scratch).
-func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeScratch, depth int) error {
+// to the subtree rooted at n, on the pool worker wk. depth indexes sc's
+// per-level scratch buffers, not the node's depth in the full tree
+// (forked descents restart at 0 with their own scratch).
+func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeScratch, depth int, wk *inmem.Worker) error {
 	w := r.w
 	classes := ch.Classes()
 	if idx == nil {
@@ -211,7 +179,7 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 						}
 					}
 				}
-				return r.descend(child, ch, idx, sc, depth+1)
+				return r.descend(child, ch, idx, sc, depth+1, wk)
 			}
 		}
 	}
@@ -308,45 +276,31 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 			}
 		}
 	}
-	return r.children(n, ch, left, right, sc, depth+1)
+	return r.children(n, ch, left, right, sc, depth+1, wk)
 }
 
 // children descends the chunk rows named by left into n.left and those
-// named by right into n.right; depth indexes sc's scratch for both
-// descents. It forks the left descent when a worker token is free and
-// both sides are big enough to amortize the handoff. The forked goroutine
-// owns the whole left subtree for this batch; its index set is copied out
-// of the caller's scratch, and it partitions with its own scratch.
-func (r *chunkRouter) children(n *bnode, ch *data.Chunk, left, right []int32, sc *routeScratch, depth int) error {
-	if r.sem != nil && len(left) >= forkMinRows && len(right) >= forkMinRows {
-		select {
-		case r.sem <- struct{}{}:
-			spawn := append([]int32(nil), left...)
-			child := n.left
-			r.wg.Add(1)
-			go func() {
-				defer r.wg.Done()
-				defer func() { <-r.sem }()
-				csc := r.scratch.Get().(*routeScratch)
-				if err := r.descend(child, ch, spawn, csc, 0); err != nil {
-					r.fail(err)
-				}
-				r.scratch.Put(csc)
-			}()
-			if len(right) > 0 {
-				return r.descend(n.right, ch, right, sc, depth)
+// named by right into n.right, on wk; depth indexes sc's scratch. When
+// both sides reach forkMinRows, the two descents are one fork: the left
+// one continues in sc, the right one partitions with its own scratch.
+func (r *chunkRouter) children(n *bnode, ch *data.Chunk, left, right []int32, sc *routeScratch, depth int, wk *inmem.Worker) error {
+	if wk != nil && len(left) >= forkMinRows && len(right) >= forkMinRows {
+		return inmem.Fork(wk, 2, func(wk *inmem.Worker, i int) error {
+			if i == 0 {
+				return r.descend(n.left, ch, left, sc, depth, wk)
 			}
-			return nil
-		default:
-		}
+			rsc := r.scratch.Get().(*routeScratch)
+			defer r.scratch.Put(rsc)
+			return r.descend(n.right, ch, right, rsc, 0, wk)
+		})
 	}
 	if len(left) > 0 {
-		if err := r.descend(n.left, ch, left, sc, depth); err != nil {
+		if err := r.descend(n.left, ch, left, sc, depth, wk); err != nil {
 			return err
 		}
 	}
 	if len(right) > 0 {
-		return r.descend(n.right, ch, right, sc, depth)
+		return r.descend(n.right, ch, right, sc, depth, wk)
 	}
 	return nil
 }
@@ -393,7 +347,7 @@ func zoneRoute(c *coarseCrit, z data.ColZone) int {
 	return 0
 }
 
-// routeScratch holds the per-depth index buffers of one goroutine's
+// routeScratch holds the per-depth index buffers of one
 // level-synchronous descent: the partition written at depth d stays live
 // while the children recurse with the buffers of depth d+1 and below.
 // Buffers are allocated once per depth and reused for every chunk; the

@@ -242,7 +242,7 @@ func TestOutOfDomainTuplesRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = sb.tree.cleanupScan(data.NewMemSource(schema, all), sb.root, nil)
+			_, err = sb.tree.cleanupScan(data.NewMemSource(schema, all), sb.root, nil, nil)
 			sb.Close()
 			requireDomainErr(t, "cleanup scan", err, tc.want)
 

@@ -15,18 +15,17 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func bootstrapConfig(c Config, n int64) bootstrap.Config {
-	return bootstrap.Config{
+// bootstrapBuild runs the sampling phase of c on sample, its bootstrap
+// trees on one pool of c.Parallelism workers.
+func bootstrapBuild(c Config, schema *data.Schema, sample []data.Tuple) (*bootstrap.Node, bootstrap.Stats, error) {
+	w, stop := inmem.NewPool(c.Parallelism).Start()
+	defer stop()
+	return bootstrap.BuildCoarse(schema, sample, bootstrap.Config{
 		Trees:         c.Bootstraps,
 		SubsampleSize: c.subsampleSize(),
 		TreeConfig:    inmem.Config{Method: c.Method, MaxDepth: 4, MinSplit: 100},
 		Seed:          c.Seed + 3,
-		Parallelism:   c.Parallelism,
-	}
-}
-
-func bootstrapBuild(schema *data.Schema, sample []data.Tuple, cfg bootstrap.Config) (*bootstrap.Node, bootstrap.Stats, error) {
-	return bootstrap.BuildCoarse(schema, sample, cfg)
+	}, w)
 }
 
 // DynamicKind selects among the three dynamic-environment figures.

@@ -409,8 +409,7 @@ func RunInstability(c Config) (InstabilityResult, error) {
 	if err != nil {
 		return res, err
 	}
-	bcfg := bootstrapConfig(c, int64(len(sample)))
-	root, bstats, err := bootstrapBuild(src.Schema(), sample, bcfg)
+	root, bstats, err := bootstrapBuild(c, src.Schema(), sample)
 	if err != nil {
 		return res, err
 	}

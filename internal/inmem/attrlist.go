@@ -215,10 +215,9 @@ func (sc *scratch) entryBuf(n int) []entry {
 
 // fork runs fn(i, w) for every i in [0, n) on behalf of a frame of the
 // build running on w, over a node or family of size rows. With a pool and
-// at least forkRows rows it offers items 1..n-1 to the pool as tasks of
-// kind, runs item 0 itself and joins the rest; otherwise it runs every
-// item in order. fn receives the worker running the item, whose scratch
-// it may use.
+// at least forkRows rows the items are one fork of tasks of kind (see
+// Pool); otherwise every item runs in order on w. fn receives the worker
+// running the item, whose scratch it may use.
 func (b *listBuilder) fork(w *Worker, size int, kind taskKind, n int, fn func(i int, w *Worker)) {
 	if w == nil || size < forkRows || n < 2 {
 		for i := 0; i < n; i++ {
@@ -226,14 +225,7 @@ func (b *listBuilder) fork(w *Worker, size int, kind taskKind, n int, fn func(i 
 		}
 		return
 	}
-	ts := make([]task, n-1)
-	run := func(i int, w *Worker, _ bool) { fn(i, w) }
-	for i := range ts {
-		ts[i] = task{run: run, item: i + 1, kind: kind, owner: b.owner}
-	}
-	w.offer(ts)
-	fn(0, w)
-	w.join(ts)
+	w.fork(kind, b.owner, n, func(i int, w *Worker, _ bool) { fn(i, w) })
 }
 
 // forkRows is the least node or family size whose work a fit offers to a
@@ -323,8 +315,9 @@ func sortEntries(es, buf []entry) {
 }
 
 // buildNode grows the subtree of the node owning [lo, hi) at depth, on
-// w with the node state st. When both children reach forkRows, the right
-// subtree is offered to the pool while w grows the left one.
+// w with the node state st. When both children reach forkRows, the two
+// subtrees are one fork: w grows the left one while the right one is
+// offered to the pool.
 func (b *listBuilder) buildNode(lo, hi, depth int, st *nodeState, w *Worker) *tree.Node {
 	classTotals := make([]int64, b.schema.ClassCount)
 	for _, row := range b.rows[lo:hi] {
@@ -350,16 +343,17 @@ func (b *listBuilder) buildNode(lo, hi, depth int, st *nodeState, w *Worker) *tr
 		n.Right = b.buildNode(mid, hi, depth+1, st, w)
 		return n
 	}
-	right := []task{{kind: subtreeTask, owner: b.owner, run: func(_ int, w *Worker, own bool) {
+	w.fork(subtreeTask, b.owner, 2, func(i int, w *Worker, own bool) {
+		if i == 0 {
+			n.Left = b.buildNode(lo, mid, depth+1, st, w)
+			return
+		}
 		rst := st
 		if !own {
 			rst = b.newNodeState()
 		}
 		n.Right = b.buildNode(mid, hi, depth+1, rst, w)
-	}}}
-	w.offer(right)
-	n.Left = b.buildNode(lo, mid, depth+1, st, w)
-	w.join(right)
+	})
 	return n
 }
 

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/gen"
@@ -206,5 +209,93 @@ func TestPoolRunsEveryJob(t *testing.T) {
 		if !slices.Equal(ran, want) {
 			t.Errorf("%d workers: jobs ran %v, want %v", workers, ran, want)
 		}
+	}
+}
+
+// TestForkJoinsNestedItems: on pools of 2 and 8 workers, forks nest inside
+// items that other workers took, and every item of every fork runs once,
+// on a worker; Fork returns the error of its lowest-numbered failed item,
+// and only once every item has finished; Run leaves no goroutine behind.
+// With a nil worker, Fork runs the items in order and stops at the first
+// error.
+func TestForkJoinsNestedItems(t *testing.T) {
+	first, later := errors.New("item 1"), errors.New("item 3")
+	for _, workers := range []int{2, 8} {
+		baseline := runtime.NumGoroutine()
+		var ran [4][6][5]atomic.Int32
+		var taken atomic.Int32 // jobs run by a helper
+		err := NewPool(workers).Run(len(ran), func(w *Worker, i int) error {
+			if w.id != 0 {
+				taken.Add(1)
+			}
+			return Fork(w, len(ran[i]), func(w *Worker, j int) error {
+				return Fork(w, len(ran[i][j]), func(w *Worker, k int) error {
+					if w == nil || w.id >= workers {
+						t.Errorf("%d workers: item %d/%d/%d ran on worker %v", workers, i, j, k, w)
+					}
+					time.Sleep(100 * time.Microsecond)
+					ran[i][j][k].Add(1)
+					return nil
+				})
+			})
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if taken.Load() == 0 {
+			t.Errorf("%d workers: no helper took a job", workers)
+		}
+		for i := range ran {
+			for j := range ran[i] {
+				for k := range ran[i][j] {
+					if n := ran[i][j][k].Load(); n != 1 {
+						t.Errorf("%d workers: item %d/%d/%d ran %d times", workers, i, j, k, n)
+					}
+				}
+			}
+		}
+
+		// Item 1 fails last, after item 3 has failed.
+		var finished atomic.Int32
+		errs := []error{nil, first, nil, later, nil}
+		err = NewPool(workers).Run(1, func(w *Worker, _ int) error {
+			err := Fork(w, len(errs), func(_ *Worker, i int) error {
+				if i == 1 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				finished.Add(1)
+				return errs[i]
+			})
+			if n := finished.Load(); n != int32(len(errs)) {
+				t.Errorf("%d workers: Fork returned after %d of %d items", workers, n, len(errs))
+			}
+			return err
+		})
+		if err != first {
+			t.Errorf("%d workers: Run returned %v, want %v", workers, err, first)
+		}
+
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("%d workers: %d goroutines after Run, %d before", workers, n, baseline)
+		}
+	}
+
+	var order []int
+	err := Fork(nil, 5, func(w *Worker, i int) error {
+		if w != nil {
+			t.Errorf("item %d ran on worker %v", i, w)
+		}
+		order = append(order, i)
+		if i >= 2 {
+			return first
+		}
+		return nil
+	})
+	if err != first || !slices.Equal(order, []int{0, 1, 2}) {
+		t.Errorf("nil worker: items ran %v and returned %v, want [0 1 2] and %v", order, err, first)
 	}
 }

@@ -89,7 +89,8 @@ func checkPruned(t *testing.T, schema *data.Schema, tuples []data.Tuple, cfg Con
 // to 50,000 rows; at 4, 8 and hull.MaxClasses classes, where the bound
 // prunes the buckets in which few classes change; and above
 // hull.MaxClasses classes, where the bound is -Inf and every bucket is
-// scanned.
+// scanned. The subtests run in parallel: each builds inline, without a
+// pool, from tuples no build writes.
 func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 	methods := []split.Method{split.NewGini(), split.NewEntropy()}
 	for _, fn := range []int{1, 6, 7} {
@@ -104,6 +105,7 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 			}
 			for _, m := range methods {
 				t.Run(fmt.Sprintf("F%d/n=%d/%s", fn, shape.n, m.Name()), func(t *testing.T) {
+					t.Parallel()
 					cfg := Config{Method: m, StopThreshold: shape.stop, StopAtThreshold: shape.stop > 0}
 					checkPruned(t, src.Schema(), tuples, cfg)
 				})
@@ -111,6 +113,7 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 		}
 	}
 	t.Run("adversarial", func(t *testing.T) {
+		t.Parallel()
 		rng := rand.New(rand.NewSource(21))
 		for i := 0; i < 40; i++ {
 			schema, tuples := adversarialFamily(rng, 200+rng.Intn(50_000-200))
@@ -123,6 +126,7 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 	})
 	for _, k := range []int{4, 8, hull.MaxClasses, hull.MaxClasses + 4} {
 		t.Run(fmt.Sprintf("classes=%d", k), func(t *testing.T) {
+			t.Parallel()
 			// One label in 500 is noise, so the buckets of the banded
 			// attribute hold few classes and are bounded up to
 			// hull.MaxClasses classes; those of the noise attribute hold

@@ -211,14 +211,6 @@ func bestEntropyCut(values []float64, counts [][]int64, left, totals []int64) (i
 	return bestI, bestQ
 }
 
-// IntervalCandidate is one candidate split point inside a confidence
-// interval: the threshold value and the exact left class counts of the
-// induced partition over the full family.
-type IntervalCandidate struct {
-	Threshold float64
-	Left      []int64
-}
-
 // BestNumericSplitInInterval finds the best split of a numeric attribute
 // restricted to candidate split points inside the coarse criterion's
 // confidence interval [lo, hi]. It implements the cleanup-phase

@@ -41,16 +41,16 @@ type Tree struct {
 	impurityBased split.ImpurityBased
 	momentBased   split.MomentBased
 
-	// statsMu guards buildStats and upd: with Parallelism > 1, leaf
-	// completion (and the rebuilds it triggers) updates counters from
-	// pool workers. BOAT-in-BOAT recursion depth is threaded through
-	// the call chain as an explicit parameter (rdepth), not stored here,
-	// so concurrent rebuilds cannot observe each other's depth.
-	statsMu    sync.Mutex
+	// op tallies the events of the operation in progress (see note): the
+	// Build's from newTree on, then a fresh one per Insert or Delete,
+	// replaced before the operation's pool starts. buildStats is read
+	// from the Build's tally when it ends and never changes after (zero
+	// for a loaded model). BOAT-in-BOAT recursion depth is threaded
+	// through the call chain as an explicit parameter (rdepth), not
+	// stored here, so concurrent rebuilds cannot observe each other's
+	// depth.
+	op         *tally
 	buildStats BuildStats
-	// upd accumulates counters for the update pass in progress (guarded
-	// by statsMu while worker goroutines are live).
-	upd *UpdateStats
 
 	// updateMu serializes all structural mutation and inspection of the
 	// tree after Build: Insert/Delete (the whole update, scan through
@@ -86,14 +86,6 @@ type Tree struct {
 	log *slog.Logger
 }
 
-// mutateStats applies a counter mutation under the stats lock; upd is nil
-// outside of update passes.
-func (t *Tree) mutateStats(f func(b *BuildStats, upd *UpdateStats)) {
-	t.statsMu.Lock()
-	f(&t.buildStats, t.upd)
-	t.statsMu.Unlock()
-}
-
 // spillEnv assembles the spill environment for a buffer charged against
 // budget: the tree's temp dir, recorder, filesystem, and retry policy.
 func (t *Tree) spillEnv(budget *data.MemBudget) data.SpillEnv {
@@ -125,6 +117,7 @@ func newTree(schema *data.Schema, cfg Config, n int64) (*Tree, error) {
 		cfg:    cfg,
 		schema: schema,
 		budget: budget,
+		op:     &tally{fit: evFits},
 		met:    newMetricSet(cfg.Metrics),
 		log:    resolveLogger(cfg.Logger),
 	}
@@ -173,14 +166,14 @@ func Build(src data.Source, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.buildStats.SampleSize = len(sample)
 	root, err := t.buildFromSample(tracked, sample, n, 0, 0, buildSpan, wk)
 	if err != nil {
 		t.log.Error("build failed", "err", err)
 		return nil, err
 	}
 	t.root = root
-	bs := t.BuildStats()
+	t.buildStats = t.op.buildStats(len(sample))
+	bs := t.buildStats
 	t.log.Info("build finished", "seconds", time.Since(start).Seconds(),
 		"tuples", bs.TuplesSeen, "coarse_nodes", bs.CoarseNodes,
 		"failed_nodes", bs.FailedNodes, "stuck_tuples", bs.StuckTuples,
@@ -228,17 +221,12 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 		closeSubtree(root)
 		return nil, fmt.Errorf("core: cleanup scan: %w", err)
 	}
-	stuck := countStuck(root)
+	stuck := t.stuckSets(root)
 	scanSpan.SetAttr("stuck", stuck)
 	scanSpan.End()
-	t.met.scanTuples.Add(seen)
-	t.met.stuckTuples.Add(stuck)
-	t.observeStuckSets(root)
+	t.note(evScanTuples, seen)
+	t.note(evStuckTuples, stuck)
 	t.log.Debug("cleanup scan finished", "tuples", seen, "stuck", stuck, "rdepth", rdepth)
-	t.mutateStats(func(b *BuildStats, _ *UpdateStats) {
-		b.TuplesSeen += seen
-		b.StuckTuples += stuck
-	})
 
 	// Top-down processing: exact splits, verification, completion.
 	procSpan := parent.Start("process")
@@ -272,12 +260,8 @@ func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Spa
 	if err != nil {
 		return nil, fmt.Errorf("core: bootstrap: %w", err)
 	}
-	t.met.coarseNodes.Add(int64(bstats.CoarseNodes))
-	t.met.disagreements.Add(int64(bstats.Disagreements))
-	t.mutateStats(func(b *BuildStats, _ *UpdateStats) {
-		b.CoarseNodes += bstats.CoarseNodes
-		b.Disagreements += bstats.Disagreements
-	})
+	t.note(evCoarseNodes, int64(bstats.CoarseNodes))
+	t.note(evDisagreements, int64(bstats.Disagreements))
 
 	skelSpan := parent.Start("skeleton")
 	defer skelSpan.End()
@@ -310,26 +294,27 @@ func (t *Tree) bootstrapGrowConfig(n int64) (g inmem.Config) {
 	return g
 }
 
-func countStuck(n *bnode) int64 {
+// stuckSets returns the total size of the stuck sets S_n of the subtree
+// rooted at n after its cleanup scan, feeding each size into the
+// per-node stuck-set size histogram.
+func (t *Tree) stuckSets(n *bnode) int64 {
 	if n == nil || n.isLeaf() {
 		return 0
 	}
 	var s int64
 	if n.pending != nil {
 		s = n.pending.Len()
+		t.met.stuckPerNode.Observe(s)
 	}
-	return s + countStuck(n.left) + countStuck(n.right)
+	return s + t.stuckSets(n.left) + t.stuckSets(n.right)
 }
 
 // Schema returns the training schema.
 func (t *Tree) Schema() *data.Schema { return t.schema }
 
-// BuildStats returns the statistics of the original Build.
-func (t *Tree) BuildStats() BuildStats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.buildStats
-}
+// BuildStats returns the statistics of the original Build, fixed when it
+// ended; updates report theirs in UpdateStats. Zero for a loaded model.
+func (t *Tree) BuildStats() BuildStats { return t.buildStats }
 
 // Tree materializes the current decision tree. The result is a plain
 // value: later Insert/Delete calls do not mutate previously returned

@@ -215,18 +215,23 @@ func (c Config) growConfig(depthOffset int) inmem.Config {
 	return g
 }
 
-// BuildStats reports what happened during a Build.
+// BuildStats reports what happened during a Build. It is read from the
+// Build's event tally when the Build ends and never changes after:
+// updates report their own counts in UpdateStats. Every count includes
+// the Build's recursive BOAT invocations (see FrontierRebuilds).
 type BuildStats struct {
-	// TuplesSeen is |D| as observed by the cleanup scan.
+	// TuplesSeen counts the tuples the cleanup scans streamed: |D|, plus
+	// the family of each recursive invocation.
 	TuplesSeen int64
 	// SampleSize is |D'|.
 	SampleSize int
-	// CoarseNodes and Disagreements summarize the sampling phase.
+	// CoarseNodes and Disagreements summarize the sampling phases, those
+	// of recursive invocations included.
 	CoarseNodes   int
 	Disagreements int
 	// FailedNodes counts coarse nodes whose verification failed
 	// (Section 3.4), forcing a rebuild of their subtree. The FailXxx
-	// fields break the failures down by cause.
+	// fields break the failures down by cause; they sum to FailedNodes.
 	FailedNodes int64
 	// FailNoCandidate: no legal split point inside the confidence
 	// interval (the split escaped it entirely).
@@ -252,10 +257,13 @@ type BuildStats struct {
 	// the exactness guarantee.
 	SpillRebuilds int64
 	// RebuildTuples counts tuples re-processed by rebuilds (the paper's
-	// "additional scans over subsets of the data").
+	// "additional scans over subsets of the data"): the families of
+	// failed and spill-faulted nodes, and the spilled frontier families
+	// leaf completion promotes to BOAT subtrees. It is the sum of the
+	// tuples attribute of the build's rebuild spans.
 	RebuildTuples int64
 	// StuckTuples is the total size of the stuck sets S_n after the
-	// cleanup scan.
+	// cleanup scans, those of recursive invocations included.
 	StuckTuples int64
 	// InMemoryLeaves counts families grown with the main-memory
 	// algorithm: switch-over leaves, and the resident families of
@@ -272,10 +280,11 @@ type UpdateStats struct {
 	// RebuiltSubtrees counts nodes whose coarse criterion was invalidated
 	// by the update (distribution change), rebuilding their subtree,
 	// promotions of spilled fat leaves to BOAT subtrees, and subtrees
-	// rebuilt after a storage fault (also counted in
-	// BuildStats.SpillRebuilds).
+	// rebuilt after a storage fault.
 	RebuiltSubtrees int64
-	// RebuildTuples counts tuples re-processed by those rebuilds.
+	// RebuildTuples counts tuples re-processed by those rebuilds and
+	// promotions: the sum of the tuples attribute of the update's
+	// rebuild spans.
 	RebuildTuples int64
 	// MigratedTuples counts stuck tuples re-routed between children when
 	// a final split point moved within its confidence interval.
@@ -283,6 +292,10 @@ type UpdateStats struct {
 	// RefittedLeaves counts stored leaf families whose in-memory subtree
 	// was re-grown.
 	RefittedLeaves int64
+	// FailNoCandidate, FailBetterCat, FailBound, FailTie and FailMoment
+	// break the update's failed verifications down by cause, as the
+	// BuildStats fields of the same names do for the Build.
+	FailNoCandidate, FailBetterCat, FailBound, FailTie, FailMoment int64
 }
 
 func (c Config) newRNG() *rand.Rand { return rand.New(rand.NewSource(c.Seed)) }

@@ -56,8 +56,9 @@ func requireBroken(t *testing.T, bt *Tree, cause func(error) bool, last *Snapsho
 // update used to succeed on top of it and publish the corrupt tree; now
 // the tree is broken, and refuses every further update and save.
 func TestFailedUpdateBreaksModel(t *testing.T) {
-	// The insert's first spill writes fail while its chunk is being routed
-	// (the build issues 21 spill writes).
+	// The insert's first spill writes fail while its chunk is being routed:
+	// subtest writeN fails the insert's (N-21)th spill write, counted from
+	// the end of the build.
 	t.Run("spill fault while routing", func(t *testing.T) {
 		base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 12000, 77)
 		baseTuples, err := data.ReadAll(base)
@@ -67,7 +68,7 @@ func TestFailedUpdateBreaksModel(t *testing.T) {
 		ins := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 3000, 78)
 		for _, fail := range []int64{22, 23, 24} {
 			t.Run(fmt.Sprintf("write%d", fail), func(t *testing.T) {
-				fs := &failNthWriteFS{failWrite: fail}
+				fs := &failNthWriteFS{}
 				budget := data.NewMemBudget(32)
 				dir := t.TempDir()
 				bt, err := Build(base, Config{
@@ -78,9 +79,7 @@ func TestFailedUpdateBreaksModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w := fs.writes.Load(); w >= fail {
-					t.Fatalf("the build issued %d spill writes; write %d must fail in the insert", w, fail)
-				}
+				fs.failWrite = fs.writes.Load() + fail - 21
 				s0, err := bt.Snapshot()
 				if err != nil {
 					t.Fatal(err)

@@ -61,15 +61,7 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	if !t.schema.Equal(chunk.Schema()) {
 		return UpdateStats{}, data.ErrSchemaMismatch
 	}
-	upd := &UpdateStats{}
-	t.statsMu.Lock()
-	t.upd = upd
-	t.statsMu.Unlock()
-	defer func() {
-		t.statsMu.Lock()
-		t.upd = nil
-		t.statsMu.Unlock()
-	}()
+	t.op = &tally{fit: evRefits}
 
 	name := "insert"
 	if w < 0 {
@@ -87,26 +79,26 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	sc := t.scratch.Get().(*routeScratch)
 	err := t.stream(r, tracked, t.root, sc, routeSpan, wk)
 	t.scratch.Put(sc)
-	upd.TuplesSeen, upd.Chunks = r.tuples, r.chunks
-	t.met.updBlocksSkipped.Add(r.skips.Load())
-	routeSpan.SetAttr("tuples", upd.TuplesSeen)
-	routeSpan.SetAttr("chunks", upd.Chunks)
+	t.note(evUpdateSkips, r.skips.Load())
+	routeSpan.SetAttr("tuples", r.tuples)
+	routeSpan.SetAttr("chunks", r.chunks)
 	routeSpan.End()
 	if err != nil {
 		err = fmt.Errorf("core: streaming update chunk: %w", err)
-		if upd.Chunks == 0 {
+		if r.chunks == 0 {
 			// Nothing reached the router (a read or domain error on the
 			// first chunk): the tree is untouched.
-			return *upd, err
+			return t.op.updateStats(r), err
 		}
-		return *upd, t.breakModel(err)
+		return t.op.updateStats(r), t.breakModel(err)
 	}
 	if err := t.process(t.root, 0, updSpan, wk); err != nil {
-		return *upd, t.breakModel(fmt.Errorf("core: post-update processing: %w", err))
+		return t.op.updateStats(r), t.breakModel(fmt.Errorf("core: post-update processing: %w", err))
 	}
 	if err := compactBuffers(t.root); err != nil {
-		return *upd, t.breakModel(fmt.Errorf("core: compacting buffers: %w", err))
+		return t.op.updateStats(r), t.breakModel(fmt.Errorf("core: compacting buffers: %w", err))
 	}
+	upd := t.op.updateStats(r)
 
 	// The tree is consistent again: advance the epoch, and republish
 	// eagerly when serving has started so readers flip to the new epoch
@@ -116,7 +108,7 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	t.epoch.Add(1)
 	if t.snap.Load() != nil {
 		if _, err := t.publishLocked(); err != nil {
-			return *upd, fmt.Errorf("core: publishing update snapshot: %w", err)
+			return upd, fmt.Errorf("core: publishing update snapshot: %w", err)
 		}
 	}
 
@@ -132,7 +124,7 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 		"chunks", upd.Chunks, "epoch", t.epoch.Load(),
 		"rebuilt_subtrees", upd.RebuiltSubtrees, "migrated_tuples", upd.MigratedTuples,
 		"refitted_leaves", upd.RefittedLeaves)
-	return *upd, nil
+	return upd, nil
 }
 
 // breakModel marks the tree broken by an update that failed part-way
@@ -142,15 +134,4 @@ func (t *Tree) breakModel(cause error) error {
 	t.broken = fmt.Errorf("%w: %w", ErrBrokenModel, cause)
 	t.log.Error("update failed part-way; model broken", "err", cause)
 	return t.broken
-}
-
-func (t *Tree) noteRebuildTuples(n int64) {
-	t.met.rebuildTuples.Add(n)
-	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-		if upd == nil {
-			b.RebuildTuples += n
-		} else {
-			upd.RebuildTuples += n
-		}
-	})
 }

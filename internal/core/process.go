@@ -101,11 +101,10 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 		return err
 	}
 	if !ok {
-		t.met.ciMiss.Inc()
-		t.noteFailure()
+		t.note(evCIMiss, 1)
 		return t.rebuild(n, fromBuffers, rdepth, leaves, sp, wk)
 	}
-	t.met.ciHit.Inc()
+	t.note(evCIHit, 1)
 	if n.coarse.kind == data.Numeric {
 		if rule, err := t.moveStuck(n, chosen.Threshold, wk); err != nil {
 			if data.IsSpillError(err) {
@@ -163,8 +162,13 @@ func (t *Tree) moveStuck(n *bnode, thr float64, wk *inmem.Worker) (familyRule, e
 			return fromStuckSets, fmt.Errorf("core: pushing stuck tuples: %w", err)
 		}
 		// Every stuck tuple now lives below n as well, so a fault from here
-		// on leaves F_n entirely in the subtree.
-		if err := n.pending.ForEachChunk(n.pushed.AddChunkRows); err != nil {
+		// on leaves F_n entirely in the subtree. An empty pushed set (as at
+		// the first push after a cleanup scan) is swapped for the pending
+		// bag instead of copied into, so S_n is not held, or charged to
+		// the budget, twice.
+		if n.pushed.Len() == 0 && n.pushed.PendingRemovals() == 0 {
+			n.pending, n.pushed = n.pushed, n.pending
+		} else if err := n.pending.ForEachChunk(n.pushed.AddChunkRows); err != nil {
 			return fromSubtree, fmt.Errorf("core: recording pushed stuck tuples: %w", err)
 		}
 		if err := n.pending.Reset(); err != nil {
@@ -237,12 +241,7 @@ func (t *Tree) migrate(n *bnode, old, new float64, wk *inmem.Worker) error {
 	if err != nil {
 		return err
 	}
-	t.met.migratedTuples.Add(moved)
-	t.mutateStats(func(_ *BuildStats, upd *UpdateStats) {
-		if upd != nil {
-			upd.MigratedTuples += moved
-		}
-	})
+	t.note(evMigrated, moved)
 	return nil
 }
 
@@ -281,11 +280,6 @@ func (t *Tree) verify(n *bnode) (split.Split, bool, error) {
 	return t.verifyImpurity(n)
 }
 
-func (t *Tree) noteMomentFailure() {
-	t.met.failMoment.Inc()
-	t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailMoment++ })
-}
-
 // verifyMoments: moment-based methods recompute their criterion exactly
 // from the streamed sufficient statistics; the only failure modes are a
 // different splitting attribute, a different splitting subset, or a split
@@ -294,19 +288,17 @@ func (t *Tree) noteMomentFailure() {
 func (t *Tree) verifyMoments(n *bnode) (split.Split, bool) {
 	chosen := t.momentBased.BestSplitFromMoments(n.moments)
 	c := n.coarse
-	if !chosen.Found || chosen.Attr != c.attr || chosen.Kind != c.kind {
-		t.noteMomentFailure()
-		return split.Split{}, false
+	var ok bool
+	switch {
+	case !chosen.Found || chosen.Attr != c.attr || chosen.Kind != c.kind:
+		// Another attribute, or none, is best.
+	case c.kind == data.Categorical:
+		ok = chosen.Subset == c.subset
+	default:
+		ok = !(chosen.Threshold < c.lo || chosen.Threshold > c.hi)
 	}
-	if c.kind == data.Categorical {
-		if chosen.Subset != c.subset {
-			t.noteMomentFailure()
-			return split.Split{}, false
-		}
-		return chosen, true
-	}
-	if chosen.Threshold < c.lo || chosen.Threshold > c.hi {
-		t.noteMomentFailure()
+	if !ok {
+		t.note(evFailMoment, 1)
 		return split.Split{}, false
 	}
 	return chosen, true
@@ -351,28 +343,22 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool, error) {
 		bestIv := split.BestNumericSplitInInterval(crit, c.attr, n.lowCounts,
 			n.eqLow > 0, c.lo, avc, n.classCounts)
 		if !bestIv.Found {
-			t.met.failNoCandidate.Inc()
-			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailNoCandidate++ })
+			t.note(evFailNoCandidate, 1)
 			return split.Split{}, false, nil
 		}
 		if bestCat.Better(bestIv) {
 			// A categorical attribute beats the coarse attribute: the
 			// coarse splitting attribute is wrong.
-			t.met.failBetterCat.Inc()
-			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBetterCat++ })
+			t.note(evFailBetterCat, 1)
 			return split.Split{}, false, nil
 		}
 		chosen = bestIv
 	} else {
+		// The coarse subset must be the exact best one, and no other
+		// categorical attribute may beat it.
 		exact := split.BestCategoricalSplit(crit, c.attr, n.catCounts[c.attr], n.classCounts)
-		if !exact.Found || exact.Subset != c.subset {
-			t.met.failBetterCat.Inc()
-			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBetterCat++ })
-			return split.Split{}, false, nil
-		}
-		if bestCat.Better(exact) {
-			t.met.failBetterCat.Inc()
-			t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBetterCat++ })
+		if !exact.Found || exact.Subset != c.subset || bestCat.Better(exact) {
+			t.note(evFailBetterCat, 1)
 			return split.Split{}, false, nil
 		}
 		chosen = exact
@@ -415,8 +401,7 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool, error) {
 				tieValue = loEdge
 			}
 			if lb < iPrime {
-				t.met.failBound.Inc()
-				t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailBound++ })
+				t.note(evFailBound, 1)
 				return split.Split{}, false, nil
 			}
 			if lb == iPrime {
@@ -425,8 +410,7 @@ func (t *Tree) verifyImpurity(n *bnode) (split.Split, bool, error) {
 				// interior cells).
 				if i < chosen.Attr ||
 					(i == chosen.Attr && chosen.Kind == data.Numeric && tieValue < chosen.Threshold) {
-					t.met.failTie.Inc()
-					t.mutateStats(func(b *BuildStats, _ *UpdateStats) { b.FailTie++ })
+					t.note(evFailTie, 1)
 					return split.Split{}, false, nil
 				}
 			}
@@ -452,7 +436,8 @@ var stuckAVCScratch = sync.Pool{
 
 // stuckAVC aggregates the stuck set S_n (pending plus pushed tuples, net
 // of removals) into the AVC-set of the coarse attribute's in-interval
-// values.
+// values, reading only the coarse column and the class column of each
+// chunk.
 func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 	attr := n.coarse.attr
 	m := stuckAVCScratch.Get().(map[float64][]int64)
@@ -460,20 +445,30 @@ func (t *Tree) stuckAVC(n *bnode) (*split.NumericAVC, error) {
 		clear(m)
 		stuckAVCScratch.Put(m)
 	}()
-	collect := func(tp data.Tuple) error {
-		v := tp.Values[attr]
-		row := m[v]
-		if row == nil {
-			row = make([]int64, t.schema.ClassCount)
-			m[v] = row
+	collect := func(ch *data.Chunk, idx []int32) error {
+		col, classes := ch.Col(attr), ch.Classes()
+		rows := len(idx)
+		if idx == nil {
+			rows = ch.Len()
 		}
-		row[tp.Class]++
+		for k := 0; k < rows; k++ {
+			i := int32(k)
+			if idx != nil {
+				i = idx[k]
+			}
+			row := m[col[i]]
+			if row == nil {
+				row = make([]int64, t.schema.ClassCount)
+				m[col[i]] = row
+			}
+			row[classes[i]]++
+		}
 		return nil
 	}
-	if err := n.pending.ForEach(collect); err != nil {
+	if err := n.pending.ForEachChunk(collect); err != nil {
 		return nil, err
 	}
-	if err := n.pushed.ForEach(collect); err != nil {
+	if err := n.pushed.ForEachChunk(collect); err != nil {
 		return nil, err
 	}
 	avc := &split.NumericAVC{
@@ -507,11 +502,8 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally,
 	total := n.total()
 	if t.recurses(n, rdepth) &&
 		(n.promoteAttempt == 0 || total >= n.promoteAttempt+n.promoteAttempt/4) {
-		t.mutateStats(func(_ *BuildStats, upd *UpdateStats) {
-			if upd != nil {
-				upd.RebuiltSubtrees++
-			}
-		})
+		t.note(evPromotions, 1)
+		t.note(evRebuildTuples, total)
 		rbSpan := sp.Start("rebuild")
 		rbSpan.SetAttr("tuples", total)
 		err := t.recurseOnFamily(n, rdepth, rbSpan, wk)
@@ -558,15 +550,7 @@ func (t *Tree) processLeaf(n *bnode, rdepth int, sp *obs.Span, tally *leafTally,
 		tally.noteFit(time.Since(start))
 	}
 	n.subtree = sub.Root
-	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-		if upd == nil {
-			b.InMemoryLeaves++
-			t.met.leavesInMemory.Inc()
-		} else {
-			upd.RefittedLeaves++
-			t.met.leavesRefitted.Inc()
-		}
-	})
+	t.note(t.op.fit, 1)
 	return nil
 }
 
@@ -594,14 +578,4 @@ func compactBuffers(n *bnode) error {
 		return err
 	}
 	return compactBuffers(n.right)
-}
-
-func (t *Tree) noteFailure() {
-	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-		if upd == nil {
-			b.FailedNodes++
-		} else {
-			upd.RebuiltSubtrees++
-		}
-	})
 }

@@ -30,9 +30,9 @@ func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, 
 	}
 	total := n.total()
 	rbSpan.SetAttr("tuples", total)
-	t.met.rebuildSubtrees.Inc()
+	t.note(evRebuilds, 1)
+	t.note(evRebuildTuples, total)
 	t.log.Debug("rebuilding subtree", "tuples", total, "depth", n.depth, "rdepth", rdepth)
-	t.noteRebuildTuples(total)
 	if t.recurses(n, rdepth) {
 		return t.recurseOnFamily(n, rdepth, rbSpan, wk)
 	}
@@ -43,17 +43,10 @@ func (t *Tree) rebuild(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, 
 // rebuildAfterSpillFault rebuilds the subtree at n after a storage fault
 // interrupted the push or the migration of its stuck set, gathering F_n
 // by rule. The buffers below n remain fully scannable even when poisoned,
-// so the family can still be gathered. During an update the rebuild also
-// counts as a rebuilt subtree.
+// so the family can still be gathered.
 func (t *Tree) rebuildAfterSpillFault(n *bnode, rule familyRule, rdepth int, leaves *[]*bnode, sp *obs.Span, wk *inmem.Worker) error {
-	t.met.spillRebuilds.Inc()
+	t.note(evSpillRebuilds, 1)
 	t.log.Warn("storage fault on spill path; rebuilding subtree", "depth", n.depth, "rdepth", rdepth)
-	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-		b.SpillRebuilds++
-		if upd != nil {
-			upd.RebuiltSubtrees++
-		}
-	})
 	return t.rebuild(n, rule, rdepth, leaves, sp, wk)
 }
 
@@ -226,13 +219,8 @@ func (t *Tree) recurseOnFamily(n *bnode, rdepth int, sp *obs.Span, wk *inmem.Wor
 	n.family = nil
 	defer fam.close()
 	total := fam.len()
-	t.met.frontierRebuilds.Inc()
+	t.note(evRecursions, 1)
 	t.log.Debug("recursive BOAT on a spilled family", "tuples", total, "depth", n.depth, "rdepth", rdepth)
-	t.mutateStats(func(b *BuildStats, upd *UpdateStats) {
-		if upd == nil {
-			b.FrontierRebuilds++
-		}
-	})
 	rng := rand.New(rand.NewSource(t.cfg.Seed + 7919*t.seedCounter.Add(1)))
 	src := fam.source()
 	sample, err := data.ReservoirSample(src, t.cfg.SampleSize, rng)

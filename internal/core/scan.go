@@ -71,47 +71,12 @@ func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span, wk *inmem.Wo
 	t.scratch.Put(sc)
 	if err == nil {
 		t.recordScanThroughput(r.tuples, time.Since(start).Seconds())
-		t.recordZoneSkips(sp, r.skips.Load())
+		if skips := r.skips.Load(); skips > 0 {
+			t.note(evScanSkips, skips)
+			sp.SetAttr("blocks_skipped", skips)
+		}
 	}
 	return r.tuples, err
-}
-
-// attachPipelineSpans records a pipelined scanner's stage times — read
-// (filesystem wait), decode (checksum + expand, cumulative across
-// workers), deliver (consumer wait on the ordered ring) — as completed
-// child spans of the scan span, plus block/byte volume attributes. Must
-// run after the scanner is closed: the stage counters quiesce at Close.
-// A non-pipelined scanner (row files, in-memory sources) attaches
-// nothing.
-func attachPipelineSpans(sp *obs.Span, csc data.ChunkScanner) {
-	if csc == nil {
-		return
-	}
-	pr, ok := csc.(data.PipelineReporter)
-	if !ok || sp == nil {
-		return
-	}
-	ps := pr.PipelineStats()
-	if !ps.Enabled {
-		return
-	}
-	sp.SetAttr("pipeline_depth", ps.Depth)
-	sp.SetAttr("pipeline_workers", ps.Workers)
-	sp.SetAttr("pipeline_blocks", ps.Blocks)
-	sp.SetAttr("pipeline_phys_bytes", ps.PhysBytes)
-	sp.AddCompleted("pipeline-read", ps.Start, ps.Read)
-	sp.AddCompleted("pipeline-decode", ps.Start, ps.Decode)
-	sp.AddCompleted("pipeline-deliver", ps.Start, ps.Deliver)
-}
-
-// recordZoneSkips publishes how many whole batches a scan routed by zone
-// map alone.
-func (t *Tree) recordZoneSkips(sp *obs.Span, skips int64) {
-	if skips == 0 {
-		return
-	}
-	t.met.blocksSkipped.Add(skips)
-	sp.SetAttr("blocks_skipped", skips)
 }
 
 // resetScanState zeroes every statistic and buffer a cleanup scan writes

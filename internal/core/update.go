@@ -107,8 +107,7 @@ func (t *Tree) stream(r *chunkRouter, src data.Source, root *bnode, sc *routeScr
 	if cerr := csc.Close(); err == nil {
 		err = cerr
 	}
-	attachPipelineSpans(sp, csc)
-	t.recordPipelineStats(csc)
+	t.recordPipeline(sp, csc)
 	return err
 }
 

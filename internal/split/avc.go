@@ -245,8 +245,10 @@ func (b *AVCBuilder) Stats() *NodeStats {
 
 // BuildNodeStats computes the complete AVC-group of an in-memory family.
 // Numeric AVC-sets are built by sorting (value, class) pairs rather than
-// hashing — the in-memory reference builder and the bootstrap trees call
-// this at every node, so it is the hottest path of the sampling phase.
+// hashing. The in-memory builder and the bootstrap trees grow from
+// presorted attribute lists and no longer call it; its one production
+// caller is core's attachDiscretizations, once per coarse node over the
+// node's share of the sample.
 func BuildNodeStats(schema *data.Schema, tuples []data.Tuple) *NodeStats {
 	k := schema.ClassCount
 	s := &NodeStats{

@@ -122,9 +122,8 @@ func OpenFile(path string) (*data.FileSource, error) { return data.OpenFile(path
 func Open(path string) (Source, error) { return data.Open(path) }
 
 // WriteColumnarFile materializes a Source into a block-compressed columnar
-// dataset file (per-block column segments, small-int encodings, CRC-32C
-// checksums and min/max zone maps). blockRows 0 uses the default block
-// size.
+// dataset file (per-block column segments, small-int encodings and CRC-32C
+// checksums). blockRows 0 uses the default block size.
 func WriteColumnarFile(path string, src Source, blockRows int) (int64, error) {
 	return data.WriteColFile(path, src, blockRows)
 }

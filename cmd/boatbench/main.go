@@ -112,7 +112,7 @@ func main() {
 		updateJSON   = flag.String("updatejson", "", "run the streaming-update micro-benchmark (the columnar chunk router on the sliding-window dynamic-environment workload) and write measurements to this JSON file instead of a figure")
 		updateRounds = flag.Int("updaterounds", 30, "insert+delete rounds for -updatejson")
 
-		ioJSON      = flag.String("iojson", "", "run the file-backed scan I/O benchmark (row file vs columnar block file, zone skipping on/off) and write measurements to this JSON file instead of a figure")
+		ioJSON      = flag.String("iojson", "", "run the file-backed scan I/O benchmark (row file vs columnar block file) and write measurements to this JSON file instead of a figure")
 		ioTuples    = flag.Int64("iotuples", 1_000_000, "dataset size for -iojson")
 		ioBlockRows = flag.Int("ioblockrows", 0, "columnar block rows for -iojson (0 = default)")
 		ioVerify    = flag.Bool("ioverify", true, "-iojson: also verify trees bit-identical across formats and Parallelism {1,8}")
@@ -669,8 +669,8 @@ func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 
 // ioScanMeasurement is one source/configuration's result in an -iojson
 // report: the scan measurement plus the I/O accounting that motivates the
-// columnar path — logical (decoded tuple) bytes vs bytes physically read,
-// and the number of blocks the zone maps let the router skip.
+// columnar path — logical (decoded tuple) bytes vs bytes physically read —
+// and the scan router's whole-chunk descents (scan.blocks_skipped).
 type ioScanMeasurement struct {
 	core.ScanMeasurement
 	Source        string `json:"source"`
@@ -680,9 +680,8 @@ type ioScanMeasurement struct {
 }
 
 // ioBenchReport is the JSON document -iojson writes: the file-backed
-// cleanup-scan throughput of the row format vs the columnar block format
-// (zone skipping on and off), file sizes, and the cross-format
-// tree-identity verification.
+// cleanup-scan throughput of the row format vs the columnar block format,
+// file sizes, and the cross-format tree-identity verification.
 type ioBenchReport struct {
 	Workload              string              `json:"workload"`
 	Tuples                int64               `json:"tuples"`
@@ -696,18 +695,16 @@ type ioBenchReport struct {
 	Compression           float64             `json:"row_bytes_per_col_byte"`
 	Modes                 []ioScanMeasurement `json:"modes"`
 	PipelinedSpeedupVsRow float64             `json:"col_pipelined_speedup_vs_row"`
-	ZoneSkipSpeedup       float64             `json:"zone_skip_speedup"`
 	TreeConfigsVerified   int                 `json:"tree_configs_verified"`
 	TreesIdentical        bool                `json:"trees_identical"`
 }
 
 // runIOBench measures the file-backed cleanup scan end to end: the same
 // F1 workload is materialized once as a row file and once as a columnar
-// block file, and the cleanup scan is timed over each — the columnar file
-// with zone-map skipping on and off — isolating what the on-disk format
-// and the zone maps each buy. With -ioverify (default) it then builds
-// trees from both files at Parallelism {1, 8} and asserts every encoded
-// tree is bit-identical.
+// block file, and the cleanup scan is timed over each, isolating what the
+// on-disk format buys. With -ioverify (default) it then builds trees from
+// both files at Parallelism {1, 8} and asserts every encoded tree is
+// bit-identical.
 func runIOBench(mc mainConfig, m split.Method) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "boatbench: iojson: %v\n", err)
@@ -734,9 +731,9 @@ func runIOBench(mc mainConfig, m split.Method) int {
 	rowPath := filepath.Join(dir, "io-train.boat")
 	colPath := filepath.Join(dir, "io-train.boatc")
 	// The dataset is materialized clustered on age — F1's split attribute —
-	// modeling the clustered fact table zone maps are designed for; both
-	// files hold the identical tuple sequence, so the comparison (and the
-	// tree-identity check) isolates the storage format.
+	// modeling a clustered fact table, where whole chunks descend one side
+	// of the root; both files hold the identical tuple sequence, so the
+	// comparison (and the tree-identity check) isolates the storage format.
 	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, mc.seed+47)
 	tuples, err := data.ReadAll(gsrc)
 	if err != nil {
@@ -774,14 +771,9 @@ func runIOBench(mc mainConfig, m split.Method) int {
 	}
 	rep.Config.Parallelism = para
 
-	modes := []struct {
-		name     string
-		path     string
-		zoneSkip bool
-	}{
-		{"row", rowPath, true},
-		{"col-pipelined", colPath, true},
-		{"col-noskip", colPath, false},
+	modes := []struct{ name, path string }{
+		{"row", rowPath},
+		{"col-pipelined", colPath},
 	}
 	byMode := map[string]ioScanMeasurement{}
 	for _, mode := range modes {
@@ -794,7 +786,7 @@ func runIOBench(mc mainConfig, m split.Method) int {
 		bench, err := core.NewScanBench(src, core.Config{
 			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
 			Seed: 7, TempDir: dir, Parallelism: para, Stats: stats,
-			DisableZoneSkip: !mode.zoneSkip, Metrics: reg, Logger: mc.logger,
+			Metrics: reg, Logger: mc.logger,
 		})
 		if err != nil {
 			return fail(err)
@@ -818,15 +810,10 @@ func runIOBench(mc mainConfig, m split.Method) int {
 			mode.name, im.TuplesPerSec, float64(im.PhysicalBytes)/float64(max64(im.LogicalBytes, 1)),
 			im.BlocksSkipped)
 	}
-	row, piped, noskip := byMode["row"], byMode["col-pipelined"], byMode["col-noskip"]
-	if row.TuplesPerSec > 0 {
-		rep.PipelinedSpeedupVsRow = piped.TuplesPerSec / row.TuplesPerSec
+	if row := byMode["row"]; row.TuplesPerSec > 0 {
+		rep.PipelinedSpeedupVsRow = byMode["col-pipelined"].TuplesPerSec / row.TuplesPerSec
 	}
-	if noskip.TuplesPerSec > 0 {
-		rep.ZoneSkipSpeedup = piped.TuplesPerSec / noskip.TuplesPerSec
-	}
-	fmt.Printf("columnar vs row: %.2fx | zone skipping: %.2fx\n",
-		rep.PipelinedSpeedupVsRow, rep.ZoneSkipSpeedup)
+	fmt.Printf("columnar vs row: %.2fx\n", rep.PipelinedSpeedupVsRow)
 
 	if mc.ioVerify {
 		verified, err := verifyIOTrees(rowPath, colPath, m, n, dir, mc.logger)

@@ -5,9 +5,8 @@
 //
 // It also writes (and converts existing datasets to) the block-compressed
 // columnar format of internal/data: per-block column segments with
-// small-integer encodings, CRC32-C checksums and min/max zone maps, which
-// the training scans read through the asynchronous prefetch/decode
-// pipeline.
+// small-integer encodings and CRC32-C checksums, which the training scans
+// read through the asynchronous prefetch/decode pipeline.
 //
 // Usage:
 //

@@ -49,7 +49,6 @@ func main() {
 		sample      = flag.Int("sample", 0, "BOAT sample size (0 = auto)")
 		seed        = flag.Int64("seed", 1, "sampling seed")
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for the parallel build phases (0 = GOMAXPROCS)")
-		noZoneSkip  = flag.Bool("nozoneskip", false, "disable zone-map block skipping in the scan and update routers")
 		avcBuffer   = flag.Int64("avcbuffer", 3_000_000, "RainForest AVC buffer entries")
 		save        = flag.String("save", "", "write the encoded tree to this file")
 		saveModel   = flag.String("savemodel", "", "write the full BOAT model (tree + statistics) to this file atomically (boat only)")
@@ -125,8 +124,7 @@ func main() {
 			Method: m, MaxDepth: *maxDepth, MinSplit: *minSplit,
 			StopThreshold: *threshold, StopAtThreshold: *stop,
 			SampleSize: *sample, Seed: *seed, Parallelism: *parallelism,
-			DisableZoneSkip: *noZoneSkip,
-			Stats:           &st, Trace: tracer, Metrics: metrics, Logger: logger,
+			Stats: &st, Trace: tracer, Metrics: metrics, Logger: logger,
 		})
 		fatal(err)
 		defer bt.Close()

@@ -78,10 +78,6 @@ type Stats struct {
 	// Disagreements is the number of positions where the bootstrap trees
 	// disagreed on the splitting attribute or subset.
 	Disagreements int
-	// IntervalWidthSum accumulates Hi-Lo over numeric coarse nodes.
-	IntervalWidthSum float64
-	// NumericNodes counts numeric coarse nodes.
-	NumericNodes int
 }
 
 // BuildCoarse runs the sampling phase on the in-memory sample, on the
@@ -156,8 +152,6 @@ func intersect(schema *data.Schema, nodes []*tree.Node, widen float64, st *Stats
 			out.Lo -= w
 			out.Hi += w
 		}
-		st.IntervalWidthSum += out.Hi - out.Lo
-		st.NumericNodes++
 	}
 	st.CoarseNodes++
 	lefts := make([]*tree.Node, len(nodes))

@@ -23,12 +23,13 @@ import (
 // decision tree with Tree(); update it with Insert and Delete; release its
 // temporary resources with Close.
 //
-// Concurrency contract: Insert, Delete, Tree, Snapshot, Close and
-// CheckConsistency are safe for concurrent use — all tree mutation is
-// serialized on an internal update mutex, and concurrent Insert/Delete
-// calls simply queue (each applies its full chunk atomically with respect
-// to the others). Snapshot's fast path is lock-free: once a snapshot of
-// the current epoch has been published, readers load it from an atomic
+// Concurrency contract: Insert, Delete, Tree, Snapshot, Save, SaveFile,
+// Close and CheckConsistency are safe for concurrent use — all tree
+// mutation is serialized on an internal update mutex, and concurrent
+// Insert/Delete calls simply queue (each applies its full chunk
+// atomically with respect to the others; a save writes the model as of
+// one epoch). Snapshot's fast path is lock-free: once a snapshot of the
+// current epoch has been published, readers load it from an atomic
 // pointer without contending with in-flight updates, and keep serving the
 // last consistent epoch until the next update completes. BuildStats and
 // Schema are likewise safe to call at any time.
@@ -54,9 +55,9 @@ type Tree struct {
 
 	// updateMu serializes all structural mutation and inspection of the
 	// tree after Build: Insert/Delete (the whole update, scan through
-	// verification), Tree(), the Snapshot slow path, Close and
-	// CheckConsistency. Build itself runs before the Tree is shared, so it
-	// does not take it.
+	// verification), Tree(), the Snapshot slow path, Save, Ready, Close
+	// and CheckConsistency. Build itself runs before the Tree is shared,
+	// so it does not take it.
 	updateMu sync.Mutex
 	// broken records why an update failed after its chunk reached the
 	// router, leaving the tree part-way through the update; it wraps

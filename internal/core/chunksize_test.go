@@ -12,7 +12,7 @@ import (
 	"github.com/boatml/boat/internal/split"
 )
 
-// TestChunkSizeDeterminism is the contract of Config.ScanChunkRows: the
+// TestChunkSizeDeterminism is the contract of Config.scanChunkRows: the
 // built tree is bit-identical at every chunk size and every worker count,
 // and matches the in-memory reference. Chunk size 1 degenerates to the
 // row-at-a-time scan; 7 leaves ragged final chunks; 64 and 1024 cut the
@@ -33,7 +33,7 @@ func TestChunkSizeDeterminism(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(t *testing.T) {
 				cfg := base
-				cfg.ScanChunkRows = rows
+				cfg.scanChunkRows = rows
 				cfg.Parallelism = workers
 				cfg.TempDir = t.TempDir()
 				got, err := Build(src, cfg)

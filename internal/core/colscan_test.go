@@ -1,7 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
 	"slices"
 	"sort"
 	"testing"
@@ -15,8 +19,8 @@ import (
 
 // writeF1Files materializes one age-sorted F1 dataset in both on-disk
 // formats and returns the two paths. Sorting on age — the attribute F1's
-// root split tests — clusters the blocks so their zone maps actually
-// decide routing, the workload zone skipping is designed for.
+// root split tests — sends whole chunks down one side of the root, so the
+// router's whole-chunk descents fire.
 func writeF1Files(t *testing.T, n int64, blockRows int) (rowPath, colPath string) {
 	t.Helper()
 	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, 99)
@@ -56,28 +60,27 @@ func (s chunkOnlySource) Count() (int64, bool)                   { return s.src.
 func (s chunkOnlySource) Scan() (data.Scanner, error)            { return s.src.Scan() }
 func (s chunkOnlySource) ScanChunks() (data.ChunkScanner, error) { return s.src.ScanChunks() }
 
-// zonelessSource hides its source's pipeline and zone maps: its chunks
-// are column copies of the source's, carrying no zone summaries, so the
-// routers partition every row the way they do for a row file.
-type zonelessSource struct{ src data.Source }
+// copySource hides its source's pipeline: its chunks are column copies of
+// the source's, read through a buffer cut to the destination's free rows.
+type copySource struct{ src data.Source }
 
-func (s zonelessSource) Schema() *data.Schema        { return s.src.Schema() }
-func (s zonelessSource) Count() (int64, bool)        { return s.src.Count() }
-func (s zonelessSource) Scan() (data.Scanner, error) { return data.ScanRows(s) }
-func (s zonelessSource) ScanChunks() (data.ChunkScanner, error) {
+func (s copySource) Schema() *data.Schema        { return s.src.Schema() }
+func (s copySource) Count() (int64, bool)        { return s.src.Count() }
+func (s copySource) Scan() (data.Scanner, error) { return data.ScanRows(s) }
+func (s copySource) ScanChunks() (data.ChunkScanner, error) {
 	sc, err := s.src.ScanChunks()
 	if err != nil {
 		return nil, err
 	}
-	return &zonelessScanner{inner: sc}, nil
+	return &copyScanner{inner: sc}, nil
 }
 
-type zonelessScanner struct {
+type copyScanner struct {
 	inner data.ChunkScanner
 	buf   *data.Chunk
 }
 
-func (s *zonelessScanner) NextChunk(dst *data.Chunk) error {
+func (s *copyScanner) NextChunk(dst *data.Chunk) error {
 	if s.buf == nil || s.buf.Cap() != dst.Cap()-dst.Len() {
 		s.buf = data.NewChunk(dst.Width(), dst.Cap()-dst.Len())
 	}
@@ -87,7 +90,7 @@ func (s *zonelessScanner) NextChunk(dst *data.Chunk) error {
 	return err
 }
 
-func (s *zonelessScanner) Close() error { return s.inner.Close() }
+func (s *copyScanner) Close() error { return s.inner.Close() }
 
 // colReadPath opens colPath for one cell of the tree-identity grids
 // below. The cell names keep the pipeline depths the grids swept while
@@ -97,8 +100,8 @@ func (s *zonelessScanner) Close() error { return s.inner.Close() }
 //   - depth4: the ColSource itself — the pipelined scan, with the live
 //     observer attached;
 //   - depth1: the plain chunk scan (chunkOnlySource);
-//   - depth-1: the chunks without their zone maps (zonelessSource), so
-//     the routers partition every row.
+//   - depth-1: column copies of the plain chunk scan's chunks
+//     (copySource).
 func colReadPath(t *testing.T, colPath string, depth int) data.Source {
 	t.Helper()
 	colSrc, err := data.OpenColFile(colPath)
@@ -111,7 +114,7 @@ func colReadPath(t *testing.T, colPath string, depth int) data.Source {
 	case 1:
 		return chunkOnlySource{colSrc}
 	case -1:
-		return zonelessSource{colSrc}
+		return copySource{colSrc}
 	}
 	t.Fatalf("no read path for depth %d", depth)
 	return nil
@@ -223,102 +226,242 @@ func TestBlockShardedTreeIdentity(t *testing.T) {
 	}
 }
 
-// TestZoneSkipExactness: zone-map block skipping changes nothing but the
-// work — the tree (and therefore every derived routing count, which
-// CheckConsistency validates against the node statistics) is identical
-// with skipping on and off, and on this clustered dataset the skip
-// counter proves whole blocks actually bypassed the partition kernel.
-func TestZoneSkipExactness(t *testing.T) {
-	_, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 512)
+// sortedF1Sources returns the three sources the oracle tests below read
+// one age-sorted F1 dataset (writeF1Files) from: the row file, an
+// in-memory source and the columnar file of blockRows-row blocks.
+func sortedF1Sources(t *testing.T, n int64, blockRows int) []namedSource {
+	t.Helper()
+	rowPath, colPath := writeF1Files(t, n, blockRows)
+	rowSrc, err := data.Open(rowPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := data.ReadAll(rowSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colSrc, err := data.Open(colPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedSource{
+		{"row", rowSrc},
+		{"mem", data.NewMemSource(rowSrc.Schema(), tuples)},
+		{"col", colSrc},
+	}
+}
 
-	build := func(disable bool, reg *obs.Registry) *Tree {
+type namedSource struct {
+	name string
+	src  data.Source
+}
+
+// TestZoneSkipExactness pins the cleanup scan's whole-chunk descents to
+// the per-tuple oracle: on age-sorted F1 read from a row file, an
+// in-memory source and a columnar file, a row pass (Tree.route) and chunk
+// passes at P1 and P4 leave every node in the same state — class, AVC and
+// interval counts (lowCounts, highCounts, eqLow), histograms and the
+// buffered tuples in order — and the chunk passes descend whole chunks
+// (scan.blocks_skipped > 0) whatever the source. Chunks of 1,024 rows
+// each cover a narrow slice of the sorted ages, so whole chunks descend
+// both sides of the root. The build's tree equals the in-memory
+// reference. (This test and the two update tests below keep the names of
+// the zone-map block skipping the whole-chunk rule replaced.)
+func TestZoneSkipExactness(t *testing.T) {
+	const n = 3 * data.DefaultChunkRows
+	for _, s := range sortedF1Sources(t, n, 512) {
+		t.Run(s.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := colTestConfig()
+			cfg.Metrics = reg
+			cfg.TempDir = t.TempDir()
+			cfg.scanChunkRows = 1024
+			bench, err := NewScanBench(s.src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bench.Close()
+			var wantState [][]int64
+			var wantIntervals []int64
+			var wantBufs [][]data.Tuple
+			for i, mode := range []ScanMode{ScanModeRow, ScanModeChunk, ScanModeChunk} {
+				if err := bench.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				bench.tree.cfg.Parallelism = 1 + 3*(i/2)
+				if seen, err := bench.runMode(mode); err != nil || seen != n {
+					t.Fatalf("%s pass: saw %d tuples (%v), want %d", mode, seen, err, n)
+				}
+				state, intervals := nodeStates(bench.root), collectIntervalCounters(bench.root)
+				bufs := bufferSequences(t, bench.root)
+				if i == 0 {
+					wantState, wantIntervals, wantBufs = state, intervals, bufs
+					continue
+				}
+				label := fmt.Sprintf("chunk pass at P%d", bench.tree.cfg.Parallelism)
+				requireSameNodeStates(t, label, state, wantState)
+				if !slices.Equal(intervals, wantIntervals) {
+					t.Fatalf("%s: interval counters %v, row oracle %v", label, intervals, wantIntervals)
+				}
+				requireSameBuffers(t, label, bufs, wantBufs)
+			}
+			if skips := reg.Snapshot().Counters["scan.blocks_skipped"]; skips == 0 {
+				t.Fatal("no chunk descended whole on the sorted dataset; the test exercised nothing")
+			}
+
+			bcfg := colTestConfig()
+			bcfg.TempDir = t.TempDir()
+			bt, err := Build(s.src, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bt.Close()
+			requireEqual(t, "build vs reference", bt.Tree(), buildRef(t, s.src, bcfg.growConfig(0)))
+			if err := bt.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// misstateColMax overwrites, in every block of the columnar file at
+// path, column attr's header max with max and recomputes the block's
+// CRC-32C, so the file stays checksum-valid while its headers misstate
+// the column's range. Layout: see internal/data/colfile.go.
+func misstateColMax(t *testing.T, path string, attr int, max float64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	foot := raw[len(raw)-32:]
+	blocks, indexLen := le.Uint64(foot[8:]), le.Uint64(foot[16:])
+	index := raw[uint64(len(raw))-32-indexLen:]
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for b := uint64(0); b < blocks; b++ {
+		off := le.Uint64(index[8*b:])
+		body := raw[off+4 : off+4+uint64(le.Uint32(raw[off:]))]
+		col := 4 // past rowCount
+		for a := 0; a < attr; a++ {
+			col += 30 + int(le.Uint32(body[col+26:])) // header + segment
+		}
+		le.PutUint64(body[col+10:], math.Float64bits(max))
+		le.PutUint32(raw[off+4+uint64(len(body)):], crc32.Checksum(body, castagnoli))
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUntrustedColumnHeaders: routing reads the rows, never a block
+// header's zone fields. A checksum-valid columnar file whose headers
+// claim every age is at most 25 builds with no failed verification and
+// the stuck sets and tree of the row file holding the same tuples.
+func TestUntrustedColumnHeaders(t *testing.T) {
+	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 40000, 5)
+	dir := t.TempDir()
+	rowPath, colPath := dir+"/d.boat", dir+"/d.boatc"
+	if _, err := data.WriteFile(rowPath, src, data.FormatCompact); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := data.WriteColFile(colPath, src, 1024); err != nil {
+		t.Fatal(err)
+	}
+	misstateColMax(t, colPath, gen.AttrAge, 25)
+
+	build := func(path string) *Tree {
 		t.Helper()
-		src, err := data.Open(colPath)
+		s, err := data.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := colTestConfig()
-		cfg.Parallelism = 8
 		cfg.TempDir = t.TempDir()
-		cfg.DisableZoneSkip = disable
-		cfg.Metrics = reg
-		bt, err := Build(src, cfg)
+		bt, err := Build(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return bt
 	}
-
-	regOn := obs.NewRegistry()
-	on := build(false, regOn)
-	defer on.Close()
-	regOff := obs.NewRegistry()
-	off := build(true, regOff)
-	defer off.Close()
-
-	requireEqual(t, "zone skip on vs off", on.Tree(), off.Tree())
-	if err := on.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	row := build(rowPath)
+	defer row.Close()
+	col := build(colPath)
+	defer col.Close()
+	rs, cs := row.BuildStats(), col.BuildStats()
+	if cs.FailedNodes != 0 {
+		t.Fatalf("columnar build failed %d verifications (%+v)", cs.FailedNodes, cs)
 	}
-	if skips := regOn.Snapshot().Counters["scan.blocks_skipped"]; skips == 0 {
-		t.Fatal("no blocks skipped on the clustered dataset; the test exercised nothing")
+	if cs.StuckTuples != rs.StuckTuples {
+		t.Fatalf("columnar build stuck %d tuples, row build %d", cs.StuckTuples, rs.StuckTuples)
 	}
-	if skips := regOff.Snapshot().Counters["scan.blocks_skipped"]; skips != 0 {
-		t.Fatalf("DisableZoneSkip build still skipped %d blocks", skips)
-	}
+	requireEqual(t, "misstated headers vs row file", col.Tree(), row.Tree())
 }
 
-// TestUpdateZoneSkipExactness: the streaming-update router's zone skip —
-// which must also feed the eager interval counters for skipped numeric
-// batches — leaves the tree identical to the unskipped descent, for both
-// insert and delete, while actually firing on clustered update chunks.
-func TestUpdateZoneSkipExactness(t *testing.T) {
+// updateOracle builds two identical trees over unsorted F1, then for
+// each of the age-sorted update sources (sortedF1Sources) inserts and
+// deletes it with the chunk router on one tree (Insert, Delete) and with
+// the per-tuple oracle on the other (rowUpdate), calling check after the
+// build and after every update. Update chunks of 256 rows each cover a
+// narrow slice of the sorted ages, so whole chunks descend one side of
+// the root; updateOracle fails unless they did for every source
+// (update.blocks_skipped > 0).
+func updateOracle(t *testing.T, para int, check func(stage string, chunked, row *Tree)) {
+	t.Helper()
 	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 2*data.DefaultChunkRows, 31)
-	_, chunkPath := writeF1Files(t, data.DefaultChunkRows, 256)
-
-	build := func(disable bool, reg *obs.Registry) *Tree {
+	build := func(reg *obs.Registry) *Tree {
 		t.Helper()
 		cfg := colTestConfig()
-		cfg.Parallelism = 8
+		cfg.Parallelism = para
 		cfg.TempDir = t.TempDir()
-		cfg.DisableZoneSkip = disable
 		cfg.Metrics = reg
-		// Small update batches: each covers a narrow slice of the sorted
-		// age range, so block zones can decide whole batches at the root.
-		cfg.ScanChunkRows = 256
+		cfg.scanChunkRows = 256
 		bt, err := Build(base, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return bt
 	}
+	reg := obs.NewRegistry()
+	chunked := build(reg)
+	defer chunked.Close()
+	row := build(nil)
+	defer row.Close()
+	check("after build", chunked, row)
 
-	regOn := obs.NewRegistry()
-	on := build(false, regOn)
-	defer on.Close()
-	off := build(true, obs.NewRegistry())
-	defer off.Close()
+	for _, s := range sortedF1Sources(t, data.DefaultChunkRows, 256) {
+		before := reg.Snapshot().Counters["update.blocks_skipped"]
+		for _, op := range []struct {
+			name    string
+			chunked func(data.Source) (UpdateStats, error)
+			w       int64
+		}{{"insert", chunked.Insert, +1}, {"delete", chunked.Delete, -1}} {
+			if _, err := op.chunked(s.src); err != nil {
+				t.Fatalf("%s %s: %v", s.name, op.name, err)
+			}
+			if _, err := row.rowUpdate(s.src, op.w); err != nil {
+				t.Fatalf("%s oracle %s: %v", s.name, op.name, err)
+			}
+			check(fmt.Sprintf("after %s %s", s.name, op.name), chunked, row)
+		}
+		if reg.Snapshot().Counters["update.blocks_skipped"] == before {
+			t.Fatalf("%s: no update chunk descended whole; the test exercised nothing", s.name)
+		}
+	}
+}
 
-	apply := func(bt *Tree, op func(data.Source) (UpdateStats, error)) {
+// TestUpdateZoneSkipExactness: the streaming-update router, whole-chunk
+// descents included, leaves the tree the per-tuple oracle leaves after
+// every insert and delete of age-sorted chunks from a row file, an
+// in-memory source and a columnar file, and the tree stays consistent.
+func TestUpdateZoneSkipExactness(t *testing.T) {
+	updateOracle(t, 8, func(stage string, chunked, row *Tree) {
 		t.Helper()
-		src, err := data.Open(chunkPath)
-		if err != nil {
-			t.Fatal(err)
+		requireEqual(t, stage, chunked.Tree(), row.Tree())
+		if err := chunked.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
 		}
-		if _, err := op(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apply(on, on.Insert)
-	apply(off, off.Insert)
-	requireEqual(t, "after insert", on.Tree(), off.Tree())
-	if skips := regOn.Snapshot().Counters["update.blocks_skipped"]; skips == 0 {
-		t.Fatal("insert skipped no blocks on the clustered chunk; the test exercised nothing")
-	}
-
-	apply(on, on.Delete)
-	apply(off, off.Delete)
-	requireEqual(t, "after delete", on.Tree(), off.Tree())
+	})
 }
 
 // bufferSequences flattens, in preorder, the tuple sequence of every
@@ -365,7 +508,7 @@ func TestScanBufferOrderIndependentOfParallelism(t *testing.T) {
 	scan := func(para int) [][]data.Tuple {
 		cfg := colTestConfig()
 		cfg.Parallelism = para
-		cfg.ScanChunkRows = 1024
+		cfg.scanChunkRows = 1024
 		cfg.TempDir = t.TempDir()
 		b, err := NewScanBench(src, cfg)
 		if err != nil {
@@ -403,8 +546,8 @@ func TestScanBufferOrderIndependentOfParallelism(t *testing.T) {
 
 // collectIntervalCounters flattens every internal node's detached
 // interval statistics (lowCounts, highCounts, eqLow) in preorder — the
-// counters the streaming-update router must keep exact even for batches
-// the zone maps route without a per-row pass.
+// counters the chunk router must keep equal to the per-tuple oracle's
+// even for chunks that descend whole.
 func collectIntervalCounters(n *bnode) []int64 {
 	var out []int64
 	var walk func(*bnode)
@@ -422,67 +565,21 @@ func collectIntervalCounters(n *bnode) []int64 {
 	return out
 }
 
-// TestUpdateIntervalCountersExactUnderZoneSkip pins the eager-counting
-// contract of the update router's zone skip (update.go): a numeric batch
-// a zone map routes left adds to lowCounts only (a left skip implies
-// every value is strictly below the interval, so never eqLow), a batch
-// routed right adds to highCounts — exactly the totals the per-row pass
-// produces. The comparison is on the raw node counters, not just the
-// derived tree, for insert (w=+1) and delete (w=-1) alike.
+// TestUpdateIntervalCountersExactUnderZoneSkip pins the update router's
+// node counters to the per-tuple oracle's: a chunk that descends whole
+// past a node still adds each row to lowCounts (and eqLow at the
+// endpoint) or highCounts exactly as Tree.route does, and to the class,
+// AVC and histogram counts of the child it descends. The comparison is
+// on the raw node counters, not just the derived tree, after the build
+// and after each insert (w=+1) and delete (w=-1) of age-sorted chunks,
+// with forked descents (Parallelism 4).
 func TestUpdateIntervalCountersExactUnderZoneSkip(t *testing.T) {
-	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 2*data.DefaultChunkRows, 31)
-	_, chunkPath := writeF1Files(t, data.DefaultChunkRows, 256)
-
-	build := func(disable bool, reg *obs.Registry) *Tree {
+	updateOracle(t, 4, func(stage string, chunked, row *Tree) {
 		t.Helper()
-		cfg := colTestConfig()
-		cfg.Parallelism = 4
-		cfg.TempDir = t.TempDir()
-		cfg.DisableZoneSkip = disable
-		cfg.Metrics = reg
-		cfg.ScanChunkRows = 256
-		bt, err := Build(base, cfg)
-		if err != nil {
-			t.Fatal(err)
+		a, b := collectIntervalCounters(chunked.root), collectIntervalCounters(row.root)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: interval counters %v, row oracle %v", stage, a, b)
 		}
-		return bt
-	}
-	regOn := obs.NewRegistry()
-	on := build(false, regOn)
-	defer on.Close()
-	off := build(true, obs.NewRegistry())
-	defer off.Close()
-
-	compare := func(stage string) {
-		t.Helper()
-		a, b := collectIntervalCounters(on.root), collectIntervalCounters(off.root)
-		if len(a) != len(b) {
-			t.Fatalf("%s: counter vectors differ in length: %d vs %d", stage, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: interval counter %d differs: skip-on %d, skip-off %d", stage, i, a[i], b[i])
-			}
-		}
-	}
-	apply := func(bt *Tree, op func(data.Source) (UpdateStats, error)) {
-		t.Helper()
-		src, err := data.Open(chunkPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compare("after build")
-	apply(on, on.Insert)
-	apply(off, off.Insert)
-	compare("after insert")
-	if skips := regOn.Snapshot().Counters["update.blocks_skipped"]; skips == 0 {
-		t.Fatal("insert skipped no blocks; the eager-counting path was not exercised")
-	}
-	apply(on, on.Delete)
-	apply(off, off.Delete)
-	compare("after delete")
+		requireSameNodeStates(t, stage, nodeStates(chunked.root), nodeStates(row.root))
+	})
 }

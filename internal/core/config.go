@@ -115,22 +115,6 @@ type Config struct {
 	// (log/slog). nil discards them.
 	Logger *slog.Logger
 
-	// ScanChunkRows is the row capacity of the columnar chunks the cleanup
-	// scan streams the data in.
-	// 0 selects data.DefaultChunkRows. The resulting tree is identical at
-	// every setting: all scan statistics are exact integer counts, and
-	// buffers receive their tuples in stream order regardless of how the
-	// stream is cut into chunks.
-	ScanChunkRows int
-
-	// DisableZoneSkip turns off zone-map block skipping in the cleanup
-	// scan and streaming-update routers. A block is skipped only when its
-	// per-column min/max (or category bitmap) proves every row routes down
-	// one side of a coarse split, so skipping never changes a statistic, a
-	// buffer, or the resulting tree; the flag exists for benchmark
-	// baselines and the equivalence tests that pin that claim down.
-	DisableZoneSkip bool
-
 	// Parallelism is the number of workers of the one pool each Build,
 	// Insert and Delete runs on: the caller's goroutine and Parallelism-1
 	// helpers. Its bootstrap trees, chunk-router descents and leaf
@@ -143,6 +127,13 @@ type Config struct {
 	// on disjoint subtrees, attributes or scratch, and every buffer
 	// receives its tuples in stream order.
 	Parallelism int
+
+	// scanChunkRows is the row capacity of the columnar chunks the chunk
+	// router streams the data in; 0 selects data.DefaultChunkRows. The
+	// tree is identical at every setting (all statistics are exact
+	// integer counts, and buffers receive their tuples in stream order
+	// however the stream is cut), so only the package's tests set it.
+	scanChunkRows int
 }
 
 // withDefaults validates and normalizes the configuration.
@@ -188,8 +179,8 @@ func (c Config) withDefaults(n int64) (Config, error) {
 
 // chunkRows returns the effective scan chunk row capacity.
 func (c Config) chunkRows() int {
-	if c.ScanChunkRows > 0 {
-		return c.ScanChunkRows
+	if c.scanChunkRows > 0 {
+		return c.scanChunkRows
 	}
 	return data.DefaultChunkRows
 }

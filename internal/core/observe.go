@@ -26,7 +26,7 @@ const (
 	evStuckTuples   // tuples a cleanup scan left in stuck sets
 	evCoarseNodes   // coarse nodes a bootstrap kept
 	evDisagreements // bootstrap-tree disagreements
-	evScanSkips     // batches a cleanup scan routed past a node by zone map alone
+	evScanSkips     // whole-chunk descents of a cleanup scan (chunkRouter.descend)
 	evUpdateSkips   // the same, in an update's router
 	evRebuilds      // subtrees rebuilt after a failed verification or spill fault
 	evRebuildTuples // tuples of the families rebuilt or promoted

@@ -49,8 +49,11 @@ var ErrConfigMismatch = errors.New("core: configuration fingerprint mismatch")
 // Save writes the model to w. The configuration itself is not stored
 // (methods are code, not data); Load verifies a fingerprint of the
 // growth-relevant options and refuses mismatched configurations. A
-// broken model (ErrBrokenModel) is refused.
+// broken model (ErrBrokenModel) is refused. Save serializes with updates:
+// it writes the model between two of them.
 func (t *Tree) Save(w io.Writer) error {
+	t.updateMu.Lock()
+	defer t.updateMu.Unlock()
 	if t.root == nil {
 		return errors.New("core: saving a closed tree")
 	}
@@ -114,7 +117,8 @@ func Load(r io.Reader, schema *data.Schema, cfg Config) (*Tree, error) {
 // leave a truncated model at path. Transient Create/Remove/Rename faults
 // are retried under the tree's SpillRetry policy, and the temp file is
 // registered in (and on success or cleanup removed from) the process-wide
-// temp registry (data.LiveTempFiles).
+// temp registry (data.LiveTempFiles). Like Save, it serializes with
+// updates.
 func (t *Tree) SaveFile(path string) error {
 	fs := t.cfg.FS
 	if fs == nil {

@@ -260,3 +260,76 @@ func TestSaveFileLoadCompilePredict(t *testing.T) {
 		t.Fatal("no tuples compared")
 	}
 }
+
+// TestSaveDuringInsert: Save serializes with updates, so saves racing a
+// run of inserts each write the model as of one epoch — the bytes an
+// identical model, updated serially, saves after as many inserts. Run it
+// under -race too: a Save that read the tree without the update mutex
+// races the router's writes.
+func TestSaveDuringInsert(t *testing.T) {
+	cfg := Config{Method: split.NewGini(), MaxDepth: 5, MinSplit: 100, SampleSize: 1500, Seed: 3, Parallelism: 2}
+	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 20000, 1)
+	chunks := make([]data.Source, 4)
+	for i := range chunks {
+		chunks[i] = gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 2000, int64(2+i))
+	}
+	build := func() *Tree {
+		t.Helper()
+		bt, err := Build(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bt
+	}
+	save := func(bt *Tree) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := bt.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	serial := build()
+	defer serial.Close()
+	epochs := map[string]int{save(serial): 0}
+	for i, ch := range chunks {
+		if _, err := serial.Insert(ch); err != nil {
+			t.Fatal(err)
+		}
+		epochs[save(serial)] = i + 1
+	}
+
+	bt := build()
+	defer bt.Close()
+	done := make(chan error, 1)
+	go func() {
+		for _, ch := range chunks {
+			if _, err := bt.Insert(ch); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	seen := map[int]bool{}
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		epoch, ok := epochs[save(bt)]
+		if !ok {
+			t.Fatalf("a save during the inserts wrote no epoch's model (after epochs %v)", seen)
+		}
+		seen[epoch] = true
+	}
+	if !seen[len(chunks)] {
+		t.Fatalf("the last save saw epochs %v, not the final one", seen)
+	}
+	t.Logf("saves saw epochs %v", seen)
+}

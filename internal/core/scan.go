@@ -62,7 +62,7 @@ func recoverableScanError(err error) bool {
 
 // scanPass is one pass of the cleanup scan: src streamed through the chunk
 // router at weight +1, on wk. sp (nil ok) receives the pipeline stage
-// spans and zone-skip attribution.
+// spans and the count of whole-chunk descents.
 func (t *Tree) scanPass(src data.Source, root *bnode, sp *obs.Span, wk *inmem.Worker) (int64, error) {
 	start := time.Now()
 	r := t.newChunkRouter(+1)

@@ -21,7 +21,8 @@ import (
 // node applies the
 // signed batch kernels (CatAVC.AddBatch, Histogram.AddBatch,
 // Moments.AddChunk), partitions the batch three ways by its coarse
-// criterion, and recurses with the partition's index sets. Each kernel's
+// criterion, and recurses with the partition's index sets; a whole chunk
+// whose rows all went one way, none stuck, recurses whole. Each kernel's
 // working set (one attribute column plus one statistic) stays hot across
 // thousands of rows, and the steady state is allocation-free: chunks are
 // reused, index batches live in per-depth scratch buffers, and stuck and
@@ -58,19 +59,17 @@ const forkMinRows = 1024
 // chunkRouter carries one stream's descent: the signed weight, the tree's
 // scratch pool for forked descents, and what the stream routed.
 type chunkRouter struct {
-	w        int64
-	zoneSkip bool
-	scratch  *sync.Pool
+	w       int64
+	scratch *sync.Pool
 
-	// tuples and chunks count what the stream routed; skips counts the
-	// nodes at which a whole batch was routed by zone map alone (atomic:
-	// forked descents skip concurrently).
+	// tuples and chunks count what the stream routed; skips counts its
+	// whole-chunk descents (atomic: forked descents count concurrently).
 	tuples, chunks int64
 	skips          atomic.Int64
 }
 
 func (t *Tree) newChunkRouter(w int64) *chunkRouter {
-	return &chunkRouter{w: w, zoneSkip: !t.cfg.DisableZoneSkip, scratch: &t.scratch}
+	return &chunkRouter{w: w, scratch: &t.scratch}
 }
 
 // stream routes every chunk of src down the subtree rooted at root with
@@ -148,40 +147,6 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 		n.moments.AddChunk(ch, idx, w)
 	}
 	c := n.coarse
-	if r.zoneSkip {
-		// Zone-map pushdown: when the chunk's column summary proves every
-		// row routes down one side, descend the whole batch directly and
-		// skip the partition kernel. The statistics kernels above already
-		// ran (they need every row at this node). A skipped numeric batch
-		// must still feed the interval counters exactly as the per-row pass
-		// would: a left skip implies every value is strictly below c.lo
-		// (lowCounts, never eqLow); a right skip implies every value is
-		// above c.hi or NaN (highCounts). Neither direction can strand
-		// stuck rows, so the bag paths stay untouched.
-		if z, ok := ch.Zone(c.attr); ok {
-			if dir := zoneRoute(c, z); dir != 0 {
-				r.skips.Add(1)
-				child := n.left
-				counts := n.lowCounts
-				if dir > 0 {
-					child = n.right
-					counts = n.highCounts
-				}
-				if c.kind == data.Numeric {
-					if idx == nil {
-						for _, cl := range classes {
-							counts[cl] += w
-						}
-					} else {
-						for _, i := range idx {
-							counts[classes[i]] += w
-						}
-					}
-				}
-				return r.descend(child, ch, idx, sc, depth+1, wk)
-			}
-		}
-	}
 	col := ch.Col(c.attr)
 	left, right, stuck := sc.at(depth)
 	if c.kind == data.Categorical {
@@ -275,6 +240,18 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 			}
 		}
 	}
+	if idx == nil && len(stuck) == 0 {
+		// A whole chunk whose rows all went one way descends whole, so the
+		// kernels and copies below take their contiguous idx == nil paths.
+		switch ch.Len() {
+		case len(left):
+			r.skips.Add(1)
+			return r.descend(n.left, ch, nil, sc, depth+1, wk)
+		case len(right):
+			r.skips.Add(1)
+			return r.descend(n.right, ch, nil, sc, depth+1, wk)
+		}
+	}
 	return r.children(n, ch, left, right, sc, depth+1, wk)
 }
 
@@ -302,48 +279,6 @@ func (r *chunkRouter) children(n *bnode, ch *data.Chunk, left, right []int32, sc
 		return r.descend(n.right, ch, right, sc, depth, wk)
 	}
 	return nil
-}
-
-// zoneRoute decides whether a chunk's zone summary proves that every row
-// of the chunk routes down one side of the coarse criterion: -1 all-left,
-// +1 all-right, 0 undecided. The decisions are exactness-preserving —
-// they reproduce the per-row partition bit for bit:
-//
-//   - numeric all-right needs z.Min > c.hi: every bounded value takes the
-//     v > hi branch, and any NaN rows (excluded from Min/Max) take the
-//     same pinned right edge, so HasNaN does not block the skip;
-//   - numeric all-left needs z.Max < c.lo *strictly* and no NaN: no row
-//     can be stuck, and no row equals c.lo, so eqLow stays untouched;
-//   - categorical skips need the exact code bitmap (CodesValid): codes
-//     covered by the subset all go left, codes disjoint from it (or >= 64,
-//     which never set a bitmap bit and never match the subset) all go
-//     right.
-//
-// The zone summarizes the whole chunk, so the decision holds for every
-// subset of its rows — an idx batch deep in the descent included.
-func zoneRoute(c *coarseCrit, z data.ColZone) int {
-	if c.kind == data.Categorical {
-		if !z.CodesValid {
-			return 0
-		}
-		if z.Codes&^c.subset == 0 && z.Codes != 0 {
-			return -1
-		}
-		if z.Codes&c.subset == 0 {
-			return +1
-		}
-		return 0
-	}
-	if !z.Valid {
-		return 0
-	}
-	if z.Min > c.hi {
-		return +1
-	}
-	if !z.HasNaN && z.Max < c.lo {
-		return -1
-	}
-	return 0
 }
 
 // routeScratch holds the per-depth index buffers of one

@@ -181,9 +181,11 @@ func TestRouteNaNTakesPinnedEdge(t *testing.T) {
 			return
 		}
 		if n.pending != nil {
-			n.pending.ForEach(func(tp data.Tuple) error {
-				if n.coarse.kind == data.Numeric && math.IsNaN(tp.Values[n.coarse.attr]) {
-					stuckNaN++
+			n.pending.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+				for _, tp := range ch.GatherRows(idx) {
+					if n.coarse.kind == data.Numeric && math.IsNaN(tp.Values[n.coarse.attr]) {
+						stuckNaN++
+					}
 				}
 				return nil
 			})

@@ -350,20 +350,6 @@ func (b *TupleBag) ForEachChunk(fn func(ch *Chunk, idx []int32) error) error {
 	}
 }
 
-// ForEach iterates the net content of the bag (additions minus removals).
-// Tuples passed to fn are only valid during the call.
-func (b *TupleBag) ForEach(fn func(Tuple) error) error {
-	var rows rowBatch
-	return b.ForEachChunk(func(ch *Chunk, idx []int32) error {
-		for _, t := range rows.fill(ch, idx) {
-			if err := fn(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // Compact rewrites the bag so pending removals are applied physically.
 // Call it when the removal backlog grows large.
 func (b *TupleBag) Compact() error {

@@ -12,8 +12,10 @@ import (
 func bagContents(t *testing.T, b *TupleBag) []float64 {
 	t.Helper()
 	var out []float64
-	if err := b.ForEach(func(tp Tuple) error {
-		out = append(out, tp.Values[0])
+	if err := b.ForEachChunk(func(ch *Chunk, idx []int32) error {
+		for _, tp := range ch.GatherRows(idx) {
+			out = append(out, tp.Values[0])
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -68,7 +70,7 @@ func TestTupleBagMultiset(t *testing.T) {
 		t.Fatalf("Len = %d, want 2 (multiset semantics)", b.Len())
 	}
 	var n int
-	if err := b.ForEach(func(Tuple) error { n++; return nil }); err != nil {
+	if err := b.ForEachChunk(func(ch *Chunk, idx []int32) error { n += ch.selected(idx); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -107,7 +109,7 @@ func TestTupleBagDanglingRemovalDetected(t *testing.T) {
 	if err := b.Remove(Tuple{Values: []float64{2, 2}, Class: 0}); err != nil {
 		t.Fatal(err)
 	}
-	err := b.ForEach(func(Tuple) error { return nil })
+	err := b.ForEachChunk(func(*Chunk, []int32) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "removal") {
 		t.Fatalf("dangling removal not detected: %v", err)
 	}
@@ -244,8 +246,8 @@ func TestTupleBagSignedZero(t *testing.T) {
 	}
 	requireEmpty := func(label string, b *TupleBag) {
 		t.Helper()
-		if err := b.ForEach(func(Tuple) error { return nil }); err != nil {
-			t.Fatalf("%s: ForEach: %v", label, err)
+		if err := b.ForEachChunk(func(*Chunk, []int32) error { return nil }); err != nil {
+			t.Fatalf("%s: ForEachChunk: %v", label, err)
 		}
 		if err := b.Compact(); err != nil {
 			t.Fatalf("%s: Compact: %v", label, err)

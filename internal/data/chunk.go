@@ -25,13 +25,6 @@ type Chunk struct {
 	n      int
 	vals   []float64
 	class  []int32
-
-	// zones, when zoneRows == n, summarize every row per column (min/max,
-	// NaN presence, categorical code bitmap). Only the columnar block-file
-	// scan paths populate them — rows appended by anything else leave
-	// zoneRows behind n, which invalidates the summaries. See ColZone.
-	zones    []ColZone
-	zoneRows int
 }
 
 // DefaultChunkRows is the row capacity used by the built-in chunked scan
@@ -68,7 +61,7 @@ func (c *Chunk) Width() int { return c.width }
 func (c *Chunk) Full() bool { return c.n >= c.stride }
 
 // Reset empties the chunk, keeping its storage.
-func (c *Chunk) Reset() { c.n, c.zoneRows = 0, 0 }
+func (c *Chunk) Reset() { c.n = 0 }
 
 // Col returns attribute a's column: one value per row, contiguous.
 func (c *Chunk) Col(a int) []float64 { return c.vals[a*c.stride : a*c.stride+c.n] }
@@ -206,9 +199,6 @@ func (c *Chunk) keepRows(from int, idx []int32) {
 		c.class[from+j] = c.class[r]
 	}
 	c.n = from + len(idx)
-	if c.zoneRows > from {
-		c.zoneRows = -1
-	}
 }
 
 // rowBatch is a reusable row-major view of chunk rows: the row form that
@@ -286,97 +276,6 @@ func fnvMix(h, b uint64) uint64 {
 	h = (h ^ (b >> 48 & 0xff)) * prime64
 	h = (h ^ (b >> 56 & 0xff)) * prime64
 	return h
-}
-
-// ---------------------------------------------------------------------------
-// Zone maps
-
-// ColZone is a per-column summary (a "zone map") of a row range: the
-// min/max over non-NaN values, whether any NaN occurred, and — for
-// columns whose every value is an integer code in [0, 64) — a presence
-// bitmap of those codes. The columnar block file stores one ColZone per
-// column per block; the routing scans use them to send an entire chunk
-// down one side of a split without running the per-row partition kernel.
-//
-// The summaries over-approximate: a zone valid for a row set is valid for
-// any subset of it, so a routing decision made from a chunk's zone holds
-// at every depth of the chunk's descent.
-type ColZone struct {
-	// Min and Max bound every non-NaN value; meaningful only when Valid.
-	Min, Max float64
-	// Codes is the presence bitmap of integer codes; meaningful only when
-	// CodesValid.
-	Codes uint64
-	// HasNaN reports whether any value is NaN (exact when Valid).
-	HasNaN bool
-	// Valid reports that Min/Max/HasNaN describe the rows (at least one
-	// non-NaN value was seen).
-	Valid bool
-	// CodesValid reports that every value is an integer in [0, 64) and
-	// present in Codes.
-	CodesValid bool
-}
-
-// merge widens z to also cover everything o covers.
-func (z *ColZone) merge(o ColZone) {
-	if z.Valid && o.Valid {
-		if o.Min < z.Min {
-			z.Min = o.Min
-		}
-		if o.Max > z.Max {
-			z.Max = o.Max
-		}
-	} else {
-		z.Valid = false
-	}
-	z.HasNaN = z.HasNaN || o.HasNaN
-	z.Codes |= o.Codes
-	z.CodesValid = z.CodesValid && o.CodesValid
-}
-
-// Zone returns the zone summary of attribute a and whether it covers
-// every row currently in the chunk. It reports false whenever any row was
-// appended without an accompanying AbsorbZones call (the summaries would
-// under-approximate), so consumers can rely on a true result uncondition-
-// ally.
-func (c *Chunk) Zone(a int) (ColZone, bool) {
-	if c.n == 0 || c.zoneRows != c.n || a < 0 || a >= len(c.zones) {
-		return ColZone{}, false
-	}
-	z := c.zones[a]
-	return z, z.Valid || z.CodesValid
-}
-
-// AbsorbZones merges per-column summaries covering the rows appended
-// since the chunk held prevLen rows. If other rows arrived without
-// summaries, zone tracking for this fill is abandoned (until Reset).
-// len(z) must be at least Width.
-func (c *Chunk) AbsorbZones(z []ColZone, prevLen int) {
-	if prevLen != c.zoneRows || len(z) < c.width {
-		c.zoneRows = -1
-		return
-	}
-	if len(c.zones) < c.width {
-		c.zones = make([]ColZone, c.width)
-	}
-	if prevLen == 0 {
-		copy(c.zones, z[:c.width])
-	} else {
-		for a := 0; a < c.width; a++ {
-			c.zones[a].merge(z[a])
-		}
-	}
-	c.zoneRows = c.n
-}
-
-// AbsorbZonesFrom merges src's zone summaries (which must cover all of
-// src) for rows appended from it since the chunk held prevLen rows.
-func (c *Chunk) AbsorbZonesFrom(src *Chunk, prevLen int) {
-	if src.n == 0 || src.zoneRows != src.n || len(src.zones) < src.width {
-		c.zoneRows = -1
-		return
-	}
-	c.AbsorbZones(src.zones, prevLen)
 }
 
 // ChunkPool recycles chunks of one fixed geometry. It is safe for

@@ -18,13 +18,14 @@ import (
 // contiguous segment, delta-encoded against the block minimum at the
 // narrowest fixed width that holds the block's value range (1/2/4-byte
 // integers for the integer-valued synthetic workloads, raw float64
-// otherwise). Every block carries a CRC32-C checksum and a per-column
-// ColZone (min/max, NaN presence, categorical code bitmap), so readers
-// detect corruption block-precisely and the routing scans can skip the
-// per-row partition kernel when a zone decides a whole block (scan.go,
-// update.go). A fixed-size footer records the row and block counts; a
-// missing or mangled footer is how a torn (partially written) file is
-// detected at open.
+// otherwise). Every block carries a CRC32-C checksum, so readers detect
+// corruption block-precisely. Each column header also records the
+// column's min/max, NaN presence and categorical code bitmap (a "zone
+// map"); the reader uses min as the delta base and skips the rest, which
+// the writer keeps emitting so that its output stays byte-identical to
+// every version-2 file already written. A fixed-size footer records the
+// row and block counts; a missing or mangled footer is how a torn
+// (partially written) file is detected at open.
 //
 // Layout (version 2):
 //
@@ -115,8 +116,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ---------------------------------------------------------------------------
 // Block encoding
 
-// appendColumn appends one encoded column segment (header + payload) and
-// computes its zone along the way.
+// appendColumn appends one encoded column segment (header + payload),
+// computing the header's min/max, NaN flag and code bitmap along the way.
 func appendColumn(buf []byte, col []float64) []byte {
 	var (
 		hasNaN   bool
@@ -284,11 +285,11 @@ func encodeBlock(buf []byte, ch *Chunk) []byte {
 }
 
 // decodeColumn decodes one column segment of rows values from body[off:]
-// into dst, returning the next offset and the column's zone.
-func decodeColumn(body []byte, off, rows int, dst []float64) (int, ColZone, error) {
-	enc, flags, min, max, codes, seg, off, err := readColHeader(body, off, rows)
+// into dst, returning the next offset.
+func decodeColumn(body []byte, off, rows int, dst []float64) (int, error) {
+	enc, _, min, _, _, seg, off, err := readColHeader(body, off, rows)
 	if err != nil {
-		return 0, ColZone{}, err
+		return 0, err
 	}
 	p := body[off : off+seg]
 	base := int64(min)
@@ -314,15 +315,7 @@ func decodeColumn(body []byte, off, rows int, dst []float64) (int, ColZone, erro
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 		}
 	}
-	z := ColZone{
-		Min:        min,
-		Max:        max,
-		Codes:      codes,
-		HasNaN:     flags&colFlagHasNaN != 0,
-		Valid:      flags&colFlagZoneValid != 0,
-		CodesValid: flags&colFlagCodesValid != 0,
-	}
-	return off + seg, z, nil
+	return off + seg, nil
 }
 
 // decodeClassColumn decodes the class segment from body[off:] into dst
@@ -363,6 +356,9 @@ func decodeClassColumn(body []byte, off, rows int, dst []int32, classes int) (in
 	return off + seg, nil
 }
 
+// readColHeader parses the column header at body[off:] for a block of
+// rows rows. Decoding needs only enc, min (the delta base) and seg; flags,
+// max and codes are the header's zone-map fields, which no reader uses.
 func readColHeader(body []byte, off, rows int) (enc, flags byte, min, max float64, codes uint64, seg, next int, err error) {
 	if off+colHeaderLen > len(body) {
 		return 0, 0, 0, 0, 0, 0, 0, fmt.Errorf("%w: column header past block end", ErrColTruncated)
@@ -383,9 +379,9 @@ func readColHeader(body []byte, off, rows int) (enc, flags byte, min, max float6
 }
 
 // decodeBlockInto decodes a verified block body into dst (which must be
-// empty with capacity >= the block's rows), filling zones (len >= width)
-// and validating class labels against classes.
-func decodeBlockInto(body []byte, maxRows int, dst *Chunk, zones []ColZone, classes int) error {
+// empty with capacity >= the block's rows), validating class labels
+// against classes.
+func decodeBlockInto(body []byte, maxRows int, dst *Chunk, classes int) error {
 	if len(body) < 4 {
 		return fmt.Errorf("%w: block body of %d bytes", ErrColTruncated, len(body))
 	}
@@ -396,7 +392,7 @@ func decodeBlockInto(body []byte, maxRows int, dst *Chunk, zones []ColZone, clas
 	off := 4
 	var err error
 	for a := 0; a < dst.width; a++ {
-		off, zones[a], err = decodeColumn(body, off, rows, dst.vals[a*dst.stride:a*dst.stride+rows])
+		off, err = decodeColumn(body, off, rows, dst.vals[a*dst.stride:a*dst.stride+rows])
 		if err != nil {
 			return err
 		}
@@ -408,7 +404,6 @@ func decodeBlockInto(body []byte, maxRows int, dst *Chunk, zones []ColZone, clas
 		return fmt.Errorf("data: %d trailing bytes after block columns", len(body)-off)
 	}
 	dst.n = rows
-	dst.AbsorbZones(zones, 0)
 	return nil
 }
 
@@ -780,7 +775,7 @@ func (s *ColSource) openBlockReader() (*blockReader, error) {
 }
 
 // decodeBlock verifies raw's checksum and decodes it into dst.
-func (s *ColSource) decodeBlock(raw []byte, block int64, dst *Chunk, zones []ColZone) error {
+func (s *ColSource) decodeBlock(raw []byte, block int64, dst *Chunk) error {
 	if len(raw) < 8 {
 		return &BlockError{Path: s.path, Block: block, Err: ErrColTruncated}
 	}
@@ -789,7 +784,7 @@ func (s *ColSource) decodeBlock(raw []byte, block int64, dst *Chunk, zones []Col
 	if crc32.Checksum(body, castagnoli) != want {
 		return &BlockError{Path: s.path, Block: block, Err: ErrColChecksum}
 	}
-	if err := decodeBlockInto(body, s.blockRows, dst, zones, s.schema.ClassCount); err != nil {
+	if err := decodeBlockInto(body, s.blockRows, dst, s.schema.ClassCount); err != nil {
 		return &BlockError{Path: s.path, Block: block, Err: err}
 	}
 	return nil

@@ -117,7 +117,7 @@ func TestColFileRoundTrip(t *testing.T) {
 }
 
 // TestColFileNaN: NaN values survive the round trip (they force the raw
-// encoding and set the zone's NaN flag).
+// encoding and set the column header's NaN flag).
 func TestColFileNaN(t *testing.T) {
 	tuples := colTestTuples(100)
 	tuples[3].Values[0] = math.NaN()
@@ -131,7 +131,7 @@ func TestColFileNaN(t *testing.T) {
 }
 
 // TestColumnEncodings drives appendColumn/decodeColumn through every
-// segment encoding and checks the zone summary computed alongside.
+// segment encoding and checks the header fields computed alongside.
 func TestColumnEncodings(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -158,7 +158,7 @@ func TestColumnEncodings(t *testing.T) {
 				t.Fatalf("encoding = %d, want %d", got, tc.enc)
 			}
 			dst := make([]float64, len(tc.col))
-			off, z, err := decodeColumn(buf, 0, len(tc.col), dst)
+			off, err := decodeColumn(buf, 0, len(tc.col), dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,87 +171,108 @@ func TestColumnEncodings(t *testing.T) {
 					t.Fatalf("row %d = %v, want %v", i, v, w)
 				}
 			}
-			if z.Valid != tc.valid || z.CodesValid != tc.codesOK || z.HasNaN != tc.hasNaN {
-				t.Fatalf("zone = %+v, want valid=%v codesOK=%v hasNaN=%v", z, tc.valid, tc.codesOK, tc.hasNaN)
-			}
-			if z.Valid {
-				lo, hi := math.Inf(1), math.Inf(-1)
-				for _, v := range tc.col {
-					if v != v {
-						continue
-					}
-					lo, hi = math.Min(lo, v), math.Max(hi, v)
-				}
-				if z.Min != lo || z.Max != hi {
-					t.Fatalf("zone bounds [%v, %v], want [%v, %v]", z.Min, z.Max, lo, hi)
-				}
-			}
-			if z.CodesValid {
-				var want uint64
-				for _, v := range tc.col {
-					want |= 1 << uint(v)
-				}
-				if z.Codes != want {
-					t.Fatalf("codes bitmap %b, want %b", z.Codes, want)
-				}
+			requireColHeader(t, tc.name, buf, 0, tc.col)
+			if flags := buf[1]; flags&colFlagZoneValid != 0 != tc.valid ||
+				flags&colFlagCodesValid != 0 != tc.codesOK || flags&colFlagHasNaN != 0 != tc.hasNaN {
+				t.Fatalf("flags %03b, want valid=%v codesOK=%v hasNaN=%v", flags, tc.valid, tc.codesOK, tc.hasNaN)
 			}
 		})
 	}
 }
 
-// TestColFileZones: chunks delivered by the chunked scan hold the written
-// rows and carry zone summaries that exactly bound them, merging across
-// blocks when a destination chunk spans more than one.
+// requireColHeader fails unless the column header at body[off:] records
+// col's zone fields: min/max over its non-NaN values (when it has any),
+// the NaN flag, and the code bitmap when every value is an integer code
+// in [0, 64).
+func requireColHeader(t *testing.T, label string, body []byte, off int, col []float64) {
+	t.Helper()
+	_, flags, min, max, codes, _, _, err := readColHeader(body, off, len(col))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var hasNaN bool
+	var want uint64
+	codesOK := len(col) > 0
+	for _, v := range col {
+		if v != v {
+			hasNaN, codesOK = true, false
+			continue
+		}
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		if v != math.Trunc(v) || v < 0 || v >= 64 {
+			codesOK = false
+		} else {
+			want |= 1 << uint(v)
+		}
+	}
+	valid := lo <= hi
+	if flags&colFlagZoneValid != 0 != valid || flags&colFlagHasNaN != 0 != hasNaN || flags&colFlagCodesValid != 0 != codesOK {
+		t.Fatalf("%s: flags %03b, want valid=%v hasNaN=%v codesOK=%v", label, flags, valid, hasNaN, codesOK)
+	}
+	if valid && (min != lo || max != hi) {
+		t.Fatalf("%s: header bounds [%v, %v], want [%v, %v]", label, min, max, lo, hi)
+	}
+	if !codesOK {
+		want = 0
+	}
+	if codes != want {
+		t.Fatalf("%s: codes bitmap %b, want %b", label, codes, want)
+	}
+}
+
+// TestColFileZones: the writer records every block's zone-map header
+// fields (min/max, NaN flag, code bitmap) per column, for the readers of
+// files already written, though no reader uses them beyond min as the
+// delta base; and a chunk spanning two blocks decodes the written rows.
 func TestColFileZones(t *testing.T) {
 	tuples := make([]Tuple, 96) // sorted ages, 3 blocks of 32
 	for i := range tuples {
 		tuples[i] = Tuple{Values: []float64{float64(i), float64(i % 4), 0.5}, Class: 0}
 	}
+	tuples[40].Values[2] = math.NaN() // block 1 only
 	path := writeColTestFile(t, tuples, 32)
 	s, err := OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One block per chunk: block-precise zones.
+	br, err := s.openBlockReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	for b := 0; b < 3; b++ {
+		raw, err := br.readRawBlock(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := raw[:len(raw)-4]
+		off := 4
+		for a := 0; a < 3; a++ {
+			col := make([]float64, 32)
+			for i := range col {
+				col[i] = tuples[32*b+i].Values[a]
+			}
+			requireColHeader(t, fmt.Sprintf("block %d column %d", b, a), body, off, col)
+			_, _, _, _, _, seg, next, _ := readColHeader(body, off, len(col))
+			off = next + seg
+		}
+	}
+
+	// Two blocks per chunk: the rows decode in file order.
 	sc, err := s.ScanChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	ch := NewChunk(3, 32)
-	for b := 0; b < 3; b++ {
-		ch.Reset()
-		if err := sc.NextChunk(ch); err != nil {
+	wide := NewChunk(3, 64)
+	for _, want := range [][]Tuple{tuples[:64], tuples[64:]} {
+		wide.Reset()
+		if err := sc.NextChunk(wide); err != nil {
 			t.Fatal(err)
 		}
-		requireTuples(t, fmt.Sprintf("block %d", b), ch.GatherRows(nil), tuples[32*b:32*b+32])
-		z, ok := ch.Zone(0)
-		if !ok || !z.Valid {
-			t.Fatalf("block %d: no valid zone", b)
-		}
-		if z.Min != float64(32*b) || z.Max != float64(32*b+31) {
-			t.Fatalf("block %d zone [%v, %v], want [%d, %d]", b, z.Min, z.Max, 32*b, 32*b+31)
-		}
-		zc, ok := ch.Zone(1)
-		if !ok || !zc.CodesValid || zc.Codes != 0b1111 {
-			t.Fatalf("block %d categorical zone = %+v, want codes 0b1111", b, zc)
-		}
-	}
-
-	// Two blocks per chunk: zones merge and still cover every row.
-	sc2, err := s.ScanChunks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc2.Close()
-	wide := NewChunk(3, 64)
-	if err := sc2.NextChunk(wide); err != nil {
-		t.Fatal(err)
-	}
-	z, ok := wide.Zone(0)
-	if !ok || z.Min != 0 || z.Max != 63 {
-		t.Fatalf("merged zone = %+v (ok=%v), want [0, 63]", z, ok)
+		requireTuples(t, "two-block chunk", wide.GatherRows(nil), want)
 	}
 }
 

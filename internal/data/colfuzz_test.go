@@ -175,8 +175,7 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		const maxRows, width, classes = 64, 3, 3
 		dst := NewChunk(width, maxRows)
-		zones := make([]ColZone, width)
-		if err := decodeBlockInto(body, maxRows, dst, zones, classes); err != nil {
+		if err := decodeBlockInto(body, maxRows, dst, classes); err != nil {
 			return
 		}
 		if dst.Len() <= 0 || dst.Len() > maxRows {

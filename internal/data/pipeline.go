@@ -228,13 +228,12 @@ func (p *colPipeline) reader() {
 // through unchanged so they arrive in order.
 func (p *colPipeline) worker() {
 	defer p.wg.Done()
-	zones := make([]ColZone, len(p.src.schema.Attributes))
 	for job := range p.jobs {
 		item := pipeItem{err: job.err}
 		if job.err == nil {
 			ch := p.pool.Get()
 			t0 := time.Now()
-			if err := p.src.decodeBlock(job.raw, job.seq, ch, zones); err != nil {
+			if err := p.src.decodeBlock(job.raw, job.seq, ch); err != nil {
 				p.pool.Put(ch)
 				item.err = err
 			} else {
@@ -260,7 +259,7 @@ func (p *colPipeline) worker() {
 }
 
 // NextChunk implements ChunkScanner: decoded blocks are copied into dst
-// in file order, with zone summaries merged alongside.
+// in file order.
 func (p *colPipeline) NextChunk(dst *Chunk) error {
 	if p.closed {
 		return errors.New("data: scan of closed pipeline")
@@ -302,9 +301,7 @@ func (p *colPipeline) NextChunk(dst *Chunk) error {
 		if rem := p.cur.Len() - p.pos; n > rem {
 			n = rem
 		}
-		prev := dst.Len()
 		dst.AppendFrom(p.cur, p.pos, n)
-		dst.AbsorbZonesFrom(p.cur, prev)
 		p.pos += n
 		appended = true
 	}

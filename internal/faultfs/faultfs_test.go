@@ -278,7 +278,10 @@ func TestTupleBagUnderTransientFaults(t *testing.T) {
 		}
 	}
 	var n int
-	if err := bag.ForEach(func(data.Tuple) error { n++; return nil }); err != nil {
+	if err := bag.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+		n += len(ch.GatherRows(idx))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if n != len(tuples)-5 {

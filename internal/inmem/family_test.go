@@ -374,7 +374,7 @@ func BenchmarkRefit(b *testing.B) {
 			for _, w := range pair {
 				w.slide(b)
 			}
-			err := NewPool(2).Run(len(pair), func(wk *Worker, j int) error {
+			err := run(NewPool(2), len(pair), func(wk *Worker, j int) error {
 				trees[j] = pair[j].family.Build(cfg, wk)
 				return nil
 			})

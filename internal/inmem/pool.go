@@ -4,7 +4,7 @@ import "sync"
 
 // Pool is the one executor of an operation: a fixed set of workers that
 // run the items of nested forks (Fork). The caller's goroutine is worker
-// 0 (Start, Run); the other workers run what its forks and every fork
+// 0 (Start); the other workers run what its forks and every fork
 // below them offer. A fork offers every item but the first, runs that one
 // itself and joins the rest: it runs those nobody took, newest first, and
 // while a taken one is unfinished it runs other offered items instead of
@@ -96,15 +96,6 @@ func (p *Pool) Start() (w *Worker, stop func()) {
 		p.mu.Unlock()
 		wg.Wait()
 	}
-}
-
-// Run runs job(w, i) for every i in [0, jobs) as one Fork on the started
-// pool's worker 0 and returns the Fork's error once every helper has
-// stopped, so a failed job leaves no goroutine behind.
-func (p *Pool) Run(jobs int, job func(w *Worker, i int) error) error {
-	w, stop := p.Start()
-	defer stop()
-	return Fork(w, jobs, job)
 }
 
 // Fork runs item(w', i) for every i in [0, n) on behalf of a frame running

@@ -139,7 +139,7 @@ func TestPooledFitMatchesInline(t *testing.T) {
 				for i, size := range sizes {
 					pool := NewPool(size)
 					got := make([]*tree.Tree, 2)
-					err := pool.Run(2, func(w *Worker, j int) error {
+					err := run(pool, 2, func(w *Worker, j int) error {
 						if j == 0 {
 							got[0] = fams[i].Build(c.cfg, w)
 						} else {
@@ -182,6 +182,14 @@ func TestPooledFitMatchesInline(t *testing.T) {
 	}
 }
 
+// run runs job(w, i) for every i in [0, jobs) as one Fork on p's worker
+// 0 and returns the Fork's error once every helper has stopped.
+func run(p *Pool, jobs int, job func(w *Worker, i int) error) error {
+	w, stop := p.Start()
+	defer stop()
+	return Fork(w, jobs, job)
+}
+
 // TestPoolRunsEveryJob: a pool runs every job once even when one fails,
 // returns the failure only after every worker has stopped, and with one
 // worker stops at the first failure.
@@ -189,7 +197,7 @@ func TestPoolRunsEveryJob(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2, 8} {
 		ran := make([]bool, 5)
-		err := NewPool(workers).Run(len(ran), func(w *Worker, i int) error {
+		err := run(NewPool(workers), len(ran), func(w *Worker, i int) error {
 			if (w == nil) != (workers == 1) {
 				t.Errorf("%d workers: job %d ran with worker %v", workers, i, w)
 			}
@@ -200,7 +208,7 @@ func TestPoolRunsEveryJob(t *testing.T) {
 			return nil
 		})
 		if !errors.Is(err, boom) {
-			t.Fatalf("%d workers: Run returned %v, want the job's error", workers, err)
+			t.Fatalf("%d workers: run returned %v, want the job's error", workers, err)
 		}
 		want := []bool{true, true, true, true, true}
 		if workers == 1 {
@@ -215,7 +223,7 @@ func TestPoolRunsEveryJob(t *testing.T) {
 // TestForkJoinsNestedItems: on pools of 2 and 8 workers, forks nest inside
 // items that other workers took, and every item of every fork runs once,
 // on a worker; Fork returns the error of its lowest-numbered failed item,
-// and only once every item has finished; Run leaves no goroutine behind.
+// and only once every item has finished; run leaves no goroutine behind.
 // With a nil worker, Fork runs the items in order and stops at the first
 // error.
 func TestForkJoinsNestedItems(t *testing.T) {
@@ -224,7 +232,7 @@ func TestForkJoinsNestedItems(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		var ran [4][6][5]atomic.Int32
 		var taken atomic.Int32 // jobs run by a helper
-		err := NewPool(workers).Run(len(ran), func(w *Worker, i int) error {
+		err := run(NewPool(workers), len(ran), func(w *Worker, i int) error {
 			if w.id != 0 {
 				taken.Add(1)
 			}
@@ -258,7 +266,7 @@ func TestForkJoinsNestedItems(t *testing.T) {
 		// Item 1 fails last, after item 3 has failed.
 		var finished atomic.Int32
 		errs := []error{nil, first, nil, later, nil}
-		err = NewPool(workers).Run(1, func(w *Worker, _ int) error {
+		err = run(NewPool(workers), 1, func(w *Worker, _ int) error {
 			err := Fork(w, len(errs), func(_ *Worker, i int) error {
 				if i == 1 {
 					time.Sleep(20 * time.Millisecond)
@@ -272,7 +280,7 @@ func TestForkJoinsNestedItems(t *testing.T) {
 			return err
 		})
 		if err != first {
-			t.Errorf("%d workers: Run returned %v, want %v", workers, err, first)
+			t.Errorf("%d workers: run returned %v, want %v", workers, err, first)
 		}
 
 		deadline := time.Now().Add(time.Second)
@@ -280,7 +288,7 @@ func TestForkJoinsNestedItems(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > baseline {
-			t.Errorf("%d workers: %d goroutines after Run, %d before", workers, n, baseline)
+			t.Errorf("%d workers: %d goroutines after run, %d before", workers, n, baseline)
 		}
 	}
 

@@ -443,11 +443,10 @@ func BenchmarkMicroRouteTuples(b *testing.B) {
 }
 
 // BenchmarkMicroClassify measures classification throughput through the
-// public API: the per-tuple pointer walk (the seed-era baseline), the
-// per-tuple flat walk, and the chunked kernel, across two tree depths and
-// two chunk geometries. Sub-benchmark names are
-// depth<D>/<pointer|flat|chunk<rows>>; compare tuples/sec and allocs/op
-// across them.
+// public API: the per-tuple pointer walk (the seed-era baseline) and the
+// chunked kernel, across two tree depths and two chunk geometries.
+// Sub-benchmark names are depth<D>/<pointer|chunk<rows>>; compare
+// tuples/sec and allocs/op across them.
 func BenchmarkMicroClassify(b *testing.B) {
 	src, err := boat.Synthetic(boat.SyntheticConfig{Function: 7, Noise: 0.05}, 30_000, 5)
 	if err != nil {
@@ -480,26 +479,17 @@ func BenchmarkMicroClassify(b *testing.B) {
 			}
 			reportTuplesPerSec(b, int64(b.N), time.Since(start))
 		})
-		b.Run(prefix+"/flat", func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				_ = flat.Classify(tuples[i%len(tuples)])
-			}
-			reportTuplesPerSec(b, int64(b.N), time.Since(start))
-		})
 		for _, rows := range []int{64, 1024} {
 			b.Run(fmt.Sprintf("%s/chunk%d", prefix, rows), func(b *testing.B) {
 				chunks := packChunks(tuples, len(src.Schema().Attributes), rows)
 				out := make([]int, rows)
-				sc := boat.NewClassifyScratch()
 				b.ReportAllocs()
 				b.ResetTimer()
 				start := time.Now()
 				var n int64
 				for i := 0; i < b.N; i++ {
 					ch := chunks[i%len(chunks)]
-					flat.ClassifyChunkScratch(ch, out, sc)
+					flat.ClassifyChunk(ch, out)
 					n += int64(ch.Len())
 				}
 				reportTuplesPerSec(b, n, time.Since(start))

@@ -194,14 +194,15 @@ type (
 )
 
 // Inference path (see DESIGN.md §13): a compiled struct-of-arrays tree
-// layout plus a parallel batch predictor over columnar chunk streams.
+// layout plus a batch predictor over columnar chunk streams.
 type (
 	// FlatDecisionTree is the immutable breadth-first struct-of-arrays
 	// compilation of a DecisionTree, built for high-throughput serving;
 	// its predictions are bit-identical to DecisionTree.Classify.
 	FlatDecisionTree = tree.FlatTree
-	// Predictor shards columnar chunk streams across a worker pool and
-	// classifies them through a FlatDecisionTree.
+	// Predictor scans columnar chunk streams and classifies each chunk
+	// through a FlatDecisionTree, sharing chunks with idle helper
+	// goroutines on multi-chunk reads.
 	Predictor = predict.Predictor
 	// PredictorOptions configures NewPredictor; the zero value is valid.
 	PredictorOptions = predict.Config
@@ -209,14 +210,7 @@ type (
 	// labels in source order, throughput, and (when requested) a
 	// confusion matrix against the source's labels.
 	Prediction = predict.Result
-	// ClassifyScratch is the reusable per-goroutine scratch of
-	// FlatDecisionTree.ClassifyChunkScratch.
-	ClassifyScratch = tree.ClassifyScratch
 )
-
-// NewClassifyScratch returns an empty chunk-classification scratch for
-// FlatDecisionTree.ClassifyChunkScratch.
-func NewClassifyScratch() *ClassifyScratch { return tree.NewClassifyScratch() }
 
 // CompileTree flattens a decision tree into the serving layout.
 func CompileTree(t *DecisionTree) (*FlatDecisionTree, error) { return tree.Compile(t) }

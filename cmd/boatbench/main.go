@@ -107,7 +107,7 @@ func main() {
 		benchTuples = flag.Int64("benchtuples", 200_000, "dataset size for -benchjson")
 		benchRounds = flag.Int("benchrounds", 3, "scan passes for -benchjson")
 
-		predictJSON = flag.String("predictjson", "", "run the classification micro-benchmark (per-tuple pointer walk vs flat walk vs chunked kernel vs parallel predictor on the Fig-4/F1 workload, depth >= 8) and write measurements to this JSON file instead of a figure")
+		predictJSON = flag.String("predictjson", "", "run the classification micro-benchmark (per-tuple pointer walk vs chunked kernel vs the predictor on the Fig-4/F1 workload, depth >= 8) and write measurements to this JSON file instead of a figure")
 
 		updateJSON   = flag.String("updatejson", "", "run the streaming-update micro-benchmark (the columnar chunk router on the sliding-window dynamic-environment workload) and write measurements to this JSON file instead of a figure")
 		updateRounds = flag.Int("updaterounds", 30, "insert+delete rounds for -updatejson")
@@ -899,7 +899,6 @@ type predictBenchReport struct {
 	GOMAXPROCS             int                   `json:"gomaxprocs"`
 	Config                 benchProvenance       `json:"config"`
 	Modes                  []predict.Measurement `json:"modes"`
-	FlatSpeedupVsTuple     float64               `json:"flat_speedup_vs_tuple"`
 	ChunkSpeedupVsTuple    float64               `json:"chunk_speedup_vs_tuple"`
 	ParallelSpeedupVsTuple float64               `json:"parallel_speedup_vs_tuple"`
 	ChunkAllocsPerTuple    float64               `json:"chunk_allocs_per_tuple"`
@@ -962,7 +961,7 @@ func runPredictBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	rep.Config.ScanChunkRows = predictBenchChunkRows
 	byMode := map[predict.Mode]predict.Measurement{}
 	for _, mode := range []predict.Mode{
-		predict.ModeTuple, predict.ModeFlat, predict.ModeChunk, predict.ModeParallel,
+		predict.ModeTuple, predict.ModeChunk, predict.ModeParallel,
 	} {
 		meas, err := bench.Measure(mode, mc.benchRounds)
 		if err != nil {
@@ -975,13 +974,12 @@ func runPredictBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
 	}
 	base := byMode[predict.ModeTuple].TuplesPerSec
 	if base > 0 {
-		rep.FlatSpeedupVsTuple = byMode[predict.ModeFlat].TuplesPerSec / base
 		rep.ChunkSpeedupVsTuple = byMode[predict.ModeChunk].TuplesPerSec / base
 		rep.ParallelSpeedupVsTuple = byMode[predict.ModeParallel].TuplesPerSec / base
 	}
 	rep.ChunkAllocsPerTuple = byMode[predict.ModeChunk].AllocsPerTuple
-	fmt.Printf("chunk vs tuple: %.2fx tuples/sec | flat vs tuple: %.2fx | parallel vs tuple: %.2fx\n",
-		rep.ChunkSpeedupVsTuple, rep.FlatSpeedupVsTuple, rep.ParallelSpeedupVsTuple)
+	fmt.Printf("chunk vs tuple: %.2fx tuples/sec | parallel vs tuple: %.2fx\n",
+		rep.ChunkSpeedupVsTuple, rep.ParallelSpeedupVsTuple)
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

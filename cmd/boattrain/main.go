@@ -54,8 +54,8 @@ func main() {
 		saveModel   = flag.String("savemodel", "", "write the full BOAT model (tree + statistics) to this file atomically (boat only)")
 		update      = flag.String("update", "", "after building, insert this chunk file incrementally (boat only)")
 		quiet       = flag.Bool("quiet", false, "do not print the tree itself")
-		predictFile = flag.String("predict", "", "after building, classify this binary dataset file with the parallel batch predictor and log accuracy + throughput")
-		predBench   = flag.Int("predictbench", 0, "rounds of predict benchmarking (tuple vs flat vs chunk vs parallel) over the -predict file, or the training input if none")
+		predictFile = flag.String("predict", "", "after building, classify this binary dataset file with the batch predictor and log accuracy + throughput")
+		predBench   = flag.Int("predictbench", 0, "rounds of predict benchmarking (tuple vs chunk vs parallel) over the -predict file, or the training input if none")
 		traceOut    = flag.String("trace", "", "write the build lifecycle as Chrome trace-event JSON to this file (boat only)")
 		metricsOut  = flag.String("metricsjson", "", `write the build metrics registry as JSON to this file ("-" = stdout; boat only)`)
 		listen      = flag.String("listen", "", `diagnostics HTTP server address for /metrics and /debug/pprof during the build ("" disables)`)
@@ -197,8 +197,8 @@ func main() {
 }
 
 // runPredict serves the freshly built tree back over a dataset: -predict
-// classifies the file with the parallel batch predictor (accuracy against
-// the file's labels, throughput), and -predictbench times the four
+// classifies the file with the batch predictor (accuracy against the
+// file's labels, throughput), and -predictbench times the three
 // classification modes against each other.
 func runPredict(logger *slog.Logger, tr *tree.Tree, trainSrc data.Source,
 	predictFile string, rounds, parallelism int,
@@ -232,7 +232,7 @@ func runPredict(logger *slog.Logger, tr *tree.Tree, trainSrc data.Source,
 		fatal(err)
 		var tupleRate float64
 		for _, mode := range []predict.Mode{
-			predict.ModeTuple, predict.ModeFlat, predict.ModeChunk, predict.ModeParallel,
+			predict.ModeTuple, predict.ModeChunk, predict.ModeParallel,
 		} {
 			m, err := b.Measure(mode, rounds)
 			fatal(err)

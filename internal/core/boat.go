@@ -266,7 +266,7 @@ func (t *Tree) skeleton(sample []data.Tuple, n int64, depth int, parent *obs.Spa
 
 	skelSpan := parent.Start("skeleton")
 	defer skelSpan.End()
-	return t.skeletonFromCoarse(coarse, sample, depth)
+	return t.skeletonFromCoarse(coarse, sample, depth), nil
 }
 
 // newPool constructs the one pool of Parallelism workers that each Build,

@@ -59,7 +59,10 @@ func TestChunkSizeDeterminism(t *testing.T) {
 // numeric values, which every path must count in the top histogram cell
 // and route right; the chunk pass runs sequentially and with forked
 // descents. QuestLike builds no coarse node over F1, so an F7 run gives
-// its moments a skeleton to fill.
+// its moments a skeleton to fill. The F4 skeleton has an internal node
+// below the root, and its 16-row chunks reach that node as index batches
+// that often go all one way: a router that descended such a batch whole
+// would hand the child every row of the chunk, not just the batch.
 func TestScanModesAgree(t *testing.T) {
 	source := func(function int, nan bool) data.Source {
 		gsrc := gen.MustSource(gen.Config{Function: function, Noise: 0.05}, 2*data.DefaultChunkRows+123, 55)
@@ -78,20 +81,26 @@ func TestScanModesAgree(t *testing.T) {
 		name   string
 		method split.Method
 		src    data.Source
+		rows   int // scan chunk rows; 0 takes the default
 	}{
-		{"gini", split.NewGini(), f1},
-		{"quest", split.NewQuestLike(), f1},
-		{"quest-F7", split.NewQuestLike(), source(7, false)},
+		{"gini", split.NewGini(), f1, 0},
+		{"quest", split.NewQuestLike(), f1, 0},
+		{"quest-F7", split.NewQuestLike(), source(7, false), 0},
+		{"gini-F4", split.NewGini(), source(4, true), 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bench, err := NewScanBench(tc.src, Config{
 				Method: tc.method, MaxDepth: 5, MinSplit: 50,
 				SampleSize: 1000, Seed: 3, TempDir: t.TempDir(),
+				scanChunkRows: tc.rows,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer bench.Close()
+			if tc.rows > 0 && bench.root.left.isLeaf() && bench.root.right.isLeaf() {
+				t.Fatal("the skeleton has no internal node below the root; the case exercises nothing")
+			}
 
 			var want int64
 			var wantState [][]int64

@@ -583,3 +583,82 @@ func TestUpdateIntervalCountersExactUnderZoneSkip(t *testing.T) {
 		requireSameNodeStates(t, stage, nodeStates(chunked.root), nodeStates(row.root))
 	})
 }
+
+// TestPushDescendsWholeChunks: a push of a stuck set takes the router's
+// whole-chunk rule. After a cleanup scan of age-sorted F1, the root's
+// stuck set S_n holds its in-interval tuples in age order, so when it is
+// pushed by a split point inside the interval, every pending chunk but
+// the one that straddles the split point goes one way and must descend
+// whole (the push router's skip count). The children must end in the
+// state the per-tuple oracle leaves when it routes each stuck tuple into
+// its side: class, AVC and interval counts, histograms and buffers.
+func TestPushDescendsWholeChunks(t *testing.T) {
+	const n = 10 * data.DefaultChunkRows
+	src := sortedF1Sources(t, n, 512)[1].src // the in-memory source
+	var states [2][][]int64
+	var intervals [2][]int64
+	var bufs [2][][]data.Tuple
+	for i, oracle := range []bool{false, true} {
+		cfg := colTestConfig()
+		cfg.TempDir = t.TempDir()
+		bench, err := NewScanBench(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bench.Close()
+		if _, err := bench.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+		root := bench.root
+		if root.isLeaf() || root.coarse.kind != data.Numeric || root.pending.Len() == 0 {
+			t.Fatal("the root kept no stuck set to push")
+		}
+		c := root.coarse
+		thr := c.lo + (c.hi-c.lo)/2
+		if !oracle {
+			var chunks, oneWay int64
+			if err := root.pending.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+				left := len(intervalRows(nil, ch.Col(c.attr), idx, math.Inf(-1), thr, true))
+				chunks++
+				if left == 0 || left == ch.Len() {
+					oneWay++
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if oneWay == 0 || oneWay == chunks {
+				t.Fatalf("%d of %d pending chunks go one way; the push exercises one path only", oneWay, chunks)
+			}
+			r := bench.tree.newChunkRouter(+1)
+			if err := bench.tree.push(r, root, thr, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.skips.Load(); got != oneWay {
+				t.Fatalf("the push descended %d chunks whole, want the %d of %d that go one way",
+					got, oneWay, chunks)
+			}
+			t.Logf("%d of %d pending chunks descended whole", oneWay, chunks)
+		} else if err := root.pending.ForEachChunk(func(ch *data.Chunk, idx []int32) error {
+			for _, tp := range ch.GatherRows(idx) {
+				child := root.right
+				if tp.Values[c.attr] <= thr {
+					child = root.left
+				}
+				if err := bench.tree.route(child, tp, +1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		states[i], intervals[i] = nodeStates(root), collectIntervalCounters(root)
+		bufs[i] = bufferSequences(t, root)
+	}
+	requireSameNodeStates(t, "chunk push", states[0], states[1])
+	if !slices.Equal(intervals[0], intervals[1]) {
+		t.Fatalf("chunk push: interval counters %v, row oracle %v", intervals[0], intervals[1])
+	}
+	requireSameBuffers(t, "chunk push", bufs[0], bufs[1])
+}

@@ -111,45 +111,12 @@ func (t *Tree) newInternal(depth int, c *coarseCrit) *bnode {
 
 // skeletonFromCoarse converts the sampling phase's coarse tree into bnodes
 // (frontier positions become leaves) and then computes each internal
-// node's discretizations from the sample. Sample routing goes through a
-// compiled flat router (see compileCoarseRouter); the sample slice is
-// reordered in place by the partitioning.
-func (t *Tree) skeletonFromCoarse(cn *bootstrap.Node, sample []data.Tuple, depth int) (*bnode, error) {
-	router, err := t.compileCoarseRouter(cn)
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling the coarse tree: %w", err)
-	}
+// node's discretizations from the sample, which the partitioning
+// reorders in place.
+func (t *Tree) skeletonFromCoarse(cn *bootstrap.Node, sample []data.Tuple, depth int) *bnode {
 	n := t.buildSkeleton(cn, depth)
-	t.attachDiscretizations(n, cn, router, 0, sample, make([]data.Tuple, 0, len(sample)))
-	return n, nil
-}
-
-// compileCoarseRouter projects the coarse tree's sample-routing predicates
-// onto the flat inference layout, so the skeleton phase partitions its
-// sample with the same compiled criteria the read path classifies with:
-// a sample tuple goes left when its value is at most the bootstrap median
-// (Lo <= Median <= Hi, so the interval ends agree), or when its code is
-// in the categorical subset. Compilation fails only on malformed trees
-// (beyond 2^31 nodes, an attribute outside the schema), never for a
-// bootstrap tree.
-func (t *Tree) compileCoarseRouter(cn *bootstrap.Node) (*tree.FlatTree, error) {
-	if cn == nil {
-		return nil, nil
-	}
-	var conv func(cn *bootstrap.Node) *tree.Node
-	conv = func(cn *bootstrap.Node) *tree.Node {
-		if cn == nil {
-			return &tree.Node{} // frontier position: routing stops here
-		}
-		crit := split.Split{Found: true, Attr: cn.Attr, Kind: cn.Kind}
-		if cn.Kind == data.Numeric {
-			crit.Threshold = cn.Median
-		} else {
-			crit.Subset = cn.Subset
-		}
-		return &tree.Node{Crit: crit, Left: conv(cn.Left), Right: conv(cn.Right)}
-	}
-	return tree.Compile(&tree.Tree{Schema: t.schema, Root: conv(cn)})
+	t.attachDiscretizations(n, cn, sample, make([]data.Tuple, 0, len(sample)))
+	return n
 }
 
 func (t *Tree) buildSkeleton(cn *bootstrap.Node, depth int) *bnode {
@@ -170,9 +137,8 @@ func (t *Tree) buildSkeleton(cn *bootstrap.Node, depth int) *bnode {
 // no bucket straddles the interval). Nodes with empty sample families get
 // trivial single-bucket histograms, whose loose bounds simply make
 // verification conservative.
-// The sample is partitioned in place (stably) at every level; id is n's
-// node id in the compiled router, whose shape mirrors the coarse tree.
-func (t *Tree) attachDiscretizations(n *bnode, cn *bootstrap.Node, router *tree.FlatTree, id int32, sample []data.Tuple, scratch []data.Tuple) {
+// The sample is partitioned in place (stably) at every level.
+func (t *Tree) attachDiscretizations(n *bnode, cn *bootstrap.Node, sample []data.Tuple, scratch []data.Tuple) {
 	if n.isLeaf() || cn == nil {
 		return
 	}
@@ -196,15 +162,18 @@ func (t *Tree) attachDiscretizations(n *bnode, cn *bootstrap.Node, router *tree.
 			n.hist[i] = discretize.NewHistogram(bounds, t.schema.ClassCount)
 		}
 	}
-	// Partition the sample by the coarse routing and recurse. The stable
-	// in-place partition (lefts compacted forward, rights staged through
-	// the shared scratch) replaces the per-node append-grown slices: one
-	// scratch buffer for the whole skeleton instead of two fresh slices
-	// per internal node.
+	// Partition the sample by the coarse node's own predicate and
+	// recurse: a sample tuple goes left when its value is at most the
+	// bootstrap median (Lo <= Median <= Hi, so the interval ends agree),
+	// or when its code is in the categorical subset. The stable in-place
+	// partition (lefts compacted forward, rights staged through the
+	// shared scratch) needs one scratch buffer for the whole skeleton
+	// instead of two fresh slices per internal node.
+	route := split.Split{Found: true, Attr: cn.Attr, Kind: cn.Kind, Threshold: cn.Median, Subset: cn.Subset}
 	w := 0
 	scratch = scratch[:0]
 	for _, tp := range sample {
-		if router.GoesLeft(id, tp) {
+		if route.Left(tp) {
 			sample[w] = tp
 			w++
 		} else {
@@ -212,8 +181,8 @@ func (t *Tree) attachDiscretizations(n *bnode, cn *bootstrap.Node, router *tree.
 		}
 	}
 	copy(sample[w:], scratch)
-	t.attachDiscretizations(n.left, cn.Left, router, router.LeftChild(id), sample[:w], scratch)
-	t.attachDiscretizations(n.right, cn.Right, router, router.RightChild(id), sample[w:], scratch)
+	t.attachDiscretizations(n.left, cn.Left, sample[:w], scratch)
+	t.attachDiscretizations(n.right, cn.Right, sample[w:], scratch)
 }
 
 // crit returns the impurity criterion used for discretization and

@@ -158,7 +158,7 @@ func (t *Tree) moveStuck(n *bnode, thr float64, wk *inmem.Worker) (familyRule, e
 		}
 	}
 	if n.pending.Len() > 0 {
-		if err := t.push(n, thr, wk); err != nil {
+		if err := t.push(t.newChunkRouter(+1), n, thr, wk); err != nil {
 			return fromStuckSets, fmt.Errorf("core: pushing stuck tuples: %w", err)
 		}
 		// Every stuck tuple now lives below n as well, so a fault from here
@@ -185,14 +185,15 @@ func (t *Tree) moveStuck(n *bnode, thr float64, wk *inmem.Worker) (familyRule, e
 }
 
 // push streams n's stuck set S_n (pending), chunk by chunk, into n's
-// children by the final split point thr: each chunk's rows are split by
-// thr and the two index sets descend into n.left and n.right at weight +1
-// through the chunk router on wk — its kernels and forks — exactly as if
-// they had been routed past n by the cleanup scan. Every buffer below n
-// receives its rows in pending order. pending itself is left untouched;
-// the caller records it as pushed.
-func (t *Tree) push(n *bnode, thr float64, wk *inmem.Worker) error {
-	r := t.newChunkRouter(+1)
+// children by the final split point thr with the router r (weight +1):
+// each chunk's rows are split by thr and the two index sets descend into
+// n.left and n.right through the router on wk — its kernels, forks and
+// whole-chunk rule — exactly as if they had been routed past n by the
+// cleanup scan. Every buffer below n receives its rows in pending order.
+// pending itself is left untouched; the caller records it as pushed. r's
+// whole-chunk descents are not noted in the operation's tally: the
+// blocks_skipped counters count the streams' own.
+func (t *Tree) push(r *chunkRouter, n *bnode, thr float64, wk *inmem.Worker) error {
 	sc := t.scratch.Get().(*routeScratch)
 	defer t.scratch.Put(sc)
 	attr := n.coarse.attr
@@ -201,7 +202,7 @@ func (t *Tree) push(n *bnode, thr float64, wk *inmem.Worker) error {
 		col := ch.Col(attr)
 		left = intervalRows(left, col, idx, math.Inf(-1), thr, true)
 		right = intervalRows(right, col, idx, math.Inf(-1), thr, false)
-		return r.children(n, ch, left, right, sc, 1, wk)
+		return r.children(n, ch, left, right, idx == nil, sc, 1, wk)
 	})
 }
 

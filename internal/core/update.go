@@ -240,26 +240,27 @@ func (r *chunkRouter) descend(n *bnode, ch *data.Chunk, idx []int32, sc *routeSc
 			}
 		}
 	}
-	if idx == nil && len(stuck) == 0 {
-		// A whole chunk whose rows all went one way descends whole, so the
-		// kernels and copies below take their contiguous idx == nil paths.
-		switch ch.Len() {
-		case len(left):
-			r.skips.Add(1)
-			return r.descend(n.left, ch, nil, sc, depth+1, wk)
-		case len(right):
-			r.skips.Add(1)
-			return r.descend(n.right, ch, nil, sc, depth+1, wk)
-		}
-	}
-	return r.children(n, ch, left, right, sc, depth+1, wk)
+	return r.children(n, ch, left, right, idx == nil && len(stuck) == 0, sc, depth+1, wk)
 }
 
 // children descends the chunk rows named by left into n.left and those
-// named by right into n.right, on wk; depth indexes sc's scratch. When
-// both sides reach forkMinRows, the two descents are one fork: the left
-// one continues in sc, the right one partitions with its own scratch.
-func (r *chunkRouter) children(n *bnode, ch *data.Chunk, left, right []int32, sc *routeScratch, depth int, wk *inmem.Worker) error {
+// named by right into n.right, on wk; depth indexes sc's scratch. whole
+// reports that the chunk arrived whole and none of its rows stuck, so
+// left and right together name every row: then a chunk whose rows all
+// went one way descends into that child whole, and the kernels and
+// copies below take their contiguous idx == nil paths. Scans, updates
+// and pushes all descend through this one rule. When both sides reach
+// forkMinRows, the two descents are one fork: the left one continues in
+// sc, the right one partitions with its own scratch.
+func (r *chunkRouter) children(n *bnode, ch *data.Chunk, left, right []int32, whole bool, sc *routeScratch, depth int, wk *inmem.Worker) error {
+	if whole && len(right) == 0 {
+		r.skips.Add(1)
+		return r.descend(n.left, ch, nil, sc, depth, wk)
+	}
+	if whole && len(left) == 0 {
+		r.skips.Add(1)
+		return r.descend(n.right, ch, nil, sc, depth, wk)
+	}
 	if wk != nil && len(left) >= forkMinRows && len(right) >= forkMinRows {
 		return inmem.Fork(wk, 2, func(wk *inmem.Worker, i int) error {
 			if i == 0 {

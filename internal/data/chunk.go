@@ -279,7 +279,7 @@ func fnvMix(h, b uint64) uint64 {
 }
 
 // ChunkPool recycles chunks of one fixed geometry. It is safe for
-// concurrent use: a producer (the scan pipeline, the predictor's dealer)
+// concurrent use: a producer (the scan pipeline, the predictor's scan)
 // gets chunks from the pool and consumers put them back when done.
 type ChunkPool struct {
 	width, rows int

@@ -54,7 +54,8 @@ type Config struct {
 	ThresholdUnits float64
 	// UseFiles materializes each dataset as a 40-byte-record binary file
 	// and scans it from disk (the honest I/O configuration); otherwise
-	// datasets are re-generated per scan (CPU-bound configuration).
+	// datasets are re-generated per scan (CPU-bound configuration), except
+	// the dynamic figures' arrivals, which are held in memory.
 	UseFiles bool
 	// Dir is the scratch directory for dataset and spill files.
 	Dir string
@@ -168,10 +169,17 @@ func (c Config) makeSource(cfg gen.Config, n int64, seed int64, tag string) (dat
 	if err != nil {
 		return nil, nil, err
 	}
+	return c.materialize(src, fmt.Sprintf("%s-%d-%d", tag, n, seed))
+}
+
+// materialize writes src to a 40-byte-record file named after name and
+// scans it from there under UseFiles; otherwise it returns src itself.
+// The cleanup removes the file.
+func (c Config) materialize(src data.Source, name string) (data.Source, func(), error) {
 	if !c.UseFiles {
 		return src, func() {}, nil
 	}
-	path := filepath.Join(c.Dir, fmt.Sprintf("boat-exp-%s-%d-%d.dat", tag, n, seed))
+	path := filepath.Join(c.Dir, "boat-exp-"+name+".dat")
 	if _, err := data.WriteFile(path, src, data.FormatCompact); err != nil {
 		return nil, nil, err
 	}

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/boatml/boat/internal/data"
+	"github.com/boatml/boat/internal/gen"
+	"github.com/boatml/boat/internal/inmem"
 )
 
 // tiny returns a configuration small enough for unit tests; the runners
@@ -102,12 +107,44 @@ func TestRunInstability(t *testing.T) {
 	t.Logf("instability: %+v", res)
 }
 
+// checkRebuildInput pins the rebuild curves of Figures 13 and 14 to the
+// update curve's input: the rebuild at X builds on exactly the arrival
+// units 0..X-1 the update curve inserted (the original dataset counted as
+// size zero), so its tree is the in-memory build on them.
+func checkRebuildInput(t *testing.T, c Config, arrive gen.Config, rows []Row) {
+	t.Helper()
+	c = c.normalized()
+	for _, r := range rows {
+		if r.Algo != "Rebuild-BOAT" && r.Algo != "Rebuild-RF-Hybrid" {
+			continue
+		}
+		src, cleanup, err := c.arrivals(arrive, 0, int(r.X), "check")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples, err := data.ReadAll(src)
+		cleanup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(tuples)) != int64(r.X)*c.Unit {
+			t.Fatalf("arrivals up to %g hold %d tuples, want %d", r.X, len(tuples), int64(r.X)*c.Unit)
+		}
+		if want := inmem.Build(src.Schema(), tuples, c.grow()).NumNodes(); r.Nodes != want {
+			t.Errorf("%s at %g: %d nodes, the in-memory build on the inserted tuples has %d",
+				r.Algo, r.X, r.Nodes, want)
+		}
+	}
+}
+
 func TestRunDynamicStable(t *testing.T) {
-	rows, err := RunDynamic("fig13", DynamicStable, tiny(t))
+	c := tiny(t)
+	rows, err := RunDynamic("fig13", DynamicStable, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRows(t, rows, []string{"BOAT-Update", "Rebuild-BOAT", "Rebuild-RF-Hybrid"}, 2)
+	checkRebuildInput(t, c, gen.Config{Function: 1, Noise: 0.10}, rows)
 	// Cumulative times must be non-decreasing per algorithm.
 	last := map[string]float64{}
 	for _, r := range rows {
@@ -119,29 +156,62 @@ func TestRunDynamicStable(t *testing.T) {
 }
 
 func TestRunDynamicChange(t *testing.T) {
-	rows, err := RunDynamic("fig14", DynamicChange, tiny(t))
+	c := tiny(t)
+	rows, err := RunDynamic("fig14", DynamicChange, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRows(t, rows, []string{"BOAT-Update", "Rebuild-BOAT", "Rebuild-RF-Hybrid"}, 2)
+	checkRebuildInput(t, c, gen.Config{Function: 1, Noise: 0.10, Shifted: true}, rows)
 }
 
+// TestRunDynamicChunkSize: Figure 15's two curves insert the same tuples
+// in chunks of one and two units, so at every X both reach their trees
+// are equal (RunDynamic fails otherwise, and their node counts must
+// agree here), and a 2-unit chunk is the two 1-unit chunks it spans.
 func TestRunDynamicChunkSize(t *testing.T) {
-	rows, err := RunDynamic("fig15", DynamicChunkSize, tiny(t))
+	c := tiny(t)
+	rows, err := RunDynamic("fig15", DynamicChunkSize, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c1, c2 int
+	nodes := map[string]map[float64]int{}
 	for _, r := range rows {
-		switch r.Algo {
-		case "Chunk-1":
-			c1++
-		case "Chunk-2":
-			c2++
+		if nodes[r.Algo] == nil {
+			nodes[r.Algo] = map[float64]int{}
+		}
+		nodes[r.Algo][r.X] = r.Nodes
+	}
+	if len(nodes["Chunk-1"]) != 4 || len(nodes["Chunk-2"]) != 2 {
+		t.Fatalf("chunk curves have %d/%d points, want 4/2", len(nodes["Chunk-1"]), len(nodes["Chunk-2"]))
+	}
+	for x, n2 := range nodes["Chunk-2"] {
+		if n1, ok := nodes["Chunk-1"][x]; !ok || n1 != n2 {
+			t.Errorf("at %g: Chunk-1 tree has %d nodes (present %v), Chunk-2 %d", x, n1, ok, n2)
 		}
 	}
-	if c1 != 4 || c2 != 2 {
-		t.Errorf("chunk curves have %d/%d points, want 4/2", c1, c2)
+
+	c = c.normalized()
+	read := func(from, to int) []data.Tuple {
+		src, cleanup, err := c.arrivals(gen.Config{Function: 1, Noise: 0.10}, from, to, "check")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
+		tuples, err := data.ReadAll(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tuples
+	}
+	two, ones := read(2, 4), append(read(2, 3), read(3, 4)...)
+	if len(two) != len(ones) {
+		t.Fatalf("2-unit chunk holds %d tuples, its 1-unit chunks %d", len(two), len(ones))
+	}
+	for i := range two {
+		if two[i].Class != ones[i].Class || !slices.Equal(two[i].Values, ones[i].Values) {
+			t.Fatalf("tuple %d of the 2-unit chunk differs from the 1-unit chunks': %v vs %v", i, two[i], ones[i])
+		}
 	}
 }
 

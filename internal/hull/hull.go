@@ -86,24 +86,3 @@ func varyingDims(lo, hi []int64) uint32 {
 	}
 	return varying
 }
-
-// MinOverBuckets returns the minimum LowerBound over consecutive pairs of
-// a stamp-point sequence (the cumulative class counts at the bucket
-// boundaries of one attribute's discretization, in ascending value
-// order, starting at the all-zero point and ending at totals). skip
-// reports bucket indexes to exclude (the buckets covered exactly by the
-// confidence interval of the coarse splitting attribute). Returns +Inf if
-// every bucket is skipped.
-func MinOverBuckets(crit split.Criterion, stamps [][]int64, totals []int64, skip func(bucket int) bool) float64 {
-	best := math.Inf(1)
-	for b := 0; b+1 < len(stamps); b++ {
-		if skip != nil && skip(b) {
-			continue
-		}
-		lb := LowerBound(crit, stamps[b], stamps[b+1], totals)
-		if lb < best {
-			best = lb
-		}
-	}
-	return best
-}

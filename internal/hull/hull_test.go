@@ -105,27 +105,6 @@ func TestLowerBoundTooManyClasses(t *testing.T) {
 	}
 }
 
-func TestMinOverBuckets(t *testing.T) {
-	totals := []int64{10, 10}
-	stamps := [][]int64{
-		{0, 0}, {5, 1}, {8, 6}, {10, 10},
-	}
-	all := MinOverBuckets(split.Gini, stamps, totals, nil)
-	if math.IsInf(all, 1) {
-		t.Fatal("no buckets evaluated")
-	}
-	// Skipping every bucket yields +Inf.
-	skipped := MinOverBuckets(split.Gini, stamps, totals, func(int) bool { return true })
-	if !math.IsInf(skipped, 1) {
-		t.Errorf("all-skipped = %v, want +Inf", skipped)
-	}
-	// Skipping one bucket can only raise the minimum.
-	one := MinOverBuckets(split.Gini, stamps, totals, func(b int) bool { return b == 1 })
-	if one < all {
-		t.Errorf("skipping a bucket lowered the min: %v < %v", one, all)
-	}
-}
-
 // TestLowerBoundNoAllocs: the corner enumeration runs on the stack, at 2
 // and at MaxClasses classes, since verification, discretization and the
 // in-memory split search call the bound once per bucket.

@@ -16,13 +16,11 @@ const (
 	// ModeTuple is the seed-era baseline: one pointer-chasing
 	// Tree.Classify walk per tuple.
 	ModeTuple Mode = "tuple"
-	// ModeFlat walks the compiled SoA layout, still one tuple at a time.
-	ModeFlat Mode = "flat"
 	// ModeChunk routes whole columnar chunks through the batch
 	// ClassifyChunk kernel, sequentially.
 	ModeChunk Mode = "chunk"
-	// ModeParallel is the full predictor: chunked kernels sharded across
-	// the configured worker pool.
+	// ModeParallel is the full predictor: a fresh Predictor's scan of
+	// the source, its chunks shared with up to Parallelism − 1 helpers.
 	ModeParallel Mode = "parallel"
 )
 
@@ -42,9 +40,9 @@ type Measurement struct {
 }
 
 // Bench holds one tree and one materialized dataset, prepared in every
-// representation the modes need: row-major tuples for the per-tuple walks
-// and pre-packed columnar chunks for the kernels, plus reused output and
-// scratch buffers so the timed loops measure classification, not setup.
+// representation the modes need: row-major tuples for the per-tuple walk
+// and pre-packed columnar chunks for the kernel, plus reused output
+// buffers so the timed loops measure classification, not setup.
 type Bench struct {
 	tr     *tree.Tree
 	flat   *tree.FlatTree
@@ -53,7 +51,6 @@ type Bench struct {
 	chunks []*data.Chunk
 	out    []int
 	outAll []int
-	sc     *tree.ClassifyScratch
 	src    data.Source
 }
 
@@ -89,7 +86,6 @@ func NewBench(t *tree.Tree, src data.Source, cfg Config) (*Bench, error) {
 		tuples: tuples, chunks: chunks,
 		out:    make([]int, rows),
 		outAll: make([]int, len(tuples)),
-		sc:     tree.NewClassifyScratch(),
 		src:    src,
 	}, nil
 }
@@ -108,13 +104,9 @@ func (b *Bench) RunOnce(mode Mode) (int64, error) {
 		for _, tp := range b.tuples {
 			_ = b.tr.Classify(tp)
 		}
-	case ModeFlat:
-		for _, tp := range b.tuples {
-			_ = b.flat.Classify(tp)
-		}
 	case ModeChunk:
 		for _, ch := range b.chunks {
-			b.flat.ClassifyChunkScratch(ch, b.out, b.sc)
+			b.flat.ClassifyChunk(ch, b.out)
 		}
 	case ModeParallel:
 		p := NewFlat(b.flat, b.cfg)
@@ -139,9 +131,16 @@ func (b *Bench) Measure(mode Mode, rounds int) (Measurement, error) {
 		rounds = 1
 	}
 	m := Measurement{Mode: string(mode), Rounds: rounds}
-	// One untimed pass first: it grows scratch buffers and faults in every
-	// page the mode touches, so the timed rounds and their MemStats
-	// brackets see only the steady state.
+	// Collect once, then run one untimed pass. The collection keeps
+	// other phases' garbage out of the rounds (once, not per round: a
+	// GC's mark phase streams the whole heap and would evict the dataset
+	// from cache before every measurement). The pass brings back what
+	// the collection dropped (sync.Pool's caches, the kernel's scratch
+	// among them), grows scratch buffers and faults in every page the
+	// mode touches, so the timed rounds and their MemStats brackets see
+	// only the steady state. The Mallocs/TotalAlloc deltas below are
+	// exact monotonic counters and need no collection to be trustworthy.
+	runtime.GC()
 	if _, err := b.RunOnce(mode); err != nil {
 		return m, err
 	}
@@ -152,12 +151,6 @@ func (b *Bench) Measure(mode Mode, rounds int) (Measurement, error) {
 		mallocs, bytes uint64
 		ms             runtime.MemStats
 	)
-	// Collect once before timing so no round inherits another phase's
-	// garbage; not per round — a GC's mark phase streams the whole heap
-	// and would evict the dataset from cache before every measurement.
-	// The Mallocs/TotalAlloc deltas below are exact monotonic counters
-	// and need no collection to be trustworthy.
-	runtime.GC()
 	for i := 0; i < rounds; i++ {
 		runtime.ReadMemStats(&ms)
 		m0, a0 := ms.Mallocs, ms.TotalAlloc

@@ -183,3 +183,42 @@ func TestPredictorConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictOneChunkAllocs pins the read that serving makes most: a
+// warm Predict of a source that fits in one chunk, at Parallelism 2,
+// classifies the chunk on the calling goroutine with the tree's pooled
+// kernel scratch. It starts no helper and allocates little beyond its
+// labels and its result (the bound leaves room for the scanner and the
+// boxed span attributes), and its labels equal Tree.Classify's.
+func TestPredictOneChunkAllocs(t *testing.T) {
+	tr, gsrc, want := testModel(t, 1000)
+	tuples, err := data.ReadAll(gsrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := data.NewMemSource(gsrc.Schema(), tuples)
+	p, err := New(tr, Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	read := func() {
+		if res, err = p.Predict(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the chunk pool and the kernel's scratch
+	allocs := testing.AllocsPerRun(50, read)
+	t.Logf("%v allocations per one-chunk Predict", allocs)
+	if allocs > 8 && !raceEnabled {
+		t.Errorf("a warm one-chunk Predict makes %v allocations, want at most 8", allocs)
+	}
+	if res.Chunks != 1 {
+		t.Fatalf("read %d chunks, want 1", res.Chunks)
+	}
+	for i := range want {
+		if res.Labels[i] != want[i] {
+			t.Fatalf("label[%d] = %d, want %d", i, res.Labels[i], want[i])
+		}
+	}
+}

@@ -123,72 +123,21 @@ func (f *FlatTree) NumLeaves() int { return f.leaves }
 // Depth returns the maximum number of edges from the root to a leaf.
 func (f *FlatTree) Depth() int { return f.depth }
 
-// IsLeafNode reports whether node n is a leaf (leaves self-loop).
-func (f *FlatTree) IsLeafNode(n int32) bool { return f.left[n] == n }
-
-// LeftChild and RightChild return node n's children (n itself for leaves).
-func (f *FlatTree) LeftChild(n int32) int32  { return f.left[n] }
-func (f *FlatTree) RightChild(n int32) int32 { return f.right[n] }
-
-// Label returns node n's class label.
-func (f *FlatTree) Label(n int32) int { return int(f.label[n]) }
-
-// GoesLeft evaluates node n's routing predicate on a tuple. It is the
-// scalar form of the kernel predicate, exposed so tree-shaped batch code
-// outside this package (the skeleton phase's sample partition in core)
-// routes with the same compiled criteria as the inference path.
-func (f *FlatTree) GoesLeft(n int32, tp data.Tuple) bool {
-	v := tp.Values[f.attr[n]]
-	code := uint(v)
-	bit := f.subset[n] >> (code & 63) & 1
-	if code > 63 {
-		bit = 0
-	}
-	return bit != 0 || v <= f.thresh[n]
-}
-
-// Classify routes one tuple to a leaf and returns its label. It is
-// bit-identical to Tree.Classify on the source tree.
-func (f *FlatTree) Classify(tp data.Tuple) int {
-	n := int32(0)
-	for f.left[n] != n {
-		v := tp.Values[f.attr[n]]
-		code := uint(v)
-		bit := f.subset[n] >> (code & 63) & 1
-		if code > 63 {
-			bit = 0
-		}
-		next := f.right[n]
-		if bit != 0 {
-			next = f.left[n]
-		}
-		if v <= f.thresh[n] {
-			next = f.left[n]
-		}
-		n = next
-	}
-	return int(f.label[n])
-}
-
-// ClassifyScratch holds the per-depth row-index partitions of one
-// goroutine's chunk classification. The partition written while routing a
-// chunk through depth d stays live while the children route with the
-// buffers of depth d+1 and below — the same discipline as the cleanup
-// scan's routeScratch. Buffers are grown on first use and reused for every
-// subsequent chunk, so the steady state allocates nothing. A scratch is
-// single-goroutine state; the predictor keeps one per worker.
-type ClassifyScratch struct {
+// classifyScratch holds the per-depth row-index partitions of one
+// chunk classification. The partition written while routing a chunk
+// through depth d stays live while the children route with the buffers
+// of depth d+1 and below — the same discipline as the cleanup scan's
+// routeScratch. Buffers are grown on first use and reused for every
+// later chunk, so the steady state allocates nothing. A scratch serves
+// one goroutine at a time; scratchPool hands them out.
+type classifyScratch struct {
 	levels [][]int32
 }
-
-// NewClassifyScratch returns an empty scratch; buffers are sized lazily by
-// the first chunks routed through it.
-func NewClassifyScratch() *ClassifyScratch { return &ClassifyScratch{} }
 
 // at returns the index buffer for a recursion depth, sized to rows. One
 // buffer serves both partition halves: the left half grows from the front
 // and the right half from the back.
-func (sc *ClassifyScratch) at(depth, rows int) []int32 {
+func (sc *classifyScratch) at(depth, rows int) []int32 {
 	for len(sc.levels) <= depth {
 		sc.levels = append(sc.levels, nil)
 	}
@@ -201,34 +150,24 @@ func (sc *ClassifyScratch) at(depth, rows int) []int32 {
 // scratchPool recycles ClassifyChunk's scratch so steady-state chunk
 // classification allocates nothing.
 var scratchPool = sync.Pool{
-	New: func() any { return NewClassifyScratch() },
+	New: func() any { return new(classifyScratch) },
 }
 
 // ClassifyChunk routes every row of the chunk to a leaf and writes the
-// labels into out, which must have at least ch.Len() entries. Scratch is
-// pooled; the steady state performs zero allocations. Safe for concurrent
-// use.
+// labels into out, which must have at least ch.Len() entries. It is the
+// one batch entry to the flat layout, and bit-identical to Tree.Classify
+// row by row. Scratch is pooled; the steady state performs zero
+// allocations. Safe for concurrent use.
 func (f *FlatTree) ClassifyChunk(ch *data.Chunk, out []int) {
 	if ch.Len() == 0 {
 		return
 	}
-	sc := scratchPool.Get().(*ClassifyScratch)
-	f.ClassifyChunkScratch(ch, out, sc)
-	scratchPool.Put(sc)
-}
-
-// ClassifyChunkScratch is ClassifyChunk with caller-owned scratch, for
-// callers that manage per-worker scratch themselves — the parallel
-// predictor's workers and the benchmarks use it to keep the hot loop free
-// of pool traffic.
-func (f *FlatTree) ClassifyChunkScratch(ch *data.Chunk, out []int, sc *ClassifyScratch) {
-	if ch.Len() == 0 {
-		return
-	}
+	sc := scratchPool.Get().(*classifyScratch)
 	// Trim (and bounds-check) out to the chunk length up front: the
 	// kernel's raw-pointer stores rely on every row index being a valid
 	// index into out.
 	f.routeNode(ch, 0, nil, out[:ch.Len()], sc, 0)
+	scratchPool.Put(sc)
 }
 
 // routeNode is the batch router: it processes the chunk rows named by idx
@@ -264,7 +203,7 @@ func (f *FlatTree) ClassifyChunkScratch(ch *data.Chunk, out []int, sc *ClassifyS
 //   - the left and right halves of the partition buffer each hold m =
 //     batch-size entries, and after k rows the cursors satisfy
 //     nl+nr == k < m, so both stores land below m.
-func (f *FlatTree) routeNode(ch *data.Chunk, n int32, idx []int32, out []int, sc *ClassifyScratch, depth int) {
+func (f *FlatTree) routeNode(ch *data.Chunk, n int32, idx []int32, out []int, sc *classifyScratch, depth int) {
 	if f.left[n] == n {
 		lbl := int(f.label[n])
 		if idx == nil {

@@ -39,15 +39,20 @@ func TestClassifyEdgeCaseRouting(t *testing.T) {
 		}
 	}
 
-	// The flat compilation must agree on every one of them.
+	// The flat compilation's chunk kernel must agree on every one of them.
 	f, err := Compile(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch := data.NewChunk(2, len(cases))
 	for _, tc := range cases {
-		tp := data.Tuple{Values: []float64{tc.age, tc.color}}
-		if got := f.Classify(tp); got != tc.want {
-			t.Errorf("%s: FlatTree.Classify = %d, want %d", tc.name, got, tc.want)
+		ch.AppendTuple(data.Tuple{Values: []float64{tc.age, tc.color}})
+	}
+	out := make([]int, len(cases))
+	f.ClassifyChunk(ch, out)
+	for i, tc := range cases {
+		if out[i] != tc.want {
+			t.Errorf("%s: FlatTree.ClassifyChunk = %d, want %d", tc.name, out[i], tc.want)
 		}
 	}
 }
@@ -61,24 +66,43 @@ func TestCompileShape(t *testing.T) {
 		t.Fatalf("shape = %d nodes / %d leaves / depth %d, want 5/3/2",
 			f.NumNodes(), f.NumLeaves(), f.Depth())
 	}
-	if f.IsLeafNode(0) {
+	// A leaf self-loops (left[n] == right[n] == n) with a NaN threshold
+	// and an empty subset, so its predicate never fires.
+	isLeaf := func(n int32) bool { return f.left[n] == n }
+	if isLeaf(0) {
 		t.Error("root compiled as leaf")
 	}
 	// BFS pair layout: children are adjacent, right = left+1.
 	for n := int32(0); n < int32(f.NumNodes()); n++ {
-		if f.IsLeafNode(n) {
-			if f.LeftChild(n) != n || f.RightChild(n) != n {
-				t.Errorf("leaf %d does not self-loop", n)
+		if isLeaf(n) {
+			if f.right[n] != n || !math.IsNaN(f.thresh[n]) || f.subset[n] != 0 {
+				t.Errorf("leaf %d: right=%d thresh=%v subset=%#x, want a self-loop that never fires",
+					n, f.right[n], f.thresh[n], f.subset[n])
 			}
 			continue
 		}
-		if f.RightChild(n) != f.LeftChild(n)+1 {
-			t.Errorf("node %d children not adjacent: left=%d right=%d",
-				n, f.LeftChild(n), f.RightChild(n))
+		if f.right[n] != f.left[n]+1 {
+			t.Errorf("node %d children not adjacent: left=%d right=%d", n, f.left[n], f.right[n])
 		}
-		if f.LeftChild(n) <= n {
-			t.Errorf("node %d child %d not after parent", n, f.LeftChild(n))
+		if f.left[n] <= n {
+			t.Errorf("node %d child %d not after parent", n, f.left[n])
 		}
+	}
+	// testTree in breadth-first order: the age split, then the color
+	// split and the right leaf, then the color split's two leaves.
+	wantAttr := []int32{0, 1, 0, 0, 0}
+	wantLabel := []int32{0, 0, 1, 0, 1}
+	for n := range wantAttr {
+		if f.attr[n] != wantAttr[n] || f.label[n] != wantLabel[n] {
+			t.Errorf("node %d: attr %d label %d, want attr %d label %d",
+				n, f.attr[n], f.label[n], wantAttr[n], wantLabel[n])
+		}
+	}
+	if f.thresh[0] != 40 || f.subset[0] != 0 {
+		t.Errorf("numeric root: thresh %v subset %#x, want 40 and no subset", f.thresh[0], f.subset[0])
+	}
+	if !math.IsNaN(f.thresh[1]) || f.subset[1] != 0b110 {
+		t.Errorf("categorical node: thresh %v subset %#b, want NaN and {1,2}", f.thresh[1], f.subset[1])
 	}
 	if f.Schema() != testSchema() && !f.Schema().Equal(testSchema()) {
 		t.Error("schema not carried through compilation")
@@ -93,9 +117,6 @@ func TestCompileSingleLeaf(t *testing.T) {
 	}
 	if f.NumNodes() != 1 || f.Depth() != 0 {
 		t.Fatalf("leaf-only tree compiled to %d nodes depth %d", f.NumNodes(), f.Depth())
-	}
-	if got := f.Classify(data.Tuple{Values: []float64{1, 2}}); got != 1 {
-		t.Errorf("Classify = %d, want 1", got)
 	}
 	out := make([]int, 3)
 	ch := data.NewChunk(2, 3)
@@ -211,9 +232,10 @@ func randomTuple(rng *rand.Rand, schema *data.Schema) data.Tuple {
 	return data.Tuple{Values: vals, Class: rng.Intn(schema.ClassCount)}
 }
 
-// TestFlatParityProperty is the satellite property test: on randomized
-// trees and tuples (including NaN numerics and unseen categorical codes),
-// FlatTree.Classify and ClassifyChunk are bit-identical to Tree.Classify.
+// TestFlatParityProperty is the chunk-to-pointer parity property: on
+// randomized trees and tuples (including NaN numerics and unseen
+// categorical codes), ClassifyChunk is bit-identical to Tree.Classify at
+// every chunk size.
 func TestFlatParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	chunkSizes := []int{1, 7, 64, 1024}
@@ -230,10 +252,6 @@ func TestFlatParityProperty(t *testing.T) {
 		for i := range tuples {
 			tuples[i] = randomTuple(rng, schema)
 			want[i] = tr.Classify(tuples[i])
-			if got := f.Classify(tuples[i]); got != want[i] {
-				t.Fatalf("trial %d tuple %d: flat Classify = %d, pointer = %d\nvalues=%v\ntree:\n%s",
-					trial, i, got, want[i], tuples[i].Values, tr)
-			}
 		}
 		for _, rows := range chunkSizes {
 			ch := data.NewChunk(len(schema.Attributes), rows)
@@ -257,7 +275,7 @@ func TestFlatParityProperty(t *testing.T) {
 }
 
 // TestClassifyChunkScratchAllocs asserts the zero-allocation steady state
-// of the chunk kernel with caller-owned scratch.
+// of ClassifyChunk on its pooled scratch.
 func TestClassifyChunkScratchAllocs(t *testing.T) {
 	f, err := Compile(testTree())
 	if err != nil {
@@ -269,16 +287,7 @@ func TestClassifyChunkScratchAllocs(t *testing.T) {
 		ch.AppendTuple(data.Tuple{Values: []float64{rng.Float64() * 80, float64(rng.Intn(4))}})
 	}
 	out := make([]int, 256)
-	sc := NewClassifyScratch()
 	allocs := testing.AllocsPerRun(100, func() {
-		f.ClassifyChunkScratch(ch, out, sc)
-	})
-	if allocs != 0 {
-		t.Errorf("ClassifyChunkScratch allocates %v per run, want 0", allocs)
-	}
-	// The pooled-scratch entry point must also be allocation-free in the
-	// steady state.
-	allocs = testing.AllocsPerRun(100, func() {
 		f.ClassifyChunk(ch, out)
 	})
 	if allocs != 0 {

@@ -34,7 +34,9 @@ type Tree struct {
 	Root   *Node
 }
 
-// Classify routes the tuple to a leaf and returns its label.
+// Classify routes the tuple to a leaf and returns its label. It is the
+// one per-tuple walk, the reference every batch path (FlatTree.ClassifyChunk,
+// the predictor) is tested against.
 func (t *Tree) Classify(tp data.Tuple) int {
 	n := t.Root
 	for !n.IsLeaf() {
@@ -45,19 +47,6 @@ func (t *Tree) Classify(tp data.Tuple) int {
 		}
 	}
 	return n.Label
-}
-
-// Leaf returns the leaf node a tuple routes to.
-func (t *Tree) Leaf(tp data.Tuple) *Node {
-	n := t.Root
-	for !n.IsLeaf() {
-		if n.Crit.Left(tp) {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n
 }
 
 // MisclassificationRate scans src and returns the fraction of tuples whose

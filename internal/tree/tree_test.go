@@ -51,9 +51,6 @@ func TestClassify(t *testing.T) {
 		if got := tr.Classify(tp); got != tc.want {
 			t.Errorf("Classify(age=%v,color=%v) = %d, want %d", tc.age, tc.color, got, tc.want)
 		}
-		if leaf := tr.Leaf(tp); leaf.Label != tc.want {
-			t.Errorf("Leaf(age=%v,color=%v).Label = %d", tc.age, tc.color, leaf.Label)
-		}
 	}
 }
 
